@@ -23,6 +23,7 @@ from .homology import (
     howell_form,
     reduce_against,
     right_kernel_basis,
+    smith_exponents,
     span_exponents,
     w_mult_block,
 )
@@ -307,21 +308,6 @@ class _FiniteEngine:
             ] = blk
         return out
 
-    def preimage_span(self, phi: np.ndarray, span_rows: np.ndarray) -> np.ndarray:
-        """Rows spanning {v : phi v in row-span(span_rows)}."""
-        n = self.modulus
-        if span_rows.shape[0] == 0:
-            return right_kernel_basis(phi, n)
-        stacked = np.hstack([phi % n, (-span_rows.T) % n])
-        kern = right_kernel_basis(stacked, n)
-        if kern.shape[0] == 0:
-            return np.zeros((0, self.dim), dtype=np.int64)
-        proj = kern[:, : self.dim] % n
-        return proj[proj.any(axis=1)]
-
-    def span_log_card(self, rows: np.ndarray) -> int:
-        return sum(span_exponents(rows, self.ctx.p, self.ctx.n_prec))
-
 
 # --- engine: exact Z[q], monic normal forms ------------------------------------
 
@@ -416,7 +402,7 @@ def torsion_bound(m: ModulePresentation, f, cap: int = 8) -> TorsionReport:
         phi = eng.mult_matrix(f)
         power = np.eye(eng.dim, dtype=np.int64)
         for b in range(cap + 2):
-            K = eng.preimage_span(power, span)
+            K = _finite_preimage(power, span, eng.modulus)
             h = howell_form(np.vstack([K, span]) if span.shape[0] else K, eng.modulus)
             gens[b] = [int(v) for v in span_exponents(h, eng.ctx.p, eng.ctx.n_prec)]
             if prev_h is not None and _same_span(h, prev_h):
@@ -507,7 +493,7 @@ class PresentedComplex:
         if i < len(self.differentials):
             out_mat = self.differentials[i]
             _dim_next, span_next = self.terms[i + 1]
-            K = _finite_preimage(out_mat, span_next, dim, eng_mod)
+            K = _finite_preimage(out_mat, span_next, eng_mod)
         else:
             K = np.eye(dim, dtype=np.int64)
         im_rows = [span] if span.shape[0] else []
@@ -525,9 +511,6 @@ class PresentedComplex:
     def acyclic(self) -> bool:
         return all(self.exact_at(i) for i in range(len(self.terms)))
 
-    def cohomology_trivial(self) -> list[bool]:
-        return [self.exact_at(i) for i in range(len(self.terms))]
-
 
 def _orders_to_relations(orders: list[int]) -> list[list[int]]:
     """Diagonal relation columns for a sum of cyclic groups."""
@@ -542,7 +525,9 @@ def _orders_to_relations(orders: list[int]) -> list[list[int]]:
     return [[col[i] for col in cols] for i in range(dim)]
 
 
-def _finite_preimage(mat: np.ndarray, span: np.ndarray, dim: int, n: int) -> np.ndarray:
+def _finite_preimage(mat: np.ndarray, span: np.ndarray, n: int) -> np.ndarray:
+    """Rows spanning {v : mat v in row-span(span)} over Z/n."""
+    dim = mat.shape[1]
     if span.shape[0] == 0:
         return right_kernel_basis(mat, n)
     stacked = np.hstack([mat % n, (-span.T) % n])
@@ -783,7 +768,7 @@ def pro_iso_check(
             acc = np.eye(eng.dim, dtype=np.int64)
             for _ in range(n + s):
                 acc = (phi @ acc) % eng.modulus
-            K = eng.preimage_span(acc, span)
+            K = _finite_preimage(acc, span, eng.modulus)
             fs = np.eye(eng.dim, dtype=np.int64)
             for _ in range(s):
                 fs = (phi @ fs) % eng.modulus
@@ -883,7 +868,7 @@ def _g_torsion_free(m: ModulePresentation, g) -> bool:
     if m.base in ("Zpn", "W"):
         eng = _FiniteEngine(m)
         span = howell_form(eng.relation_rows(), eng.modulus)
-        K = eng.preimage_span(eng.mult_matrix(g), span)
+        K = _finite_preimage(eng.mult_matrix(g), span, eng.modulus)
         all_rows = np.vstack([K, span]) if span.shape[0] else K
         p, N = m.ctx.p, m.ctx.n_prec
         return sum(span_exponents(all_rows, p, N)) == sum(span_exponents(span, p, N))
@@ -901,34 +886,14 @@ def _g_torsion_free(m: ModulePresentation, g) -> bool:
     return True
 
 
-def _fp_rank(m: ModulePresentation) -> int:
-    """Rank of the relation matrix over the residue field F_p."""
+def _residue_matrix(m: ModulePresentation) -> np.ndarray:
+    """The relation matrix over the residue field F_p."""
     p = m.ctx.p
-    rows = []
-    for rel in m.relations:
-        row = []
-        for v in rel:
-            if isinstance(v, WScalar):
-                row.append(v.fp_residue())
-            else:
-                row.append(int(v) % p)
-        rows.append(row)
-    rank = 0
-    cols = m.generators
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] % p), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] % p:
-                rows[i] = [(a - rows[i][c] * b) % p for a, b in zip(rows[i], rows[r])]
-        r += 1
-        rank += 1
-    return rank
+    out = np.zeros((len(m.relations), m.generators), dtype=np.int64)
+    for i, rel in enumerate(m.relations):
+        for j, v in enumerate(rel):
+            out[i, j] = v.fp_residue() if isinstance(v, WScalar) else int(v) % p
+    return out
 
 
 def bounded_and_flat_check(
@@ -988,7 +953,7 @@ def bounded_and_flat_check(
         if ideal_log == base_log:
             details["ideal"] = "unit"
             return FlatnessReport(bounded, True, True, details)
-        mu = m.generators - _fp_rank(m)
+        mu = m.generators - smith_exponents(_residue_matrix(m), p, 1).count(0)
         q_log = base_log - ideal_log
         mq_span = howell_form(
             eng.relation_rows(extra_scalars=[f, g]), eng.modulus
@@ -1082,7 +1047,7 @@ def _tor1_vanishes(m: ModulePresentation, ideal_gens) -> bool:
     free_r = _FiniteEngine(ModulePresentation(m.base, r, [], ctx))
     ideal_f0 = howell_form(free_g.relation_rows(extra_scalars=ideal_gens), n)
     ideal_f1 = free_r.relation_rows(extra_scalars=ideal_gens)
-    pre = _finite_preimage(d1, ideal_f0, r * block, n)
+    pre = _finite_preimage(d1, ideal_f0, n)
     syz = right_kernel_basis(d1, n)
     im_rows = [rows for rows in (syz, ideal_f1) if rows.shape[0]]
     stacked_im = (

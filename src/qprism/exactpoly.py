@@ -7,7 +7,7 @@ pairs with positive exponents; the empty tuple is the constant monomial.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 
 Monomial = tuple[tuple[str, int], ...]
 
@@ -191,17 +191,7 @@ class IntPoly:
     def map_coefficients(self, fn) -> IntPoly:
         return IntPoly({m: fn(c) for m, c in self.terms.items()})
 
-    def max_total_degree(self) -> int:
-        return max((sum(e for _, e in m) for m in self.terms), default=0)
-
     def __repr__(self):
         from .grammar import poly_to_string
 
         return f"IntPoly({poly_to_string(self)})"
-
-
-def poly_sum(polys: Iterable[IntPoly]) -> IntPoly:
-    total = IntPoly()
-    for p in polys:
-        total = total + p
-    return total

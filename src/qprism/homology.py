@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from math import gcd
+from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 
@@ -25,129 +26,90 @@ def max_flat_dim() -> int:
     return int(os.environ.get("QPRISM_MAX_DIM", "4096"))
 
 
-def _check_modulus(n: int):
+@lru_cache(maxsize=None)
+def _check_modulus(n: int) -> tuple[int, int]:
+    """(p, N) with n = p^N; every modulus must be a prime power."""
     if n < 2:
         raise InvalidArgs("modulus must be >= 2")
     if n > _MAX_MODULUS:
         raise InvalidArgs(f"modulus {n} too large for exact int64 arithmetic")
+    p = next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
+    N, rest = 0, n
+    while rest % p == 0:
+        rest //= p
+        N += 1
+    if rest != 1:
+        raise InvalidArgs(f"modulus {n} is not a prime power")
+    return p, N
 
 
 def _as_matrix(mat, n: int) -> np.ndarray:
     a = np.array(mat, dtype=np.int64)
     if a.ndim != 2:
         raise InvalidArgs("expected a 2-D matrix")
-    return a % n
-
-
-# --- scalar helpers over Z/n ------------------------------------------------
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        quo = old_r // r
-        old_r, r = r, old_r - quo * r
-        old_s, s = s, old_s - quo * s
-        old_t, t = t, old_t - quo * t
-    return old_r, old_s, old_t
-
-
-def unit_multiplier(a: int, n: int) -> int:
-    """A unit u mod n with u*a = gcd(a, n) mod n."""
     a %= n
-    if a == 0:
-        return 1
-    g = gcd(a, n)
-    ap, m = a // g, n // g
-    u = pow(ap, -1, m) if m > 1 else 1
-    while gcd(u, n) != 1:
-        u += m
-    return u % n
+    return a
 
 
-def annihilator(a: int, n: int) -> int:
-    """Generator of {x : x*a = 0 mod n}; 0 when a is a unit."""
-    a %= n
-    if a == 0:
-        return 1
-    g = gcd(a, n)
-    return 0 if g == 1 else n // g
+# --- chain-ring elimination over Z/p^N ----------------------------------------
 
 
-# --- Howell form ------------------------------------------------------------
+def _eliminate(work: np.ndarray, r: int, c: int, n: int) -> int:
+    """One elimination step on column c of work over Z/n, n = p^N.
+
+    Z/p^N is a chain ring, so the column entry of least valuation v in
+    rows >= r divides every other entry there.  That row moves to r and is
+    scaled so the pivot is exactly p^v; then one rank-1 update subtracts
+    (work[i, c] // p^v) * row r from every other row i, which zeroes column
+    c below r and reduces it into [0, p^v) above r.  Row r must be zero
+    left of c.  Returns p^v, or 0 when column c is zero from row r down.
+    """
+    g = np.gcd(work[r:, c], n)
+    i = r + int(np.argmin(g))
+    pv = int(g[i - r])
+    if pv == n:
+        return 0
+    if i != r:
+        work[[r, i]] = work[[i, r]]
+    unit = int(work[r, c]) // pv
+    if unit != 1:
+        work[r, c:] = work[r, c:] * pow(unit, -1, n) % n
+    f = work[:, c] // pv
+    f[r] = 0
+    rows = np.flatnonzero(f)
+    block = work[rows, c:]
+    block -= np.outer(f[rows], work[r, c:])
+    work[rows, c:] = np.remainder(block, n, out=block)
+    return pv
 
 
 def howell_form(mat, n: int) -> np.ndarray:
-    """Row-canonical Howell form of the row span of mat over Z/n.
+    """Reduced Howell form of the row span of mat over Z/n, n = p^N.
 
-    Every row-span element supported on columns >= c lies in the span of
-    the returned rows with pivot column >= c, which makes normal-form
-    reduction a membership test.  Annihilator rows of zero-divisor pivots
-    are appended to the working matrix and folded in by later columns.
+    Rows come in pivot-column order, each pivot is p^v and the entries
+    above it lie in [0, p^v).  Every row-span element supported on columns
+    >= c lies in the span of the rows with pivot column >= c, which makes
+    normal-form reduction a membership test: each pivot of valuation v > 0
+    appends its annihilator row p^(N-v) * row, folded in by later columns.
     """
     _check_modulus(n)
     a = _as_matrix(mat, n)
-    if a.shape[0] == 0 or not a.any():
-        return np.zeros((0, a.shape[1]), dtype=np.int64)
-    work = [row.copy() for row in a]
-    cols = a.shape[1]
-    r = 0
+    rows, cols = a.shape
+    # each pivot appends at most one row; np.zeros leaves unused pages untouched
+    work = np.zeros((rows + cols, cols), dtype=np.int64)
+    work[:rows] = a
+    end, r = rows, 0
     for c in range(cols):
-        pivot = None
-        for i in range(r, len(work)):
-            if work[i][c]:
-                pivot = i
-                break
-        if pivot is None:
+        if r == end:
+            break
+        pv = _eliminate(work[:end], r, c, n)
+        if not pv:
             continue
-        if pivot != r:
-            work[r], work[pivot] = work[pivot], work[r]
-        u = unit_multiplier(int(work[r][c]), n)
-        if u != 1:
-            work[r] = (work[r] * u) % n
-        b = int(work[r][c])
-        # eliminate below r with unimodular transforms
-        for i in range(r + 1, len(work)):
-            v = int(work[i][c])
-            if v == 0:
-                continue
-            if v % b == 0:
-                work[i] = (work[i] - (v // b) * work[r]) % n
-            else:
-                g, s, t = _xgcd(b, v)
-                row_r = (s * work[r] + t * work[i]) % n
-                row_i = ((-(v // g)) * work[r] + (b // g) * work[i]) % n
-                work[r], work[i] = row_r, row_i
-                u = unit_multiplier(int(work[r][c]), n)
-                if u != 1:
-                    work[r] = (work[r] * u) % n
-                b = int(work[r][c])
-        # reduce entries above r modulo the pivot
-        for i in range(r):
-            v = int(work[i][c])
-            if v >= b:
-                work[i] = (work[i] - (v // b) * work[r]) % n
-        ann = annihilator(b, n)
-        if ann:
-            extra = (work[r] * ann) % n
-            if extra.any():
-                work.append(extra)
+        if pv > 1:
+            work[end, c:] = work[r, c:] * (n // pv) % n
+            end += 1
         r += 1
-    kept = [row for row in work if row.any()]
-    if not kept:
-        return np.zeros((0, cols), dtype=np.int64)
-    return _sorted_rows(np.array(kept, dtype=np.int64))
-
-
-def _sorted_rows(mat: np.ndarray) -> np.ndarray:
-    def pivot(row) -> int:
-        nz = np.nonzero(row)[0]
-        return int(nz[0]) if len(nz) else row.shape[0]
-
-    order = sorted(range(mat.shape[0]), key=lambda i: pivot(mat[i]))
-    return mat[order]
+    return work[:r]
 
 
 def reduce_against(vec: np.ndarray, howell: np.ndarray, n: int) -> np.ndarray:
@@ -172,13 +134,10 @@ def left_kernel_basis(mat, n: int) -> np.ndarray:
     """Rows spanning {v : v @ mat = 0} over Z/n."""
     _check_modulus(n)
     a = _as_matrix(mat, n)
-    rows = a.shape[0]
-    aug = np.hstack([a, np.eye(rows, dtype=np.int64)])
-    h = howell_form(aug, n)
-    mask = ~h[:, : a.shape[1]].any(axis=1) if h.shape[0] else np.array([], bool)
-    kern = h[mask][:, a.shape[1]:] if h.shape[0] else np.zeros((0, rows), np.int64)
-    kern = kern[kern.any(axis=1)]
-    return kern
+    rows, cols = a.shape
+    h = howell_form(np.hstack([a, np.eye(rows, dtype=np.int64)]), n)
+    # by the Howell property, the rows with pivot in the identity block span the kernel
+    return h[~h[:, :cols].any(axis=1), cols:]
 
 
 def right_kernel_basis(mat, n: int) -> np.ndarray:
@@ -200,65 +159,35 @@ def howell_reduce(mat, n: int) -> HowellResult:
 # --- Smith invariant factors over Z/p^N --------------------------------------
 
 
-def _valuation(a: int, p: int, N: int) -> int:
-    if a == 0:
-        return N
-    v = 0
-    while a % p == 0:
-        a //= p
-        v += 1
-    return v
-
-
 def smith_exponents(mat, p: int, N: int) -> list[int]:
-    """p-adic valuations of the Smith diagonal over Z/p^N.
+    """p-adic valuations of the Smith diagonal over Z/p^N, nondecreasing.
 
     One entry per diagonal position up to min(rows, cols); positions the
-    reduction never reaches carry valuation N.  Pivots are chosen with
-    minimal valuation, ties broken by least row then least column.
+    reduction never reaches carry valuation N.  Works one valuation layer
+    at a time: every column of the remaining block with a unit entry gives
+    a pivot of valuation v, then the block, now divisible by p, is divided
+    by p.  A column without units keeps none while its layer is eliminated,
+    so one scan over the columns per layer finds every pivot.
     """
     n = p**N
-    _check_modulus(n)
+    if _check_modulus(n) != (p, N):
+        raise InvalidArgs(f"{p} is not a prime")
     work = _as_matrix(mat, n)
-    out: list[int] = []
     size = min(work.shape)
-    for _ in range(size):
-        rows, cols = work.shape
-        best = None
-        best_v = N
-        for i in range(rows):
-            for j in range(cols):
-                if work[i, j]:
-                    v = _valuation(int(work[i, j]), p, N)
-                    if v < best_v:
-                        best_v = v
-                        best = (i, j)
-                        if v == 0:
-                            break
-            if best is not None and best_v == 0:
+    out: list[int] = []
+    for v in range(N):
+        for j in range(len(out), work.shape[1]):
+            k = len(out)
+            if k == size:
                 break
-        if best is None:
-            out.extend([N] * (size - len(out)))
-            break
-        i0, j0 = best
-        if i0 != 0:
-            work[[0, i0]] = work[[i0, 0]]
-        if j0 != 0:
-            work[:, [0, j0]] = work[:, [j0, 0]]
-        pv = p**best_v
-        u = unit_multiplier(int(work[0, 0]), n)
-        work[0] = (work[0] * u) % n
-        for i in range(1, rows):
-            v = int(work[i, 0])
-            if v:
-                work[i] = (work[i] - (v // pv) * work[0]) % n
-        for j in range(1, cols):
-            v = int(work[0, j])
-            if v:
-                work[:, j] = (work[:, j] - (v // pv) * work[:, 0]) % n
-        out.append(best_v)
-        work = work[1:, 1:]
-    return out
+            if not (work[k:, j] % p).any():
+                continue
+            if j != k:
+                work[:, [k, j]] = work[:, [j, k]]
+            _eliminate(work[k:, k:], 0, 0, n // p**v)
+            out.append(v)
+        work[len(out):, len(out):] //= p
+    return out + [N] * (size - len(out))
 
 
 def span_exponents(gen_rows, p: int, N: int) -> list[int]:

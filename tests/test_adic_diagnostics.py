@@ -1,7 +1,12 @@
+import glob
+import os
+import random
+
 import pytest
 
 from qprism.adic_diagnostics import (
     ModulePresentation,
+    _residue_matrix,
     bounded_and_flat_check,
     koszul_build,
     koszul_reduction_cone_acyclic,
@@ -11,6 +16,11 @@ from qprism.adic_diagnostics import (
 from qprism.base_ring import RingContext, WScalar
 from qprism.errors import InvalidArgs, NotBounded
 from qprism.exactpoly import IntPoly
+from qprism.homology import smith_exponents
+
+from elim_oracle import _fp_rank
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
 def z_module(generators, relations):
@@ -295,3 +305,53 @@ def test_pro_iso_bound_one_completion_agreement():
         rep = pro_iso_check(m, p, n_max=4)
         assert rep.shift == 1 and rep.matches_bound
         assert all(rep.per_level.values())
+
+
+# --- F_p rank of the relations: chain-ring kernel against the oracle -----------
+
+
+def fp_rank(m):
+    return smith_exponents(_residue_matrix(m), m.ctx.p, 1).count(0)
+
+
+def test_fp_rank_on_adic_fixtures():
+    from qprism.cli import _load_adic_spec
+
+    paths = sorted(glob.glob(os.path.join(FIXTURES, "adic_*.json")))
+    assert len(paths) == 3
+    for path in paths:
+        m, _f, _g, _spec = _load_adic_spec(path)
+        if m.base in ("Zpn", "W"):
+            modules = [m]
+        else:
+            # exact bases: read the relations over Z/p^2 at q = 1
+            rows = [
+                [v.eval_int({"q": 1}) if isinstance(v, IntPoly) else int(v) for v in rel]
+                for rel in m.relations
+            ]
+            modules = [
+                zpn_module(RingContext(p, 2, 1), m.generators, rows) for p in (2, 3)
+            ]
+        for mod in modules:
+            assert fp_rank(mod) == _fp_rank(mod), path
+
+
+def test_fp_rank_on_random_relations():
+    rng = random.Random(227)
+    for _ in range(200):
+        p = rng.choice((2, 3, 5))
+        ctx = RingContext(p, rng.randint(1, 3), rng.randint(1, 3))
+        gens, rels = rng.randint(0, 5), rng.randint(0, 5)
+        if rng.random() < 0.5:
+            rows = [[rng.randrange(ctx.pn) for _ in range(gens)] for _ in range(rels)]
+            m = zpn_module(ctx, gens, rows)
+        else:
+            rows = [
+                [
+                    WScalar(ctx, [rng.randrange(ctx.pn) for _ in range(ctx.m_prec)])
+                    for _ in range(gens)
+                ]
+                for _ in range(rels)
+            ]
+            m = w_module(ctx, gens, rows)
+        assert fp_rank(m) == _fp_rank(m)

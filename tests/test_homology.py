@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from qprism.base_ring import RingContext, WScalar
-from qprism.errors import NotAChainMap
+from qprism.errors import InvalidArgs, NotAChainMap
 from qprism.homology import (
     FlatMatrix,
     TwoTermComplex,
-    annihilator,
     cohomology_of_complex,
     cokernel_exponents,
     cone_acyclic,
@@ -24,10 +23,12 @@ from qprism.homology import (
     row_span_member,
     smith_exponents,
     span_exponents,
-    unit_multiplier,
     w_mult_block,
 )
 from qprism.twisted_calculus import QPolynomial
+
+import elim_oracle
+from elim_oracle import annihilator, unit_multiplier
 
 
 def brute_right_kernel(mat, n):
@@ -364,3 +365,70 @@ def test_two_term_cohomology_against_full_enumeration():
             kernel += 1
     assert 2 ** rep.h0_log_cardinality == kernel
     assert 2 ** rep.h1_log_cardinality * len(images) == n**dim
+
+
+# --- the chain-ring kernel against the general-Z/n oracle and sympy -----------
+
+
+def random_matrix(rng, p, N, rows, cols, kind):
+    n = p**N
+    a = rng.integers(0, n, size=(rows, cols))
+    if kind == "p-divisible":
+        a = (p * a) % n
+    elif kind == "sparse":
+        a = np.where(rng.random((rows, cols)) < 0.3, a, 0)
+    return a.astype(np.int64)
+
+
+def sweep_matrices(seed, count):
+    rng = np.random.default_rng(seed)
+    for p in (2, 3, 5):
+        for N in range(1, 5):
+            for kind in ("dense", "p-divisible", "sparse"):
+                for _ in range(count):
+                    rows, cols = (int(x) for x in rng.integers(0, 9, size=2))
+                    yield p, N, random_matrix(rng, p, N, rows, cols, kind)
+
+
+def test_chain_ring_kernel_matches_oracle_sweep():
+    for p, N, mat in sweep_matrices(seed=211, count=40):
+        n = p**N
+        got = howell_form(mat, n)
+        want = elim_oracle.howell_form(mat, n)
+        assert got.shape == want.shape and np.array_equal(got, want), (p, N, mat)
+        assert smith_exponents(mat, p, N) == elim_oracle.smith_exponents(mat, p, N)
+
+
+def test_smith_exponents_against_sympy_smith_form():
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import smith_normal_form
+
+    for p, N, mat in sweep_matrices(seed=223, count=5):
+        rows, cols = mat.shape
+        if rows == 0:
+            continue
+        n = p**N
+        aug = np.hstack([mat, n * np.eye(rows, dtype=np.int64)])
+        snf = smith_normal_form(Matrix(aug), domain=ZZ)
+        capped = []
+        for i in range(rows):
+            d, v = abs(int(snf[i, i])), 0
+            while v < N and d % p == 0:
+                d //= p
+                v += 1
+            capped.append(v)
+        padded = smith_exponents(mat, p, N) + [N] * (rows - min(rows, cols))
+        assert sorted(capped) == padded, (p, N, mat)
+
+
+def test_moduli_must_be_prime_powers():
+    mat = [[1, 2], [3, 4]]
+    for n in (6, 10, 12):
+        with pytest.raises(InvalidArgs):
+            howell_form(mat, n)
+        with pytest.raises(InvalidArgs):
+            right_kernel_basis(mat, n)
+        with pytest.raises(InvalidArgs):
+            smith_exponents(mat, n, 1)
+    with pytest.raises(InvalidArgs):
+        smith_exponents(mat, 4, 1)
