@@ -7,6 +7,23 @@ two-variable base ring), and "Zq" (exact Z[q], restricted to free modules
 and quotients by a single monic relation per generator so every question
 reduces to exact integer linear algebra; anything wilder is refused with
 an explicit error rather than approximated).
+
+Each base's algorithms sit behind one engine, chosen by `_engine`:
+`_ZEngine` (closed forms on the cyclic decomposition of a Z-module),
+`_FiniteEngine` (Zpn and W, flattened to spans over Z/p^N) and `_ZqEngine`
+(integer matrices on diagonal monic summands).  They share these methods:
+
+- `torsion_step(f, b)`: a key that stops changing exactly when the
+  f^b-torsion does, and the orders reported for that torsion;
+- `kills(f, s, k)`: whether f^s kills the f^k-torsion;
+- `block(scalars)` and `term(quotients)`: a differential and a term of a
+  complex whose terms are direct sums of copies of M or M/sM;
+- `exact_at(incoming, term, outgoing, next_term)`: exactness at one spot;
+- `flatness(f, g, window, details)`: the complete and formal flatness core.
+
+`torsion_bound`, `pro_iso_check`, `_g_torsion_free`, `koszul_build`,
+`koszul_reduction_cone_acyclic` and `PresentedComplex.exact_at` are written
+once on top of them.
 """
 
 from __future__ import annotations
@@ -19,14 +36,7 @@ import numpy as np
 from .base_ring import RingContext, WScalar
 from .errors import InvalidArgs, NotBounded
 from .exactpoly import IntPoly
-from .homology import (
-    howell_form,
-    reduce_against,
-    right_kernel_basis,
-    smith_exponents,
-    span_exponents,
-    w_mult_block,
-)
+from .homology import right_kernel_basis, smith_exponents, span_exponents, w_mult_block
 
 # --- integer Smith form -------------------------------------------------------
 
@@ -100,87 +110,41 @@ def snf_z(mat: list[list[int]], want_transforms: bool = False):
     return diag
 
 
-def z_kernel_basis(mat: list[list[int]]) -> list[list[int]]:
-    """Columns spanning {v : mat v = 0} over Z (a saturated lattice basis)."""
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    if cols == 0:
-        return []
-    if rows == 0:
-        return [[int(i == j) for j in range(cols)] for i in range(cols)]
-    diag, _U, V = snf_z(mat, want_transforms=True)
-    rank = sum(1 for d in diag if d)
-    # kernel = V columns beyond the rank
-    return [[V[i][j] for j in range(rank, cols)] for i in range(cols)]
+def _identity(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def z_lattice_solvable(L: list[list[int]], v: list[int]) -> bool:
-    """Whether v lies in the lattice generated by the columns of L."""
-    rows = len(L)
-    cols = len(L[0]) if rows and L[0] is not None else 0
-    if cols == 0:
-        return not any(v)
-    diag, U, _V = snf_z(L, want_transforms=True)
-    rank = sum(1 for d in diag if d)
-    uv = [sum(U[i][k] * v[k] for k in range(rows)) for i in range(rows)]
-    for i in range(rows):
-        if i < rank:
-            if uv[i] % diag[i]:
-                return False
-        elif uv[i]:
-            return False
-    return True
+def _z_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
 
 
-def _columns(mat: list[list[int]]) -> list[list[int]]:
+def _z_rank(mat: list[list[int]]) -> int:
+    # snf_z stops at the first all-zero block, so its diagonal has no zeros
+    return len(snf_z(mat))
+
+
+def _z_kernel(mat: list[list[int]], width: int) -> list[list[int]]:
+    """Vectors spanning {v in Z^width : mat v = 0} (a saturated lattice basis)."""
     if not mat:
-        return []
-    return [[row[j] for row in mat] for j in range(len(mat[0]))]
+        return _identity(width)
+    diag, _U, V = snf_z(mat, want_transforms=True)
+    return [[row[j] for row in V] for j in range(len(diag), width)]
 
 
-def _hstack_z(a: list[list[int]] | None, b: list[list[int]] | None, rows: int):
-    cols = []
-    for m in (a, b):
-        if m:
-            cols.extend(_columns(m))
-    if not cols:
-        return [[0] for _ in range(rows)], 0
-    return [[col[i] for col in cols] for i in range(rows)], len(cols)
+def _z_solvable(mat: list[list[int]], v: list[int]) -> bool:
+    """Whether v lies in the lattice generated by the columns of mat."""
+    diag, U, _V = snf_z(mat, want_transforms=True)
+    uv = [sum(u * x for u, x in zip(row, v)) for row in U]
+    return all(x % d == 0 for x, d in zip(uv, diag)) and not any(uv[len(diag):])
 
 
-def z_exact_at(
-    incoming: list[list[int]] | None,
-    relations_mid: list[list[int]] | None,
-    outgoing: list[list[int]] | None,
-    relations_next: list[list[int]] | None,
-    dim: int,
-) -> bool:
-    """Exactness of a complex of presented abelian groups at one spot.
-
-    The middle group is Z^dim modulo the columns of relations_mid; kernels
-    are preimage lattices through the relations of the next group, and
-    exactness is lattice containment of the kernel in image + relations.
-    """
-    if outgoing is None:
-        ker_cols = [[int(i == j) for j in range(dim)] for i in range(dim)]
-        ker_cols = _columns(ker_cols)
-    else:
-        out_rows = len(outgoing)
-        stacked, width = _hstack_z(outgoing, relations_next, out_rows)
-        if width == 0:
-            ker_cols = _columns([[int(i == j) for j in range(dim)] for i in range(dim)])
-        else:
-            kern = z_kernel_basis(stacked)
-            kcols = len(kern[0]) if kern and kern[0] is not None else 0
-            ncols_out = len(outgoing[0]) if outgoing and outgoing[0] else 0
-            ker_cols = [
-                [kern[i][j] for i in range(ncols_out)] for j in range(kcols)
-            ]
-    L_im, _ = _hstack_z(incoming, relations_mid, dim)
-    for col in ker_cols:
-        if not z_lattice_solvable(L_im, col):
-            return False
-    return True
+def _spread(scalars: list[list], n: int) -> list[list]:
+    """The block matrix with each scalar s replaced by s times the n x n
+    identity: the map between sums of copies of a module on n generators."""
+    return [
+        [s if k == j else 0 for s in row for j in range(n)] for row in scalars for k in range(n)
+    ]
 
 
 # --- presentations ------------------------------------------------------------
@@ -189,8 +153,8 @@ def z_exact_at(
 @dataclass
 class ModulePresentation:
     """Cokernel presentation: base^generators modulo the row span of
-    relations.  Relation entries are ints (Z, Zpn), WScalar (W), or
-    IntPoly in q (Zq)."""
+    relations.  Relation entries may be ints or IntPolys in q on every
+    base, or WScalars on W; `scalar` stores them as the base's own type."""
 
     base: str
     generators: int
@@ -207,6 +171,42 @@ class ModulePresentation:
         for row in self.relations:
             if len(row) != self.generators:
                 raise InvalidArgs("relation matrix columns count must equal generators")
+        self.relations = [[self.scalar(v) for v in row] for row in self.relations]
+
+    def scalar(self, value):
+        """value as an element of the base: an int for Z, an int in
+        [0, p^N) for Zpn, a WScalar for W (q = 1 + t) and an IntPoly in q
+        for Zq."""
+        if self.base == "W":
+            if isinstance(value, WScalar):
+                return value
+            if isinstance(value, IntPoly):
+                return WScalar.from_int_poly(self.ctx, value)
+            return WScalar.from_int(self.ctx, int(value))
+        if self.base == "Zq":
+            return value if isinstance(value, IntPoly) else IntPoly.const(int(value))
+        if isinstance(value, IntPoly):
+            if value.variables():
+                raise InvalidArgs(f"base {self.base} takes integer scalars")
+            value = value.eval_int({})
+        return int(value) % self.ctx.pn if self.base == "Zpn" else int(value)
+
+
+def _quotient_presentation(m: ModulePresentation, s) -> ModulePresentation:
+    """M/sM: the relations plus s times each generator."""
+    zero = m.scalar(0)
+    extra = [[s if j == i else zero for j in range(m.generators)] for i in range(m.generators)]
+    return ModulePresentation(m.base, m.generators, m.relations + extra, m.ctx)
+
+
+def _engine(m: ModulePresentation):
+    if m.base == "Z":
+        return _ZEngine(m)
+    if m.base == "Zq":
+        return _ZqEngine(m)
+    if m.base == "W":
+        return _FiniteEngine(m, w_mult_block)
+    return _FiniteEngine(m, lambda v: np.array([[v]], dtype=np.int64))
 
 
 @dataclass
@@ -235,87 +235,244 @@ class TorsionReport:
 
 def _z_cyclic_orders(m: ModulePresentation) -> list[int]:
     """Orders of the cyclic factors (0 for a free factor)."""
-    g = m.generators
-    if not m.relations:
-        return [0] * g
-    diag = snf_z([list(map(int, row)) for row in m.relations])
-    rank = len(diag)
-    orders = [d for d in diag if d != 1]
-    orders += [0] * (g - rank)
-    return orders
+    diag = snf_z(m.relations)
+    return [d for d in diag if d != 1] + [0] * (m.generators - len(diag))
 
 
-def _order_after_power(d: int, f: int, b: int) -> int:
-    """Order of the f^b-torsion of Z/d (d = 0 means Z)."""
-    if d == 0:
-        return 1 if f != 0 or b == 0 else 0  # 0 marks infinite kernel
-    if b == 0:
-        return 1
-    if f == 0:
-        return d
-    return gcd(d, f**b)
+def _diagonal(orders: list[int]) -> list[list[int]]:
+    """Relation columns of a sum of cyclic groups, one per finite factor."""
+    return [[d if c == k else 0 for c, d in enumerate(orders) if d] for k in range(len(orders))]
+
+
+class _ZEngine:
+    """Base Z: M is a sum of cyclic groups Z/d (d = 0 for Z), and the
+    torsion predicates are closed forms in the orders d.  Complex terms
+    are lists of orders and differentials integer matrices."""
+
+    def __init__(self, m: ModulePresentation):
+        self.orders = _z_cyclic_orders(m)
+
+    def torsion_step(self, f: int, b: int):
+        fb = f**b
+        # order of the f^b-torsion of each factor, 0 marking an infinite one
+        sizes = [gcd(d, fb) if d else int(fb != 0) for d in self.orders]
+        return sizes, [s for s in sizes if s != 1]
+
+    def kills(self, f: int, s: int, k: int) -> bool:
+        fs, fk = f**s, f**k
+        # the f^k-torsion of Z/d is generated by d / gcd(d, f^k)
+        return all(
+            d // gcd(d, fk) * fs % d == 0 if d else fk != 0 or fs == 0 for d in self.orders
+        )
+
+    def block(self, scalars: list[list]) -> list[list[int]]:
+        return _spread(scalars, len(self.orders))
+
+    def term(self, quotients: list) -> list[int]:
+        return [d if s is None else gcd(d, s) for s in quotients for d in self.orders]
+
+    def exact_at(self, incoming, orders, outgoing, next_orders) -> bool:
+        dim = len(orders)
+        if outgoing is None:
+            kernel = _identity(dim)
+        else:
+            # preimage lattice of the next term's relations
+            stacked = [a + r for a, r in zip(outgoing, _diagonal(next_orders))]
+            width = dim + sum(1 for d in next_orders if d)
+            kernel = [v[:dim] for v in _z_kernel(stacked, width)]
+        image = [a + r for a, r in zip(incoming or [[]] * dim, _diagonal(orders))]
+        return all(_z_solvable(image, v) for v in kernel)
+
+    def flatness(self, f: int, g: int, window: int, details: dict):
+        orders = self.orders
+        d0 = gcd(f, g)
+        details["ideal"] = d0
+        if d0 == 0:
+            completely = all(d == 0 for d in orders)
+            return completely, completely
+        if d0 == 1:
+            return True, True
+        completely = all(d == 0 or gcd(d, d0) == 1 for d in orders)
+        # d0 > 1 divides every h_j, the generator of (f, g)^j
+        formally = True
+        for j in range(1, window + 1):
+            hj = gcd(*(f**a * g ** (j - a) for a in range(j + 1)))
+            formally = formally and all(d == 0 or gcd(d, hj) in (1, hj) for d in orders)
+        details["formal_window"] = window
+        return completely, formally
 
 
 # --- engine: finite bases via flattening --------------------------------------
 
 
+def _finite_preimage(mat: np.ndarray, span: np.ndarray, n: int) -> np.ndarray:
+    """Rows spanning {v : mat v in row-span(span)} over Z/n."""
+    dim = mat.shape[1]
+    if span.shape[0] == 0:
+        return right_kernel_basis(mat, n)
+    stacked = np.hstack([mat % n, (-span.T) % n])
+    kern = right_kernel_basis(stacked, n)
+    if kern.shape[0] == 0:
+        return np.zeros((0, dim), dtype=np.int64)
+    proj = kern[:, :dim] % n
+    return proj[proj.any(axis=1)]
+
+
+def _direct_sum(spans: list[np.ndarray]) -> np.ndarray:
+    """Rows of a direct sum, given the rows spanning each summand."""
+    eye = np.eye(len(spans), dtype=np.int64)
+    return np.vstack([np.kron(eye[c], span) for c, span in enumerate(spans)])
+
+
 class _FiniteEngine:
-    """Z/p^N-span machinery for presented modules over Zpn or W."""
+    """Bases Zpn and W: M flattened to a Z/p^N-module, one block of
+    coordinates per generator on which a scalar acts by `mult_block`.
+    Submodules are spans of rows; complex terms are (dimension, rows
+    spanning the relations) and differentials matrices over Z/p^N."""
 
-    def __init__(self, m: ModulePresentation):
+    def __init__(self, m: ModulePresentation, mult_block):
         self.m = m
-        self.ctx = m.ctx
-        self.modulus = self.ctx.pn
-        self.block = 1 if m.base == "Zpn" else self.ctx.m_prec
-        self.dim = m.generators * self.block
+        self.mult_block = mult_block
+        self.p, self.N, self.modulus = m.ctx.p, m.ctx.n_prec, m.ctx.pn
+        self.width = len(mult_block(m.scalar(1)))
+        self.dim = m.generators * self.width
+        rels = m.relations
+        # the presentation map base^relations -> base^generators
+        self.presentation = self._flat(
+            [[rel[j] for rel in rels] for j in range(m.generators)], len(rels)
+        )
+        self.rows = self.presentation.T
+        self._powers: dict = {}
+        self._kernels: dict = {}
 
-    def scalar_block(self, value) -> np.ndarray:
-        if self.m.base == "Zpn":
-            return np.array([[int(value) % self.modulus]], dtype=np.int64)
-        if isinstance(value, int):
-            value = WScalar.from_int(self.ctx, value)
-        return w_mult_block(value)
-
-    def relation_rows(self, extra_scalars=()) -> np.ndarray:
-        """Flattened Z-span of the relations plus scalar multiples of the
-        generators (used for quotients by ideal elements)."""
-        rows = []
-        for rel in self.m.relations:
-            blocks = [self.scalar_block(v) for v in rel]
-            for i in range(self.block):
-                row = np.zeros(self.dim, dtype=np.int64)
-                for gidx, blk in enumerate(blocks):
-                    row[gidx * self.block : (gidx + 1) * self.block] = blk[:, i]
-                rows.append(row)
-        for s in extra_scalars:
-            blk = self.scalar_block(s)
-            for gidx in range(self.m.generators):
-                for i in range(self.block):
-                    row = np.zeros(self.dim, dtype=np.int64)
-                    row[gidx * self.block : (gidx + 1) * self.block] = blk[:, i]
-                    rows.append(row)
-        if not rows:
-            return np.zeros((0, self.dim), dtype=np.int64)
-        return np.array(rows, dtype=np.int64) % self.modulus
-
-    def mult_matrix(self, f) -> np.ndarray:
-        blk = self.scalar_block(f)
-        out = np.zeros((self.dim, self.dim), dtype=np.int64)
-        for gidx in range(self.m.generators):
-            out[
-                gidx * self.block : (gidx + 1) * self.block,
-                gidx * self.block : (gidx + 1) * self.block,
-            ] = blk
+    def _flat(self, scalars: list[list], cols: int) -> np.ndarray:
+        """The Z/p^N matrix of a matrix of scalars, entry by entry."""
+        w = self.width
+        out = np.zeros((len(scalars) * w, cols * w), dtype=np.int64)
+        for i, row in enumerate(scalars):
+            for j, s in enumerate(row):
+                out[i * w : (i + 1) * w, j * w : (j + 1) * w] = self.mult_block(self.m.scalar(s))
         return out
+
+    def _log(self, rows: np.ndarray) -> int:
+        """log_p of the order of the submodule the rows span."""
+        return sum(span_exponents(rows, self.p, self.N))
+
+    def multiples(self, scalars, copies: int) -> np.ndarray:
+        """Rows spanning (scalars) * base^copies."""
+        return np.vstack([self._flat(_spread([[s]], copies), copies).T for s in scalars])
+
+    def quotient_rows(self, scalars) -> np.ndarray:
+        """Rows spanning the relations of M / (scalars) M."""
+        if not scalars:
+            return self.rows
+        return np.vstack([self.rows, self.multiples(scalars, self.m.generators)])
+
+    def quotient_log(self, scalars) -> int:
+        return self.N * self.dim - self._log(self.quotient_rows(scalars))
+
+    def _power(self, f, k: int) -> np.ndarray:
+        if (f, k) not in self._powers:
+            if k <= 1:
+                power = self.block([[f]]) if k else np.eye(self.dim, dtype=np.int64)
+            else:
+                power = self._power(f, 1) @ self._power(f, k - 1) % self.modulus
+            self._powers[f, k] = power
+        return self._powers[f, k]
+
+    def _kernel(self, f, k: int) -> np.ndarray:
+        """Rows spanning the f^k-torsion, relations included."""
+        if (f, k) not in self._kernels:
+            self._kernels[f, k] = (
+                _finite_preimage(self._power(f, k), self.rows, self.modulus) if k else self.rows
+            )
+        return self._kernels[f, k]
+
+    def torsion_step(self, f, b: int):
+        # the torsion grows with b, so its orders change until it stabilizes
+        orders = span_exponents(self._kernel(f, b), self.p, self.N)
+        return orders, orders
+
+    def kills(self, f, s: int, k: int) -> bool:
+        images = self._kernel(f, k) @ self._power(f, s).T % self.modulus
+        return self._log(np.vstack([self.rows, images])) == self._log(self.rows)
+
+    def block(self, scalars: list[list]) -> np.ndarray:
+        g = self.m.generators
+        return self._flat(_spread(scalars, g), len(scalars[0]) * g)
+
+    def term(self, quotients: list) -> tuple:
+        spans = [self.quotient_rows(() if s is None else [s]) for s in quotients]
+        return len(quotients) * self.dim, _direct_sum(spans)
+
+    def exact_at(self, incoming, term, outgoing, next_term) -> bool:
+        dim, span = term
+        if outgoing is None:
+            kernel = np.eye(dim, dtype=np.int64)
+        else:
+            kernel = _finite_preimage(outgoing, next_term[1], self.modulus)
+        image = span if incoming is None else np.vstack([span, incoming.T])
+        return self._log(np.vstack([kernel, span])) == self._log(image)
+
+    def flatness(self, f, g, window: int, details: dict):
+        """Complete flatness: M/(f,g)M is free over base/(f,g) and the
+        first Tor against base/(f,g) vanishes.  Formal flatness: the same
+        freeness for every power of (f,g) until the powers stabilize."""
+        m = self.m
+        base = _engine(ModulePresentation(m.base, 1, [], m.ctx))
+        q_log = base.quotient_log([f, g])
+        if q_log == 0:
+            details["ideal"] = "unit"
+            return True, True
+        mu = m.generators - smith_exponents(_residue_matrix(m), self.p, 1).count(0)
+        free_ok = self.quotient_log([f, g]) == mu * q_log
+        tor_ok = self._tor1_vanishes([f, g])
+        details.update(minimal_generators=mu, quotient_free=free_ok, tor1_zero=tor_ok)
+        formally = True
+        prev = None
+        j = 1
+        while True:
+            powers = [f**a * g ** (j - a) for a in range(j + 1)]
+            qj_log = base.quotient_log(powers)
+            formally = formally and self.quotient_log(powers) == mu * qj_log
+            # the powers shrink, so equal orders mean equal ideals
+            if j > 1 and qj_log == prev:
+                break
+            prev = qj_log
+            j += 1
+            if j > self.N + m.ctx.m_prec + 2:
+                break
+        details["formal_powers_checked"] = j
+        return free_ok and tor_ok, formally
+
+    def _tor1_vanishes(self, ideal) -> bool:
+        """First Tor of M against base/(ideal), from a two-step flattened
+        resolution.
+
+        The presentation map sends one free copy of the base per relation
+        onto the relation submodule; its kernel supplies the syzygy step,
+        so the Tor vanishes iff the preimage of ideal * base^g under the
+        presentation equals syzygies + ideal * base^r.
+        """
+        r = len(self.m.relations)
+        if r == 0:
+            return True  # free module
+        pre = _finite_preimage(
+            self.presentation, self.multiples(ideal, self.m.generators), self.modulus
+        )
+        image = np.vstack(
+            [right_kernel_basis(self.presentation, self.modulus), self.multiples(ideal, r)]
+        )
+        return self._log(np.vstack([pre, image])) == self._log(image)
 
 
 # --- engine: exact Z[q], monic normal forms ------------------------------------
 
 
 def _monic_action_basis(m: ModulePresentation):
-    """Z-basis data for a Zq module: list of per-generator monic relations
-    (None marks a free generator).  Only diagonal monic presentations are
-    supported; a free generator contributes an infinite Z[q]-summand."""
+    """Per-generator monic relations (None marks a free generator).  Only
+    diagonal monic presentations are supported; a free generator
+    contributes an infinite Z[q]-summand."""
     rels = m.relations
     if not rels:
         return [None] * m.generators
@@ -325,17 +482,13 @@ def _monic_action_basis(m: ModulePresentation):
         )
     mono = []
     for i, row in enumerate(rels):
-        for j, entry in enumerate(row):
-            if j != i and not (isinstance(entry, IntPoly) and entry.is_zero()):
-                raise InvalidArgs("Zq relation matrix must be diagonal")
+        if any(not entry.is_zero() for j, entry in enumerate(row) if j != i):
+            raise InvalidArgs("Zq relation matrix must be diagonal")
         entry = row[i]
-        if not isinstance(entry, IntPoly):
-            raise InvalidArgs("Zq relations must be exact polynomials in q")
         if entry.is_zero():
             mono.append(None)
             continue
-        deg = entry.degree("q")
-        lead = entry.coefficient_poly("q", deg)
+        lead = entry.coefficient_poly("q", entry.degree("q"))
         if lead != IntPoly.const(1):
             raise InvalidArgs("Zq relations must be monic in q")
         mono.append(entry)
@@ -367,6 +520,67 @@ def _zq_mult_matrix(f: IntPoly, monic: IntPoly) -> list[list[int]]:
     return [[cols[j][i] for j in range(e)] for i in range(e)]
 
 
+class _ZqEngine:
+    """Base Zq on a diagonal monic presentation: each generator spans
+    Z[q], a domain, or Z[q]/(monic), a free Z-module of rank deg(monic) on
+    which a scalar acts by an integer matrix."""
+
+    def __init__(self, m: ModulePresentation):
+        self.mono = _monic_action_basis(m)
+        self._powers: dict = {}
+
+    def _power(self, f: IntPoly, i: int, k: int) -> list[list[int]]:
+        """Integer matrix of f^k on the monic summand i."""
+        if (f, i, k) not in self._powers:
+            monic = self.mono[i]
+            if k <= 1:
+                power = _zq_mult_matrix(f, monic) if k else _identity(monic.degree("q"))
+            else:
+                power = _z_matmul(self._power(f, i, 1), self._power(f, i, k - 1))
+            self._powers[f, i, k] = power
+        return self._powers[f, i, k]
+
+    def torsion_step(self, f: IntPoly, b: int):
+        key, orders = [], []
+        for i, monic in enumerate(self.mono):
+            if monic is None:
+                # torsion-free unless f = 0
+                key.append(b > 0 and f.is_zero())
+            else:
+                rank = _z_rank(self._power(f, i, b))
+                key.append(rank)
+                orders.append(monic.degree("q") - rank)
+        # free summands report no orders, so a free module reports none at all
+        return key, orders or None
+
+    def kills(self, f: IntPoly, s: int, k: int) -> bool:
+        for i, monic in enumerate(self.mono):
+            if monic is None:
+                # the f^k-torsion is 0, or everything when f = 0, which f^s kills for s > 0
+                if f.is_zero() and s == 0:
+                    return False
+                continue
+            kernel = _z_kernel(self._power(f, i, k), monic.degree("q"))
+            power = self._power(f, i, s)
+            if any(sum(x * y for x, y in zip(row, v)) for row in power for v in kernel):
+                return False
+        return True
+
+    def term(self, quotients):
+        raise InvalidArgs("Koszul complexes are not supported over exact Z[q]")
+
+    block = term
+
+    def flatness(self, f, g, window: int, details: dict):
+        if any(monic is not None for monic in self.mono):
+            raise InvalidArgs(
+                "Zq flatness checks support free modules only; quotient inputs must "
+                "be phrased over W or Zpn"
+            )
+        details["free"] = True
+        return True, True
+
+
 # --- torsion bounds -------------------------------------------------------------
 
 
@@ -375,83 +589,26 @@ def torsion_bound(m: ModulePresentation, f, cap: int = 8) -> TorsionReport:
 
     The per-exponent report records the structure of the f^b-torsion: for
     base Z the factor orders, for finite bases the cyclic orders of the
-    flattened torsion subquotient.
+    flattened torsion subquotient, for Zq the Z-rank of the torsion of
+    each monic summand.
     """
-    if m.base == "Z":
-        orders = _z_cyclic_orders(m)
-        f = int(f)
-        gens: dict[int, list] = {}
-        prev = None
-        bound = None
-        for b in range(cap + 2):
-            sizes = [_order_after_power(d, f, b) for d in orders]
-            gens[b] = [s for s in sizes if s != 1]
-            if prev is not None and sizes == prev and bound is None:
-                bound = b - 1
-                break
-            prev = sizes
-        gens = {b: v for b, v in gens.items() if b <= (bound if bound is not None else cap)}
-        return TorsionReport(bound, cap, gens)
-
-    if m.base in ("Zpn", "W"):
-        eng = _FiniteEngine(m)
-        span = howell_form(eng.relation_rows(), eng.modulus)
-        prev_h = None
-        gens = {}
-        bound = None
-        phi = eng.mult_matrix(f)
-        power = np.eye(eng.dim, dtype=np.int64)
-        for b in range(cap + 2):
-            K = _finite_preimage(power, span, eng.modulus)
-            h = howell_form(np.vstack([K, span]) if span.shape[0] else K, eng.modulus)
-            gens[b] = [int(v) for v in span_exponents(h, eng.ctx.p, eng.ctx.n_prec)]
-            if prev_h is not None and _same_span(h, prev_h):
-                bound = b - 1
-                break
-            prev_h = h
-            power = (phi @ power) % eng.modulus
-        gens = {b: v for b, v in gens.items() if b <= (bound if bound is not None else cap)}
-        return TorsionReport(bound, cap, gens)
-
-    if m.base == "Zq":
-        mono = _monic_action_basis(m)
-        if not isinstance(f, IntPoly):
-            f = IntPoly.const(int(f))
-        bounds = []
-        gens: dict[int, list] = {}
-        for relation in mono:
-            if relation is None:
-                # free summand over a domain: torsion-free unless f = 0
-                bounds.append(1 if f.is_zero() else 0)
-                continue
-            F = _zq_mult_matrix(f, relation)
-            e = len(F)
-            prev_rank = None
-            power = [[int(i == j) for j in range(e)] for i in range(e)]
-            local_bound = None
-            for b in range(cap + 2):
-                diag = snf_z(power) if any(any(r) for r in power) else []
-                rank = sum(1 for d in diag if d)
-                kdim = e - rank
-                gens.setdefault(b, []).append(kdim)
-                if prev_rank is not None and rank == prev_rank:
-                    local_bound = b - 1
-                    break
-                prev_rank = rank
-                power = [
-                    [sum(F[i][k] * power[k][j] for k in range(e)) for j in range(e)]
-                    for i in range(e)
-                ]
-            bounds.append(local_bound)
-        if any(b is None for b in bounds):
-            return TorsionReport(None, cap, gens, caps_note="monic-basis")
-        return TorsionReport(max(bounds, default=0), cap, gens, caps_note="monic-basis")
-
-    raise InvalidArgs(f"unsupported base {m.base}")
+    eng, f = _engine(m), m.scalar(f)
+    gens: dict[int, list] = {}
+    prev = None
+    for b in range(cap + 2):
+        key, orders = eng.torsion_step(f, b)
+        if b and key == prev:
+            return TorsionReport(b - 1, cap, gens)
+        if b <= cap and orders is not None:
+            gens[b] = orders
+        prev = key
+    return TorsionReport(None, cap, gens)
 
 
-def _same_span(h1: np.ndarray, h2: np.ndarray) -> bool:
-    return h1.shape == h2.shape and bool((h1 == h2).all())
+def _g_torsion_free(m: ModulePresentation, g) -> bool:
+    """Whether g acts injectively: the g-torsion equals the g^0-torsion, 0."""
+    eng, g = _engine(m), m.scalar(g)
+    return eng.torsion_step(g, 1)[0] == eng.torsion_step(g, 0)[0]
 
 
 # --- complexes of presented modules --------------------------------------------
@@ -461,150 +618,26 @@ def _same_span(h1: np.ndarray, h2: np.ndarray) -> bool:
 class PresentedComplex:
     """Bounded cochain complex whose terms are direct sums of copies of a
     presented module (possibly further quotiented), with scalar-matrix
-    differentials.
-
-    Base Z: terms are lists of cyclic orders (0 = free), differentials are
-    integer matrices acting factor-wise.  Finite bases: terms are
-    (ambient_dim, relation-span rows), differentials are matrices over
-    Z/p^N.
+    differentials, in the representation of the module's engine: lists of
+    cyclic orders and integer matrices for Z, (ambient_dim, relation rows)
+    and matrices over Z/p^N for the finite bases.
     """
 
-    base: str
-    ctx: RingContext | None
+    engine: object
     terms: list
     differentials: list
 
     def exact_at(self, i: int) -> bool:
-        if self.base == "Z":
-            orders = self.terms[i]
-            dim = len(orders)
-            incoming = self.differentials[i - 1] if i >= 1 else None
-            rel_mid = _orders_to_relations(orders)
-            outgoing = self.differentials[i] if i < len(self.differentials) else None
-            rel_next = (
-                _orders_to_relations(self.terms[i + 1])
-                if i + 1 < len(self.terms)
-                else None
-            )
-            return z_exact_at(incoming, rel_mid, outgoing, rel_next, dim)
-        # finite bases
-        eng_mod = self.ctx.pn
-        dim, span = self.terms[i]
-        if i < len(self.differentials):
-            out_mat = self.differentials[i]
-            _dim_next, span_next = self.terms[i + 1]
-            K = _finite_preimage(out_mat, span_next, eng_mod)
-        else:
-            K = np.eye(dim, dtype=np.int64)
-        im_rows = [span] if span.shape[0] else []
-        if i >= 1:
-            im_rows.append(self.differentials[i - 1].T % eng_mod)
-        stacked_im = (
-            np.vstack(im_rows) if im_rows else np.zeros((0, dim), dtype=np.int64)
-        )
-        ker_rows = np.vstack([K, span]) if span.shape[0] else K
-        p, N = self.ctx.p, self.ctx.n_prec
-        return sum(span_exponents(ker_rows, p, N)) == sum(
-            span_exponents(stacked_im, p, N)
+        d = self.differentials
+        return self.engine.exact_at(
+            d[i - 1] if i >= 1 else None,
+            self.terms[i],
+            d[i] if i < len(d) else None,
+            self.terms[i + 1] if i + 1 < len(self.terms) else None,
         )
 
     def acyclic(self) -> bool:
         return all(self.exact_at(i) for i in range(len(self.terms)))
-
-
-def _orders_to_relations(orders: list[int]) -> list[list[int]]:
-    """Diagonal relation columns for a sum of cyclic groups."""
-    dim = len(orders)
-    cols = [
-        [orders[k] if i == k else 0 for i in range(dim)]
-        for k in range(dim)
-        if orders[k]
-    ]
-    if not cols:
-        return []
-    return [[col[i] for col in cols] for i in range(dim)]
-
-
-def _finite_preimage(mat: np.ndarray, span: np.ndarray, n: int) -> np.ndarray:
-    """Rows spanning {v : mat v in row-span(span)} over Z/n."""
-    dim = mat.shape[1]
-    if span.shape[0] == 0:
-        return right_kernel_basis(mat, n)
-    stacked = np.hstack([mat % n, (-span.T) % n])
-    kern = right_kernel_basis(stacked, n)
-    if kern.shape[0] == 0:
-        return np.zeros((0, dim), dtype=np.int64)
-    proj = kern[:, :dim] % n
-    return proj[proj.any(axis=1)]
-
-
-def _scalar_pow(m: ModulePresentation, f, e: int):
-    if m.base == "Z":
-        return int(f) ** e
-    if m.base == "Zpn":
-        return pow(int(f), e, m.ctx.pn)
-    if m.base == "W":
-        w = f if isinstance(f, WScalar) else WScalar.from_int(m.ctx, int(f))
-        return w**e
-    return (f if isinstance(f, IntPoly) else IntPoly.const(int(f))) ** e
-
-
-def _z_block(scalars: list[list], orders: list[int]) -> list[list[int]]:
-    """Integer matrix for a scalar-entry block map on copies of a module
-    with the given cyclic orders."""
-    a_out = len(scalars)
-    a_in = len(scalars[0]) if a_out else 0
-    dim = len(orders)
-    out = [[0] * (a_in * dim) for _ in range(a_out * dim)]
-    for bi in range(a_out):
-        for bj in range(a_in):
-            s = int(scalars[bi][bj])
-            if s:
-                for k in range(dim):
-                    out[bi * dim + k][bj * dim + k] = s
-    return out
-
-
-def _finite_block(eng: _FiniteEngine, scalars: list[list], extra=()) -> np.ndarray:
-    a_out = len(scalars)
-    a_in = len(scalars[0]) if a_out else 0
-    dim = eng.dim
-    out = np.zeros((a_out * dim, a_in * dim), dtype=np.int64)
-    for bi in range(a_out):
-        for bj in range(a_in):
-            out[bi * dim : (bi + 1) * dim, bj * dim : (bj + 1) * dim] = (
-                eng.mult_matrix(scalars[bi][bj])
-            )
-    return out % eng.modulus
-
-
-def _finite_term(eng: _FiniteEngine, copies: int, quotient_scalars=()) -> tuple:
-    span = eng.relation_rows(extra_scalars=quotient_scalars)
-    dim = eng.dim
-    rows = []
-    for c in range(copies):
-        for r in span:
-            row = np.zeros(copies * dim, dtype=np.int64)
-            row[c * dim : (c + 1) * dim] = r
-            rows.append(row)
-    stacked = (
-        np.array(rows, dtype=np.int64)
-        if rows
-        else np.zeros((0, copies * dim), dtype=np.int64)
-    )
-    return copies * dim, howell_form(stacked, eng.modulus) if stacked.shape[0] else stacked
-
-
-def _z_term(m: ModulePresentation, copies: int, quotient_scalars=()) -> list[int]:
-    orders = _z_cyclic_orders(m)
-    if quotient_scalars:
-        s = 1
-        for q in quotient_scalars:
-            s *= int(q)
-        s = abs(s)
-        # chained principal quotients collapse to the product for cyclic factors
-        orders = [d if s == 0 else (gcd(d, s) if d else s) for d in orders]
-    return orders * copies
 
 
 def koszul_build(
@@ -618,39 +651,13 @@ def koszul_build(
     """
     if n < 1 or mexp < 1:
         raise InvalidArgs("Koszul exponents must be >= 1")
-    if m.base == "Zq":
-        raise InvalidArgs("Koszul complexes are not supported over exact Z[q]")
-    fn = _scalar_pow(m, f, n)
-    if m.base == "Z":
-        orders = _z_cyclic_orders(m)
-        if g is None:
-            return PresentedComplex(
-                "Z", None, [orders, list(orders)], [_z_block([[fn]], orders)]
-            )
-        gm = _scalar_pow(m, g, mexp)
-        d0 = _z_block([[gm], [fn]], orders)
-        d1 = _z_block([[fn, -gm]], orders)
-        return PresentedComplex(
-            "Z", None, [orders, orders * 2, list(orders)], [d0, d1]
-        )
-    eng = _FiniteEngine(m)
-    t1 = _finite_term(eng, 1)
+    eng = _engine(m)
+    fn = m.scalar(f) ** n
     if g is None:
-        return PresentedComplex(
-            m.base, m.ctx, [t1, _finite_term(eng, 1)], [_finite_block(eng, [[fn]])]
-        )
-    gm = _scalar_pow(m, g, mexp)
-    d0 = _finite_block(eng, [[gm], [fn]])
-    d1 = _finite_block(eng, [[fn, _neg(m, gm)]])
-    return PresentedComplex(
-        m.base, m.ctx, [t1, _finite_term(eng, 2), _finite_term(eng, 1)], [d0, d1]
-    )
-
-
-def _neg(m: ModulePresentation, s):
-    if m.base == "W":
-        return -(s if isinstance(s, WScalar) else WScalar.from_int(m.ctx, int(s)))
-    return -int(s)
+        return PresentedComplex(eng, [eng.term([None]), eng.term([None])], [eng.block([[fn]])])
+    gm = m.scalar(g) ** mexp
+    terms = [eng.term([None]), eng.term([None, None]), eng.term([None])]
+    return PresentedComplex(eng, terms, [eng.block([[gm], [fn]]), eng.block([[fn, -gm]])])
 
 
 def koszul_reduction_cone_acyclic(
@@ -663,57 +670,20 @@ def koszul_reduction_cone_acyclic(
     Cone terms: M -> M+M -> M + M/g^m -> M/g^m, with the comparison legs
     projecting onto the second factor and the quotient.
     """
-    if m.base == "Zq":
-        raise InvalidArgs("Koszul complexes are not supported over exact Z[q]")
-    fn = _scalar_pow(m, f, n)
-    gm = _scalar_pow(m, g, mexp)
-    if m.base == "Z":
-        orders = _z_cyclic_orders(m)
-        dim = len(orders)
-        q_orders = _z_term(m, 1, [gm])
-        d0 = _z_block([[gm], [fn]], orders)
+    eng = _engine(m)
+    fn, gm = m.scalar(f) ** n, m.scalar(g) ** mexp
+    terms = [eng.term([None]), eng.term([None, None]), eng.term([None, gm]), eng.term([gm])]
+    differentials = [
+        eng.block([[gm], [fn]]),
         # (y, z) -> (f^n y - g^m z, ybar)
-        d1_top = _z_block([[fn, -gm]], orders)
-        d1_bot = _z_block([[1, 0]], orders)
-        d1 = [row[:] for row in d1_top] + [row[:] for row in d1_bot]
+        eng.block([[fn, -gm], [1, 0]]),
         # (z, t) -> zbar - f^n tbar
-        d2 = _z_block([[1, -fn]], orders)
-        terms = [orders, orders * 2, orders + q_orders, q_orders]
-        return PresentedComplex("Z", None, terms, [d0, d1, d2]).acyclic()
-    eng = _FiniteEngine(m)
-    d0 = _finite_block(eng, [[gm], [fn]])
-    d1 = np.vstack(
-        [
-            _finite_block(eng, [[fn, _neg(m, gm)]]),
-            _finite_block(eng, [[1, 0]]),
-        ]
-    )
-    d2 = _finite_block(eng, [[1, _neg(m, fn)]])
-    dim, span_m = _finite_term(eng, 1)
-    _dimq, span_q = _finite_term(eng, 1, [gm])
-    span_mid = _direct_sum_spans([span_m, span_q], [dim, dim])
-    terms = [
-        (dim, span_m),
-        _finite_term(eng, 2),
-        (2 * dim, span_mid),
-        (dim, span_q),
+        eng.block([[1, -fn]]),
     ]
-    return PresentedComplex(m.base, m.ctx, terms, [d0, d1, d2]).acyclic()
+    return PresentedComplex(eng, terms, differentials).acyclic()
 
 
-def _direct_sum_spans(spans: list[np.ndarray], dims: list[int]) -> np.ndarray:
-    total = sum(dims)
-    rows = []
-    offset = 0
-    for span, dim in zip(spans, dims):
-        for r in span:
-            row = np.zeros(total, dtype=np.int64)
-            row[offset : offset + dim] = r
-            rows.append(row)
-        offset += dim
-    return (
-        np.array(rows, dtype=np.int64) if rows else np.zeros((0, total), dtype=np.int64)
-    )
+# --- pro-isomorphism --------------------------------------------------------------
 
 
 @dataclass
@@ -746,80 +716,14 @@ def pro_iso_check(
     if not bound_report.bounded:
         raise NotBounded("torsion unbounded at the cap")
     b = bound_report.bound
-
-    def killed(s: int, n: int) -> bool:
-        if m.base == "Z":
-            orders = _z_cyclic_orders(m)
-            fi = int(f)
-            for d in orders:
-                if d == 0:
-                    if fi == 0:
-                        return False
-                    continue
-                g0 = gcd(d, fi ** (n + s)) if fi else d
-                elem = d // g0
-                if (elem * fi**s) % d:
-                    return False
-            return True
-        if m.base in ("Zpn", "W"):
-            eng = _FiniteEngine(m)
-            span = howell_form(eng.relation_rows(), eng.modulus)
-            phi = eng.mult_matrix(f)
-            acc = np.eye(eng.dim, dtype=np.int64)
-            for _ in range(n + s):
-                acc = (phi @ acc) % eng.modulus
-            K = _finite_preimage(acc, span, eng.modulus)
-            fs = np.eye(eng.dim, dtype=np.int64)
-            for _ in range(s):
-                fs = (phi @ fs) % eng.modulus
-            h = span if span.shape[0] else None
-            for row in K:
-                image = (fs @ row) % eng.modulus
-                if h is None:
-                    if image.any():
-                        return False
-                elif reduce_against(image, howell_form(span, eng.modulus), eng.modulus).any():
-                    return False
-            return True
-        # Zq, per monic summand
-        mono = _monic_action_basis(m)
-        fq = f if isinstance(f, IntPoly) else IntPoly.const(int(f))
-        for relation in mono:
-            if relation is None:
-                if fq.is_zero():
-                    return False
-                continue
-            F = _zq_mult_matrix(fq, relation)
-            e = len(F)
-            acc = [[int(i == j) for j in range(e)] for i in range(e)]
-            for _ in range(n + s):
-                acc = [
-                    [sum(F[i][k] * acc[k][j] for k in range(e)) for j in range(e)]
-                    for i in range(e)
-                ]
-            kern = z_kernel_basis(acc)
-            kcols = len(kern[0]) if kern and kern[0] is not None else 0
-            fs = [[int(i == j) for j in range(e)] for i in range(e)]
-            for _ in range(s):
-                fs = [
-                    [sum(F[i][k] * fs[k][j] for k in range(e)) for j in range(e)]
-                    for i in range(e)
-                ]
-            for j in range(kcols):
-                col = [kern[i][j] for i in range(e)]
-                image = [sum(fs[i][k] * col[k] for k in range(e)) for i in range(e)]
-                if any(image):
-                    return False
-        return True
-
-    shift = None
-    for s in range(cap + 1):
-        if all(killed(s, n) for n in range(1, n_max + 1)):
-            shift = s
-            break
+    eng, f = _engine(m), m.scalar(f)
+    levels = range(1, n_max + 1)
+    shift = next(
+        (s for s in range(cap + 1) if all(eng.kills(f, s, n + s) for n in levels)), None
+    )
     if shift is None:
         raise NotBounded("no stabilization shift at the cap")
-    per_level = {n: killed(shift, n) for n in range(1, n_max + 1)}
+    per_level = {n: eng.kills(f, shift, n + shift) for n in levels}
     return ProIsoReport(shift, b, per_level, shift == b)
 
 
@@ -842,50 +746,6 @@ class FlatnessReport:
         }
 
 
-def _quotient_presentation(m: ModulePresentation, scalar) -> ModulePresentation:
-    extra = []
-    for i in range(m.generators):
-        if m.base == "Z":
-            row = [int(scalar) if j == i else 0 for j in range(m.generators)]
-        elif m.base == "Zpn":
-            row = [int(scalar) if j == i else 0 for j in range(m.generators)]
-        elif m.base == "W":
-            w = scalar if isinstance(scalar, WScalar) else WScalar.from_int(m.ctx, int(scalar))
-            row = [w if j == i else WScalar.zero(m.ctx) for j in range(m.generators)]
-        else:
-            s = scalar if isinstance(scalar, IntPoly) else IntPoly.const(int(scalar))
-            row = [s if j == i else IntPoly() for j in range(m.generators)]
-        extra.append(row)
-    return ModulePresentation(m.base, m.generators, list(m.relations) + extra, m.ctx)
-
-
-def _g_torsion_free(m: ModulePresentation, g) -> bool:
-    if m.base == "Z":
-        gi = int(g)
-        if gi == 0:
-            return all(d == 0 for d in _z_cyclic_orders(m)) and m.generators == 0
-        return all(d == 0 or gcd(d, gi) == 1 for d in _z_cyclic_orders(m))
-    if m.base in ("Zpn", "W"):
-        eng = _FiniteEngine(m)
-        span = howell_form(eng.relation_rows(), eng.modulus)
-        K = _finite_preimage(eng.mult_matrix(g), span, eng.modulus)
-        all_rows = np.vstack([K, span]) if span.shape[0] else K
-        p, N = m.ctx.p, m.ctx.n_prec
-        return sum(span_exponents(all_rows, p, N)) == sum(span_exponents(span, p, N))
-    mono = _monic_action_basis(m)
-    gq = g if isinstance(g, IntPoly) else IntPoly.const(int(g))
-    if gq.is_zero():
-        return all(r is None for r in mono) and m.generators == 0
-    for relation in mono:
-        if relation is None:
-            continue
-        F = _zq_mult_matrix(gq, relation)
-        diag = snf_z(F) if any(any(r) for r in F) else []
-        if sum(1 for d in diag if d) < len(F):
-            return False
-    return True
-
-
 def _residue_matrix(m: ModulePresentation) -> np.ndarray:
     """The relation matrix over the residue field F_p."""
     p = m.ctx.p
@@ -906,156 +766,12 @@ def bounded_and_flat_check(
     Tor against base/(f,g) vanishes (computed from a syzygy step).
     formally_flat: M/(f,g)^j M free over base/(f,g)^j through the window.
     """
-    details: dict = {}
-    quotient = _quotient_presentation(m, g)
+    f, g = m.scalar(f), m.scalar(g)
     tf = _g_torsion_free(m, g)
-    tb = torsion_bound(quotient, f, torsion_cap)
-    bounded = tf and tb.bounded
-    details["g_torsion_free"] = tf
-    details["quotient_torsion_bound"] = tb.bound if tb.bounded else "unbounded-at-cap"
-
-    if m.base == "Z":
-        d0 = gcd(int(f), int(g))
-        orders = _z_cyclic_orders(m)
-        if d0 == 0:
-            completely = all(d == 0 for d in orders)
-            formally = completely
-            details["ideal"] = 0
-        elif d0 == 1:
-            completely = formally = True
-            details["ideal"] = 1
-        else:
-            completely = all(d == 0 or gcd(d, d0) == 1 for d in orders)
-            formally = True
-            for j in range(1, formal_window + 1):
-                hj = 0
-                for a in range(j + 1):
-                    hj = gcd(hj, int(f) ** a * int(g) ** (j - a))
-                if hj == 0:
-                    formally = formally and all(d == 0 for d in orders)
-                elif hj > 1:
-                    formally = formally and all(
-                        d == 0 or gcd(d, hj) in (1, hj) for d in orders
-                    )
-            details["ideal"] = d0
-            details["formal_window"] = formal_window
-        return FlatnessReport(bounded, completely, formally, details)
-
-    if m.base in ("Zpn", "W"):
-        eng = _FiniteEngine(m)
-        p, N = m.ctx.p, m.ctx.n_prec
-        # ideal span of (f, g) inside the base ring, flattened
-        base_one = ModulePresentation(m.base, 1, [], m.ctx)
-        beng = _FiniteEngine(base_one)
-        ideal_span = howell_form(beng.relation_rows(extra_scalars=[f, g]), beng.modulus)
-        base_log = N * beng.dim
-        ideal_log = sum(span_exponents(ideal_span, p, N))
-        if ideal_log == base_log:
-            details["ideal"] = "unit"
-            return FlatnessReport(bounded, True, True, details)
-        mu = m.generators - smith_exponents(_residue_matrix(m), p, 1).count(0)
-        q_log = base_log - ideal_log
-        mq_span = howell_form(
-            eng.relation_rows(extra_scalars=[f, g]), eng.modulus
-        )
-        mq_log = N * eng.dim - sum(span_exponents(mq_span, p, N))
-        free_ok = mq_log == mu * q_log
-        details["minimal_generators"] = mu
-        tor_ok = _tor1_vanishes(m, [f, g])
-        completely = free_ok and tor_ok
-        details["quotient_free"] = free_ok
-        details["tor1_zero"] = tor_ok
-        # formal flatness through increasing ideal powers
-        formally = True
-        power_scalars = [[f, g]]
-        j = 1
-        prev = ideal_span
-        while True:
-            span_j = howell_form(
-                beng.relation_rows(extra_scalars=_products(m, f, g, j)), beng.modulus
-            )
-            qj_log = base_log - sum(span_exponents(span_j, p, N))
-            mqj_span = howell_form(
-                eng.relation_rows(extra_scalars=_products(m, f, g, j)), eng.modulus
-            )
-            mqj_log = N * eng.dim - sum(span_exponents(mqj_span, p, N))
-            if mqj_log != mu * qj_log:
-                formally = False
-            if _same_span(span_j, prev) and j > 1:
-                break
-            prev = span_j
-            j += 1
-            if j > N + m.ctx.m_prec + 2:
-                break
-        details["formal_powers_checked"] = j
-        return FlatnessReport(bounded, completely, formally, details)
-
-    # Zq
-    mono = _monic_action_basis(m)
-    if all(r is None for r in mono):
-        details["free"] = True
-        return FlatnessReport(bounded, True, True, details)
-    raise InvalidArgs(
-        "Zq flatness checks support free modules only; quotient inputs must "
-        "be phrased over W or Zpn"
-    )
-
-
-def _products(m: ModulePresentation, f, g, j: int):
-    out = []
-    for a in range(j + 1):
-        out.append(
-            _mul_scalar(m, _scalar_pow(m, f, a), _scalar_pow(m, g, j - a))
-        )
-    return out
-
-
-def _mul_scalar(m: ModulePresentation, a, b):
-    if m.base == "W":
-        wa = a if isinstance(a, WScalar) else WScalar.from_int(m.ctx, int(a))
-        wb = b if isinstance(b, WScalar) else WScalar.from_int(m.ctx, int(b))
-        return wa * wb
-    return int(a) * int(b)
-
-
-def _tor1_vanishes(m: ModulePresentation, ideal_gens) -> bool:
-    """First Tor of the module against base/(ideal), from a two-step
-    flattened resolution.
-
-    The presentation map sends one free copy of the base per relation onto
-    the relation submodule; its flattened kernel supplies the syzygy step,
-    so the Tor vanishes iff the preimage of ideal * base^g under the
-    presentation equals syzygies + ideal * base^r.
-    """
-    r = len(m.relations)
-    if r == 0:
-        return True  # free module
-    ctx = m.ctx
-    n = ctx.pn
-    p, N = ctx.p, ctx.n_prec
-    eng = _FiniteEngine(m)
-    block = eng.block
-    # presentation matrix D1 : base^r -> base^g, flattened blockwise
-    d1 = np.zeros((m.generators * block, r * block), dtype=np.int64)
-    for c, rel in enumerate(m.relations):
-        for gidx, entry in enumerate(rel):
-            d1[
-                gidx * block : (gidx + 1) * block, c * block : (c + 1) * block
-            ] = eng.scalar_block(entry)
-    d1 %= n
-    free_g = _FiniteEngine(ModulePresentation(m.base, m.generators, [], ctx))
-    free_r = _FiniteEngine(ModulePresentation(m.base, r, [], ctx))
-    ideal_f0 = howell_form(free_g.relation_rows(extra_scalars=ideal_gens), n)
-    ideal_f1 = free_r.relation_rows(extra_scalars=ideal_gens)
-    pre = _finite_preimage(d1, ideal_f0, n)
-    syz = right_kernel_basis(d1, n)
-    im_rows = [rows for rows in (syz, ideal_f1) if rows.shape[0]]
-    stacked_im = (
-        np.vstack(im_rows)
-        if im_rows
-        else np.zeros((0, r * block), dtype=np.int64)
-    )
-    pre_all = np.vstack([pre, stacked_im]) if stacked_im.shape[0] else pre
-    return sum(span_exponents(pre_all, p, N)) == sum(
-        span_exponents(stacked_im, p, N)
-    )
+    tb = torsion_bound(_quotient_presentation(m, g), f, torsion_cap)
+    details: dict = {
+        "g_torsion_free": tf,
+        "quotient_torsion_bound": tb.bound if tb.bounded else "unbounded-at-cap",
+    }
+    completely, formally = _engine(m).flatness(f, g, formal_window, details)
+    return FlatnessReport(tf and tb.bounded, completely, formally, details)

@@ -20,7 +20,7 @@ from .adic_diagnostics import (
     pro_iso_check,
     torsion_bound,
 )
-from .base_ring import RingContext, WScalar, q_int_poly
+from .base_ring import RingContext, q_int_poly
 from .cartier import CartierProblem, cartier_verify
 from .delta_ring import DeltaElement, envelope_presentation, run_axiom_suite
 from .divided_poly import poincare_exactness
@@ -46,6 +46,10 @@ def _require(spec: dict, field: str, kind, validate=None):
     if validate is not None and not validate(value):
         raise SpecError(f"field {field!r} out of range", field=field)
     return value
+
+
+def _optional(spec: dict, field: str, kind, default, validate=None):
+    return _require(spec, field, kind, validate) if field in spec else default
 
 
 def _load_json(path: str) -> dict:
@@ -219,12 +223,12 @@ def cmd_cohomology(args) -> int:
     ok = True
     for path in args.spec:
         conn, meta, spec = load_connection_spec(path)
+        expect = _optional(spec, "expect", dict, None)
         from .cartier import flatten_connection
 
         rep = cohomology_of_complex(TwoTermComplex(flatten_connection(conn)))
         entry = {**meta, "cohomology": rep.to_json()}
-        if "expect" in spec:
-            expect = spec["expect"]
+        if expect is not None:
             match = all(
                 expect.get(key) == entry["cohomology"].get(key)
                 for key in ("h0", "h1")
@@ -291,9 +295,7 @@ def _load_adic_spec(path: str, grow: int = 0):
     if base in ("Zpn", "W"):
         p = _require(spec, "p", int, lambda v: v >= 2)
         n = _require(spec, "n", int, lambda v: v >= 1) + (1 if grow else 0)
-        m = spec.get("m", 1)
-        if not isinstance(m, int) or m < 1:
-            raise SpecError("field 'm' must be a positive integer", field="m")
+        m = _optional(spec, "m", int, 1, lambda v: v >= 1)
         ctx = RingContext(p, n, m + (1 if grow else 0))
     generators = _require(spec, "generators", int, lambda v: v >= 0)
     rel_rows = spec.get("relations", [])
@@ -307,16 +309,8 @@ def _load_adic_spec(path: str, grow: int = 0):
             poly = parse_poly(text, allowed={"q"})
         else:
             raise SpecError("relation entries must be strings or ints", field="relations")
-        if base == "Z":
-            if poly.variables():
-                raise SpecError("base Z takes integer relations", field="relations")
-            return poly.eval_int({})
-        if base == "Zpn":
-            if poly.variables():
-                raise SpecError("base Zpn takes integer relations", field="relations")
-            return poly.eval_int({})
-        if base == "W":
-            return WScalar.from_int_poly(ctx, poly)
+        if base in ("Z", "Zpn") and poly.variables():
+            raise SpecError(f"base {base} takes integer relations", field="relations")
         return poly
 
     relations = []
@@ -360,8 +354,9 @@ def cmd_adic(args) -> int:
 
 def _adic_entry(path: str, args, grow: int):
     m_pres, f, g, spec = _load_adic_spec(path, grow)
-    cap = spec.get("torsion_cap", 8)
-    n_max = spec.get("n_max", 4)
+    cap = _optional(spec, "torsion_cap", int, 8, lambda v: v >= 0)
+    n_max = _optional(spec, "n_max", int, 4, lambda v: v >= 1)
+    expect = _optional(spec, "expect", dict, None)
     predicates: dict = {}
     if f is not None:
         tb = torsion_bound(m_pres, f, cap)
@@ -383,16 +378,9 @@ def _adic_entry(path: str, args, grow: int):
     if m_pres.ctx is not None:
         entry["context"] = m_pres.ctx.to_json()
     entry_ok = True
-    if "expect" in spec:
-        expect = spec["expect"]
-        mismatches = []
-        flat = _bool_leaves(predicates) | {
-            k: v for k, v in _flatten_values(predicates).items()
-        }
-        for key, want in expect.items():
-            got = flat.get(key, _flatten_values(predicates).get(key))
-            if got != want:
-                mismatches.append(key)
+    if expect is not None:
+        flat = _flatten_values(predicates)
+        mismatches = [key for key, want in expect.items() if flat.get(key) != want]
         entry["matches_expectation"] = not mismatches
         entry["expectation_mismatches"] = mismatches
         entry_ok = not mismatches

@@ -1,4 +1,5 @@
 import glob
+import itertools
 import os
 import random
 
@@ -6,6 +7,7 @@ import pytest
 
 from qprism.adic_diagnostics import (
     ModulePresentation,
+    _g_torsion_free,
     _residue_matrix,
     bounded_and_flat_check,
     koszul_build,
@@ -355,3 +357,174 @@ def test_fp_rank_on_random_relations():
             ]
             m = w_module(ctx, gens, rows)
         assert fp_rank(m) == _fp_rank(m)
+
+
+# --- f = 0 and g = 0 edge cases ------------------------------------------------
+
+
+def test_pro_iso_zero_f_kills_from_shift_one():
+    # 0^s kills everything once s >= 1, free summands included
+    ctx = RingContext(3, 2, 1)
+    cases = [
+        (z_module(1, []), 0),
+        (z_module(2, [[0, 4]]), 0),
+        (ModulePresentation("Zq", 1, []), IntPoly()),
+        (ModulePresentation("Zq", 1, [[IntPoly.var("q") - 2]]), IntPoly.var("q") - 2),
+        (zpn_module(ctx, 1, []), 0),
+        (w_module(RingContext(2, 2, 2), 1, []), 0),
+    ]
+    for m, f in cases:
+        rep = pro_iso_check(m, f, n_max=3)
+        assert (rep.shift, rep.bound) == (1, 1), m
+        assert rep.matches_bound and all(rep.per_level.values())
+
+
+def test_zero_module_is_torsion_free_for_g_zero():
+    ctx = RingContext(2, 2, 2)
+    modules = [
+        z_module(1, [[1]]),
+        z_module(2, [[1, 0], [0, -1]]),
+        ModulePresentation("Zq", 1, [[IntPoly.const(1)]]),
+        zpn_module(ctx, 1, [[1]]),
+        w_module(ctx, 1, [[WScalar.one(ctx)]]),
+    ]
+    for m in modules:
+        assert _g_torsion_free(m, 0), m
+    for m in modules[:2] + modules[3:]:
+        rep = bounded_and_flat_check(m, 2, 0)
+        assert rep.details["g_torsion_free"] and rep.bounded, m
+    # a nonzero module has 0-torsion
+    assert not _g_torsion_free(z_module(1, [[3]]), 0)
+    assert not _g_torsion_free(ModulePresentation("Zq", 1, []), 0)
+
+
+# --- cross-base oracle -----------------------------------------------------------
+
+
+def _predicates(m, f, g, n, mexp):
+    rep = pro_iso_check(m, f, n_max=3)
+    cx = koszul_build(m, f, g, n, mexp)
+    return {
+        "bound": torsion_bound(m, f).bound,
+        "shift": rep.shift,
+        "per_level": rep.per_level,
+        "g_torsion_free": _g_torsion_free(m, g),
+        "koszul": [cx.exact_at(i) for i in range(3)],
+        "cone": koszul_reduction_cone_acyclic(m, f, g, n, mexp),
+    }
+
+
+def test_cross_base_oracle_z_zpn_w():
+    # M over Z/p^N, presented over Z (with p^N I among the relations), over
+    # Zpn and over W with m_prec = 1, where W is Z/p^N: every predicate agrees
+    rng = random.Random(303)
+    for _ in range(150):
+        p, N = rng.choice((2, 3)), rng.randint(1, 3)
+        pn = p**N
+        ctx = RingContext(p, N, 1)
+        gens = rng.randint(1, 3)
+        rows = [[rng.randrange(pn) for _ in range(gens)] for _ in range(rng.randint(0, 3))]
+        f, g = rng.randrange(pn), rng.randrange(pn)
+        n, mexp = rng.randint(1, 2), rng.randint(1, 2)
+        torsion = [[pn if j == i else 0 for j in range(gens)] for i in range(gens)]
+        want = _predicates(z_module(gens, rows + torsion), f, g, n, mexp)
+        assert _predicates(zpn_module(ctx, gens, rows), f, g, n, mexp) == want
+        assert _predicates(w_module(ctx, gens, rows), f, g, n, mexp) == want
+
+
+def test_cross_base_oracle_zq_line():
+    # Z[q]/(q - a) is Z with q acting as a, so f acts as the integer f(a)
+    rng = random.Random(304)
+    q = IntPoly.var("q")
+    for _ in range(60):
+        a = rng.randint(-3, 3)
+        f = (q - a) * rng.randint(-2, 2) * q + rng.choice((0, 0, 1, 2, 3, -2))
+        g = q ** rng.randint(0, 2) - rng.choice((a, a, 1, 0))
+        fa, ga = f.eval_int({"q": a}), g.eval_int({"q": a})
+        zq, z = ModulePresentation("Zq", 1, [[q - a]]), z_module(1, [])
+        assert torsion_bound(zq, f).bound == torsion_bound(z, fa).bound
+        rq, rz = pro_iso_check(zq, f, n_max=3), pro_iso_check(z, fa, n_max=3)
+        assert (rq.shift, rq.per_level) == (rz.shift, rz.per_level)
+        assert _g_torsion_free(zq, g) == _g_torsion_free(z, ga)
+
+
+def test_pro_iso_zq_degree_two_summand():
+    # Z[q]/(q^2 - q) with f = q: q is idempotent there, so the q-torsion,
+    # spanned by 1 - q, is all of the q^k-torsion and q kills it
+    q = IntPoly.var("q")
+    m = ModulePresentation("Zq", 1, [[q * q - q]])
+    assert torsion_bound(m, q).bound == 1
+    rep = pro_iso_check(m, q, n_max=3)
+    assert rep.shift == 1 and all(rep.per_level.values())
+    # q on Z[q]/(q^2) is nilpotent: the q-torsion is everything from q^2 on
+    m = ModulePresentation("Zq", 1, [[q * q]])
+    rep = pro_iso_check(m, q, n_max=3)
+    assert (rep.shift, rep.bound) == (2, 2)
+
+
+def test_w_flatness_details_on_quotient_fixture():
+    # W/(q-1) with (f, g) = (2, q-1), as in fixtures/adic_w_quotient.json and
+    # its --grow rerun; every detail of the finite flatness core is pinned
+    for (n, mp), powers, bound in (((2, 2), 4, 2), ((3, 3), 6, 3)):
+        ctx = RingContext(2, n, mp)
+        t = WScalar.t(ctx)
+        rep = bounded_and_flat_check(w_module(ctx, 1, [[t]]), 2, t)
+        assert (rep.bounded, rep.completely_flat, rep.formally_flat) == (False, False, False)
+        assert rep.details == {
+            "formal_powers_checked": powers,
+            "g_torsion_free": False,
+            "minimal_generators": 1,
+            "quotient_free": True,
+            "quotient_torsion_bound": bound,
+            "tor1_zero": False,
+        }
+
+
+def _enumerated_torsion(m, f, k_max):
+    """For k <= k_max, which vectors of the flattened ambient group of a
+    W-module lie in the f^k-torsion, found by listing the relation group."""
+    ctx = m.ctx
+    n, mp, t = ctx.pn, ctx.m_prec, WScalar.t(ctx)
+    relations = {(0,) * (m.generators * mp)}
+    for rel in m.relations:
+        for i in range(mp):
+            gen = sum(((v * t**i).coeffs for v in rel), ())
+            relations = {
+                tuple((a + c * b) % n for a, b in zip(vec, gen))
+                for vec in relations
+                for c in range(n)
+            }
+    vectors = list(itertools.product(range(n), repeat=m.generators * mp))
+
+    def zero_after(vec, k):
+        """Whether f^k kills the class of vec."""
+        blocks = [WScalar(ctx, vec[j * mp : (j + 1) * mp]) for j in range(m.generators)]
+        return sum(((w * f**k).coeffs for w in blocks), ()) in relations
+
+    torsion = [[v for v in vectors if zero_after(v, k)] for k in range(k_max + 1)]
+    return torsion, zero_after
+
+
+def test_w_torsion_and_pro_iso_against_enumeration():
+    rng = random.Random(305)
+    for _ in range(30):
+        p, N, mp = rng.choice(((2, 1, 2), (2, 2, 2), (3, 1, 2), (2, 1, 3)))
+        ctx = RingContext(p, N, mp)
+        gens = rng.randint(1, 2)
+
+        def scalar():
+            return WScalar(ctx, [rng.randrange(ctx.pn) for _ in range(mp)])
+
+        m = w_module(ctx, gens, [[scalar() for _ in range(gens)] for _ in range(rng.randint(0, 2))])
+        f = scalar()
+        torsion, zero_after = _enumerated_torsion(m, f, 12)
+        bound = next(b for b in range(12) if len(torsion[b + 1]) == len(torsion[b]))
+        assert torsion_bound(m, f).bound == bound
+        rep = pro_iso_check(m, f, n_max=3)
+
+        def kills(s, k):
+            return all(zero_after(v, s) for v in torsion[k])
+
+        shift = next(s for s in range(9) if all(kills(s, n + s) for n in (1, 2, 3)))
+        assert rep.shift == shift
+        assert rep.per_level == {n: kills(shift, n + shift) for n in (1, 2, 3)}

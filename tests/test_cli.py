@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from qprism.cli import run_command
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -209,3 +211,47 @@ def test_adic_expectation_mismatch_exits_1(tmp_path, capsys):
     entry = report["reports"][0]
     assert entry["matches_expectation"] is False
     assert entry["expectation_mismatches"] == ["torsion/bound"]
+
+
+ADIC_SPEC = {
+    "base": "W", "p": 2, "n": 2, "m": 2, "generators": 1,
+    "relations": [["q-1"]], "f": "2", "g": "q-1",
+}
+COHOMOLOGY_SPEC = {
+    "p": 2, "n_prec": 2, "m_prec": 2, "level": 0, "rank": 1,
+    "degree_window": 2, "theta_matrix": [["0"]],
+}
+
+
+@pytest.mark.parametrize(
+    "command, field, value",
+    [
+        ("adic", "torsion_cap", "8"),
+        ("adic", "torsion_cap", -1),
+        ("adic", "n_max", 0),
+        ("adic", "n_max", -3),
+        ("adic", "m", True),
+        ("adic", "m", 0),
+        ("adic", "expect", [1]),
+        ("cohomology", "expect", "nope"),
+        ("cohomology", "expect", [1]),
+    ],
+)
+def test_malformed_optional_field_exits_2(tmp_path, capsys, command, field, value):
+    spec = {**(ADIC_SPEC if command == "adic" else COHOMOLOGY_SPEC), field: value}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, report = run_json(capsys, command, "--spec", str(path))
+    assert code == 2
+    assert report["ok"] is False
+    assert report["error"]["field"] == field
+
+
+def test_adic_expect_keys_are_slash_joined_paths(tmp_path, capsys):
+    spec = {**ADIC_SPEC, "expect": {"flatness/completely_flat": False,
+                                    "/flatness/completely_flat": False}}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, report = run_json(capsys, "adic", "--spec", str(path))
+    assert code == 1
+    assert report["reports"][0]["expectation_mismatches"] == ["/flatness/completely_flat"]
