@@ -577,6 +577,8 @@ class _ZqEngine:
                 "Zq flatness checks support free modules only; quotient inputs must "
                 "be phrased over W or Zpn"
             )
+        if not g.is_zero() and g.coefficient_poly("q", g.degree("q")) != IntPoly.const(1):
+            raise InvalidArgs("Zq flatness checks need g monic in q (or g = 0)")
         details["free"] = True
         return True, True
 
@@ -592,7 +594,10 @@ def torsion_bound(m: ModulePresentation, f, cap: int = 8) -> TorsionReport:
     flattened torsion subquotient, for Zq the Z-rank of the torsion of
     each monic summand.
     """
-    eng, f = _engine(m), m.scalar(f)
+    return _torsion_report(_engine(m), m.scalar(f), cap)
+
+
+def _torsion_report(eng, f, cap: int) -> TorsionReport:
     gens: dict[int, list] = {}
     prev = None
     for b in range(cap + 2):
@@ -712,11 +717,11 @@ def pro_iso_check(
     kills all of it, and the least such shift is reported together with
     per-level verdicts at that shift.
     """
-    bound_report = torsion_bound(m, f, cap)
+    eng, f = _engine(m), m.scalar(f)
+    bound_report = _torsion_report(eng, f, cap)
     if not bound_report.bounded:
         raise NotBounded("torsion unbounded at the cap")
     b = bound_report.bound
-    eng, f = _engine(m), m.scalar(f)
     levels = range(1, n_max + 1)
     shift = next(
         (s for s in range(cap + 1) if all(eng.kills(f, s, n + s) for n in levels)), None
@@ -767,11 +772,11 @@ def bounded_and_flat_check(
     formally_flat: M/(f,g)^j M free over base/(f,g)^j through the window.
     """
     f, g = m.scalar(f), m.scalar(g)
+    details: dict = {}
+    # first, so an engine refusing the inputs says why before M/gM is built
+    completely, formally = _engine(m).flatness(f, g, formal_window, details)
     tf = _g_torsion_free(m, g)
     tb = torsion_bound(_quotient_presentation(m, g), f, torsion_cap)
-    details: dict = {
-        "g_torsion_free": tf,
-        "quotient_torsion_bound": tb.bound if tb.bounded else "unbounded-at-cap",
-    }
-    completely, formally = _engine(m).flatness(f, g, formal_window, details)
+    details["g_torsion_free"] = tf
+    details["quotient_torsion_bound"] = tb.bound if tb.bounded else "unbounded-at-cap"
     return FlatnessReport(tf and tb.bounded, completely, formally, details)

@@ -6,6 +6,13 @@ The coordinate x' of the source module acts as x^p after raising, so a
 source window D' pairs with the target window p*D' + p - 1; the degree
 grading then matches both quotient windows exactly, which is asserted
 programmatically rather than assumed.
+
+Each run flattens two connections by probing basis sections: the source
+theta' and the raised theta.  Every other descent matrix derives from these
+two by indexing or by m x m W-block products: the Frobenius legs are 0/1
+degree selections, each block operator is theta' with its output degree
+shifted by one (the factor x') plus (k)_q blocks, and the Verschiebung
+target differential rescales each W-block of theta by (p)_q.
 """
 
 from __future__ import annotations
@@ -22,9 +29,9 @@ from .homology import (
     cone_acyclic,
     flat_dim,
     flatten_operator,
-    flatten_z_linear,
     right_kernel_basis,
     w_mult_block,
+    w_scale_blocks,
 )
 from .twisted_calculus import (
     ConnectionModule,
@@ -79,21 +86,58 @@ def flatten_connection(m: ConnectionModule) -> FlatMatrix:
     return flatten_operator(m.ctx, m.rank, m.window, m.rank, m.window, apply)
 
 
+def _block_diagonal(block: np.ndarray, copies: int) -> np.ndarray:
+    """`copies` copies of an m x m block down the diagonal."""
+    return np.kron(np.eye(copies, dtype=np.int64), block)
+
+
+def _grade_indices(ctx: RingContext, rank: int, win_out: int, win_in: int, k: int):
+    """Flat indices of the grade-k slice of the raised module, ordered to
+    match the source module layout (component, degree, t-power)."""
+    p = ctx.p
+    m = ctx.m_prec
+    idx = []
+    for j in range(rank):
+        for n in range(win_in + 1):
+            d = k + p * n
+            base = (j * (win_out + 1) + d) * m
+            idx.extend(range(base, base + m))
+    return np.array(idx, dtype=np.intp)
+
+
+def _frobenius_leg(
+    ctx: RingContext, rank: int, win_in: int, k: int, w_block: np.ndarray
+) -> FlatMatrix:
+    """x'^n e_j t^i -> x^{pn+k} e_j (w_block t^i): one m x m block per
+    source basis section, placed in the grade-k rows of the raised module."""
+    win_out = raised_window(ctx.p, win_in)
+    out = np.zeros((flat_dim(ctx, rank, win_out), flat_dim(ctx, rank, win_in)), dtype=np.int64)
+    out[_grade_indices(ctx, rank, win_out, win_in, k)] = _block_diagonal(
+        w_block, rank * (win_in + 1)
+    )
+    return FlatMatrix(ctx.p, ctx.n_prec, out)
+
+
 @dataclass
 class ChainMapData:
     """The comparison maps between the source and raised complexes.
 
     frobenius / divided_frobenius are the degree-0 and degree-1 legs of the
-    map of complexes; verschiebung_* give the chain map from the raised
+    map of complexes.  The Verschiebung is the chain map from the raised
     complex to the same module with its differential rescaled by (p)_q,
-    the chain-level shadow of inverting the distinguished element.
+    the chain-level shadow of inverting the distinguished element.  Its
+    degree-0 leg is the identity and is not stored; its forms leg
+    verschiebung_on_forms is multiplication by (p)_q built as a Kronecker
+    product, and verschiebung_target_differential rescales each W-block of
+    the raised differential by (p)_q.  verschiebung_ok checks the forms
+    leg applied to the raised differential against that rescaling, one
+    construction against the other.
     """
 
     source_differential: FlatMatrix
     target_differential: FlatMatrix
     frobenius: FlatMatrix
     divided_frobenius: FlatMatrix
-    verschiebung_on_module: FlatMatrix
     verschiebung_on_forms: FlatMatrix
     verschiebung_target_differential: FlatMatrix
 
@@ -104,10 +148,7 @@ class ChainMapData:
 
     def verschiebung_ok(self) -> bool:
         lhs = self.verschiebung_on_forms.matmul(self.target_differential)
-        rhs = self.verschiebung_target_differential.matmul(
-            self.verschiebung_on_module
-        )
-        return lhs == rhs
+        return lhs == self.verschiebung_target_differential
 
 
 def chain_map_build(conn_prime: ConnectionModule) -> ChainMapData:
@@ -116,51 +157,20 @@ def chain_map_build(conn_prime: ConnectionModule) -> ChainMapData:
     if conn_prime.window is None:
         raise InvalidArgs("chain map construction needs a degree window")
     ctx = conn_prime.ctx
-    p = ctx.p
-    win_in = conn_prime.window
-    win_out = raised_window(p, win_in)
-    rank = conn_prime.rank
-    raised = level_raise(conn_prime)
-
-    def frob(j, d):
-        return [
-            QPolynomial.x(ctx, p * d, win_out)
-            if i == j
-            else QPolynomial.zero(ctx, win_out)
-            for i in range(rank)
-        ]
-
-    def frob_div(j, d):
-        return [
-            QPolynomial.x(ctx, p * d + p - 1, win_out)
-            if i == j
-            else QPolynomial.zero(ctx, win_out)
-            for i in range(rank)
-        ]
-
-    f_flat = flatten_operator(ctx, rank, win_in, rank, win_out, frob)
-    fdiv_flat = flatten_operator(ctx, rank, win_in, rank, win_out, frob_div)
+    rank, win_in = conn_prime.rank, conn_prime.window
     theta_prime_flat = flatten_connection(conn_prime)
-    theta_flat = flatten_connection(raised)
-
-    pq = q_int(p, 1, ctx)
-    dim = flat_dim(ctx, rank, win_out)
-    v_forms = FlatMatrix(
-        ctx.p,
-        ctx.n_prec,
-        np.kron(np.eye(rank * (win_out + 1), dtype=np.int64), w_mult_block(pq)),
-    )
-    v_module = FlatMatrix.identity(ctx.p, ctx.n_prec, dim)
-    v_target = v_forms.matmul(theta_flat)
-
+    theta_flat = flatten_connection(level_raise(conn_prime))
+    pq = q_int(ctx.p, 1, ctx)
+    eye = np.eye(ctx.m_prec, dtype=np.int64)
     return ChainMapData(
         source_differential=theta_prime_flat,
         target_differential=theta_flat,
-        frobenius=f_flat,
-        divided_frobenius=fdiv_flat,
-        verschiebung_on_module=v_module,
-        verschiebung_on_forms=v_forms,
-        verschiebung_target_differential=v_target,
+        frobenius=_frobenius_leg(ctx, rank, win_in, 0, eye),
+        divided_frobenius=_frobenius_leg(ctx, rank, win_in, ctx.p - 1, eye),
+        verschiebung_on_forms=FlatMatrix(
+            ctx.p, ctx.n_prec, _block_diagonal(w_mult_block(pq), theta_flat.rows // ctx.m_prec)
+        ),
+        verschiebung_target_differential=w_scale_blocks(theta_flat, pq),
     )
 
 
@@ -183,60 +193,44 @@ class BlockData:
     structure_ok: bool
 
 
-def _block_operator(conn_prime: ConnectionModule, k: int, twist: bool) -> FlatMatrix:
-    """Flatten s -> [q^k] x' theta'(s) + (k)_q s on the windowed module.
+def _block_operator(x_theta: FlatMatrix, ctx: RingContext, k: int, twist: bool) -> FlatMatrix:
+    """s -> [q^k] x' theta'(s) + (k)_q s from the flattened x' theta'.
 
     With twist the operator is the graded piece of the raised connection;
     without it, the plain certificate operator."""
-    ctx = conn_prime.ctx
-    win = conn_prime.window
-    rank = conn_prime.rank
-    kq = q_int(k, 1, ctx)
-    qk = q_power(ctx, k) if twist else WScalar.one(ctx)
-    x1 = QPolynomial.x(ctx, 1, win)
-
-    def apply(j, d):
-        section = [
-            QPolynomial.x(ctx, d, win) if i == j else QPolynomial.zero(ctx, win)
-            for i in range(rank)
-        ]
-        image = connection_apply(conn_prime, section)
-        return [
-            x1 * c * qk + s * kq for c, s in zip(image, section)
-        ]
-
-    return flatten_operator(ctx, rank, win, rank, win, apply)
+    scaled = w_scale_blocks(x_theta, q_power(ctx, k)) if twist else x_theta
+    diagonal = _block_diagonal(w_mult_block(q_int(k, 1, ctx)), x_theta.rows // ctx.m_prec)
+    return FlatMatrix(ctx.p, ctx.n_prec, scaled.entries + diagonal)
 
 
-def _grade_indices(ctx: RingContext, rank: int, win_out: int, win_in: int, k: int):
-    """Flat indices of the grade-k slice of the raised module, ordered to
-    match the source module layout (component, degree, t-power)."""
-    p = ctx.p
-    m = ctx.m_prec
-    idx = []
-    for j in range(rank):
-        for n in range(win_in + 1):
-            d = k + p * n
-            base = (j * (win_out + 1) + d) * m
-            idx.extend(range(base, base + m))
-    return np.array(idx, dtype=np.intp)
+def _shift_degree(flat: FlatMatrix, rank: int, window: int) -> FlatMatrix:
+    """x' times an operator on the windowed module: every output degree
+    moves up by one, and degree window + 1 falls out of the window."""
+    blocks = flat.entries.reshape(rank, window + 1, -1, flat.cols)
+    shifted = np.zeros_like(blocks)
+    shifted[:, 1:] = blocks[:, :-1]
+    return FlatMatrix(flat.p, flat.n_prec, shifted.reshape(flat.entries.shape))
 
 
-def block_split(problem: CartierProblem) -> BlockData:
+def block_split(problem: CartierProblem, data: ChainMapData | None = None) -> BlockData:
     """Split the raised complex along the residue of the degree mod p.
 
     Grade 0 is carried onto the source complex by the comparison maps;
     each grade k >= 1 is a one-term complex whose operator is the graded
-    piece of the raised connection.  The split is checked entry by entry
-    against the flattened raised connection; any mismatch means an
-    operator escaped its window.
+    piece of the raised connection.  The operators derive from the source
+    flattening in `data` (built here when not given), and the split is
+    checked entry by entry against its raised flattening; any mismatch
+    means an operator escaped its window.
     """
     conn = problem.conn_prime
     ctx = conn.ctx
     p = ctx.p
     win_in = conn.window
     win_out = raised_window(p, win_in)
-    theta_flat = flatten_connection(level_raise(conn))
+    if data is None:
+        data = chain_map_build(conn)
+    theta_flat = data.target_differential
+    x_theta = _shift_degree(data.source_differential, conn.rank, win_in)
 
     operators = {}
     twisted = {}
@@ -251,10 +245,10 @@ def block_split(problem: CartierProblem) -> BlockData:
         mask[np.ix_(rows, cols)] = True
         seen |= mask
         if k >= 1:
-            expected = _block_operator(conn, k, twist=True)
+            expected = _block_operator(x_theta, ctx, k, twist=True)
             if not np.array_equal(sub % theta_flat.modulus, expected.entries):
                 structure_ok = False
-            operators[k] = _block_operator(conn, k, twist=False)
+            operators[k] = _block_operator(x_theta, ctx, k, twist=False)
             twisted[k] = expected
     # everything outside the graded blocks must vanish
     if theta_flat.entries[~seen].any():
@@ -349,7 +343,7 @@ def _verify_once(problem: CartierProblem) -> CartierReport:
     conn = problem.conn_prime
     nil = quasi_nilpotence_check(conn, problem.iterate_cap)
     data = chain_map_build(conn)
-    blocks_data = block_split(problem)
+    blocks_data = block_split(problem, data)
     blocks = {}
     for k, op in blocks_data.operators.items():
         cert = _block_certificate(conn, k, op)
@@ -372,7 +366,10 @@ def _verify_once(problem: CartierProblem) -> CartierReport:
         window=conn.window,
         nilpotent=nil.nilpotent,
         witness=nil.witness,
-        chain_map_ok=data.chain_map_ok(),
+        # cone_acyclic raised NotAChainMap unless Fdiv theta' = theta F, so
+        # the chain-map equation holds here; evaluating it again would
+        # repeat the same two products
+        chain_map_ok=True,
         verschiebung_ok=data.verschiebung_ok(),
         blocks=blocks,
         cone_acyclic=acyclic,
@@ -418,27 +415,23 @@ def semilinear_frobenius(ctx: RingContext, window: int) -> FrobeniusEndoData:
 
     On the module it is the ring Frobenius (q -> q^p, x -> x^p); on forms
     the image of the basis form acquires the (p)_q x^{p-1} twist.  Both
-    legs are only Z/p^N-linear, hence the semilinear flattening.
+    legs are only Z/p^N-linear: W enters through the m x m matrix of the
+    W-Frobenius t^i -> (q^p - 1)^i, Kronecker-multiplied with the degree
+    selection.
     """
     p = ctx.p
-    win_out = raised_window(p, window)
-    trivial_src = ConnectionModule.trivial(ctx, 1, -1, window=window)
-    trivial_tgt = ConnectionModule.trivial(ctx, 1, -1, window=win_out)
+    phi_t = WScalar.q(ctx) ** p - WScalar.one(ctx)
+    w_frobenius = np.array([(phi_t**i).coeffs for i in range(ctx.m_prec)], dtype=np.int64).T
     pq = q_int(p, 1, ctx)
-
-    def phi0(j, d, i):
-        w = (WScalar.q(ctx) ** p - WScalar.one(ctx)) ** i
-        return [QPolynomial.monomial(w, p * d, win_out)]
-
-    def phi1(j, d, i):
-        w = (WScalar.q(ctx) ** p - WScalar.one(ctx)) ** i * pq
-        return [QPolynomial.monomial(w, p * d + p - 1, win_out)]
-
     return FrobeniusEndoData(
-        source_differential=flatten_connection(trivial_src),
-        target_differential=flatten_connection(trivial_tgt),
-        phi_on_module=flatten_z_linear(ctx, 1, window, 1, win_out, phi0),
-        phi_on_forms=flatten_z_linear(ctx, 1, window, 1, win_out, phi1),
+        source_differential=flatten_connection(
+            ConnectionModule.trivial(ctx, 1, -1, window=window)
+        ),
+        target_differential=flatten_connection(
+            ConnectionModule.trivial(ctx, 1, -1, window=raised_window(p, window))
+        ),
+        phi_on_module=_frobenius_leg(ctx, 1, window, 0, w_frobenius),
+        phi_on_forms=_frobenius_leg(ctx, 1, window, p - 1, w_mult_block(pq) @ w_frobenius),
     )
 
 

@@ -55,11 +55,14 @@ def _optional(spec: dict, field: str, kind, default, validate=None):
 def _load_json(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            spec = json.load(fh)
     except FileNotFoundError:
         raise SpecError(f"spec file not found: {path}", field="spec")
     except json.JSONDecodeError as exc:
         raise SpecError(f"invalid JSON in {path}: {exc}", field="spec")
+    if not isinstance(spec, dict):
+        raise SpecError(f"spec in {path} must be a JSON object", field="spec")
+    return spec
 
 
 def load_connection_spec(path: str, grow: int = 0):

@@ -22,6 +22,10 @@ import re
 from .errors import SpecError
 from .exactpoly import IntPoly
 
+# Each level of parentheses costs three parser frames; 64 levels stay far
+# below the interpreter's recursion limit of 1000.
+MAX_NESTING = 64
+
 _TOKEN = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<var>x'|x|q|w\{\d+\}|w\d+)|(?P<op>[-+*^()]))"
 )
@@ -129,10 +133,17 @@ def parse_poly(text: str, allowed: set[str] | None = None) -> IntPoly:
 
     allowed restricts variable names after canonicalization (x' -> x,
     w{k} -> wk); None accepts any variable the grammar can spell.
+    Parentheses may nest at most MAX_NESTING deep, which keeps the
+    recursive descent far from the interpreter's recursion limit.
     """
     tokens = _tokenize(text)
     if not tokens:
         raise SpecError("empty polynomial literal")
+    depth = 0
+    for tok in tokens:
+        depth += (tok == ("op", "(")) - (tok == ("op", ")"))
+        if depth > MAX_NESTING:
+            raise SpecError(f"parentheses nested deeper than {MAX_NESTING}")
     parser = _Parser(tokens, allowed)
     poly = parser.parse_expr()
     if parser.peek() is not None:

@@ -366,6 +366,12 @@ def w_mult_block(w: WScalar) -> np.ndarray:
     return block
 
 
+def w_scale_blocks(mat: FlatMatrix, w: WScalar) -> FlatMatrix:
+    """mat followed by multiplication by w: every m x m W-block times w."""
+    blocks = mat.entries.reshape(-1, w.ctx.m_prec, mat.cols)
+    return FlatMatrix(mat.p, mat.n_prec, (w_mult_block(w) @ blocks).reshape(mat.entries.shape))
+
+
 def flat_dim(ctx: RingContext, rank: int, window: int) -> int:
     return rank * (window + 1) * ctx.m_prec
 
@@ -425,38 +431,3 @@ def flatten_operator(
                     ) % ctx.pn
     return FlatMatrix(ctx.p, ctx.n_prec, mat)
 
-
-def flatten_z_linear(
-    ctx: RingContext,
-    rank_in: int,
-    window_in: int,
-    rank_out: int,
-    window_out: int,
-    apply_fn,
-) -> FlatMatrix:
-    """Flatten a map that is only Z/p^N-linear (e.g. Frobenius-semilinear).
-
-    apply_fn maps each full basis element (component j, degree d, t-power i)
-    to a list of rank_out output QPolynomials.
-    """
-    dim_in = flat_dim(ctx, rank_in, window_in)
-    dim_out = flat_dim(ctx, rank_out, window_out)
-    if max(dim_in, dim_out) > max_flat_dim():
-        raise InvalidArgs(
-            f"flattened dimension exceeds QPRISM_MAX_DIM={max_flat_dim()}"
-        )
-    mat = np.zeros((dim_out, dim_in), dtype=np.int64)
-    m = ctx.m_prec
-    for j in range(rank_in):
-        for d in range(window_in + 1):
-            for i in range(m):
-                out_sections = apply_fn(j, d, i)
-                col = (j * (window_in + 1) + d) * m + i
-                for comp, poly in enumerate(out_sections):
-                    for dd, w in poly.coeffs.items():
-                        if dd > window_out:
-                            raise InvalidArgs("operator escapes the output window")
-                        row0 = (comp * (window_out + 1) + dd) * m
-                        for ii, c in enumerate(w.coeffs):
-                            mat[row0 + ii, col] = (mat[row0 + ii, col] + c) % ctx.pn
-    return FlatMatrix(ctx.p, ctx.n_prec, mat)

@@ -1,0 +1,148 @@
+"""Reference builders of the descent matrices, kept as test oracles.
+
+These are the earlier constructions: the Frobenius legs and the block
+operators were flattened by probing each basis section through
+`flatten_operator` and `connection_apply`, the semilinear Frobenius legs
+through a flattening of Z/p^N-linear maps one basis element at a time, and
+the Verschiebung target differential as a dense product.  The library now
+derives every one of them from the two connection flattenings by indexing
+and by m x m W-block products; the tests compare both entry by entry.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from qprism.base_ring import RingContext, WScalar, q_int, q_power
+from qprism.cartier import flatten_connection, level_raise, raised_window
+from qprism.errors import InvalidArgs
+from qprism.homology import FlatMatrix, flat_dim, flatten_operator, max_flat_dim, w_mult_block
+from qprism.twisted_calculus import ConnectionModule, QPolynomial, connection_apply
+
+
+def flatten_z_linear(
+    ctx: RingContext,
+    rank_in: int,
+    window_in: int,
+    rank_out: int,
+    window_out: int,
+    apply_fn,
+) -> FlatMatrix:
+    """Flatten a map that is only Z/p^N-linear (e.g. Frobenius-semilinear).
+
+    apply_fn maps each full basis element (component j, degree d, t-power i)
+    to a list of rank_out output QPolynomials.
+    """
+    dim_in = flat_dim(ctx, rank_in, window_in)
+    dim_out = flat_dim(ctx, rank_out, window_out)
+    if max(dim_in, dim_out) > max_flat_dim():
+        raise InvalidArgs(
+            f"flattened dimension exceeds QPRISM_MAX_DIM={max_flat_dim()}"
+        )
+    mat = np.zeros((dim_out, dim_in), dtype=np.int64)
+    m = ctx.m_prec
+    for j in range(rank_in):
+        for d in range(window_in + 1):
+            for i in range(m):
+                out_sections = apply_fn(j, d, i)
+                col = (j * (window_in + 1) + d) * m + i
+                for comp, poly in enumerate(out_sections):
+                    for dd, w in poly.coeffs.items():
+                        if dd > window_out:
+                            raise InvalidArgs("operator escapes the output window")
+                        row0 = (comp * (window_out + 1) + dd) * m
+                        for ii, c in enumerate(w.coeffs):
+                            mat[row0 + ii, col] = (mat[row0 + ii, col] + c) % ctx.pn
+    return FlatMatrix(ctx.p, ctx.n_prec, mat)
+
+
+def frobenius_legs(conn_prime: ConnectionModule) -> tuple[FlatMatrix, FlatMatrix]:
+    """(frobenius, divided_frobenius) by probing x'^d e_j -> x^{pd} e_j and
+    x'^d e_j -> x^{pd+p-1} e_j."""
+    ctx = conn_prime.ctx
+    p = ctx.p
+    win_in = conn_prime.window
+    win_out = raised_window(p, win_in)
+    rank = conn_prime.rank
+
+    def frob(j, d):
+        return [
+            QPolynomial.x(ctx, p * d, win_out)
+            if i == j
+            else QPolynomial.zero(ctx, win_out)
+            for i in range(rank)
+        ]
+
+    def frob_div(j, d):
+        return [
+            QPolynomial.x(ctx, p * d + p - 1, win_out)
+            if i == j
+            else QPolynomial.zero(ctx, win_out)
+            for i in range(rank)
+        ]
+
+    f_flat = flatten_operator(ctx, rank, win_in, rank, win_out, frob)
+    fdiv_flat = flatten_operator(ctx, rank, win_in, rank, win_out, frob_div)
+    return f_flat, fdiv_flat
+
+
+def verschiebung_target(conn_prime: ConnectionModule) -> FlatMatrix:
+    """(p)_q times the raised differential as the dense product of the
+    Kronecker-built forms leg with the flattened raised connection."""
+    ctx = conn_prime.ctx
+    rank = conn_prime.rank
+    win_out = raised_window(ctx.p, conn_prime.window)
+    pq = q_int(ctx.p, 1, ctx)
+    v_forms = FlatMatrix(
+        ctx.p,
+        ctx.n_prec,
+        np.kron(np.eye(rank * (win_out + 1), dtype=np.int64), w_mult_block(pq)),
+    )
+    return v_forms.matmul(flatten_connection(level_raise(conn_prime)))
+
+
+def block_operator(conn_prime: ConnectionModule, k: int, twist: bool) -> FlatMatrix:
+    """Flatten s -> [q^k] x' theta'(s) + (k)_q s on the windowed module.
+
+    With twist the operator is the graded piece of the raised connection;
+    without it, the plain certificate operator."""
+    ctx = conn_prime.ctx
+    win = conn_prime.window
+    rank = conn_prime.rank
+    kq = q_int(k, 1, ctx)
+    qk = q_power(ctx, k) if twist else WScalar.one(ctx)
+    x1 = QPolynomial.x(ctx, 1, win)
+
+    def apply(j, d):
+        section = [
+            QPolynomial.x(ctx, d, win) if i == j else QPolynomial.zero(ctx, win)
+            for i in range(rank)
+        ]
+        image = connection_apply(conn_prime, section)
+        return [
+            x1 * c * qk + s * kq for c, s in zip(image, section)
+        ]
+
+    return flatten_operator(ctx, rank, win, rank, win, apply)
+
+
+def semilinear_legs(ctx: RingContext, window: int) -> tuple[FlatMatrix, FlatMatrix]:
+    """(phi_on_module, phi_on_forms) of the trivial level -1 complex: the
+    ring Frobenius q -> q^p, x -> x^p on the module, with the extra
+    (p)_q x^{p-1} twist on forms."""
+    p = ctx.p
+    win_out = raised_window(p, window)
+    pq = q_int(p, 1, ctx)
+
+    def phi0(j, d, i):
+        w = (WScalar.q(ctx) ** p - WScalar.one(ctx)) ** i
+        return [QPolynomial.monomial(w, p * d, win_out)]
+
+    def phi1(j, d, i):
+        w = (WScalar.q(ctx) ** p - WScalar.one(ctx)) ** i * pq
+        return [QPolynomial.monomial(w, p * d + p - 1, win_out)]
+
+    return (
+        flatten_z_linear(ctx, 1, window, 1, win_out, phi0),
+        flatten_z_linear(ctx, 1, window, 1, win_out, phi1),
+    )

@@ -528,3 +528,17 @@ def test_w_torsion_and_pro_iso_against_enumeration():
         shift = next(s for s in range(9) if all(kills(s, n + s) for n in (1, 2, 3)))
         assert rep.shift == shift
         assert rep.per_level == {n: kills(shift, n + shift) for n in (1, 2, 3)}
+
+
+def test_pro_iso_check_builds_one_engine(monkeypatch):
+    # the torsion bound and the shift search share one engine and its kernels
+    from qprism import adic_diagnostics
+
+    built = []
+    engine = adic_diagnostics._engine
+    monkeypatch.setattr(adic_diagnostics, "_engine", lambda m: built.append(m) or engine(m))
+    ctx = RingContext(2, 2, 2)
+    m = w_module(ctx, 1, [[WScalar.t(ctx)]])
+    report = pro_iso_check(m, 2)
+    assert len(built) == 1
+    assert report.bound == torsion_bound(m, 2).bound

@@ -255,3 +255,47 @@ def test_adic_expect_keys_are_slash_joined_paths(tmp_path, capsys):
     code, report = run_json(capsys, "adic", "--spec", str(path))
     assert code == 1
     assert report["reports"][0]["expectation_mismatches"] == ["/flatness/completely_flat"]
+
+
+NESTED = "(" * 800 + "x" + ")" * 800
+CONNECTION_SPEC = {**COHOMOLOGY_SPEC, "level": -1}
+
+
+@pytest.mark.parametrize("command", ["cohomology", "cartier", "adic"])
+@pytest.mark.parametrize("content", ["7", "[1, 2]", '"abc"', "null", "nested"])
+def test_malformed_spec_document_exits_2(tmp_path, capsys, command, content):
+    if content == "nested":
+        spec = (
+            {**ADIC_SPEC, "f": NESTED.replace("x", "q")}
+            if command == "adic"
+            else {**CONNECTION_SPEC, "theta_matrix": [[NESTED]]}
+        )
+        content = json.dumps(spec)
+        field = None
+    else:
+        field = "spec"
+    path = tmp_path / "spec.json"
+    path.write_text(content)
+    code, report = run_json(capsys, command, "--spec", str(path))
+    assert code == 2
+    assert report["ok"] is False
+    assert report["error"]["field"] == field
+    if field is None:
+        assert "nested deeper" in report["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "relations, g, message",
+    [
+        ([], "3", "need g monic in q"),
+        ([["q-1"]], "3", "support free modules only"),
+        ([["q-1"]], "q+1", "support free modules only"),
+    ],
+)
+def test_zq_flatness_refusal_names_its_reason(tmp_path, capsys, relations, g, message):
+    spec = {"base": "Zq", "generators": 1, "relations": relations, "f": "0", "g": g}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, report = run_json(capsys, "adic", "--spec", str(path))
+    assert code == 2
+    assert message in report["error"]["message"]

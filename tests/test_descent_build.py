@@ -1,0 +1,107 @@
+"""The descent matrices built from the two connection flattenings against the
+probing builders kept in flatten_oracle, and the flattening and product
+counts of one verification run."""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import flatten_oracle as oracle
+from qprism import cartier, homology
+from qprism.base_ring import RingContext
+from qprism.cartier import (
+    CartierProblem,
+    _verify_once,
+    block_split,
+    chain_map_build,
+    random_nilpotent_theta,
+    semilinear_frobenius,
+)
+from qprism.cli import load_connection_spec
+from qprism.twisted_calculus import ConnectionModule
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+LEVEL_MINUS_ONE_FIXTURES = sorted(
+    path.name
+    for path in FIXTURES.glob("*.json")
+    if json.loads(path.read_text()).get("level") == -1 and path.name != "bad_rank.json"
+)
+
+
+def _seeded_connections():
+    seed = 0
+    for p in (2, 3, 5):
+        for m_prec in (1, 2, 3):
+            for window in range(5):
+                for rank in (1, 2):
+                    seed += 1
+                    ctx = RingContext(p, 2, m_prec)
+                    theta = random_nilpotent_theta(ctx, rank, window, seed=seed)
+                    yield ConnectionModule(ctx, rank, -1, theta, window=window)
+
+
+def _check_against_oracle(conn: ConnectionModule):
+    data = chain_map_build(conn)
+    frobenius, divided = oracle.frobenius_legs(conn)
+    # FlatMatrix equality compares the modulus, the shape and every entry
+    assert data.frobenius == frobenius
+    assert data.divided_frobenius == divided
+    assert data.verschiebung_target_differential == oracle.verschiebung_target(conn)
+    blocks = block_split(CartierProblem(conn), data)
+    assert set(blocks.operators) == set(range(1, conn.ctx.p))
+    for k in range(1, conn.ctx.p):
+        assert blocks.operators[k] == oracle.block_operator(conn, k, False), k
+        assert blocks.twisted_operators[k] == oracle.block_operator(conn, k, True), k
+    module, forms = oracle.semilinear_legs(conn.ctx, conn.window)
+    endo = semilinear_frobenius(conn.ctx, conn.window)
+    assert endo.phi_on_module == module
+    assert endo.phi_on_forms == forms
+
+
+@pytest.mark.parametrize("name", LEVEL_MINUS_ONE_FIXTURES)
+def test_descent_matrices_match_oracle_on_fixtures(name):
+    conn, _, _ = load_connection_spec(str(FIXTURES / name))
+    _check_against_oracle(conn)
+
+
+def test_descent_matrices_match_oracle_on_seeded_connections():
+    cases = list(_seeded_connections())
+    assert len(cases) == 90
+    for conn in cases:
+        _check_against_oracle(conn)
+
+
+def test_verify_once_flattens_twice_and_multiplies_at_most_three_times(monkeypatch):
+    counts = {"flatten": 0, "matmul": 0}
+    flatten, matmul = homology.flatten_operator, homology.FlatMatrix.matmul
+
+    def counted_flatten(*args, **kwargs):
+        counts["flatten"] += 1
+        return flatten(*args, **kwargs)
+
+    def counted_matmul(self, other):
+        counts["matmul"] += 1
+        return matmul(self, other)
+
+    monkeypatch.setattr(homology, "flatten_operator", counted_flatten)
+    monkeypatch.setattr(cartier, "flatten_operator", counted_flatten)
+    monkeypatch.setattr(homology.FlatMatrix, "matmul", counted_matmul)
+    conn, _, _ = load_connection_spec(str(FIXTURES / "p3_rank2_seeded.json"))
+    report = _verify_once(CartierProblem(conn))
+    assert report.all_ok
+    assert counts["flatten"] == 2
+    assert counts["matmul"] <= 3
+
+
+def test_verschiebung_ok_detects_a_corrupted_forms_leg():
+    conn, _, _ = load_connection_spec(str(FIXTURES / "p2_rank2_seeded.json"))
+    data = chain_map_build(conn)
+    assert data.verschiebung_ok()
+    theta = data.target_differential.entries
+    # a column of the forms leg whose matching row of theta is nonzero
+    col = int(np.flatnonzero(theta.any(axis=1))[0])
+    forms = data.verschiebung_on_forms.entries
+    forms[0, col] = (forms[0, col] + 1) % data.verschiebung_on_forms.modulus
+    assert not data.verschiebung_ok()

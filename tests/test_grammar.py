@@ -2,7 +2,7 @@ import pytest
 
 from qprism.errors import SpecError
 from qprism.exactpoly import IntPoly
-from qprism.grammar import parse_poly, poly_to_string
+from qprism.grammar import MAX_NESTING, parse_poly, poly_to_string
 
 
 def test_basic_terms():
@@ -58,3 +58,12 @@ def test_round_trip():
 
 def test_render_matches_spec_style():
     assert poly_to_string(parse_poly("1 + q + 2*q^2")) == "1+q+2*q^2"
+
+
+def test_nesting_limit():
+    deepest = "(" * MAX_NESTING + "q" + ")" * MAX_NESTING
+    assert parse_poly(deepest) == IntPoly.var("q")
+    with pytest.raises(SpecError, match="nested deeper"):
+        parse_poly("(" + deepest + ")")
+    with pytest.raises(SpecError, match="nested deeper"):
+        parse_poly("(" * 5000 + "q" + ")" * 5000)
