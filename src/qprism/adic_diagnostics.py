@@ -514,8 +514,8 @@ def _zq_mult_matrix(f: IntPoly, monic: IntPoly) -> list[list[int]]:
     for i in range(e):
         image = _poly_mod_monic(f * IntPoly.var("q", i), monic)
         col = [0] * e
-        for mon, c in image.terms.items():
-            col[mon[0][1] if mon else 0] = c
+        for j, c in image.univariate("q").items():
+            col[j] = c
         cols.append(col)
     return [[cols[j][i] for j in range(e)] for i in range(e)]
 

@@ -95,8 +95,7 @@ class WScalar:
         if extra:
             raise InvalidArgs(f"cannot reduce to a scalar, extra variables {extra}")
         coeffs = [0] * ctx.m_prec
-        for m, c in poly.terms.items():
-            j = m[0][1] if m else 0
+        for j, c in poly.univariate("q").items():
             for i in range(min(j, ctx.m_prec - 1) + 1):
                 coeffs[i] += c * comb(j, i)
         return cls(ctx, coeffs)
@@ -252,18 +251,25 @@ def q_power(ctx: RingContext, e: int) -> WScalar:
 
 
 def q_int(n: int, r: int, ctx: RingContext) -> WScalar:
-    """The q-analog (n)_{q^r} = 1 + q^r + ... + q^{r(n-1)} in W."""
+    """The q-analog (n)_{q^r} = 1 + q^r + ... + q^{r(n-1)} in W.
+
+    q^{rj} = (1 + t)^{rj}, so the t^i coordinate is sum_{j<n} C(rj, i).
+    C(rj, i) is a polynomial of degree i in j whose coordinates in the
+    basis C(j, k) are its forward differences at j = 0, and
+    sum_{j<n} C(j, k) = C(n, k+1); so the cost does not grow with n.
+    """
     if n < 0:
         raise InvalidArgs("q_int needs n >= 0")
     if r < 1:
         raise InvalidArgs("q_int needs r >= 1")
-    total = WScalar.zero(ctx)
-    qr = q_power(ctx, r)
-    term = WScalar.one(ctx)
-    for _ in range(n):
-        total = total + term
-        term = term * qr
-    return total
+    coeffs = []
+    for i in range(ctx.m_prec):
+        total = 0
+        for k in range(i + 1):
+            diff = sum((-1) ** (k - l) * comb(k, l) * comb(r * l, i) for l in range(k + 1))
+            total += diff * comb(n, k + 1)
+        coeffs.append(total)
+    return WScalar(ctx, coeffs)
 
 
 def q_int_poly(n: int, r: int = 1) -> IntPoly:

@@ -52,13 +52,21 @@ def _optional(spec: dict, field: str, kind, default, validate=None):
     return _require(spec, field, kind, validate) if field in spec else default
 
 
+def _in_field(field: str, parse, *args, **kwargs):
+    """parse(*args, **kwargs), with its SpecError charged to `field`."""
+    try:
+        return parse(*args, **kwargs)
+    except SpecError as exc:
+        raise SpecError(f"field {field!r}: {exc}", field=field) from exc
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             spec = json.load(fh)
     except FileNotFoundError:
         raise SpecError(f"spec file not found: {path}", field="spec")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer beyond the interpreter's digit limit
         raise SpecError(f"invalid JSON in {path}: {exc}", field="spec")
     if not isinstance(spec, dict):
         raise SpecError(f"spec in {path} must be a JSON object", field="spec")
@@ -96,7 +104,7 @@ def load_connection_spec(path: str, grow: int = 0):
                     f"theta_matrix[{i}][{j}] must be a polynomial string",
                     field="theta_matrix",
                 )
-            out_row.append(QPolynomial.parse(ctx, text, window))
+            out_row.append(_in_field("theta_matrix", QPolynomial.parse, ctx, text, window))
         theta.append(out_row)
     conn = ConnectionModule(ctx, rank, level, theta, window)
     meta = {
@@ -305,15 +313,15 @@ def _load_adic_spec(path: str, grow: int = 0):
     if not isinstance(rel_rows, list):
         raise SpecError("field 'relations' must be a list of rows", field="relations")
 
-    def entry_of(text):
+    def entry_of(text, field):
         if isinstance(text, int):
             poly = IntPoly.const(text)
         elif isinstance(text, str):
-            poly = parse_poly(text, allowed={"q"})
+            poly = _in_field(field, parse_poly, text, allowed={"q"})
         else:
-            raise SpecError("relation entries must be strings or ints", field="relations")
+            raise SpecError(f"{field} entries must be strings or ints", field=field)
         if base in ("Z", "Zpn") and poly.variables():
-            raise SpecError(f"base {base} takes integer relations", field="relations")
+            raise SpecError(f"base {base} takes integer {field}", field=field)
         return poly
 
     relations = []
@@ -323,13 +331,13 @@ def _load_adic_spec(path: str, grow: int = 0):
                 f"every relation row must have {generators} entries",
                 field="relations",
             )
-        relations.append([entry_of(e) for e in row])
+        relations.append([entry_of(e, "relations") for e in row])
     m_pres = ModulePresentation(base, generators, relations, ctx)
 
     def scalar_of(field):
         if field not in spec:
             return None
-        return entry_of(spec[field])
+        return entry_of(spec[field], field)
 
     return m_pres, scalar_of("f"), scalar_of("g"), spec
 

@@ -329,6 +329,13 @@ def run_axiom_suite(
     from .base_ring import q_binomial_poly, q_int, q_int_poly
 
     report: dict = {"contexts": [], "ok": True}
+    # the q-Pascal identity lives in Z[q] and holds or fails for every context
+    binom = [[q_binomial_poly(n0, k0, 1) for k0 in range(n0 + 1)] for n0 in range(13)]
+    pascal_ok = all(
+        binom[n0][k0] == binom[n0 - 1][k0 - 1] + IntPoly.var("q", k0) * binom[n0 - 1][k0]
+        for n0 in range(2, 13)
+        for k0 in range(1, n0)
+    )
     for ctx in contexts:
         rng = _random.Random((seed, ctx.p, ctx.n_prec, ctx.m_prec).__hash__())
         p = ctx.p
@@ -396,13 +403,6 @@ def run_axiom_suite(
             for n0 in range(13)
             if m0 > 0
         )
-        pascal_ok = all(
-            q_binomial_poly(n0, k0, 1)
-            == q_binomial_poly(n0 - 1, k0 - 1, 1)
-            + IntPoly.var("q", k0) * q_binomial_poly(n0 - 1, k0, 1)
-            for n0 in range(2, 13)
-            for k0 in range(1, n0)
-        )
         entry = {
             "context": ctx.to_json(),
             "samples": samples,
@@ -441,18 +441,12 @@ def _congruent(diff: IntPoly, mod: int, ctx: RingContext) -> bool:
     reduced = diff.map_coefficients(lambda c: c % mod)
     if reduced.is_zero():
         return True
-    # fold through the (q-1)-truncation before judging
-    from math import comb as _comb
-
-    for xdeg, slc in reduced.split_by_degree("x").items():
-        coeffs = [0] * ctx.m_prec
-        for mth, c in slc.terms.items():
-            j = mth[0][1] if mth else 0
-            for i in range(min(j, ctx.m_prec - 1) + 1):
-                coeffs[i] += c * _comb(j, i)
-        if any(c % mod for c in coeffs):
-            return False
-    return True
+    # fold through the (q-1)-truncation before judging; mod divides p^N
+    return not any(
+        c % mod
+        for slc in reduced.split_by_degree("x").values()
+        for c in WScalar.from_int_poly(ctx, slc).coeffs
+    )
 
 
 @dataclass

@@ -1,49 +1,119 @@
 """Exact multivariate integer polynomials.
 
 The substrate for every delta-ring computation: coefficients are Python
-ints, never truncated.  Monomials are sorted tuples of (variable, exponent)
-pairs with positive exponents; the empty tuple is the constant monomial.
+ints, never truncated.
+
+A monomial is stored packed into one int.  Every variable owns a slot of
+SLOT_BITS bits, assigned by name the first time the name is seen, and its
+exponent sits in that slot; so a product of monomials is one integer
+addition, and reading or removing one variable is a shift and a mask.
+The top bit of every slot is a guard bit that a stored key never sets.
+Adding two keys can therefore set a guard bit but never carry into the
+next slot, and every product checks the guard bits of its result keys:
+an exponent above SLOT_MAX raises InvalidArgs instead of wrapping.
+Slots are handed out by name, not by the index k of `wk`, so the size of
+a key depends on how many variables the process has seen, not on k.
+
+The public form of a monomial is `Monomial`, a sorted tuple of
+(variable, exponent) pairs with positive exponents; the constructor
+accepts it and `monomials()` returns it.  No caller outside this module
+depends on the packed keys.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 
+from .errors import InvalidArgs
+
 Monomial = tuple[tuple[str, int], ...]
 
-_EMPTY: Monomial = ()
+SLOT_BITS = 32
+SLOT_MAX = (1 << (SLOT_BITS - 1)) - 1
+_FIELD = (1 << SLOT_BITS) - 1
+
+_SLOT: dict[str, int] = {}  # variable name -> bit offset of its slot
+_NAMES: list[str] = []  # slot number -> variable name
+_guard = 0  # the guard bit of every assigned slot
 
 
-def _merge_monomials(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    exps: dict[str, int] = dict(a)
-    for var, e in b:
-        exps[var] = exps.get(var, 0) + e
-    return tuple(sorted(exps.items()))
+def _shift(name: str) -> int:
+    """Bit offset of the slot of `name`, assigning the next slot if new."""
+    global _guard
+    shift = _SLOT.get(name)
+    if shift is None:
+        shift = _SLOT[name] = SLOT_BITS * len(_NAMES)
+        _NAMES.append(name)
+        _guard |= 1 << (shift + SLOT_BITS - 1)
+    return shift
+
+
+# q and x take the two lowest slots, so keys of W[x] elements stay small
+_shift("q")
+_shift("x")
+
+
+def _exponent_key(name: str, exp: int) -> int:
+    if not 0 <= exp <= SLOT_MAX:
+        raise InvalidArgs(f"exponent {exp} of {name} outside [0, {SLOT_MAX}]")
+    return exp << _shift(name)
+
+
+def _pack(m: Monomial) -> int:
+    return sum(_exponent_key(name, e) for name, e in m)
+
+
+def _unpack(key: int) -> Monomial:
+    out = []
+    slot = 0
+    while key:
+        e = key & _FIELD
+        if e:
+            out.append((_NAMES[slot], e))
+        key >>= SLOT_BITS
+        slot += 1
+    return tuple(sorted(out))
+
+
+def _checked(terms: dict[int, int]) -> IntPoly:
+    """The polynomial of freshly summed keys, after the guard-bit check."""
+    seen = 0
+    for key in terms:
+        seen |= key
+    if seen & _guard:
+        raise InvalidArgs(f"exponent beyond {SLOT_MAX} in a polynomial product")
+    return IntPoly._packed({m: c for m, c in terms.items() if c})
 
 
 class IntPoly:
-    """Immutable exact polynomial with integer coefficients."""
+    """Immutable exact polynomial with integer coefficients.
+
+    `terms` maps packed monomial keys to nonzero coefficients.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
-        self.terms: dict[Monomial, int] = {
-            m: c for m, c in (terms or {}).items() if c != 0
-        }
+        packed: dict[int, int] = {}
+        for m, c in (terms or {}).items():
+            key = _pack(m)
+            packed[key] = packed.get(key, 0) + c
+        self.terms: dict[int, int] = {m: c for m, c in packed.items() if c}
+
+    @classmethod
+    def _packed(cls, terms: dict[int, int]) -> IntPoly:
+        """Adopt a dict of packed keys with nonzero coefficients, unchecked."""
+        poly = object.__new__(cls)
+        poly.terms = terms
+        return poly
 
     @classmethod
     def const(cls, c: int) -> IntPoly:
-        return cls({_EMPTY: c})
+        return cls._packed({0: c} if c else {})
 
     @classmethod
     def var(cls, name: str, exp: int = 1) -> IntPoly:
-        if exp == 0:
-            return cls.const(1)
-        return cls({((name, exp),): 1})
+        return cls._packed({_exponent_key(name, exp): 1})
 
     zero = classmethod(lambda cls: cls())
     one = classmethod(lambda cls: cls.const(1))
@@ -61,23 +131,28 @@ class IntPoly:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def __add__(self, other: IntPoly | int) -> IntPoly:
+    def _combined(self, other: IntPoly | int, sign: int) -> IntPoly:
         if isinstance(other, int):
             other = IntPoly.const(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return IntPoly(out)
+            s = out.get(m, 0) + sign * c
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+        return IntPoly._packed(out)
+
+    def __add__(self, other: IntPoly | int) -> IntPoly:
+        return self._combined(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> IntPoly:
-        return IntPoly({m: -c for m, c in self.terms.items()})
+        return IntPoly._packed({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: IntPoly | int) -> IntPoly:
-        if isinstance(other, int):
-            other = IntPoly.const(other)
-        return self + (-other)
+        return self._combined(other, -1)
 
     def __rsub__(self, other: int) -> IntPoly:
         return IntPoly.const(other) - self
@@ -86,88 +161,99 @@ class IntPoly:
         if isinstance(other, int):
             if other == 0:
                 return IntPoly()
-            return IntPoly({m: c * other for m, c in self.terms.items()})
-        out: dict[Monomial, int] = {}
+            return IntPoly._packed({m: c * other for m, c in self.terms.items()})
+        out: dict[int, int] = {}
+        get = out.get
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = _merge_monomials(m1, m2)
-                out[m] = out.get(m, 0) + c1 * c2
-        return IntPoly(out)
+                m = m1 + m2
+                out[m] = get(m, 0) + c1 * c2
+        return _checked(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> IntPoly:
+        """Square and multiply, with no product beyond the last bit of n."""
         if n < 0:
             raise ValueError("negative exponent on a polynomial")
-        result = IntPoly.one()
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return IntPoly.one() if result is None else result
+            base = base * base
+
+    def monomials(self) -> dict[Monomial, int]:
+        """The terms keyed by `Monomial` tuples."""
+        return {_unpack(m): c for m, c in self.terms.items()}
 
     def variables(self) -> set[str]:
-        return {var for m in self.terms for var, _ in m}
+        seen = 0
+        for m in self.terms:
+            seen |= m
+        return {name for name, _ in _unpack(seen)}
 
     def degree(self, var: str) -> int:
         """Largest exponent of var appearing; 0 when absent or zero poly."""
-        best = 0
-        for m in self.terms:
-            for v, e in m:
-                if v == var and e > best:
-                    best = e
-        return best
+        shift = _SLOT.get(var)
+        if shift is None:
+            return 0
+        return max(((m >> shift) & _FIELD for m in self.terms), default=0)
+
+    def univariate(self, var: str) -> dict[int, int]:
+        """Exponent -> coefficient map of a polynomial in var alone."""
+        shift = _shift(var)
+        out = {}
+        for m, c in self.terms.items():
+            e = (m >> shift) & _FIELD
+            if m != e << shift:
+                raise InvalidArgs(f"not a polynomial in {var} alone")
+            out[e] = c
+        return out
+
+    def split_by_degree(self, var: str) -> dict[int, IntPoly]:
+        """Coefficient of every power of var, as polynomials in the others."""
+        shift = _shift(var)
+        out: dict[int, dict[int, int]] = {}
+        for m, c in self.terms.items():
+            e = (m >> shift) & _FIELD
+            # terms of one degree differ outside var's slot, so no two collide
+            out.setdefault(e, {})[m - (e << shift)] = c
+        return {e: IntPoly._packed(t) for e, t in out.items()}
 
     def coefficient_poly(self, var: str, exp: int) -> IntPoly:
         """Coefficient of var**exp as a polynomial in the other variables."""
-        out: dict[Monomial, int] = {}
-        for m, c in self.terms.items():
-            got = 0
-            rest = []
-            for v, e in m:
-                if v == var:
-                    got = e
-                else:
-                    rest.append((v, e))
-            if got == exp:
-                out[tuple(rest)] = out.get(tuple(rest), 0) + c
-        return IntPoly(out)
-
-    def split_by_degree(self, var: str) -> dict[int, IntPoly]:
-        out: dict[int, dict[Monomial, int]] = {}
-        for m, c in self.terms.items():
-            got = 0
-            rest = []
-            for v, e in m:
-                if v == var:
-                    got = e
-                else:
-                    rest.append((v, e))
-            out.setdefault(got, {})[tuple(rest)] = (
-                out.get(got, {}).get(tuple(rest), 0) + c
-            )
-        return {d: IntPoly(t) for d, t in out.items()}
+        return self.split_by_degree(var).get(exp, IntPoly())
 
     def substitute(self, mapping: Mapping[str, IntPoly]) -> IntPoly:
         """Simultaneous substitution of variables by polynomials."""
+        slots = [
+            (name, _SLOT[name])
+            for name, image in mapping.items()
+            if image is not None and name in _SLOT
+        ]
         cache: dict[tuple[str, int], IntPoly] = {}
-
-        def power(var: str, exp: int) -> IntPoly:
-            key = (var, exp)
-            if key not in cache:
-                base = mapping.get(var)
-                cache[key] = IntPoly.var(var, exp) if base is None else base**exp
-            return cache[key]
-
-        total = IntPoly()
+        out: dict[int, int] = {}
         for m, c in self.terms.items():
-            term = IntPoly.const(c)
-            for var, e in m:
-                term = term * power(var, e)
-            total = total + term
-        return total
+            image = None
+            for name, shift in slots:
+                e = (m >> shift) & _FIELD
+                if e:
+                    m -= e << shift
+                    if (name, e) not in cache:
+                        cache[name, e] = mapping[name] ** e
+                    power = cache[name, e]
+                    image = power if image is None else image * power
+            if image is None:
+                out[m] = out.get(m, 0) + c
+                continue
+            for k, v in image.terms.items():
+                k += m
+                out[k] = out.get(k, 0) + c * v
+        return _checked(out)
 
     def divide_exact(self, k: int) -> IntPoly:
         """Divide every coefficient by k; raises if any division is inexact."""
@@ -177,19 +263,19 @@ class IntPoly:
             if r:
                 raise ValueError(f"coefficient {c} not divisible by {k}")
             out[m] = q
-        return IntPoly(out)
+        return IntPoly._packed(out)
 
     def eval_int(self, values: Mapping[str, int]) -> int:
         total = 0
         for m, c in self.terms.items():
             v = c
-            for var, e in m:
+            for var, e in _unpack(m):
                 v *= values[var] ** e
             total += v
         return total
 
     def map_coefficients(self, fn) -> IntPoly:
-        return IntPoly({m: fn(c) for m, c in self.terms.items()})
+        return IntPoly._packed({m: d for m, c in self.terms.items() if (d := fn(c))})
 
     def __repr__(self):
         from .grammar import poly_to_string

@@ -26,6 +26,12 @@ from .exactpoly import IntPoly
 # below the interpreter's recursion limit of 1000.
 MAX_NESTING = 64
 
+# Largest exponent a power may give any variable: a literal `^n` above it,
+# or one that would lift the base's largest exponent above it, is refused
+# before the power is expanded.  Powers can then never compound (nested
+# `((1+x)^k)^k`), and every spec field stays far below this in practice.
+MAX_EXPONENT = 1024
+
 _TOKEN = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<var>x'|x|q|w\{\d+\}|w\d+)|(?P<op>[-+*^()]))"
 )
@@ -46,6 +52,13 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
             tokens.append(("op", m.group("op")))
         pos = m.end()
     return tokens
+
+
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:  # beyond the interpreter's digit limit
+        raise SpecError(f"integer literal of {len(text)} digits is too long") from exc
 
 
 def _canonical_var(name: str) -> str:
@@ -107,7 +120,7 @@ class _Parser:
     def parse_factor(self) -> IntPoly:
         kind, text = self.take()
         if kind == "int":
-            base = IntPoly.const(int(text))
+            base = IntPoly.const(_int(text))
         elif kind == "var":
             name = _canonical_var(text)
             if self.allowed is not None and name not in self.allowed:
@@ -124,7 +137,12 @@ class _Parser:
             ekind, etext = self.take()
             if ekind != "int":
                 raise SpecError("exponent must be a decimal integer")
-            base = base ** int(etext)
+            n = _int(etext)
+            # a constant base counts as degree 1, so the literal is capped too
+            degree = max([1] + [base.degree(v) for v in base.variables()])
+            if n * degree > MAX_EXPONENT:
+                raise SpecError(f"power ^{n} exceeds the exponent cap {MAX_EXPONENT}")
+            base = base**n
         return base
 
 
@@ -134,7 +152,8 @@ def parse_poly(text: str, allowed: set[str] | None = None) -> IntPoly:
     allowed restricts variable names after canonicalization (x' -> x,
     w{k} -> wk); None accepts any variable the grammar can spell.
     Parentheses may nest at most MAX_NESTING deep, which keeps the
-    recursive descent far from the interpreter's recursion limit.
+    recursive descent far from the interpreter's recursion limit, and no
+    power may raise an exponent above MAX_EXPONENT.
     """
     tokens = _tokenize(text)
     if not tokens:
@@ -177,7 +196,7 @@ def poly_to_string(poly: IntPoly) -> str:
     """Render in the shared grammar; canonical term order, round-trips."""
     if poly.is_zero():
         return "0"
-    items = sorted(poly.terms.items(), key=lambda mc: (len(mc[0]), _monomial_key(mc[0])))
+    items = sorted(poly.monomials().items(), key=lambda mc: (len(mc[0]), _monomial_key(mc[0])))
     pieces = []
     for m, c in items:
         mono = _monomial_str(m)

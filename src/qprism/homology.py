@@ -235,11 +235,15 @@ class FlatMatrix:
     def cols(self) -> int:
         return self.entries.shape[1]
 
-    def matmul(self, other: FlatMatrix) -> FlatMatrix:
+    def check_product(self, other: FlatMatrix) -> None:
+        """Raise unless self @ other is defined."""
         if (self.p, self.n_prec) != (other.p, other.n_prec):
             raise InvalidArgs("mixed moduli")
         if self.cols != other.rows:
             raise InvalidArgs("shape mismatch")
+
+    def matmul(self, other: FlatMatrix) -> FlatMatrix:
+        self.check_product(other)
         return FlatMatrix(self.p, self.n_prec, (self.entries @ other.entries) % self.modulus)
 
     def __eq__(self, other):
@@ -301,8 +305,43 @@ def cohomology_of_complex(c: TwoTermComplex) -> CohomologyReport:
     return CohomologyReport(h0, h1, sum(h0), sum(h1))
 
 
+def _selection_rows(f: FlatMatrix) -> np.ndarray | None:
+    """The row of the one nonzero entry, a 1, of every column of f, when
+    those rows are distinct (f sends basis vectors to distinct basis
+    vectors); otherwise None."""
+    e = f.entries
+    if not e.shape[0]:
+        return None
+    rows = e.argmax(axis=0)
+    if (
+        np.count_nonzero(e) != e.shape[1]
+        or not (e[rows, np.arange(e.shape[1])] == 1).all()
+        or np.unique(rows).size != rows.size
+    ):
+        return None
+    return rows
+
+
 def is_chain_map(d0: FlatMatrix, d0p: FlatMatrix, f0: FlatMatrix, f1: FlatMatrix) -> bool:
-    return f1.matmul(d0) == d0p.matmul(f0)
+    """f1 d0 == d0' f0.
+
+    A leg that sends basis vectors to distinct basis vectors, as the
+    Frobenius legs do, is applied by indexing instead of a product: d0' f0
+    gathers the columns of d0' at f0's rows, and f1 d0 is d0 placed at
+    f1's rows with zeros elsewhere.
+    """
+    f1.check_product(d0)
+    d0p.check_product(f0)
+    if (f1.p, f1.n_prec, f1.rows, d0.cols) != (d0p.p, d0p.n_prec, d0p.rows, f0.cols):
+        return False
+    r0 = _selection_rows(f0)
+    rhs = d0p.matmul(f0).entries if r0 is None else d0p.entries[:, r0]
+    r1 = _selection_rows(f1)
+    if r1 is None:
+        return np.array_equal(f1.matmul(d0).entries, rhs)
+    off = np.ones(rhs.shape[0], dtype=bool)
+    off[r1] = False
+    return np.array_equal(rhs[r1], d0.entries) and not rhs[off].any()
 
 
 def cone_acyclic(

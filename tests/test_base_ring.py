@@ -127,8 +127,8 @@ def _poly_divide_exact(num: IntPoly, den: IntPoly) -> IntPoly:
 def _to_coeff_list(poly: IntPoly) -> list[int]:
     deg = poly.degree("q")
     out = [0] * (deg + 1)
-    for m, c in poly.terms.items():
-        out[m[0][1] if m else 0] = c
+    for j, c in poly.univariate("q").items():
+        out[j] = c
     return out
 
 

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from qprism.cli import run_command
+from qprism.grammar import MAX_EXPONENT
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -262,16 +263,28 @@ CONNECTION_SPEC = {**COHOMOLOGY_SPEC, "level": -1}
 
 
 @pytest.mark.parametrize("command", ["cohomology", "cartier", "adic"])
-@pytest.mark.parametrize("content", ["7", "[1, 2]", '"abc"', "null", "nested"])
+@pytest.mark.parametrize(
+    "content",
+    [
+        "7",
+        "[1, 2]",
+        '"abc"',
+        "null",
+        pytest.param('{"p": ' + "9" * 5000 + "}", id="huge_int"),
+        "nested",
+    ],
+)
 def test_malformed_spec_document_exits_2(tmp_path, capsys, command, content):
-    if content == "nested":
+    nested = content == "nested"
+    if nested:
         spec = (
             {**ADIC_SPEC, "f": NESTED.replace("x", "q")}
             if command == "adic"
             else {**CONNECTION_SPEC, "theta_matrix": [[NESTED]]}
         )
         content = json.dumps(spec)
-        field = None
+        # the parse error names the polynomial field it was reading
+        field = "f" if command == "adic" else "theta_matrix"
     else:
         field = "spec"
     path = tmp_path / "spec.json"
@@ -280,7 +293,7 @@ def test_malformed_spec_document_exits_2(tmp_path, capsys, command, content):
     assert code == 2
     assert report["ok"] is False
     assert report["error"]["field"] == field
-    if field is None:
+    if nested:
         assert "nested deeper" in report["error"]["message"]
 
 
@@ -299,3 +312,28 @@ def test_zq_flatness_refusal_names_its_reason(tmp_path, capsys, relations, g, me
     code, report = run_json(capsys, "adic", "--spec", str(path))
     assert code == 2
     assert message in report["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "command, field, text",
+    [
+        ("cartier", "theta_matrix", "q+"),
+        ("cohomology", "theta_matrix", "(1+x)^99999999"),
+        ("cartier", "theta_matrix", f"x^{MAX_EXPONENT + 1}"),
+        ("cohomology", "theta_matrix", "w{999999}"),
+        ("adic", "relations", "q+"),
+        ("adic", "f", "(1+q)^99999999"),
+        ("adic", "g", "w{999999}"),
+    ],
+)
+def test_malformed_polynomial_names_its_field(tmp_path, capsys, command, field, text):
+    if command == "adic":
+        spec = {**ADIC_SPEC, field: [[text]] if field == "relations" else text}
+    else:
+        spec = {**CONNECTION_SPEC, "theta_matrix": [[text]]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, report = run_json(capsys, command, "--spec", str(path))
+    assert code == 2
+    assert report["ok"] is False
+    assert report["error"]["field"] == field

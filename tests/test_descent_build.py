@@ -20,6 +20,8 @@ from qprism.cartier import (
     semilinear_frobenius,
 )
 from qprism.cli import load_connection_spec
+from qprism.errors import NotAChainMap
+from qprism.homology import FlatMatrix, cone_acyclic, is_chain_map
 from qprism.twisted_calculus import ConnectionModule
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -105,3 +107,46 @@ def test_verschiebung_ok_detects_a_corrupted_forms_leg():
     forms = data.verschiebung_on_forms.entries
     forms[0, col] = (forms[0, col] + 1) % data.verschiebung_on_forms.modulus
     assert not data.verschiebung_ok()
+
+
+def _corrupted(leg: FlatMatrix, col: int, target: int, kind: str) -> FlatMatrix:
+    """leg with column col changed: its 1 moved to row target ("move",
+    still a selection), a second 1 put there ("extra"), or its 1 doubled
+    ("scale")."""
+    e = leg.entries.copy()
+    row = int(np.flatnonzero(e[:, col])[0])
+    if kind == "move":
+        e[row, col] = 0
+    if kind in ("move", "extra"):
+        e[target, col] = 1
+    else:
+        e[row, col] = 2
+    return FlatMatrix(leg.p, leg.n_prec, e)
+
+
+@pytest.mark.parametrize("kind", ["move", "extra", "scale"])
+@pytest.mark.parametrize("which", ["frobenius", "divided_frobenius"])
+def test_chain_map_test_rejects_a_corrupted_leg(which, kind):
+    conn, _, _ = load_connection_spec(str(FIXTURES / "p3_rank2_seeded.json"))
+    data = chain_map_build(conn)
+    d0, d0p = data.source_differential, data.target_differential
+    legs = {"frobenius": data.frobenius, "divided_frobenius": data.divided_frobenius}
+    assert is_chain_map(d0, d0p, legs["frobenius"], legs["divided_frobenius"])
+    leg = legs[which]
+    rows = leg.entries.argmax(axis=0)
+    if which == "divided_frobenius":
+        # Fdiv theta': a column whose row of theta' is nonzero, sent anywhere else
+        col = int(np.flatnonzero(d0.entries.any(axis=1))[0])
+        target = (rows[col] + 1) % leg.rows
+    else:
+        # theta F: a column that F sends to a nonzero column of theta, sent to
+        # another nonzero column of theta
+        nonzero = np.flatnonzero(d0p.entries.any(axis=0))
+        col = int(np.flatnonzero(np.isin(rows, nonzero))[0])
+        target = int(next(r for r in nonzero if (d0p.entries[:, r] != d0p.entries[:, rows[col]]).any()))
+    legs[which] = _corrupted(leg, col, target, kind)
+    f0, f1 = legs["frobenius"], legs["divided_frobenius"]
+    assert not (f1.matmul(d0) == d0p.matmul(f0))
+    assert not is_chain_map(d0, d0p, f0, f1)
+    with pytest.raises(NotAChainMap):
+        cone_acyclic(d0, d0p, f0, f1)

@@ -2,7 +2,7 @@ import pytest
 
 from qprism.errors import SpecError
 from qprism.exactpoly import IntPoly
-from qprism.grammar import MAX_NESTING, parse_poly, poly_to_string
+from qprism.grammar import MAX_EXPONENT, MAX_NESTING, parse_poly, poly_to_string
 
 
 def test_basic_terms():
@@ -67,3 +67,23 @@ def test_nesting_limit():
         parse_poly("(" + deepest + ")")
     with pytest.raises(SpecError, match="nested deeper"):
         parse_poly("(" * 5000 + "q" + ")" * 5000)
+
+
+def test_exponent_cap():
+    assert parse_poly(f"x^{MAX_EXPONENT}") == IntPoly.var("x", MAX_EXPONENT)
+    assert parse_poly(f"2^{MAX_EXPONENT}") == IntPoly.const(2**MAX_EXPONENT)
+    for bad in (
+        f"x^{MAX_EXPONENT + 1}",
+        "(1+x)^99999999",
+        f"(q^2)^{MAX_EXPONENT // 2 + 1}",
+        # powers of powers cannot compound past the cap
+        "((1+x)^32)^33",
+    ):
+        with pytest.raises(SpecError, match="exponent cap"):
+            parse_poly(bad)
+
+
+def test_overlong_integer_literal_is_a_spec_error():
+    for bad in ("9" * 5000 + "*x", "x^" + "9" * 5000):
+        with pytest.raises(SpecError, match="too long"):
+            parse_poly(bad)

@@ -13,6 +13,7 @@ from qprism.homology import (
     cokernel_exponents,
     cone_acyclic,
     cone_acyclic_smith,
+    is_chain_map,
     flatten_operator,
     flatten_sections,
     howell_form,
@@ -188,6 +189,29 @@ def test_cone_rejects_non_chain_map():
     ident = FlatMatrix.identity(2, 2, 1)
     with pytest.raises(NotAChainMap):
         cone_acyclic(d, dp, ident, ident)
+
+
+def test_chain_map_test_by_indexing_matches_the_products():
+    rng = np.random.default_rng(3)
+    verdicts = set()
+    for trial in range(300):
+        a, b, b2 = (int(v) for v in rng.integers(1, 5, size=3))
+        a2 = a + int(rng.integers(0, 3))
+        d0 = rng.integers(0, 8, size=(b, a))
+        # f0 sends basis vectors to distinct ones, f1's rows may repeat
+        rows0 = rng.permutation(a2)[:a]
+        f0 = np.zeros((a2, a), dtype=np.int64)
+        f0[rows0, np.arange(a)] = 1
+        f1 = np.zeros((b2, b), dtype=np.int64)
+        f1[rng.integers(0, b2, size=b), np.arange(b)] = 1
+        d0p = rng.integers(0, 8, size=(b2, a2))
+        if trial % 2:
+            d0p[:, rows0] = (f1 @ d0) % 8
+        d, dp, g0, g1 = (FlatMatrix(2, 3, m) for m in (d0, d0p, f0, f1))
+        verdict = is_chain_map(d, dp, g0, g1)
+        assert verdict == (g1.matmul(d) == dp.matmul(g0)), trial
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_cone_routes_agree_randomly():
