@@ -27,7 +27,7 @@ from .divided_poly import poincare_exactness
 from .errors import NotAChainMap, QPrismError, SpecError
 from .exactpoly import IntPoly
 from .grammar import parse_poly, poly_to_string
-from .homology import TwoTermComplex, cohomology_of_complex
+from .homology import TwoTermComplex, cohomology_of_complex, max_flat_dim, modulus_within_cap
 from .twisted_calculus import ConnectionModule, QPolynomial
 
 SCHEMA = "qprism/1"
@@ -83,6 +83,15 @@ def load_connection_spec(path: str, grow: int = 0):
     window = _require(spec, "degree_window", int, lambda v: v >= 0) + (
         2 if grow else 0
     )
+    # sizes are checked before any arithmetic depends on them
+    if not modulus_within_cap(p, n_prec):
+        raise SpecError(f"p^n_prec = {p}^{n_prec} exceeds the modulus cap", field="n_prec")
+    if rank * (window + 1) * m_prec > max_flat_dim():
+        factors = {"rank": rank, "degree_window": window + 1, "m_prec": m_prec}
+        raise SpecError(
+            f"flattened dimension exceeds QPRISM_MAX_DIM={max_flat_dim()}",
+            field=max(factors, key=factors.get),  # the largest factor
+        )
     ctx = RingContext(p, n_prec, m_prec)
     theta_rows = _require(spec, "theta_matrix", list)
     if len(theta_rows) != rank:

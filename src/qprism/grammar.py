@@ -18,6 +18,7 @@ Juxtaposition multiplies, so ``2q^2`` and ``2*q^2`` agree.  ``x'`` and
 from __future__ import annotations
 
 import re
+from math import comb
 
 from .errors import SpecError
 from .exactpoly import IntPoly
@@ -31,6 +32,12 @@ MAX_NESTING = 64
 # before the power is expanded.  Powers can then never compound (nested
 # `((1+x)^k)^k`), and every spec field stays far below this in practice.
 MAX_EXPONENT = 1024
+
+# Cap on the monomial products one multiplication may form: a*b for an a-term
+# times a b-term polynomial, checked before it is expanded.  A power counts
+# as its largest product, of its two halves, so `(1+q+x)^64` passes and
+# `(1+q+x)^128` (2145*2145) exits 2.
+MAX_TERMS = 1 << 20
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<var>x'|x|q|w\{\d+\}|w\d+)|(?P<op>[-+*^()]))"
@@ -59,6 +66,11 @@ def _int(text: str) -> int:
         return int(text)
     except ValueError as exc:  # beyond the interpreter's digit limit
         raise SpecError(f"integer literal of {len(text)} digits is too long") from exc
+
+
+def _check_terms(a: int, b: int, what: str) -> None:
+    if a * b > MAX_TERMS:
+        raise SpecError(f"{what} would form {a}*{b} monomial products, over the cap {MAX_TERMS}")
 
 
 def _canonical_var(name: str) -> str:
@@ -111,11 +123,11 @@ class _Parser:
             tok = self.peek()
             if tok == ("op", "*"):
                 self.take()
-                result = result * self.parse_factor()
-            elif tok is not None and (tok[0] in ("int", "var") or tok == ("op", "(")):
-                result = result * self.parse_factor()
-            else:
+            elif tok is None or not (tok[0] in ("int", "var") or tok == ("op", "(")):
                 return result
+            factor = self.parse_factor()
+            _check_terms(len(result.terms), len(factor.terms), "product")
+            result = result * factor
 
     def parse_factor(self) -> IntPoly:
         kind, text = self.take()
@@ -142,6 +154,10 @@ class _Parser:
             degree = max([1] + [base.degree(v) for v in base.variables()])
             if n * degree > MAX_EXPONENT:
                 raise SpecError(f"power ^{n} exceeds the exponent cap {MAX_EXPONENT}")
+            # each term of b^k is a product of k terms of b taken with repetition
+            t = len(base.terms)
+            halves = [comb(t + k - 1, k) if k else 1 for k in ((n + 1) // 2, n // 2)]
+            _check_terms(*halves, f"power ^{n}")
             base = base**n
         return base
 
@@ -152,8 +168,9 @@ def parse_poly(text: str, allowed: set[str] | None = None) -> IntPoly:
     allowed restricts variable names after canonicalization (x' -> x,
     w{k} -> wk); None accepts any variable the grammar can spell.
     Parentheses may nest at most MAX_NESTING deep, which keeps the
-    recursive descent far from the interpreter's recursion limit, and no
-    power may raise an exponent above MAX_EXPONENT.
+    recursive descent far from the interpreter's recursion limit, no
+    power may raise an exponent above MAX_EXPONENT, and no product or power
+    may form more than MAX_TERMS monomial products.
     """
     tokens = _tokenize(text)
     if not tokens:

@@ -2,6 +2,10 @@
 factors, cohomology of two-term complexes and mapping cones, and the
 flattening of W-linear operators to matrices over Z/p^N.
 
+Every count and yes/no verdict (cohomology, kernel cardinalities, cone
+acyclicity) is read off Smith exponents; Howell forms serve the callers that
+need kernel vectors or row-span membership.
+
 Matrices act on column vectors; a map C0 -> C1 between free modules of
 dimensions a and b is a b x a matrix with entries reduced into [0, n).
 """
@@ -21,9 +25,17 @@ from .errors import InvalidArgs, NotAChainMap
 # int64 products must not overflow: modulus^2 * max_dim < 2^63.
 _MAX_MODULUS = 1 << 21
 
+# float64 holds every integer below 2^53 exactly
+_FLOAT64_EXACT = 1 << 53
+
 
 def max_flat_dim() -> int:
     return int(os.environ.get("QPRISM_MAX_DIM", "4096"))
+
+
+def modulus_within_cap(p: int, N: int) -> bool:
+    """p^N <= _MAX_MODULUS for p >= 2, decided without computing a huge p^N."""
+    return N < _MAX_MODULUS.bit_length() and p**N <= _MAX_MODULUS
 
 
 @lru_cache(maxsize=None)
@@ -126,34 +138,14 @@ def reduce_against(vec: np.ndarray, howell: np.ndarray, n: int) -> np.ndarray:
     return v
 
 
-def row_span_member(vec, mat, n: int) -> bool:
-    return not reduce_against(np.asarray(vec), howell_form(mat, n), n).any()
-
-
-def left_kernel_basis(mat, n: int) -> np.ndarray:
-    """Rows spanning {v : v @ mat = 0} over Z/n."""
+def right_kernel_basis(mat, n: int) -> np.ndarray:
+    """Rows spanning {v : mat @ v = 0} = {v : v @ mat^T = 0} over Z/n."""
     _check_modulus(n)
-    a = _as_matrix(mat, n)
+    a = _as_matrix(mat, n).T
     rows, cols = a.shape
     h = howell_form(np.hstack([a, np.eye(rows, dtype=np.int64)]), n)
     # by the Howell property, the rows with pivot in the identity block span the kernel
     return h[~h[:, :cols].any(axis=1), cols:]
-
-
-def right_kernel_basis(mat, n: int) -> np.ndarray:
-    """Rows spanning {v : mat @ v = 0} over Z/n."""
-    return left_kernel_basis(_as_matrix(mat, n).T, n)
-
-
-@dataclass
-class HowellResult:
-    howell_basis: np.ndarray
-    kernel_basis: np.ndarray
-
-
-def howell_reduce(mat, n: int) -> HowellResult:
-    """Howell form of the row span plus a spanning set of the right kernel."""
-    return HowellResult(howell_form(mat, n), right_kernel_basis(mat, n))
 
 
 # --- Smith invariant factors over Z/p^N --------------------------------------
@@ -199,16 +191,6 @@ def span_exponents(gen_rows, p: int, N: int) -> list[int]:
     return sorted(N - v for v in smith_exponents(g, p, N) if v < N)
 
 
-def cokernel_exponents(mat, p: int, N: int, target_dim: int | None = None) -> list[int]:
-    """Cyclic orders of target / column-span for a map given by mat."""
-    a = _as_matrix(mat, p**N)
-    rows = a.shape[0] if target_dim is None else target_dim
-    s = smith_exponents(a, p, N) if a.size else []
-    exps = [v for v in s if v > 0]
-    exps += [N] * (rows - len(s))
-    return sorted(exps)
-
-
 # --- complexes ----------------------------------------------------------------
 
 
@@ -243,8 +225,16 @@ class FlatMatrix:
             raise InvalidArgs("shape mismatch")
 
     def matmul(self, other: FlatMatrix) -> FlatMatrix:
+        """self @ other, exactly: in float64 BLAS while every partial sum is
+        an integer below 2^53 (exact in any summation order), else in int64."""
         self.check_product(other)
-        return FlatMatrix(self.p, self.n_prec, (self.entries @ other.entries) % self.modulus)
+        n = self.modulus
+        if self.cols * (n - 1) ** 2 < _FLOAT64_EXACT:
+            prod = self.entries.astype(np.float64) @ other.entries.astype(np.float64)
+            prod = prod.astype(np.int64)
+        else:
+            prod = self.entries @ other.entries
+        return FlatMatrix(self.p, self.n_prec, prod)  # reduced mod p^N on construction
 
     def __eq__(self, other):
         return (
@@ -257,10 +247,6 @@ class FlatMatrix:
     @classmethod
     def identity(cls, p: int, n_prec: int, dim: int) -> FlatMatrix:
         return cls(p, n_prec, np.eye(dim, dtype=np.int64))
-
-    @classmethod
-    def zeros(cls, p: int, n_prec: int, rows: int, cols: int) -> FlatMatrix:
-        return cls(p, n_prec, np.zeros((rows, cols), dtype=np.int64))
 
 
 @dataclass
@@ -283,25 +269,26 @@ class CohomologyReport:
 
 
 def kernel_log_cardinality(mat: FlatMatrix) -> int:
-    """log_p of |{v : mat v = 0}| via the Howell right kernel."""
-    k = right_kernel_basis(mat.entries, mat.modulus)
-    return sum(span_exponents(k, mat.p, mat.n_prec))
-
-
-def kernel_log_cardinality_smith(mat: FlatMatrix) -> int:
-    """Same count through the Smith route: |ker| = |dom| / |im|."""
-    s = smith_exponents(mat.entries, mat.p, mat.n_prec) if mat.entries.size else []
-    im = sum(mat.n_prec - v for v in s if v < mat.n_prec)
-    return mat.n_prec * mat.cols - im
+    """log_p of |{v : mat v = 0}| = log_p |domain| - log_p |image|, the
+    image read off the Smith exponents: position v spans Z/p^(N-v)."""
+    N = mat.n_prec
+    return N * mat.cols - sum(N - v for v in smith_exponents(mat.entries, mat.p, N))
 
 
 def cohomology_of_complex(c: TwoTermComplex) -> CohomologyReport:
-    """Kernel and cokernel of d0 decomposed into invariant factors."""
+    """Kernel and cokernel of d0 decomposed into invariant factors.
+
+    Z/p^N is a chain ring, so d0 is equivalent to its Smith diagonal with
+    exponents s: ker d0 is the sum of the Z/p^v, v in s, plus a free
+    Z/p^N per column beyond len(s), and coker d0 has the same torsion plus
+    a free Z/p^N per row beyond len(s).
+    """
     d0 = c.d0
-    p, N = d0.p, d0.n_prec
-    kern = right_kernel_basis(d0.entries, d0.modulus)
-    h0 = span_exponents(kern, p, N)
-    h1 = cokernel_exponents(d0.entries, p, N, target_dim=d0.rows)
+    N = d0.n_prec
+    s = smith_exponents(d0.entries, d0.p, N)
+    torsion = [v for v in s if v > 0]
+    h0 = sorted(torsion + [N] * (d0.cols - len(s)))
+    h1 = sorted(torsion + [N] * (d0.rows - len(s)))
     return CohomologyReport(h0, h1, sum(h0), sum(h1))
 
 
@@ -372,24 +359,6 @@ def cone_acyclic(
         return False
     im1 = N * dim_mid - k1
     return im1 == N * dim_end
-
-
-def cone_acyclic_smith(
-    d0: FlatMatrix, d0p: FlatMatrix, f0: FlatMatrix, f1: FlatMatrix
-) -> bool:
-    """Independent route for the same verdict, via Smith cardinalities."""
-    if not is_chain_map(d0, d0p, f0, f1):
-        raise NotAChainMap("f1 d0 != d0' f0")
-    p, N = d0.p, d0.n_prec
-    delta0 = FlatMatrix(p, N, np.vstack([d0.entries, (-f0.entries) % d0.modulus]))
-    delta1 = FlatMatrix(p, N, np.hstack([f1.entries, d0p.entries]))
-    k0 = kernel_log_cardinality_smith(delta0)
-    k1 = kernel_log_cardinality_smith(delta1)
-    if k0 != 0:
-        return False
-    if k1 != N * d0.cols:
-        return False
-    return N * delta1.cols - k1 == N * delta1.rows
 
 
 # --- flattening W-linear operators -------------------------------------------

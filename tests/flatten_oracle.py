@@ -7,6 +7,9 @@ through a flattening of Z/p^N-linear maps one basis element at a time, and
 the Verschiebung target differential as a dense product.  The library now
 derives every one of them from the two connection flattenings by indexing
 and by m x m W-block products; the tests compare both entry by entry.
+
+`block_triangular` is the earlier block-by-block loop of the triangular
+certificate, which the library now decides with one mask.
 """
 
 from __future__ import annotations
@@ -146,3 +149,28 @@ def semilinear_legs(ctx: RingContext, window: int) -> tuple[FlatMatrix, FlatMatr
         flatten_z_linear(ctx, 1, window, 1, win_out, phi0),
         flatten_z_linear(ctx, 1, window, 1, win_out, phi1),
     )
+
+
+def block_triangular(conn_prime: ConnectionModule, k: int, op: FlatMatrix) -> bool:
+    """Every diagonal m x m block of op is (k)_q + (p)_q (n)_{q^p}, and every
+    other block with output degree <= input degree is zero."""
+    ctx = conn_prime.ctx
+    win = conn_prime.window
+    rank = conn_prime.rank
+    m = ctx.m_prec
+    pq = q_int(ctx.p, 1, ctx)
+    triangular = True
+    for j in range(rank):
+        for n in range(win + 1):
+            col0 = (j * (win + 1) + n) * m
+            diag = w_mult_block(q_int(k, 1, ctx) + pq * q_int(n, ctx.p, ctx)) % op.modulus
+            for i in range(rank):
+                for nn in range(n + 1):
+                    row0 = (i * (win + 1) + nn) * m
+                    block = op.entries[row0 : row0 + m, col0 : col0 + m]
+                    if i == j and nn == n:
+                        if not np.array_equal(block, diag):
+                            triangular = False
+                    elif block.any():
+                        triangular = False
+    return triangular

@@ -39,8 +39,10 @@ from qprism.delta_ring import DeltaElement, envelope_presentation, is_distinguis
 from qprism.divided_poly import poincare_exactness
 from qprism.exactpoly import IntPoly
 from qprism.grammar import parse_poly
-from qprism.homology import cone_acyclic_smith, right_kernel_basis
+from qprism.homology import right_kernel_basis
 from qprism.twisted_calculus import ConnectionModule, QPolynomial, connection_apply
+
+import elim_oracle
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 CONNECTION_FIXTURES = sorted(FIXTURES.glob("p*_rank*.json"))
@@ -347,7 +349,7 @@ def test_criterion_11_classical_degeneration():
     report = cartier_verify(CartierProblem(conn, iterate_cap=16))
     assert report.cone_acyclic and report.all_ok
     data = chain_map_build(conn)
-    assert cone_acyclic_smith(
+    assert elim_oracle.cone_acyclic(
         data.source_differential,
         data.target_differential,
         data.frobenius,

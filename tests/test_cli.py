@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -295,6 +296,31 @@ def test_malformed_spec_document_exits_2(tmp_path, capsys, command, content):
     assert report["error"]["field"] == field
     if nested:
         assert "nested deeper" in report["error"]["message"]
+
+
+@pytest.mark.parametrize("command", ["cohomology", "cartier"])
+@pytest.mark.parametrize(
+    "field, value, grow",
+    [
+        ("n_prec", 2**70, False),
+        ("n_prec", 10**6, False),
+        ("m_prec", 2**70, False),
+        # within budget as written, p^n_prec = 2^22 once --grow adds one
+        ("n_prec", 21, True),
+        ("theta_matrix", [["(1+q+x)^256"]], False),
+        ("theta_matrix", [["(1+q+x)^32*(1+q+x)^32*(1+q+x)^32"]], False),
+    ],
+)
+def test_out_of_budget_spec_exits_2_at_once(tmp_path, capsys, command, field, value, grow):
+    spec = json.loads((FIXTURES / "p2_rank1_seeded.json").read_text())
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**spec, field: value}))
+    start = time.perf_counter()
+    code, report = run_json(capsys, command, "--spec", str(path), *(["--grow"] if grow else []))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert report["ok"] is False
+    assert report["error"]["field"] == field
 
 
 @pytest.mark.parametrize(

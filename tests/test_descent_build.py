@@ -150,3 +150,39 @@ def test_chain_map_test_rejects_a_corrupted_leg(which, kind):
     assert not is_chain_map(d0, d0p, f0, f1)
     with pytest.raises(NotAChainMap):
         cone_acyclic(d0, d0p, f0, f1)
+
+
+def _bumped(op: FlatMatrix, row: int, col: int) -> FlatMatrix:
+    e = op.entries.copy()
+    e[row, col] = (e[row, col] + 1) % op.modulus
+    return FlatMatrix(op.p, op.n_prec, e)
+
+
+def test_triangular_mask_matches_the_block_loop():
+    rng = np.random.default_rng(7)
+    cases = [load_connection_spec(str(FIXTURES / name))[0] for name in LEVEL_MINUS_ONE_FIXTURES]
+    verdicts = set()
+    for conn in cases + list(_seeded_connections()):
+        for k, op in block_split(CartierProblem(conn)).operators.items():
+            # the operator itself, then one entry bumped anywhere
+            for trial in range(4):
+                if trial:
+                    op = _bumped(op, int(rng.integers(op.rows)), int(rng.integers(op.cols)))
+                got = cartier._block_certificate(conn, k, op)["triangular"]
+                assert type(got) is bool
+                assert got == oracle.block_triangular(conn, k, op), (conn.ctx, k, trial)
+                verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_triangular_certificate_rejects_an_entry_above_the_diagonal():
+    conn, _, _ = load_connection_spec(str(FIXTURES / "p3_rank2_seeded.json"))
+    win, m = conn.window, conn.ctx.m_prec
+    op = block_split(CartierProblem(conn)).operators[1]
+    assert cartier._block_certificate(conn, 1, op)["triangular"]
+    # component 1, degree 2 -> component 0, degree 1 lowers the degree
+    row, col = (0 * (win + 1) + 1) * m, (1 * (win + 1) + 2) * m + m - 1
+    assert op.entries[row, col] == 0
+    cert = cartier._block_certificate(conn, 1, _bumped(op, row, col))
+    assert cert["triangular"] is False
+    assert cert["kernel_trivial"] is True

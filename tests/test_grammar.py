@@ -2,7 +2,7 @@ import pytest
 
 from qprism.errors import SpecError
 from qprism.exactpoly import IntPoly
-from qprism.grammar import MAX_EXPONENT, MAX_NESTING, parse_poly, poly_to_string
+from qprism.grammar import MAX_EXPONENT, MAX_NESTING, MAX_TERMS, parse_poly, poly_to_string
 
 
 def test_basic_terms():
@@ -86,4 +86,23 @@ def test_exponent_cap():
 def test_overlong_integer_literal_is_a_spec_error():
     for bad in ("9" * 5000 + "*x", "x^" + "9" * 5000):
         with pytest.raises(SpecError, match="too long"):
+            parse_poly(bad)
+
+
+def test_term_cap():
+    # (1+q+x)^32 has 561 terms and (1+q+x)^64 2145: squaring the first fits
+    # the cap, multiplying the two does not
+    assert 561 * 561 <= MAX_TERMS < 561 * 2145
+    assert len(parse_poly("(1+q+x)^64").terms) == 2145
+    assert len(parse_poly("(1+x)^1024").terms) == 1025
+    assert parse_poly("(x-x)^3") == IntPoly()
+    for bad in (
+        "(1+q+x)^128",
+        "(1+q+x)^256",
+        "(1+q+x)^1024",
+        "(1+q+x)^64*(1+q+x)^64",
+        "(1+q+x)^32*(1+q+x)^32*(1+q+x)^32",
+        "(1+q+x)^32(2+q+x)^32(3+q+x)^32",
+    ):
+        with pytest.raises(SpecError, match="monomial products"):
             parse_poly(bad)

@@ -10,18 +10,13 @@ from qprism.homology import (
     FlatMatrix,
     TwoTermComplex,
     cohomology_of_complex,
-    cokernel_exponents,
     cone_acyclic,
-    cone_acyclic_smith,
     is_chain_map,
     flatten_operator,
     flatten_sections,
     howell_form,
-    howell_reduce,
     kernel_log_cardinality,
-    kernel_log_cardinality_smith,
     right_kernel_basis,
-    row_span_member,
     smith_exponents,
     span_exponents,
     w_mult_block,
@@ -29,7 +24,13 @@ from qprism.homology import (
 from qprism.twisted_calculus import QPolynomial
 
 import elim_oracle
-from elim_oracle import annihilator, unit_multiplier
+from elim_oracle import (
+    annihilator,
+    cokernel_exponents,
+    howell_reduce,
+    row_span_member,
+    unit_multiplier,
+)
 
 
 def brute_right_kernel(mat, n):
@@ -130,7 +131,7 @@ def test_cardinality_identity():
         assert len(ker) * len(image) == n**2
         fm = FlatMatrix(2, 3, mat)
         assert 2 ** kernel_log_cardinality(fm) == len(ker)
-        assert 2 ** kernel_log_cardinality_smith(fm) == len(ker)
+        assert 2 ** elim_oracle.kernel_log_cardinality(fm) == len(ker)
 
 
 def test_smith_exponents_examples():
@@ -172,7 +173,7 @@ def test_cone_identity_chain_map():
     d = FlatMatrix(2, 2, [[2, 1], [0, 2]])
     ident = FlatMatrix.identity(2, 2, 2)
     assert cone_acyclic(d, d, ident, ident)
-    assert cone_acyclic_smith(d, d, ident, ident)
+    assert elim_oracle.cone_acyclic(d, d, ident, ident)
 
 
 def test_cone_zero_map_detects_h0():
@@ -227,7 +228,7 @@ def test_cone_routes_agree_randomly():
             (u @ a) % 8, ((u @ a @ u) % 8 @ u) % 8
         ):
             continue
-        assert cone_acyclic(d, dp, f0, f1) == cone_acyclic_smith(d, dp, f0, f1)
+        assert cone_acyclic(d, dp, f0, f1) == elim_oracle.cone_acyclic(d, dp, f0, f1)
 
 
 def test_w_mult_block_is_regular_representation():
@@ -340,7 +341,7 @@ def test_cone_verdict_against_enumeration():
         im1 = {(f1v * y + d0pv * z) % n for y in range(n) for z in range(n)}
         acyclic = len(ker0) == 1 and len(mid) == len(im0) and len(im1) == n
         assert cone_acyclic(d0, d0p, f0, f1) == acyclic
-        assert cone_acyclic_smith(d0, d0p, f0, f1) == acyclic
+        assert elim_oracle.cone_acyclic(d0, d0p, f0, f1) == acyclic
 
 
 def test_kernel_exhaustive_z9():
@@ -456,3 +457,140 @@ def test_moduli_must_be_prime_powers():
             smith_exponents(mat, n, 1)
     with pytest.raises(InvalidArgs):
         smith_exponents(mat, 4, 1)
+
+
+# --- Smith-route counts against the Howell-kernel route -------------------------
+
+
+def shaped_sweep(seed, count):
+    """Seeded matrices over p in {2, 3, 5}, N in 1..4: random shapes 0..10, a
+    square one and a 0-row and a 0-column one per draw, in three kinds."""
+    rng = np.random.default_rng(seed)
+    for p in (2, 3, 5):
+        for N in range(1, 5):
+            for kind in ("dense", "p-divisible", "sparse"):
+                for _ in range(count):
+                    rows, cols, side = (int(x) for x in rng.integers(0, 11, size=3))
+                    for shape in ((rows, cols), (side, side), (0, cols), (rows, 0)):
+                        yield p, N, random_matrix(rng, p, N, *shape, kind)
+
+
+def test_smith_cohomology_matches_howell_kernel_sweep():
+    seen_shapes = set()
+    for p, N, mat in shaped_sweep(seed=227, count=6):
+        rows, cols = mat.shape
+        seen_shapes.add((rows == 0, cols == 0, rows == cols))
+        fm = FlatMatrix(p, N, mat)
+        rep = cohomology_of_complex(TwoTermComplex(fm))
+        kern = right_kernel_basis(mat, p**N)
+        assert rep.h0_invariant_factors == span_exponents(kern, p, N), (p, N, mat)
+        assert rep.h1_invariant_factors == cokernel_exponents(mat, p, N, target_dim=rows)
+        assert kernel_log_cardinality(fm) == elim_oracle.kernel_log_cardinality(fm)
+        assert rep.h0_log_cardinality == kernel_log_cardinality(fm)
+    assert {(True, True, True), (True, False, False), (False, True, False)} <= seen_shapes
+    assert (False, False, True) in seen_shapes and (False, False, False) in seen_shapes
+
+
+def test_kernel_log_cardinality_against_enumeration():
+    rng = np.random.default_rng(229)
+    for p, N in ((2, 2), (3, 2)):
+        n = p**N
+        for rows in range(4):
+            for cols in range(4):
+                for kind in ("dense", "p-divisible", "sparse"):
+                    mat = random_matrix(rng, p, N, rows, cols, kind)
+                    fm = FlatMatrix(p, N, mat)
+                    assert p ** kernel_log_cardinality(fm) == len(brute_right_kernel(mat, n))
+
+
+def selection(rng, size: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """size x count 0/1 matrix sending basis vectors to distinct ones, and
+    the row of each column's 1."""
+    rows = rng.permutation(size)[:count]
+    f = np.zeros((size, count), dtype=np.int64)
+    f[rows, np.arange(count)] = 1
+    return f, rows
+
+
+def random_cones(seed, general: bool):
+    """Chain maps (f0, f1) : [d0] -> [d0p] over Z/p^N with dim C0 = a,
+    dim C1 = b, dim C'0 = a + e and dim C'1 = b + e + s.  An acyclic cone
+    needs s = 0, the dimension boundary; s = -1 and s = 1 sit beside it.
+
+    Selection legs send basis vectors to distinct basis vectors, and d0p
+    agrees with f1 d0 on f0's columns.  General legs are f0 = P [U; 0] and
+    f1 random, with d0 = Y U and d0p P agreeing with f1 Y on its first a
+    columns, so f1 d0 = d0p f0 for any U, Y and permutation P.
+    """
+    rng = np.random.default_rng(seed)
+    for p in (2, 3, 5):
+        for N in (1, 2, 3):
+            n = p**N
+            for _ in range(40):
+                a, b, e = (int(x) for x in rng.integers(0, 4, size=3))
+                s = int(rng.integers(-1, 2)) if rng.random() < 0.5 else 0
+                a2, b2 = a + e, max(b + e + s, 0 if general else b)
+                if general:
+                    u = rng.integers(0, n, size=(a, a))
+                    y = rng.integers(0, n, size=(b, a))
+                    f1 = rng.integers(0, n, size=(b2, b))
+                    perm = np.eye(a2, dtype=np.int64)[rng.permutation(a2)]
+                    f0 = perm @ np.vstack([u, np.zeros((e, a), dtype=np.int64)])
+                    mixed = rng.integers(0, n, size=(b2, a2))
+                    mixed[:, :a] = f1 @ y
+                    d0, d0p = y @ u, mixed @ perm.T
+                else:
+                    d0 = rng.integers(0, n, size=(b, a))
+                    (f0, rows0), (f1, _) = selection(rng, a2, a), selection(rng, b2, b)
+                    d0p = rng.integers(0, n, size=(b2, a2))
+                    d0p[:, rows0] = f1 @ d0
+                yield tuple(FlatMatrix(p, N, m % n) for m in (d0, d0p, f0, f1))
+
+
+@pytest.mark.parametrize("general", [False, True], ids=["selection", "general"])
+def test_cone_acyclic_matches_howell_oracle(general):
+    verdicts = []
+    for d0, d0p, f0, f1 in random_cones(233 + general, general):
+        assert is_chain_map(d0, d0p, f0, f1)
+        verdict = cone_acyclic(d0, d0p, f0, f1)
+        assert verdict == elim_oracle.cone_acyclic(d0, d0p, f0, f1), (d0, d0p, f0, f1)
+        verdicts.append(verdict)
+    # both verdicts occur often enough to mean something
+    assert min(verdicts.count(True), verdicts.count(False)) >= 30
+
+
+# --- exact products -------------------------------------------------------------
+
+
+def python_int_product(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    return np.array((a.astype(object) @ b.astype(object)) % n, dtype=np.int64).reshape(
+        a.shape[0], b.shape[1]
+    )
+
+
+def test_matmul_matches_python_int_product():
+    rng = np.random.default_rng(239)
+    for p, N in ((2, 1), (2, 3), (3, 2), (5, 3), (2, 21), (3, 13), (5, 9)):
+        n = p**N
+        for _ in range(10):
+            r, k, c = (int(x) for x in rng.integers(0, 40, size=3))
+            a = rng.integers(0, n, size=(r, k))
+            b = rng.integers(0, n, size=(k, c))
+            got = FlatMatrix(p, N, a).matmul(FlatMatrix(p, N, b)).entries
+            assert got.dtype == np.int64
+            assert np.array_equal(got, python_int_product(a, b, n)), (p, N, r, k, c)
+
+
+@pytest.mark.parametrize("inner", [2048, 2049])
+def test_matmul_exact_on_both_sides_of_the_float64_bound(inner):
+    # modulus 2^21: inner * (2^21 - 1)^2 < 2^53 holds for 2048 and fails for 2049,
+    # where an odd sum above 2^53 would round in float64
+    p, N = 2, 21
+    n = p**N
+    assert (inner * (n - 1) ** 2 < 2**53) == (inner == 2048)
+    a = np.full((1, inner), n - 1, dtype=np.int64)
+    b = np.full((inner, 1), n - 1, dtype=np.int64)
+    got = FlatMatrix(p, N, a).matmul(FlatMatrix(p, N, b)).entries
+    assert got.dtype == np.int64
+    assert 0 <= got[0, 0] < n
+    assert int(got[0, 0]) == inner * (n - 1) ** 2 % n
