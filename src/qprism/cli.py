@@ -3,8 +3,9 @@ reports on stdout, deterministic output, exit codes.
 
 Exit codes: 0 when every check passes, 1 when a mathematical check fails
 (the failing invariant is named in the JSON verdict), 2 for malformed
-input.  Reports are keyed "schema": "qprism/1", serialized with sorted
-keys so identical inputs produce byte-identical output.
+input, 3 for an internal error of the program.  Reports are keyed
+"schema": "qprism/1", serialized with sorted keys so identical inputs
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
+from math import prod
 
 from .adic_diagnostics import (
     ModulePresentation,
@@ -21,7 +24,7 @@ from .adic_diagnostics import (
     torsion_bound,
 )
 from .base_ring import RingContext, q_int_poly
-from .cartier import CartierProblem, cartier_verify
+from .cartier import CartierProblem, cartier_verify, flatten_connection
 from .delta_ring import DeltaElement, envelope_presentation, run_axiom_suite
 from .divided_poly import poincare_exactness
 from .errors import NotAChainMap, QPrismError, SpecError
@@ -73,25 +76,37 @@ def _load_json(path: str) -> dict:
     return spec
 
 
+def _finer(grow: int, n: int, m: int, window: int = 0) -> tuple[int, int, int]:
+    """(N, M, window) of a run: one step finer, (N+1, M+1, window+2), under --grow."""
+    return (n + 1, m + 1, window + 2) if grow else (n, m, window)
+
+
+def _check_budget(p: int, n_field: str, n: int, *shapes: dict[str, int]) -> None:
+    """Refuse, before any arithmetic depends on them, a modulus p^n above
+    the cap and a flattened dimension (the product of one shape's factors)
+    above QPRISM_MAX_DIM; the error names the field at fault."""
+    if not modulus_within_cap(p, n):
+        raise SpecError(f"p^{n_field} = {p}^{n} exceeds the modulus cap", field=n_field)
+    for factors in shapes:
+        if prod(factors.values()) > max_flat_dim():
+            raise SpecError(
+                f"flattened dimension exceeds QPRISM_MAX_DIM={max_flat_dim()}",
+                field=max(factors, key=factors.get),  # the largest factor
+            )
+
+
 def load_connection_spec(path: str, grow: int = 0):
     spec = _load_json(path)
     p = _require(spec, "p", int, lambda v: v >= 2)
-    n_prec = _require(spec, "n_prec", int, lambda v: v >= 1) + (1 if grow else 0)
-    m_prec = _require(spec, "m_prec", int, lambda v: v >= 1) + (1 if grow else 0)
+    n_prec = _require(spec, "n_prec", int, lambda v: v >= 1)
+    m_prec = _require(spec, "m_prec", int, lambda v: v >= 1)
     level = _require(spec, "level", int, lambda v: v in (0, -1))
     rank = _require(spec, "rank", int, lambda v: v >= 1)
-    window = _require(spec, "degree_window", int, lambda v: v >= 0) + (
-        2 if grow else 0
+    window = _require(spec, "degree_window", int, lambda v: v >= 0)
+    n_prec, m_prec, window = _finer(grow, n_prec, m_prec, window)
+    _check_budget(
+        p, "n_prec", n_prec, {"rank": rank, "degree_window": window + 1, "m_prec": m_prec}
     )
-    # sizes are checked before any arithmetic depends on them
-    if not modulus_within_cap(p, n_prec):
-        raise SpecError(f"p^n_prec = {p}^{n_prec} exceeds the modulus cap", field="n_prec")
-    if rank * (window + 1) * m_prec > max_flat_dim():
-        factors = {"rank": rank, "degree_window": window + 1, "m_prec": m_prec}
-        raise SpecError(
-            f"flattened dimension exceeds QPRISM_MAX_DIM={max_flat_dim()}",
-            field=max(factors, key=factors.get),  # the largest factor
-        )
     ctx = RingContext(p, n_prec, m_prec)
     theta_rows = _require(spec, "theta_matrix", list)
     if len(theta_rows) != rank:
@@ -130,197 +145,33 @@ def load_connection_spec(path: str, grow: int = 0):
     return conn, meta, spec
 
 
-def _bool_leaves(tree, prefix=""):
-    out = {}
-    if isinstance(tree, bool):
-        out[prefix] = tree
-    elif isinstance(tree, dict):
-        for k in sorted(tree):
-            out.update(_bool_leaves(tree[k], f"{prefix}/{k}"))
-    elif isinstance(tree, list):
-        for i, v in enumerate(tree):
-            out.update(_bool_leaves(v, f"{prefix}/{i}"))
-    return out
-
-
-def _stability_diff(base: dict, grown: dict) -> list[str]:
-    b = _bool_leaves(base)
-    g = _bool_leaves(grown)
-    return sorted(k for k in b if k in g and b[k] != g[k])
-
-
-def _failed_invariants(tree, prefix="") -> list[str]:
-    return sorted(k for k, v in _bool_leaves(tree, prefix).items() if v is False)
-
-
-# --- subcommands ---------------------------------------------------------------
-
-
-def cmd_q_int(args) -> int:
-    if args.n < 0:
-        raise SpecError("n must be >= 0", field="n")
-    sys.stdout.write(poly_to_string(q_int_poly(args.n, args.r)) + "\n")
-    return 0
-
-
-def cmd_axioms(args) -> int:
-    ps = [args.p] if args.p else [2, 3, 5]
-    ns = [args.n] if args.n else [2, 3]
-    ms = [args.m] if args.m else [2, 3]
-    contexts = [RingContext(p, n, m) for p in ps for n in ns for m in ms]
-    suite = run_axiom_suite(contexts, samples=args.samples, seed=args.seed)
-    report = {
-        "schema": SCHEMA,
-        "command": "axioms",
-        "samples": args.samples,
-        "seed": args.seed,
-        "suite": suite,
-        "ok": suite["ok"],
-    }
-    if not suite["ok"]:
-        report["failed"] = _failed_invariants(suite)
-    _emit(report)
-    return 0 if suite["ok"] else 1
-
-
-def cmd_envelope(args) -> int:
-    if args.order < 0:
-        raise SpecError("order must be >= 0", field="order")
-    ctx = RingContext(args.p, args.order + 2, 2)
-    g = DeltaElement(ctx, -IntPoly.var("x"), omega_cap=args.order + 1)
-    d = DeltaElement(ctx, q_int_poly(args.p, 1), omega_cap=args.order + 1)
-    pres = envelope_presentation(g, d, args.order)
-    report = {
-        "schema": SCHEMA,
-        "command": "envelope",
-        "p": args.p,
-        "order_cap": args.order,
-        "generators": pres.generators,
-        "relations": [poly_to_string(r.poly) for r in pres.relations],
-        "note": (
-            "relations are reported up to the order cap; no stabilization "
-            "of the relation ideal is claimed"
-        ),
-        "ok": True,
-    }
-    _emit(report)
-    return 0
-
-
-def _poincare_report(p: int, cap: int, n_prec: int, m_prec: int, window: int) -> dict:
-    ctx = RingContext(p, n_prec, m_prec)
-    result = poincare_exactness(ctx, cap, window)
-    return {"context": ctx.to_json(), **result}
-
-
-def cmd_poincare(args) -> int:
-    if args.cap < 1:
-        raise SpecError("cap must be >= 1", field="cap")
-    base = _poincare_report(args.p, args.cap, args.n, args.m, args.window)
-    report = {
-        "schema": SCHEMA,
-        "command": "poincare",
-        "report": base,
-        "ok": base["ok"],
-    }
-    if args.grow:
-        grown = _poincare_report(
-            args.p, args.cap, args.n + 1, args.m + 1, args.window + 2
-        )
-        diff = _stability_diff(base, grown)
-        report["grown"] = grown
-        report["stable"] = not diff
-        report["verdict_diff"] = diff
-        report["ok"] = report["ok"] and not diff
-    if not report["ok"]:
-        report["failed"] = _failed_invariants(report["report"], "report")
-    _emit(report)
-    return 0 if report["ok"] else 1
-
-
-def cmd_cohomology(args) -> int:
-    reports = []
-    ok = True
-    for path in args.spec:
-        conn, meta, spec = load_connection_spec(path)
-        expect = _optional(spec, "expect", dict, None)
-        from .cartier import flatten_connection
-
-        rep = cohomology_of_complex(TwoTermComplex(flatten_connection(conn)))
-        entry = {**meta, "cohomology": rep.to_json()}
-        if expect is not None:
-            match = all(
-                expect.get(key) == entry["cohomology"].get(key)
-                for key in ("h0", "h1")
-                if key in expect
-            )
-            entry["matches_expectation"] = match
-            ok = ok and match
-        if args.grow:
-            conn2, meta2, _ = load_connection_spec(path, grow=1)
-            rep2 = cohomology_of_complex(TwoTermComplex(flatten_connection(conn2)))
-            entry["grown"] = {**meta2, "cohomology": rep2.to_json()}
-        reports.append(entry)
-    report = {
-        "schema": SCHEMA,
-        "command": "cohomology",
-        "reports": reports,
-        "ok": ok,
-    }
-    if not ok:
-        report["failed"] = _failed_invariants(reports)
-    _emit(report)
-    return 0 if ok else 1
-
-
-def cmd_cartier(args) -> int:
-    reports = []
-    ok = True
-    for path in args.spec:
-        conn, meta, spec = load_connection_spec(path)
-        if conn.level != -1:
-            raise SpecError(
-                "cartier pipeline needs level -1 in field 'level'", field="level"
-            )
-        problem = CartierProblem(conn, iterate_cap=args.iterate_cap)
-        rep = cartier_verify(problem)
-        entry = {**meta, "report": rep.to_json()}
-        entry_ok = rep.all_ok
-        if args.grow:
-            conn2, meta2, _ = load_connection_spec(path, grow=1)
-            rep2 = cartier_verify(CartierProblem(conn2, iterate_cap=args.iterate_cap))
-            diff = _stability_diff(rep.to_json(), rep2.to_json())
-            entry["grown"] = {**meta2, "report": rep2.to_json()}
-            entry["stable"] = not diff
-            entry["verdict_diff"] = diff
-            entry_ok = entry_ok and not diff
-        ok = ok and entry_ok
-        reports.append(entry)
-    report = {
-        "schema": SCHEMA,
-        "command": "cartier",
-        "reports": reports,
-        "ok": ok,
-    }
-    if not ok:
-        report["failed"] = _failed_invariants(reports)
-    _emit(report)
-    return 0 if ok else 1
-
-
 def _load_adic_spec(path: str, grow: int = 0):
+    """The module spec at path, or None under --grow for the bases Z and
+    Zq, whose answers do not depend on a truncation."""
     spec = _load_json(path)
     base = _require(spec, "base", str, lambda v: v in ("Z", "Zq", "Zpn", "W"))
-    ctx = None
-    if base in ("Zpn", "W"):
-        p = _require(spec, "p", int, lambda v: v >= 2)
-        n = _require(spec, "n", int, lambda v: v >= 1) + (1 if grow else 0)
-        m = _optional(spec, "m", int, 1, lambda v: v >= 1)
-        ctx = RingContext(p, n, m + (1 if grow else 0))
+    finite = base in ("Zpn", "W")
+    if grow and not finite:
+        return None
     generators = _require(spec, "generators", int, lambda v: v >= 0)
     rel_rows = spec.get("relations", [])
     if not isinstance(rel_rows, list):
         raise SpecError("field 'relations' must be a list of rows", field="relations")
+    ctx = None
+    if finite:
+        p = _require(spec, "p", int, lambda v: v >= 2)
+        n = _require(spec, "n", int, lambda v: v >= 1)
+        m = _optional(spec, "m", int, 1, lambda v: v >= 1)
+        n, m, _ = _finer(grow, n, m)
+        # the widest matrices act on M + M (Koszul) and on base^relations
+        # (Tor), a copy of the base flattened to m coordinates over W, 1 over Zpn
+        width = m if base == "W" else 1
+        _check_budget(
+            p, "n", n,
+            {"generators": 2 * generators, "m": width},
+            {"relations": len(rel_rows), "m": width},
+        )
+        ctx = RingContext(p, n, m)
 
     def entry_of(text, field):
         if isinstance(text, int):
@@ -351,32 +202,182 @@ def _load_adic_spec(path: str, grow: int = 0):
     return m_pres, scalar_of("f"), scalar_of("g"), spec
 
 
-def cmd_adic(args) -> int:
+# --- one runner for the spec commands ------------------------------------------
+
+
+def _walk(tree, path=""):
+    """(path, node) for every node of a JSON tree, the root first: dict
+    keys in sorted order and list items by index, each appended as "/key"."""
+    yield path, tree
+    if isinstance(tree, dict):
+        for k in sorted(tree):
+            yield from _walk(tree[k], f"{path}/{k}")
+    elif isinstance(tree, list):
+        for i, v in enumerate(tree):
+            yield from _walk(v, f"{path}/{i}")
+
+
+def _verdicts(tree, path="") -> dict:
+    """The boolean leaves of a tree by path."""
+    return {k: v for k, v in _walk(tree, path) if isinstance(v, bool)}
+
+
+def _conclude(report: dict, tree, path="") -> int:
+    """Emit report and return its exit code; when it is not ok, the paths of
+    the false verdicts in tree are listed under "failed"."""
+    if not report["ok"]:
+        report["failed"] = sorted(k for k, v in _verdicts(tree, path).items() if v is False)
+    _emit(report)
+    return 0 if report["ok"] else 1
+
+
+def _check_expect(entry: dict, verdicts, expect) -> bool:
+    """Match `expect` against verdicts: each key, a node path joined by "/"
+    with no leading "/", must resolve and equal its value."""
+    if expect is None or verdicts is None:
+        return True
+    nodes = {path[1:]: node for path, node in _walk(verdicts)}
+    mismatches = [k for k, want in expect.items() if k not in nodes or nodes[k] != want]
+    entry["matches_expectation"] = not mismatches
+    entry["expectation_mismatches"] = mismatches
+    return not mismatches
+
+
+def _attach_grown(entry: dict, verdicts, grown: dict, grown_verdicts) -> bool:
+    """Report a --grow rerun under "grown" and, when it has verdicts, which
+    boolean verdicts it flipped; False when one did."""
+    entry["grown"] = grown
+    if grown_verdicts is None:
+        return True
+    before, after = _verdicts(verdicts), _verdicts(grown_verdicts)
+    diff = sorted(k for k in before if k in after and before[k] != after[k])
+    entry["stable"] = not diff
+    entry["verdict_diff"] = diff
+    return not diff
+
+
+def _run_specs(args, build) -> int:
+    """The batch loop of the spec commands.  build(path, grow) returns
+    (entry, verdicts, ok): the report entry, the tree that `expect` and the
+    --grow diff read (None for neither) and the entry's own verdict; under
+    --grow it may return None when there is nothing to grow."""
     reports = []
     ok = True
     for path in args.spec:
-        entry, entry_ok = _adic_entry(path, args, grow=0)
-        if args.grow and entry["base"] in ("Zpn", "W"):
-            grown, _ = _adic_entry(path, args, grow=1)
-            diff = _stability_diff(entry.get("predicates", {}), grown.get("predicates", {}))
-            entry["grown"] = grown
-            entry["stable"] = not diff
-            entry["verdict_diff"] = diff
-            entry_ok = entry_ok and not diff
+        entry, verdicts, entry_ok = build(path, 0)
+        expect = _optional(_load_json(path), "expect", dict, None)
+        entry_ok = _check_expect(entry, verdicts, expect) and entry_ok
+        grown = build(path, 1) if args.grow else None
+        if grown is not None:
+            grown_entry, grown_verdicts, _ = grown
+            _check_expect(grown_entry, grown_verdicts, expect)  # reported, not a verdict
+            entry_ok = _attach_grown(entry, verdicts, grown_entry, grown_verdicts) and entry_ok
         ok = ok and entry_ok
         reports.append(entry)
-    report = {"schema": SCHEMA, "command": "adic", "reports": reports, "ok": ok}
-    if not ok:
-        report["failed"] = _failed_invariants(reports)
+    report = {"schema": SCHEMA, "command": args.command, "reports": reports, "ok": ok}
+    return _conclude(report, reports)
+
+
+# --- subcommands ---------------------------------------------------------------
+
+
+def cmd_q_int(args) -> int:
+    sys.stdout.write(poly_to_string(q_int_poly(args.n, args.r)) + "\n")
+    return 0
+
+
+def cmd_axioms(args) -> int:
+    ps = [args.p] if args.p is not None else [2, 3, 5]
+    ns = [args.n] if args.n is not None else [2, 3]
+    ms = [args.m] if args.m is not None else [2, 3]
+    contexts = [RingContext(p, n, m) for p in ps for n in ns for m in ms]
+    suite = run_axiom_suite(contexts, samples=args.samples, seed=args.seed)
+    report = {
+        "schema": SCHEMA,
+        "command": "axioms",
+        "samples": args.samples,
+        "seed": args.seed,
+        "suite": suite,
+        "ok": suite["ok"],
+    }
+    return _conclude(report, suite)
+
+
+def cmd_envelope(args) -> int:
+    ctx = RingContext(args.p, args.order + 2, 2)
+    g = DeltaElement(ctx, -IntPoly.var("x"), omega_cap=args.order + 1)
+    d = DeltaElement(ctx, q_int_poly(args.p, 1), omega_cap=args.order + 1)
+    pres = envelope_presentation(g, d, args.order)
+    report = {
+        "schema": SCHEMA,
+        "command": "envelope",
+        "p": args.p,
+        "order_cap": args.order,
+        "generators": pres.generators,
+        "relations": [poly_to_string(r.poly) for r in pres.relations],
+        "note": (
+            "relations are reported up to the order cap; no stabilization "
+            "of the relation ideal is claimed"
+        ),
+        "ok": True,
+    }
     _emit(report)
-    return 0 if ok else 1
+    return 0
 
 
-def _adic_entry(path: str, args, grow: int):
-    m_pres, f, g, spec = _load_adic_spec(path, grow)
+def _poincare_report(p: int, cap: int, n_prec: int, m_prec: int, window: int) -> dict:
+    # the widest matrix has (cap + 1) * (window + 1) * m columns
+    _check_budget(p, "n", n_prec, {"cap": cap + 1, "window": window + 1, "m": m_prec})
+    ctx = RingContext(p, n_prec, m_prec)
+    result = poincare_exactness(ctx, cap, window)
+    return {"context": ctx.to_json(), **result}
+
+
+def cmd_poincare(args) -> int:
+    base = _poincare_report(args.p, args.cap, args.n, args.m, args.window)
+    report = {
+        "schema": SCHEMA,
+        "command": "poincare",
+        "report": base,
+        "ok": base["ok"],
+    }
+    if args.grow:
+        grown = _poincare_report(args.p, args.cap, *_finer(1, args.n, args.m, args.window))
+        report["ok"] = _attach_grown(report, base, grown, grown) and report["ok"]
+    return _conclude(report, report["report"], "report")
+
+
+def cmd_cohomology(args) -> int:
+    def build(path, grow):
+        conn, meta, _ = load_connection_spec(path, grow)
+        groups = cohomology_of_complex(TwoTermComplex(flatten_connection(conn))).to_json()
+        # h0 and h1 are sizes, not verdicts: the grown groups are reported, not diffed
+        return {**meta, "cohomology": groups}, None if grow else groups, True
+
+    return _run_specs(args, build)
+
+
+def cmd_cartier(args) -> int:
+    def build(path, grow):
+        conn, meta, _ = load_connection_spec(path, grow)
+        if conn.level != -1:
+            raise SpecError(
+                "cartier pipeline needs level -1 in field 'level'", field="level"
+            )
+        rep = cartier_verify(CartierProblem(conn, iterate_cap=args.iterate_cap))
+        verdicts = rep.to_json()
+        return {**meta, "report": verdicts}, verdicts, rep.all_ok
+
+    return _run_specs(args, build)
+
+
+def _adic_build(path: str, grow: int):
+    loaded = _load_adic_spec(path, grow)
+    if loaded is None:
+        return None
+    m_pres, f, g, spec = loaded
     cap = _optional(spec, "torsion_cap", int, 8, lambda v: v >= 0)
     n_max = _optional(spec, "n_max", int, 4, lambda v: v >= 1)
-    expect = _optional(spec, "expect", dict, None)
     predicates: dict = {}
     if f is not None:
         tb = torsion_bound(m_pres, f, cap)
@@ -397,24 +398,11 @@ def _adic_entry(path: str, args, grow: int):
     }
     if m_pres.ctx is not None:
         entry["context"] = m_pres.ctx.to_json()
-    entry_ok = True
-    if expect is not None:
-        flat = _flatten_values(predicates)
-        mismatches = [key for key, want in expect.items() if flat.get(key) != want]
-        entry["matches_expectation"] = not mismatches
-        entry["expectation_mismatches"] = mismatches
-        entry_ok = not mismatches
-    return entry, entry_ok
+    return entry, predicates, True
 
 
-def _flatten_values(tree, prefix="") -> dict:
-    out = {}
-    if isinstance(tree, dict):
-        for k in sorted(tree):
-            out.update(_flatten_values(tree[k], f"{prefix}/{k}" if prefix else k))
-    else:
-        out[prefix] = tree
-    return out
+def cmd_adic(args) -> int:
+    return _run_specs(args, _adic_build)
 
 
 # --- entry point ----------------------------------------------------------------
@@ -433,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_qint = sub.add_parser("q-int", help="print the q-analog of an integer")
     p_qint.add_argument("n", type=int)
     p_qint.add_argument("--r", type=int, default=1, help="base q^r")
-    p_qint.set_defaults(fn=cmd_q_int)
+    p_qint.set_defaults(fn=cmd_q_int, floors={"n": 0})
 
     p_ax = sub.add_parser("axioms", help="delta-ring and q-combinatorics suite")
     p_ax.add_argument("--p", type=int, default=None)
@@ -441,12 +429,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_ax.add_argument("--m", type=int, default=None)
     p_ax.add_argument("--samples", type=int, default=200)
     p_ax.add_argument("--seed", type=int, default=0)
-    p_ax.set_defaults(fn=cmd_axioms)
+    p_ax.set_defaults(fn=cmd_axioms, floors={"p": 2, "n": 1, "m": 1, "samples": 0})
 
     p_env = sub.add_parser("envelope", help="truncated envelope relations")
     p_env.add_argument("--p", type=int, required=True)
     p_env.add_argument("--order", type=int, required=True)
-    p_env.set_defaults(fn=cmd_envelope)
+    p_env.set_defaults(fn=cmd_envelope, floors={"p": 2, "order": 0})
 
     p_poin = sub.add_parser("poincare", help="divided-power exactness check")
     p_poin.add_argument("--p", type=int, required=True)
@@ -455,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_poin.add_argument("--m", type=int, default=2)
     p_poin.add_argument("--window", type=int, default=2)
     p_poin.add_argument("--grow", action="store_true")
-    p_poin.set_defaults(fn=cmd_poincare)
+    p_poin.set_defaults(fn=cmd_poincare, floors={"p": 2, "cap": 1, "n": 1, "m": 1, "window": 0})
 
     p_coh = sub.add_parser("cohomology", help="twisted de Rham cohomology of a spec")
     p_coh.add_argument("--spec", action="append", required=True)
@@ -466,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_car.add_argument("--spec", action="append", required=True)
     p_car.add_argument("--iterate-cap", type=int, default=32)
     p_car.add_argument("--grow", action="store_true")
-    p_car.set_defaults(fn=cmd_cartier)
+    p_car.set_defaults(fn=cmd_cartier, floors={"iterate_cap": 1})
 
     p_adic = sub.add_parser("adic", help="torsion, Koszul and flatness predicates")
     p_adic.add_argument("--spec", action="append", required=True)
@@ -476,6 +464,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_floors(args) -> None:
+    """Every integer flag at or above its command's floor, else exit 2 naming it."""
+    for name, floor in getattr(args, "floors", {}).items():
+        value = getattr(args, name)
+        if value is not None and value < floor:
+            raise SpecError(f"{name} must be >= {floor}", field=name)
+
+
+def _error(command: str, code: int, error: dict, **extra) -> int:
+    _emit({"schema": SCHEMA, "command": command, **extra, "error": error, "ok": False})
+    return code
+
+
 def run_command(argv: list[str]) -> int:
     parser = build_parser()
     try:
@@ -483,38 +484,18 @@ def run_command(argv: list[str]) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        _check_floors(args)
         return args.fn(args)
     except SpecError as exc:
-        _emit(
-            {
-                "schema": SCHEMA,
-                "command": args.command,
-                "error": {"field": exc.field, "message": str(exc)},
-                "ok": False,
-            }
-        )
-        return 2
+        return _error(args.command, 2, {"field": exc.field, "message": str(exc)})
     except NotAChainMap as exc:
-        _emit(
-            {
-                "schema": SCHEMA,
-                "command": args.command,
-                "failed": ["chain_map"],
-                "error": {"message": str(exc)},
-                "ok": False,
-            }
-        )
-        return 1
+        return _error(args.command, 1, {"message": str(exc)}, failed=["chain_map"])
     except QPrismError as exc:
-        _emit(
-            {
-                "schema": SCHEMA,
-                "command": args.command,
-                "error": {"field": None, "message": str(exc)},
-                "ok": False,
-            }
-        )
-        return 2
+        return _error(args.command, 2, {"field": None, "message": str(exc)})
+    except Exception as exc:  # a defect of the program, never a mathematical verdict
+        traceback.print_exc()  # to stderr; stdout carries only the report
+        message = f"internal error: {type(exc).__name__}: {exc}"
+        return _error(args.command, 3, {"field": None, "message": message})
 
 
 def main() -> None:

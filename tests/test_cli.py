@@ -1,13 +1,17 @@
+import hashlib
+import importlib
 import json
 import time
 from pathlib import Path
 
 import pytest
 
+import qprism.cli
 from qprism.cli import run_command
 from qprism.grammar import MAX_EXPONENT
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 
 def run(capsys, *argv):
@@ -321,6 +325,113 @@ def test_out_of_budget_spec_exits_2_at_once(tmp_path, capsys, command, field, va
     assert code == 2
     assert report["ok"] is False
     assert report["error"]["field"] == field
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["adic", "--spec", {**ADIC_SPEC, "m": 2**70}], "m"),
+        (["adic", "--spec", {**ADIC_SPEC, "base": "Zpn", "n": 10**6, "g": "3"}], "n"),
+        (["adic", "--spec", {**ADIC_SPEC, "generators": 10**9, "relations": []}], "generators"),
+        (["adic", "--spec", {**ADIC_SPEC, "relations": [["q-1"]] * 3000}], "relations"),
+        # within budget as written, p^n = 2^22 once --grow adds one
+        (["adic", "--spec", {**ADIC_SPEC, "n": 21}, "--grow"], "n"),
+        (["poincare", "--p", "2", "--cap", "2", "--n", "1000000"], "n"),
+        (["poincare", "--p", "2", "--cap", "2", "--m", "1000000000"], "m"),
+        (["poincare", "--p", "2", "--cap", "2", "--window", "-3"], "window"),
+        (["poincare", "--p", "2", "--cap", "1", "--n", "21", "--grow"], "n"),
+    ],
+)
+def test_out_of_budget_adic_and_poincare_exit_2_at_once(tmp_path, capsys, argv, field):
+    argv = list(argv)
+    if argv[0] == "adic":
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(argv[2]))
+        argv[2] = str(path)
+    start = time.perf_counter()
+    code, report = run_json(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert report["ok"] is False
+    assert report["error"]["field"] == field
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["axioms", "--p", "0"], "p"),
+        (["axioms", "--n", "0"], "n"),
+        (["axioms", "--m", "0"], "m"),
+        (["axioms", "--samples", "-1"], "samples"),
+        (["cartier", "--spec", str(FIXTURES / "p2_rank1_trivial.json"), "--iterate-cap", "-1"],
+         "iterate_cap"),
+        (["cartier", "--spec", str(FIXTURES / "p2_rank1_trivial.json"), "--iterate-cap", "0"],
+         "iterate_cap"),
+        (["poincare", "--p", "2", "--cap", "2", "--m", "0"], "m"),
+        (["envelope", "--p", "0", "--order", "1"], "p"),
+    ],
+)
+def test_out_of_range_flag_exits_2_naming_it(capsys, argv, field):
+    start = time.perf_counter()
+    code, report = run_json(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert report["ok"] is False
+    assert report["error"]["field"] == field
+
+
+def test_internal_error_exits_3_with_a_report(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("injected defect")
+
+    monkeypatch.setattr(qprism.cli, "cohomology_of_complex", broken)
+    start = time.perf_counter()
+    code, report = run_json(capsys, "cohomology", "--spec", str(FIXTURES / "p2_rank1_trivial.json"))
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert report["schema"] == "qprism/1"
+    assert report["ok"] is False
+    assert "RuntimeError: injected defect" in report["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "command, expect, mismatches",
+    [
+        ("cohomology", {"H0": [1, 2, 3]}, ["H0"]),
+        ("cohomology", {"h0": [1, 2, 2, 2, 2], "h1": [1, 2, 2, 2, 2]}, []),
+        # list items resolve by index
+        ("cohomology", {"h0/0": 1, "h1/4": 2, "h1/9": 2}, ["h1/9"]),
+        ("cartier", {"cone_acyclic": True, "ok": True}, []),
+        ("cartier", {"cone_acyclic": False, "nilpotent": True}, ["cone_acyclic"]),
+        ("cartier", {"stability/no_such_key": True}, ["stability/no_such_key"]),
+        ("adic", {"flatness/koszul": None}, ["flatness/koszul"]),
+    ],
+)
+def test_one_expect_rule_for_every_spec_command(tmp_path, capsys, command, expect, mismatches):
+    spec = ADIC_SPEC if command == "adic" else CONNECTION_SPEC
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**spec, "expect": expect}))
+    code, report = run_json(capsys, command, "--spec", str(path))
+    entry = report["reports"][0]
+    assert entry["expectation_mismatches"] == mismatches
+    assert entry["matches_expectation"] is (not mismatches)
+    assert code == (1 if mismatches else 0)
+    assert report["ok"] is (not mismatches)
+
+
+def test_stdout_matches_the_pinned_digests(capsys, monkeypatch):
+    """Every cli_fixtures op of the benchmark, run from the checkout root,
+    prints the bytes whose sha256 the benchmark pins."""
+    monkeypatch.syspath_prepend(str(ROOT))
+    workloads = importlib.import_module("perfbench.workloads")
+    digests = json.loads((ROOT / "perfbench" / "digests.json").read_text())
+    monkeypatch.chdir(ROOT)
+    ops = workloads.cli_fixture_ops()
+    assert ops
+    for op in ops:
+        code, out = run(capsys, *op.argv)
+        assert code == op.expect_exit, op.key
+        assert hashlib.sha256(out.encode()).hexdigest() == digests[op.key], op.key
 
 
 @pytest.mark.parametrize(
