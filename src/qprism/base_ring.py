@@ -7,14 +7,23 @@ stored in the basis t^i with t = q - 1, which aligns the maximal ideal
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import islice
 from math import comb
+from operator import mul
 
 from .errors import InvalidArgs, NotAUnit
-from .exactpoly import IntPoly
+from .exactpoly import IntPoly, square_and_multiply
 from .grammar import parse_poly, poly_to_string
 
 _SMALL_PRIMES = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                  59, 61, 67, 71, 73, 79, 83, 89, 97}
+
+
+def is_supported_prime(p: int) -> bool:
+    """True iff p is a prime this package works over: the one test that
+    rings, spec files and the --p flag share."""
+    return p in _SMALL_PRIMES
 
 
 class RingContext:
@@ -23,7 +32,7 @@ class RingContext:
     __slots__ = ("p", "n_prec", "m_prec", "pn")
 
     def __init__(self, p: int, n_prec: int, m_prec: int):
-        if p not in _SMALL_PRIMES:
+        if not is_supported_prime(p):
             raise InvalidArgs(f"p must be a prime <= 97, got {p}")
         if n_prec < 1:
             raise InvalidArgs(f"n_prec must be >= 1, got {n_prec}")
@@ -62,10 +71,12 @@ class WScalar:
 
     def __init__(self, ctx: RingContext, coeffs):
         # excess t-coordinates are killed by the quotient (t^M = 0)
-        cs = list(coeffs)[: ctx.m_prec]
-        cs += [0] * (ctx.m_prec - len(cs))
+        pn, m = ctx.pn, ctx.m_prec
+        cs = [c % pn for c in islice(coeffs, m)]
+        if len(cs) < m:
+            cs += [0] * (m - len(cs))
         self.ctx = ctx
-        self.coeffs = tuple(c % ctx.pn for c in cs)
+        self.coeffs = tuple(cs)
 
     # constructors -----------------------------------------------------
     @classmethod
@@ -89,6 +100,11 @@ class WScalar:
         return cls(ctx, (0, 1))
 
     @classmethod
+    def random(cls, ctx: RingContext, rng) -> WScalar:
+        """A uniform element, its coordinates drawn from rng in order."""
+        return cls(ctx, [rng.randrange(ctx.pn) for _ in range(ctx.m_prec)])
+
+    @classmethod
     def from_int_poly(cls, ctx: RingContext, poly: IntPoly) -> WScalar:
         """Reduce an exact polynomial in q into W via q = 1 + t."""
         extra = poly.variables() - {"q"}
@@ -106,23 +122,23 @@ class WScalar:
 
     # ring structure ---------------------------------------------------
     def _check(self, other: WScalar):
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise InvalidArgs("mixed ring contexts")
 
     def __add__(self, other: WScalar) -> WScalar:
         self._check(other)
-        return WScalar(self.ctx, (a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return WScalar(self.ctx, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other: WScalar) -> WScalar:
         self._check(other)
-        return WScalar(self.ctx, (a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return WScalar(self.ctx, [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self) -> WScalar:
-        return WScalar(self.ctx, (-a for a in self.coeffs))
+        return WScalar(self.ctx, [-a for a in self.coeffs])
 
     def __mul__(self, other: WScalar | int) -> WScalar:
         if isinstance(other, int):
-            return WScalar(self.ctx, (a * other for a in self.coeffs))
+            return WScalar(self.ctx, [a * other for a in self.coeffs])
         if not isinstance(other, WScalar):
             return NotImplemented
         self._check(other)
@@ -142,14 +158,7 @@ class WScalar:
     def __pow__(self, n: int) -> WScalar:
         if n < 0:
             raise InvalidArgs("use w_invert for negative powers")
-        result = WScalar.one(self.ctx)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return square_and_multiply(self, n) if n else WScalar.one(self.ctx)
 
     def __eq__(self, other):
         return (
@@ -203,14 +212,8 @@ class WScalar:
         Well defined on the truncation because q^p - 1 is divisible by
         q - 1; Z/p^N-linear but not W-linear.
         """
-        ctx = self.ctx
-        phi_t = WScalar.q(ctx) ** ctx.p - WScalar.one(ctx)
-        total = WScalar.zero(ctx)
-        power = WScalar.one(ctx)
-        for c in self.coeffs:
-            total = total + power * c
-            power = power * phi_t
-        return total
+        cs = self.coeffs
+        return WScalar(self.ctx, [sum(map(mul, row, cs)) for row in frobenius_matrix(self.ctx)])
 
     def to_string(self) -> str:
         cs = self.q_coefficients()
@@ -219,6 +222,17 @@ class WScalar:
 
     def __repr__(self):
         return f"WScalar({self.to_string()!r})"
+
+
+@lru_cache(maxsize=None)
+def frobenius_matrix(ctx: RingContext) -> tuple[tuple[int, ...], ...]:
+    """The m x m matrix, by rows, of the W-Frobenius in the basis t^j:
+    column j holds the t-coordinates of (q^p - 1)^j.  Built once per ring."""
+    phi_t = WScalar.q(ctx) ** ctx.p - WScalar.one(ctx)
+    columns = [WScalar.one(ctx).coeffs]
+    for _ in range(ctx.m_prec - 1):
+        columns.append((WScalar(ctx, columns[-1]) * phi_t).coeffs)
+    return tuple(zip(*columns))
 
 
 def w_invert(a: WScalar) -> WScalar:

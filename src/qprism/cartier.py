@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base_ring import RingContext, WScalar, q_int, q_power
+from .base_ring import RingContext, WScalar, frobenius_matrix, q_int, q_power
 from .errors import InvalidArgs, WindowUnstable, WrongLevel
 from .homology import (
     FlatMatrix,
@@ -416,8 +416,7 @@ def semilinear_frobenius(ctx: RingContext, window: int) -> FrobeniusEndoData:
     selection.
     """
     p = ctx.p
-    phi_t = WScalar.q(ctx) ** p - WScalar.one(ctx)
-    w_frobenius = np.array([(phi_t**i).coeffs for i in range(ctx.m_prec)], dtype=np.int64).T
+    w_frobenius = np.array(frobenius_matrix(ctx), dtype=np.int64)
     pq = q_int(p, 1, ctx)
     return FrobeniusEndoData(
         source_differential=flatten_connection(
@@ -449,7 +448,7 @@ def random_nilpotent_theta(
             poly = QPolynomial.zero(ctx, window)
             for _ in range(rng.randrange(1, 3)):
                 lead = p_scalar if rng.random() < 0.5 else t_scalar
-                w = WScalar(ctx, [rng.randrange(ctx.pn) for _ in range(ctx.m_prec)])
+                w = WScalar.random(ctx, rng)
                 poly = poly + QPolynomial.monomial(
                     lead * w, rng.randrange(max_degree + 1), window
                 )

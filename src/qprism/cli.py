@@ -23,7 +23,7 @@ from .adic_diagnostics import (
     pro_iso_check,
     torsion_bound,
 )
-from .base_ring import RingContext, q_int_poly
+from .base_ring import RingContext, is_supported_prime, q_int_poly
 from .cartier import CartierProblem, cartier_verify, flatten_connection
 from .delta_ring import DeltaElement, envelope_presentation, run_axiom_suite
 from .divided_poly import poincare_exactness
@@ -97,7 +97,7 @@ def _check_budget(p: int, n_field: str, n: int, *shapes: dict[str, int]) -> None
 
 def load_connection_spec(path: str, grow: int = 0):
     spec = _load_json(path)
-    p = _require(spec, "p", int, lambda v: v >= 2)
+    p = _require(spec, "p", int, is_supported_prime)
     n_prec = _require(spec, "n_prec", int, lambda v: v >= 1)
     m_prec = _require(spec, "m_prec", int, lambda v: v >= 1)
     level = _require(spec, "level", int, lambda v: v in (0, -1))
@@ -159,7 +159,7 @@ def _load_adic_spec(path: str, grow: int = 0):
         raise SpecError("field 'relations' must be a list of rows", field="relations")
     ctx = None
     if finite:
-        p = _require(spec, "p", int, lambda v: v >= 2)
+        p = _require(spec, "p", int, is_supported_prime)
         n = _require(spec, "n", int, lambda v: v >= 1)
         m = _optional(spec, "m", int, 1, lambda v: v >= 1)
         n, m, _ = _finer(grow, n, m)
@@ -307,7 +307,7 @@ def cmd_envelope(args) -> int:
     ctx = RingContext(args.p, args.order + 2, 2)
     g = DeltaElement(ctx, -IntPoly.var("x"), omega_cap=args.order + 1)
     d = DeltaElement(ctx, q_int_poly(args.p, 1), omega_cap=args.order + 1)
-    pres = envelope_presentation(g, d, args.order)
+    pres = _in_field("order", envelope_presentation, g, d, args.order)
     report = {
         "schema": SCHEMA,
         "command": "envelope",
@@ -421,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_qint = sub.add_parser("q-int", help="print the q-analog of an integer")
     p_qint.add_argument("n", type=int)
     p_qint.add_argument("--r", type=int, default=1, help="base q^r")
-    p_qint.set_defaults(fn=cmd_q_int, floors={"n": 0})
+    p_qint.set_defaults(fn=cmd_q_int, floors={"n": 0, "r": 0})
 
     p_ax = sub.add_parser("axioms", help="delta-ring and q-combinatorics suite")
     p_ax.add_argument("--p", type=int, default=None)
@@ -429,12 +429,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_ax.add_argument("--m", type=int, default=None)
     p_ax.add_argument("--samples", type=int, default=200)
     p_ax.add_argument("--seed", type=int, default=0)
-    p_ax.set_defaults(fn=cmd_axioms, floors={"p": 2, "n": 1, "m": 1, "samples": 0})
+    p_ax.set_defaults(fn=cmd_axioms, floors={"n": 1, "m": 1, "samples": 0})
 
     p_env = sub.add_parser("envelope", help="truncated envelope relations")
     p_env.add_argument("--p", type=int, required=True)
     p_env.add_argument("--order", type=int, required=True)
-    p_env.set_defaults(fn=cmd_envelope, floors={"p": 2, "order": 0})
+    p_env.set_defaults(fn=cmd_envelope, floors={"order": 0})
 
     p_poin = sub.add_parser("poincare", help="divided-power exactness check")
     p_poin.add_argument("--p", type=int, required=True)
@@ -443,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_poin.add_argument("--m", type=int, default=2)
     p_poin.add_argument("--window", type=int, default=2)
     p_poin.add_argument("--grow", action="store_true")
-    p_poin.set_defaults(fn=cmd_poincare, floors={"p": 2, "cap": 1, "n": 1, "m": 1, "window": 0})
+    p_poin.set_defaults(fn=cmd_poincare, floors={"cap": 1, "n": 1, "m": 1, "window": 0})
 
     p_coh = sub.add_parser("cohomology", help="twisted de Rham cohomology of a spec")
     p_coh.add_argument("--spec", action="append", required=True)
@@ -464,12 +464,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_floors(args) -> None:
-    """Every integer flag at or above its command's floor, else exit 2 naming it."""
+def _check_flags(args) -> None:
+    """Every integer flag at or above its command's floor, and --p a prime
+    by the spec files' test, else exit 2 naming the flag."""
     for name, floor in getattr(args, "floors", {}).items():
         value = getattr(args, name)
         if value is not None and value < floor:
             raise SpecError(f"{name} must be >= {floor}", field=name)
+    if getattr(args, "p", None) is not None:
+        _require(vars(args), "p", int, is_supported_prime)
 
 
 def _error(command: str, code: int, error: dict, **extra) -> int:
@@ -484,7 +487,7 @@ def run_command(argv: list[str]) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        _check_floors(args)
+        _check_flags(args)
         return args.fn(args)
     except SpecError as exc:
         return _error(args.command, 2, {"field": exc.field, "message": str(exc)})

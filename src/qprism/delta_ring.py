@@ -6,18 +6,25 @@ generators w0, w1, ...; the Frobenius lift acts by q -> q^p, x -> x^p and
 w_k -> w_k^p + p*w_{k+1}, and delta(f) = (phi(f) - f^p) / p is an exact
 integer division.  A precision ledger records that each delta application
 costs one p-adic digit of validity on truncated lifts.
+
+The axiom suite's bulk sweep runs on q-only elements in W(p, N+1, M)
+through `WScalar`, the one W arithmetic: the extra digit pays for the
+division by p, and `w_delta` is delta there.  One helper, `_law_defects`,
+states the product and sum laws for both `WScalar` and `IntPoly`.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
-from .base_ring import RingContext, WScalar, q_int_poly
+from .base_ring import RingContext, WScalar, q_binomial_poly, q_int, q_int_poly
 from .errors import InvalidArgs, OrderOverflow, PrecisionExhausted, WindowTooSmall
 from .exactpoly import IntPoly
-from .grammar import parse_poly
+from .grammar import check_power, parse_poly
 
 DEFAULT_OMEGA_CAP = 16
 
@@ -150,11 +157,9 @@ def delta_map(f: DeltaElement) -> DeltaElement:
     return phi_delta(f)[1]
 
 
-def is_distinguished(d: DeltaElement, ctx: RingContext | None = None) -> bool:
+def is_distinguished(d: DeltaElement) -> bool:
     """True iff delta(d) is a unit of W (nonzero F_p-residue)."""
-    ctx = ctx or d.ctx
-    dd = delta_map(d)
-    return dd.reduce_to_w().is_unit()
+    return delta_map(d).reduce_to_w().is_unit()
 
 
 def _flatten_qx(ctx: RingContext, poly: IntPoly, max_xdeg: int) -> np.ndarray:
@@ -167,12 +172,7 @@ def _flatten_qx(ctx: RingContext, poly: IntPoly, max_xdeg: int) -> np.ndarray:
     return out
 
 
-def qpd_check(
-    f: DeltaElement,
-    J: list[DeltaElement],
-    ctx: RingContext | None = None,
-    window: int = 4,
-) -> bool:
+def qpd_check(f: DeltaElement, J: list[DeltaElement], window: int = 4) -> bool:
     """Decide phi(f) - (p)_q * delta(f) in the module generated by (p)_q * J.
 
     The generating set is {(p)_q * g * t^i * x^j} for g in J, i < m_prec and
@@ -181,7 +181,7 @@ def qpd_check(
     x-free data the span is complete and the verdict exact.  Otherwise an
     undecided probe raises WindowTooSmall.
     """
-    ctx = ctx or f.ctx
+    ctx = f.ctx
     phi, delta = phi_delta(f)
     d_poly = q_int_poly(ctx.p)
     u = phi.poly - d_poly * delta.poly
@@ -231,83 +231,45 @@ def qpd_check(
     )
 
 
-def nygaard_member(f: DeltaElement, ctx: RingContext | None = None) -> bool:
+def nygaard_member(f: DeltaElement) -> bool:
     """Membership in the Frobenius preimage of ((p)_q): the unit-ideal variant."""
     one = DeltaElement(f.ctx, IntPoly.one(), f.ctx.n_prec, f.omega_cap)
-    return qpd_check(f, [one], ctx)
+    return qpd_check(f, [one])
 
 
-class _TruncatedDelta:
-    """Delta arithmetic on q-only lifts in the truncated model.
+def w_delta(u: WScalar, u_p: WScalar) -> WScalar:
+    """delta(u) = (phi(u) - u^p) / p for u in W(p, N+1, M), in the same ring,
+    given u_p = u^p.
 
-    Elements are t-coordinate tuples of length M with entries mod p^{N+1}
-    (one digit of headroom for the division by p); the Frobenius lift and
-    delta descend to this quotient, so law checks at precision N-1 are
-    exact statements about the truncation.
+    The coordinates of phi(u) - u^p in [0, p^(N+1)) are all divisible by p,
+    so delta(u) is exact modulo p^N: the extra digit is the headroom the
+    division by p spends.
     """
+    p = u.ctx.p
+    return WScalar(u.ctx, (c // p for c in (u.frobenius() - u_p).coeffs))
 
-    def __init__(self, ctx: RingContext):
-        self.p = ctx.p
-        self.m = ctx.m_prec
-        self.mod = ctx.p ** (ctx.n_prec + 1)
-        phi_t = self._phi_t()
-        pows = [self._one()]
-        for _ in range(self.m - 1):
-            pows.append(self.mul(pows[-1], phi_t))
-        self.phi_t_pows = pows
 
-    def _one(self):
-        return tuple([1] + [0] * (self.m - 1))
+def _law_defects(a, b, delta, p: int):
+    """lhs - rhs of the product and the sum law of delta at (a, b):
 
-    def _phi_t(self):
-        # (1+t)^p - 1 truncated; the constant coefficient vanishes
-        from math import comb
+        delta(ab)  = a^p delta(b) + b^p delta(a) + p delta(a) delta(b),
+        delta(a+b) = delta(a) + delta(b) - sum_{0<i<p} C(p, i)/p a^i b^(p-i).
 
-        return tuple(
-            (comb(self.p, i) if i >= 1 else 0) % self.mod for i in range(self.m)
-        )
-
-    def mul(self, u, v):
-        out = [0] * self.m
-        for i, a in enumerate(u):
-            if a:
-                for j in range(self.m - i):
-                    b = v[j]
-                    if b:
-                        out[i + j] = (out[i + j] + a * b) % self.mod
-        return tuple(out)
-
-    def add(self, u, v):
-        return tuple((a + b) % self.mod for a, b in zip(u, v))
-
-    def sub(self, u, v):
-        return tuple((a - b) % self.mod for a, b in zip(u, v))
-
-    def scale(self, u, c):
-        return tuple((a * c) % self.mod for a in u)
-
-    def powp(self, u):
-        out = self._one()
-        base = u
-        e = self.p
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
-
-    def phi(self, u):
-        out = tuple([0] * self.m)
-        for i, c in enumerate(u):
-            if c:
-                out = self.add(out, self.scale(self.phi_t_pows[i], c))
-        return out
-
-    def delta(self, u):
-        diff = self.sub(self.phi(u), self.powp(u))
-        # representatives of classes divisible by p stay divisible by p
-        return tuple((c % self.mod) // self.p for c in diff)
+    a and b are both WScalars or both IntPolys, and delta(f, f^p) is delta
+    on their ring; a^1..a^p and b^1..b^p are formed once and serve both laws.
+    """
+    apow, bpow = [a], [b]
+    for _ in range(p - 1):
+        apow.append(apow[-1] * a)
+        bpow.append(bpow[-1] * b)
+    ap, bp = apow[-1], bpow[-1]
+    da, db = delta(a, ap), delta(b, bp)
+    product = delta(a * b, ap * bp) - (ap * db + bp * da + da * db * p)
+    corr = da + db
+    for i in range(1, p):
+        corr = corr - apow[i - 1] * bpow[p - i - 1] * (comb(p, i) // p)
+    s = a + b
+    return product, delta(s, s**p) - corr
 
 
 def run_axiom_suite(
@@ -318,16 +280,12 @@ def run_axiom_suite(
 ) -> dict:
     """Exact delta-ring and q-combinatorics property sweep.
 
-    The bulk sweep draws random truncated q-lifts and checks the product
-    and sum laws exactly at precision N-1 inside the truncation; a smaller
-    sample repeats both laws on exact multivariate lifts carrying the
-    coordinate x.  The q-analog identities are checked exactly in Z[q].
+    The bulk sweep draws random pairs of W(p, N+1, M), one p-adic digit
+    above the context, and checks the product and sum laws at precision
+    N-1 with `w_delta`; a smaller sample repeats both laws on exact
+    multivariate lifts carrying the coordinate x.  The q-analog identities
+    are checked exactly in Z[q].
     """
-    import random as _random
-    from math import comb
-
-    from .base_ring import q_binomial_poly, q_int, q_int_poly
-
     report: dict = {"contexts": [], "ok": True}
     # the q-Pascal identity lives in Z[q] and holds or fails for every context
     binom = [[q_binomial_poly(n0, k0, 1) for k0 in range(n0 + 1)] for n0 in range(13)]
@@ -337,64 +295,29 @@ def run_axiom_suite(
         for k0 in range(1, n0)
     )
     for ctx in contexts:
-        rng = _random.Random((seed, ctx.p, ctx.n_prec, ctx.m_prec).__hash__())
+        rng = random.Random((seed, ctx.p, ctx.n_prec, ctx.m_prec).__hash__())
         p = ctx.p
         mod = p ** max(ctx.n_prec - 1, 1)
+        up = RingContext(p, ctx.n_prec + 1, ctx.m_prec)
+        # (pairs, draw one element, delta(f, f^p), "the defect is not 0 mod p^(N-1)")
+        sweeps = [
+            (samples, lambda: WScalar.random(up, rng), w_delta,
+             lambda defect: any(c % mod for c in defect.coeffs)),
+            (exact_samples, lambda: _random_lift(rng, ctx), lambda f, f_p: _delta_poly(ctx, f, f_p),
+             lambda defect: not _congruent(defect, mod, ctx)),
+        ]
         product_ok = sum_ok = True
-        trunc = _TruncatedDelta(ctx)
-        sum_coeffs = [comb(p, i) // p for i in range(1, p)]
-
-        def law_mismatch(u, v) -> tuple[bool, bool]:
-            da, db = trunc.delta(u), trunc.delta(v)
-            lhs = trunc.delta(trunc.mul(u, v))
-            rhs = trunc.mul(trunc.powp(u), db)
-            rhs = trunc.add(rhs, trunc.mul(trunc.powp(v), da))
-            rhs = trunc.add(rhs, trunc.scale(trunc.mul(da, db), p))
-            bad_prod = any((a - b) % mod for a, b in zip(lhs, rhs))
-            lhs = trunc.delta(trunc.add(u, v))
-            rhs = trunc.add(da, db)
-            corr = tuple([0] * trunc.m)
-            vpows = [trunc._one()]
-            for _ in range(p):
-                vpows.append(trunc.mul(vpows[-1], v))
-            upow = trunc._one()
-            for i in range(1, p):
-                upow = trunc.mul(upow, u)
-                corr = trunc.add(
-                    corr, trunc.scale(trunc.mul(upow, vpows[p - i]), sum_coeffs[i - 1])
-                )
-            rhs = trunc.sub(rhs, corr)
-            bad_sum = any((a - b) % mod for a, b in zip(lhs, rhs))
-            return bad_prod, bad_sum
-
-        for _ in range(samples):
-            u = tuple(rng.randrange(trunc.mod) for _ in range(trunc.m))
-            v = tuple(rng.randrange(trunc.mod) for _ in range(trunc.m))
-            bad_prod, bad_sum = law_mismatch(u, v)
-            if bad_prod:
-                product_ok = False
-                break
-            if bad_sum:
-                sum_ok = False
-                break
-        for _ in range(exact_samples):
-            a = _random_lift(rng, ctx)
-            b = _random_lift(rng, ctx)
-            da = _delta_poly(ctx, a)
-            db = _delta_poly(ctx, b)
-            lhs = _delta_poly(ctx, a * b)
-            rhs = a**p * db + b**p * da + IntPoly.const(p) * da * db
-            if not _congruent(lhs - rhs, mod, ctx):
-                product_ok = False
-                break
-            lhs = _delta_poly(ctx, a + b)
-            corr = IntPoly()
-            for i in range(1, p):
-                corr = corr + IntPoly.const(comb(p, i) // p) * a**i * b ** (p - i)
-            rhs = da + db - corr
-            if not _congruent(lhs - rhs, mod, ctx):
-                sum_ok = False
-                break
+        for pairs, draw, delta, nonzero in sweeps:
+            for _ in range(pairs):
+                a = draw()
+                b = draw()
+                product, sum_ = _law_defects(a, b, delta, p)
+                if nonzero(product):
+                    product_ok = False
+                    break
+                if nonzero(sum_):
+                    sum_ok = False
+                    break
         dist_ok = is_distinguished(DeltaElement(ctx, q_int_poly(p, 1)))
         qm1_ok = not is_distinguished(DeltaElement(ctx, IntPoly.var("q") - 1))
         mult_ok = all(
@@ -421,19 +344,16 @@ def run_axiom_suite(
 
 
 def _random_lift(rng, ctx: RingContext) -> IntPoly:
-    total = IntPoly()
-    for i in range(ctx.m_prec):
-        c = rng.randrange(ctx.pn)
-        if c:
-            total = total + IntPoly.const(c) * (IntPoly.var("q") - 1) ** i
+    total = WScalar.random(ctx, rng).lift()
     if rng.random() < 0.3:
         total = total + IntPoly.const(rng.randrange(ctx.pn)) * IntPoly.var("x")
     return total
 
 
-def _delta_poly(ctx: RingContext, poly: IntPoly) -> IntPoly:
+def _delta_poly(ctx: RingContext, poly: IntPoly, poly_p: IntPoly) -> IntPoly:
+    """delta(poly), given poly_p = poly^p."""
     phi = _phi_substitution(ctx, poly, DEFAULT_OMEGA_CAP)
-    return (phi - poly**ctx.p).divide_exact(ctx.p)
+    return (phi - poly_p).divide_exact(ctx.p)
 
 
 def _congruent(diff: IntPoly, mod: int, ctx: RingContext) -> bool:
@@ -465,6 +385,9 @@ def envelope_presentation(
     g = -x the relation list follows the convention for the polynomial
     envelope in the coordinate: r_i = delta^{i+1}(x + d*w0), so r_0 is
     already the first delta-image.
+
+    Before each delta the p-th power it forms is held to the budget of a
+    parsed power (`grammar.check_power`); past it SpecError is raised.
     """
     if K < 0:
         raise InvalidArgs("order cap K must be >= 0")
@@ -483,13 +406,9 @@ def envelope_presentation(
         precision,
         omega_cap=cap,
     )
-    relations = []
-    current = base
-    if prispol:
-        current = delta_map(current)
-    relations.append(current)
-    for _ in range(K):
-        current = delta_map(current)
-        relations.append(current)
+    iterates = [base]
+    for _ in range(applications):
+        check_power(len(iterates[-1].poly.terms), ctx.p)
+        iterates.append(delta_map(iterates[-1]))
     gens = ["x"] + [f"w{i}" for i in range(cap + 1)]
-    return EnvelopePresentation(gens, relations, K)
+    return EnvelopePresentation(gens, iterates[-(K + 1):], K)

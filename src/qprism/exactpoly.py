@@ -75,6 +75,19 @@ def _unpack(key: int) -> Monomial:
     return tuple(sorted(out))
 
 
+def square_and_multiply(base, n: int):
+    """base**n for n >= 1 by repeated squaring, with no product by one and
+    no squaring beyond the last bit of n."""
+    result = None
+    while True:
+        if n & 1:
+            result = base if result is None else result * base
+        n >>= 1
+        if not n:
+            return result
+        base = base * base
+
+
 def _checked(terms: dict[int, int]) -> IntPoly:
     """The polynomial of freshly summed keys, after the guard-bit check."""
     seen = 0
@@ -173,18 +186,9 @@ class IntPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> IntPoly:
-        """Square and multiply, with no product beyond the last bit of n."""
         if n < 0:
             raise ValueError("negative exponent on a polynomial")
-        result = None
-        base = self
-        while True:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if not n:
-                return IntPoly.one() if result is None else result
-            base = base * base
+        return square_and_multiply(self, n) if n else IntPoly.one()
 
     def monomials(self) -> dict[Monomial, int]:
         """The terms keyed by `Monomial` tuples."""

@@ -73,6 +73,14 @@ def _check_terms(a: int, b: int, what: str) -> None:
         raise SpecError(f"{what} would form {a}*{b} monomial products, over the cap {MAX_TERMS}")
 
 
+def check_power(terms: int, n: int) -> None:
+    """Refuse the power ^n of a polynomial with `terms` terms when the product
+    of its two halves would form more than MAX_TERMS monomial products."""
+    # each term of b^k is a product of k terms of b taken with repetition
+    halves = [comb(terms + k - 1, k) if k else 1 for k in ((n + 1) // 2, n // 2)]
+    _check_terms(*halves, f"power ^{n}")
+
+
 def _canonical_var(name: str) -> str:
     if name == "x'":
         return "x"
@@ -154,10 +162,7 @@ class _Parser:
             degree = max([1] + [base.degree(v) for v in base.variables()])
             if n * degree > MAX_EXPONENT:
                 raise SpecError(f"power ^{n} exceeds the exponent cap {MAX_EXPONENT}")
-            # each term of b^k is a product of k terms of b taken with repetition
-            t = len(base.terms)
-            halves = [comb(t + k - 1, k) if k else 1 for k in ((n + 1) // 2, n // 2)]
-            _check_terms(*halves, f"power ^{n}")
+            check_power(len(base.terms), n)
             base = base**n
         return base
 

@@ -231,6 +231,31 @@ def test_frobenius_endomorphism_of_w():
         assert (a + b).frobenius() == a.frobenius() + b.frobenius()
 
 
+def test_power_does_no_product_beyond_its_last_bit(monkeypatch):
+    calls = []
+    mul = WScalar.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(WScalar, "__mul__", counted)
+    ctx = RingContext(3, 4, 12)
+    t = WScalar.t(ctx)
+    for n, products in [(0, 0), (1, 0), (2, 1), (5, 3), (8, 3)]:
+        calls.clear()
+        assert t**n == WScalar(ctx, [0] * n + [1]), n
+        assert len(calls) == products, n
+
+
+def test_mixed_contexts_refused():
+    a = WScalar.one(RingContext(2, 2, 2))
+    with pytest.raises(InvalidArgs):
+        a + WScalar.one(RingContext(2, 3, 2))
+    # an equal context built separately mixes freely
+    assert a * WScalar.one(RingContext(2, 2, 2)) == a
+
+
 def test_q_binomial_base_power_is_substitution():
     # the Gaussian binomial in base q^r is the base-q polynomial in q^r
     for n in range(6):

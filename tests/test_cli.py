@@ -369,9 +369,27 @@ def test_out_of_budget_adic_and_poincare_exit_2_at_once(tmp_path, capsys, argv, 
          "iterate_cap"),
         (["poincare", "--p", "2", "--cap", "2", "--m", "0"], "m"),
         (["envelope", "--p", "0", "--order", "1"], "p"),
+        # above the floor, but not a prime: the spec files' prime test applies
+        (["axioms", "--p", "4"], "p"),
+        (["envelope", "--p", "4", "--order", "1"], "p"),
+        (["poincare", "--p", "4", "--cap", "2"], "p"),
+        (["cohomology", "--spec", {**COHOMOLOGY_SPEC, "p": 4}], "p"),
+        (["cartier", "--spec", {**COHOMOLOGY_SPEC, "level": -1, "p": 4}], "p"),
+        (["adic", "--spec", {**ADIC_SPEC, "p": 4}], "p"),
+        (["q-int", "3", "--r", "-1"], "r"),
+        (["q-int", "1", "--r", "-1"], "r"),
+        # the p-th power of the next delta would pass the grammar's term budget
+        (["envelope", "--p", "3", "--order", "3"], "order"),
+        (["envelope", "--p", "5", "--order", "2"], "order"),
+        (["envelope", "--p", "2", "--order", "9"], "order"),
     ],
 )
-def test_out_of_range_flag_exits_2_naming_it(capsys, argv, field):
+def test_out_of_range_flag_exits_2_naming_it(tmp_path, capsys, argv, field):
+    argv = list(argv)
+    if isinstance(argv[-1], dict):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(argv[-1]))
+        argv[-1] = str(path)
     start = time.perf_counter()
     code, report = run_json(capsys, *argv)
     assert time.perf_counter() - start < 1

@@ -1,11 +1,17 @@
 import random
 from math import comb
 
+import numpy as np
 import pytest
+from delta_oracle import _TruncatedDelta
 
-from qprism.base_ring import RingContext, q_int_poly
+from qprism.base_ring import RingContext, WScalar, frobenius_matrix, q_int_poly
 from qprism.delta_ring import (
     DeltaElement,
+    _congruent,
+    _delta_poly,
+    _law_defects,
+    _random_lift,
     delta_map,
     envelope_presentation,
     is_distinguished,
@@ -13,6 +19,8 @@ from qprism.delta_ring import (
     phi_delta,
     phi_map,
     qpd_check,
+    run_axiom_suite,
+    w_delta,
 )
 from qprism.errors import (
     InvalidArgs,
@@ -276,3 +284,84 @@ def test_reduce_to_w_rejects_x():
     ctx = RingContext(2, 2, 2)
     with pytest.raises(InvalidArgs):
         elem(ctx, "x").reduce_to_w()
+
+
+def test_w_delta_and_frobenius_match_the_truncated_oracle():
+    rng = random.Random(13)
+    for p in (2, 3, 5, 7):
+        for n in range(1, 5):
+            for m in range(1, 6):
+                ctx = RingContext(p, n, m)
+                up = RingContext(p, n + 1, m)
+                trunc = _TruncatedDelta(ctx)
+                for _ in range(8):
+                    u = tuple(rng.randrange(trunc.mod) for _ in range(m))
+                    w = WScalar(up, u)
+                    assert w_delta(w, w**p).coeffs == trunc.delta(u), (p, n, m, u)
+                    assert w.frobenius().coeffs == trunc.phi(u), (p, n, m, u)
+                    low = WScalar(ctx, u).frobenius().coeffs
+                    assert low == tuple(c % ctx.pn for c in trunc.phi(u)), (p, n, m, u)
+
+
+def test_frobenius_matrix_matches_the_power_construction():
+    # the W-Frobenius of the descent legs, as cartier.semilinear_frobenius built it
+    for p in (2, 3, 5, 7):
+        for n in range(1, 4):
+            for m in range(1, 6):
+                ctx = RingContext(p, n, m)
+                phi_t = WScalar.q(ctx) ** p - WScalar.one(ctx)
+                w_frobenius = np.array([(phi_t**i).coeffs for i in range(ctx.m_prec)], dtype=np.int64).T
+                assert np.array_equal(np.array(frobenius_matrix(ctx), dtype=np.int64), w_frobenius)
+
+
+def _scalar_sweep(p, n, m):
+    up = RingContext(p, n + 1, m)
+    rng = random.Random(p * 100 + n * 10 + m)
+    pairs = [
+        tuple(WScalar(up, [rng.randrange(up.pn) for _ in range(m)]) for _ in range(2))
+        for _ in range(20)
+    ]
+    return up, pairs, p ** (n - 1)
+
+
+def test_law_defects_vanish_for_delta_and_not_for_a_corrupted_delta():
+    for p in (2, 3, 5):
+        # WScalar carrier: the bulk sweep's ring W(p, N+1, M)
+        up, pairs, mod = _scalar_sweep(p, 3, 3)
+        one = WScalar.one(up)
+        for delta, holds in ((w_delta, True), (lambda f, f_p: w_delta(f, f_p) + one, False)):
+            defects = [_law_defects(a, b, delta, p) for a, b in pairs]
+            product_bad = [any(c % mod for c in d[0].coeffs) for d in defects]
+            sum_bad = [any(c % mod for c in d[1].coeffs) for d in defects]
+            if holds:
+                assert not any(product_bad) and not any(sum_bad), p
+            else:
+                # delta + 1 shifts the sum law by -1 on every pair
+                assert all(sum_bad) and any(product_bad), p
+        # IntPoly carrier: exact lifts with the coordinate x
+        ctx = RingContext(p, 3, 2)
+        mod = p ** (ctx.n_prec - 1)
+        rng = random.Random(p)
+        lifts = [(_random_lift(rng, ctx), _random_lift(rng, ctx)) for _ in range(6)]
+
+        def exact_delta(f, f_p):
+            return _delta_poly(ctx, f, f_p)
+
+        for delta, holds in ((exact_delta, True), (lambda f, f_p: exact_delta(f, f_p) + 1, False)):
+            defects = [_law_defects(a, b, delta, p) for a, b in lifts]
+            product_bad = [not _congruent(d[0], mod, ctx) for d in defects]
+            sum_bad = [not _congruent(d[1], mod, ctx) for d in defects]
+            if holds:
+                assert not any(product_bad) and not any(sum_bad), p
+            else:
+                assert all(sum_bad) and any(product_bad), p
+
+
+def test_axiom_suite_fails_with_a_wrong_frobenius(monkeypatch):
+    contexts = [RingContext(2, 2, 2), RingContext(3, 3, 3)]
+    assert run_axiom_suite(contexts, samples=50)["ok"]
+    monkeypatch.setattr(WScalar, "frobenius", lambda self: self)
+    suite = run_axiom_suite(contexts, samples=50)
+    assert not suite["ok"]
+    for entry in suite["contexts"]:
+        assert entry["product_law"] is False, entry["context"]
