@@ -5,7 +5,10 @@ certificates, and the quasi-isomorphism verdict.
 The coordinate x' of the source module acts as x^p after raising, so a
 source window D' pairs with the target window p*D' + p - 1; the degree
 grading then matches both quotient windows exactly, which is asserted
-programmatically rather than assumed.
+programmatically rather than assumed.  The raised flat index of
+(component j, degree p*n + k, t-power i) is the index (j, n, k, i) of the
+reshape (rank, D' + 1, p, m), so grade k is one index of its third axis,
+and the Frobenius legs and the block split read every grade through it.
 
 Each run flattens two connections by probing basis sections: the source
 theta' and the raised theta.  Every other descent matrix derives from these
@@ -92,31 +95,15 @@ def _block_diagonal(block: np.ndarray, copies: int) -> np.ndarray:
     return np.kron(np.eye(copies, dtype=np.int64), block)
 
 
-def _grade_indices(ctx: RingContext, rank: int, win_out: int, win_in: int, k: int):
-    """Flat indices of the grade-k slice of the raised module, ordered to
-    match the source module layout (component, degree, t-power)."""
-    p = ctx.p
-    m = ctx.m_prec
-    idx = []
-    for j in range(rank):
-        for n in range(win_in + 1):
-            d = k + p * n
-            base = (j * (win_out + 1) + d) * m
-            idx.extend(range(base, base + m))
-    return np.array(idx, dtype=np.intp)
-
-
 def _frobenius_leg(
     ctx: RingContext, rank: int, win_in: int, k: int, w_block: np.ndarray
 ) -> FlatMatrix:
     """x'^n e_j t^i -> x^{pn+k} e_j (w_block t^i): one m x m block per
-    source basis section, placed in the grade-k rows of the raised module."""
-    win_out = raised_window(ctx.p, win_in)
-    out = np.zeros((flat_dim(ctx, rank, win_out), flat_dim(ctx, rank, win_in)), dtype=np.int64)
-    out[_grade_indices(ctx, rank, win_out, win_in, k)] = _block_diagonal(
-        w_block, rank * (win_in + 1)
-    )
-    return FlatMatrix(ctx.p, ctx.n_prec, out)
+    source basis section, placed in grade k of the raised module."""
+    cols = flat_dim(ctx, rank, win_in)
+    out = np.zeros((rank, win_in + 1, ctx.p, ctx.m_prec, cols), dtype=np.int64)
+    out[:, :, k] = _block_diagonal(w_block, rank * (win_in + 1)).reshape(out[:, :, k].shape)
+    return FlatMatrix(ctx.p, ctx.n_prec, out.reshape(-1, cols))
 
 
 @dataclass
@@ -229,34 +216,23 @@ def block_split(problem: CartierProblem, data: ChainMapData | None = None) -> Bl
     conn = problem.conn_prime
     ctx = conn.ctx
     p = ctx.p
-    win_in = conn.window
-    win_out = raised_window(p, win_in)
     if data is None:
         data = chain_map_build(conn)
-    theta_flat = data.target_differential
-    x_theta = _shift_degree(data.source_differential, conn.rank, win_in)
-
+    x_theta = _shift_degree(data.source_differential, conn.rank, conn.window)
+    grades = (conn.rank, conn.window + 1, p, ctx.m_prec)
+    view = data.target_differential.entries.reshape(grades + grades)
+    # occupied[k_out, k_in]: some entry maps grade k_in into grade k_out;
+    # shift[k_out, k_in]: k_out = k_in - 1 mod p, the only moves allowed
+    occupied = view.any(axis=(0, 1, 3, 4, 5, 7))
+    shift = np.arange(p)[:, None] == (np.arange(p) - 1) % p
+    structure_ok = not (occupied & ~shift).any()
     operators = {}
     twisted = {}
-    seen = np.zeros(theta_flat.entries.shape, dtype=bool)
-    structure_ok = True
-    for k in range(p):
-        cols = _grade_indices(ctx, conn.rank, win_out, win_in, k)
-        out_grade = (k - 1) % p
-        rows = _grade_indices(ctx, conn.rank, win_out, win_in, out_grade)
-        sub = theta_flat.entries[np.ix_(rows, cols)]
-        mask = np.zeros(theta_flat.entries.shape, dtype=bool)
-        mask[np.ix_(rows, cols)] = True
-        seen |= mask
-        if k >= 1:
-            expected = _block_operator(x_theta, ctx, k, twist=True)
-            if not np.array_equal(sub % theta_flat.modulus, expected.entries):
-                structure_ok = False
-            operators[k] = _block_operator(x_theta, ctx, k, twist=False)
-            twisted[k] = expected
-    # everything outside the graded blocks must vanish
-    if theta_flat.entries[~seen].any():
-        structure_ok = False
+    for k in range(1, p):
+        twisted[k] = _block_operator(x_theta, ctx, k, twist=True)
+        graded = view[:, :, k - 1, :, :, :, k, :].reshape(twisted[k].entries.shape)
+        structure_ok = structure_ok and np.array_equal(graded, twisted[k].entries)
+        operators[k] = _block_operator(x_theta, ctx, k, twist=False)
     if not structure_ok:
         raise WindowUnstable("raised connection escaped its degree grading")
     return BlockData(operators, twisted, True)
@@ -401,9 +377,12 @@ class FrobeniusEndoData:
     phi_on_forms: FlatMatrix
 
     def chain_map_ok(self) -> bool:
-        lhs = self.phi_on_forms.matmul(self.source_differential)
-        rhs = self.target_differential.matmul(self.phi_on_module)
-        return lhs == rhs
+        return is_chain_map(
+            self.source_differential,
+            self.target_differential,
+            self.phi_on_module,
+            self.phi_on_forms,
+        )
 
 
 def semilinear_frobenius(ctx: RingContext, window: int) -> FrobeniusEndoData:

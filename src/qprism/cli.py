@@ -364,6 +364,14 @@ def cmd_cartier(args) -> int:
             raise SpecError(
                 "cartier pipeline needs level -1 in field 'level'", field="level"
             )
+        # the largest matrices are the raised ones of the window + 2 re-run
+        ctx = conn.ctx
+        _check_budget(
+            ctx.p,
+            "n_prec",
+            ctx.n_prec,
+            {"rank": conn.rank, "p": ctx.p, "degree_window": conn.window + 3, "m_prec": ctx.m_prec},
+        )
         rep = cartier_verify(CartierProblem(conn, iterate_cap=args.iterate_cap))
         verdicts = rep.to_json()
         return {**meta, "report": verdicts}, verdicts, rep.all_ok

@@ -24,7 +24,7 @@ import numpy as np
 from .base_ring import RingContext, WScalar, q_binomial_poly, q_int, q_int_poly
 from .errors import InvalidArgs, OrderOverflow, PrecisionExhausted, WindowTooSmall
 from .exactpoly import IntPoly
-from .grammar import check_power, parse_poly
+from .grammar import checked_power, parse_poly
 
 DEFAULT_OMEGA_CAP = 16
 
@@ -142,12 +142,15 @@ def phi_map(f: DeltaElement) -> DeltaElement:
 def phi_delta(f: DeltaElement) -> tuple[DeltaElement, DeltaElement]:
     """Return (phi(f), delta(f)) with delta = (phi(f) - f^p)/p exactly.
 
-    delta spends one p-adic digit: its precision is f.precision - 1.
+    delta spends one p-adic digit: its precision is f.precision - 1.  The
+    power f^p is formed first, held to the term budget of a parsed power
+    (`grammar.checked_power`): past it SpecError is raised before phi.
     """
     if f.precision < 2:
         raise PrecisionExhausted("delta needs precision >= 2")
+    power = checked_power(f.poly, f.ctx.p)
     phi_poly = _phi_substitution(f.ctx, f.poly, f.omega_cap)
-    delta_poly = (phi_poly - f.poly ** f.ctx.p).divide_exact(f.ctx.p)
+    delta_poly = (phi_poly - power).divide_exact(f.ctx.p)
     phi = f._like(phi_poly)
     delta = f._like(delta_poly, f.precision - 1)
     return phi, delta
@@ -386,8 +389,8 @@ def envelope_presentation(
     envelope in the coordinate: r_i = delta^{i+1}(x + d*w0), so r_0 is
     already the first delta-image.
 
-    Before each delta the p-th power it forms is held to the budget of a
-    parsed power (`grammar.check_power`); past it SpecError is raised.
+    Each delta forms its p-th power under the grammar's term budget
+    (`phi_delta`); past it SpecError is raised.
     """
     if K < 0:
         raise InvalidArgs("order cap K must be >= 0")
@@ -408,7 +411,6 @@ def envelope_presentation(
     )
     iterates = [base]
     for _ in range(applications):
-        check_power(len(iterates[-1].poly.terms), ctx.p)
         iterates.append(delta_map(iterates[-1]))
     gens = ["x"] + [f"w{i}" for i in range(cap + 1)]
     return EnvelopePresentation(gens, iterates[-(K + 1):], K)

@@ -266,7 +266,7 @@ def poincare_exactness(ctx: RingContext, dp_cap: int, window: int = 2) -> dict:
     """
     import numpy as np
 
-    from .homology import FlatMatrix, kernel_log_cardinality
+    from .homology import FlatMatrix, exactness
 
     m = ctx.m_prec
     a_dim = (window + 1) * m
@@ -281,14 +281,9 @@ def poincare_exactness(ctx: RingContext, dp_cap: int, window: int = 2) -> dict:
             a_dim, dtype=np.int64
         )
 
-    f0 = FlatMatrix(ctx.p, ctx.n_prec, d0)
-    f1 = FlatMatrix(ctx.p, ctx.n_prec, d1)
-    N = ctx.n_prec
-    k0 = kernel_log_cardinality(f0)
-    k1 = kernel_log_cardinality(f1)
-    exact_at_a = k0 == 0
-    exact_middle = k1 == N * a_dim - k0
-    exact_end = N * c1_dim - k1 == N * c2_dim
+    exact_at_a, exact_middle, exact_end = exactness(
+        FlatMatrix(ctx.p, ctx.n_prec, d0), FlatMatrix(ctx.p, ctx.n_prec, d1)
+    )
     return {
         "dp_cap": dp_cap,
         "degree_window": window,

@@ -18,10 +18,9 @@ Juxtaposition multiplies, so ``2q^2`` and ``2*q^2`` agree.  ``x'`` and
 from __future__ import annotations
 
 import re
-from math import comb
 
 from .errors import SpecError
-from .exactpoly import IntPoly
+from .exactpoly import IntPoly, square_and_multiply
 
 # Each level of parentheses costs three parser frames; 64 levels stay far
 # below the interpreter's recursion limit of 1000.
@@ -34,9 +33,9 @@ MAX_NESTING = 64
 MAX_EXPONENT = 1024
 
 # Cap on the monomial products one multiplication may form: a*b for an a-term
-# times a b-term polynomial, checked before it is expanded.  A power counts
-# as its largest product, of its two halves, so `(1+q+x)^64` passes and
-# `(1+q+x)^128` (2145*2145) exits 2.
+# times a b-term polynomial, checked before it is expanded.  A power is
+# checked at each product of its square-and-multiply, so `(1+q+x)^64` passes
+# and `(1+q+x)^128` exits 2 at its last squaring (2145*2145).
 MAX_TERMS = 1 << 20
 
 _TOKEN = re.compile(
@@ -73,12 +72,25 @@ def _check_terms(a: int, b: int, what: str) -> None:
         raise SpecError(f"{what} would form {a}*{b} monomial products, over the cap {MAX_TERMS}")
 
 
-def check_power(terms: int, n: int) -> None:
-    """Refuse the power ^n of a polynomial with `terms` terms when the product
-    of its two halves would form more than MAX_TERMS monomial products."""
-    # each term of b^k is a product of k terms of b taken with repetition
-    halves = [comb(terms + k - 1, k) if k else 1 for k in ((n + 1) // 2, n // 2)]
-    _check_terms(*halves, f"power ^{n}")
+class _Capped:
+    """A polynomial whose every product is held to MAX_TERMS, by the real
+    term counts of its operands, before it is formed."""
+
+    def __init__(self, poly: IntPoly, what: str):
+        self.poly = poly
+        self.what = what
+
+    def __mul__(self, other: _Capped) -> _Capped:
+        _check_terms(len(self.poly.terms), len(other.poly.terms), self.what)
+        return _Capped(self.poly * other.poly, self.what)
+
+
+def checked_power(base: IntPoly, n: int) -> IntPoly:
+    """base**n by the square-and-multiply of `IntPoly.__pow__`, refused at
+    the first product that would form more than MAX_TERMS monomial products."""
+    if not n:
+        return IntPoly.one()
+    return square_and_multiply(_Capped(base, f"power ^{n}"), n).poly
 
 
 def _canonical_var(name: str) -> str:
@@ -162,8 +174,7 @@ class _Parser:
             degree = max([1] + [base.degree(v) for v in base.variables()])
             if n * degree > MAX_EXPONENT:
                 raise SpecError(f"power ^{n} exceeds the exponent cap {MAX_EXPONENT}")
-            check_power(len(base.terms), n)
-            base = base**n
+            base = checked_power(base, n)
         return base
 
 

@@ -331,14 +331,26 @@ def is_chain_map(d0: FlatMatrix, d0p: FlatMatrix, f0: FlatMatrix, f1: FlatMatrix
     return np.array_equal(rhs[r1], d0.entries) and not rhs[off].any()
 
 
+def exactness(d0: FlatMatrix, d1: FlatMatrix):
+    """Yield, in order, whether 0 -> C0 -d0-> C1 -d1-> C2 -> 0 is exact at
+    C0, C1 and C2, by cardinalities: |ker d0| = 1, |ker d1| = |im d0| and
+    |im d1| = |C2|.  Lazy, so a caller can stop at the first failure."""
+    N = d0.n_prec
+    k0 = kernel_log_cardinality(d0)
+    yield k0 == 0
+    k1 = kernel_log_cardinality(d1)
+    yield k1 == N * d0.cols - k0
+    yield N * d1.cols - k1 == N * d1.rows
+
+
 def cone_acyclic(
     d0: FlatMatrix, d0p: FlatMatrix, f0: FlatMatrix, f1: FlatMatrix
 ) -> bool:
     """True iff the mapping cone of (f0, f1) : [d0] -> [d0p] is acyclic.
 
     The cone is C0 -> C1 + C'0 -> C'1 with differentials (d0, -f0) and
-    (f1 | d0p); acyclicity is decided by exact cardinality bookkeeping:
-    |ker| at each spot must match |image| of the previous map.
+    (f1 | d0p); acyclicity is decided by `exactness`, stopping at the first
+    spot that is not exact.
     """
     if not is_chain_map(d0, d0p, f0, f1):
         raise NotAChainMap("f1 d0 != d0' f0")
@@ -347,18 +359,7 @@ def cone_acyclic(
         p, N, np.vstack([d0.entries, (-f0.entries) % d0.modulus])
     )
     delta1 = FlatMatrix(p, N, np.hstack([f1.entries, d0p.entries]))
-    k0 = kernel_log_cardinality(delta0)
-    if k0 != 0:
-        return False
-    k1 = kernel_log_cardinality(delta1)
-    dim_c0 = d0.cols
-    dim_mid = delta1.cols
-    dim_end = delta1.rows
-    im0 = N * dim_c0 - k0
-    if k1 != im0:
-        return False
-    im1 = N * dim_mid - k1
-    return im1 == N * dim_end
+    return all(exactness(delta0, delta1))
 
 
 # --- flattening W-linear operators -------------------------------------------

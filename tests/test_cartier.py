@@ -14,7 +14,7 @@ from qprism.cartier import (
     raised_window,
     semilinear_frobenius,
 )
-from qprism.errors import WrongLevel
+from qprism.errors import WindowUnstable, WrongLevel
 from qprism.homology import flat_dim, flatten_sections
 from qprism.twisted_calculus import ConnectionModule, QPolynomial, connection_apply
 
@@ -180,6 +180,33 @@ def test_block_split_structure():
         assert set(data.operators) == set(range(1, p))
 
 
+@pytest.mark.parametrize(
+    "out_grade, in_grade",
+    [
+        (0, 0),  # outside the grade shift k -> k - 1 mod p
+        (2, 1),  # outside it, and between two graded blocks
+        (0, 1),  # inside the graded block k = 1
+        (1, 2),  # inside the graded block k = 2
+    ],
+)
+def test_block_split_refuses_a_corrupted_raised_differential(out_grade, in_grade):
+    ctx = RingContext(3, 2, 2)
+    conn = ConnectionModule(ctx, 2, -1, random_nilpotent_theta(ctx, 2, 3, seed=7), window=3)
+    problem = CartierProblem(conn)
+    data = chain_map_build(conn)
+    block_split(problem, data)
+    win_out = raised_window(3, 3)
+
+    def index(j, degree, i):
+        return (j * (win_out + 1) + degree) * ctx.m_prec + i
+
+    entries = data.target_differential.entries
+    row, col = index(1, 3 * 2 + out_grade, 1), index(0, 3 * 1 + in_grade, 0)
+    entries[row, col] = (entries[row, col] + 1) % ctx.pn
+    with pytest.raises(WindowUnstable):
+        block_split(problem, data)
+
+
 def test_block_diagonal_values():
     # L_1 on the degree-n piece of the trivial module multiplies by
     # (1)_q + (p)_q (n)_{q^p}
@@ -263,6 +290,9 @@ def test_semilinear_frobenius_chain_map():
         ctx = RingContext(p, 2, 2)
         data = semilinear_frobenius(ctx, window=4)
         assert data.chain_map_ok()
+        # the module leg in place of the forms leg breaks the square
+        data.phi_on_forms = data.phi_on_module
+        assert not data.chain_map_ok()
 
 
 def test_semilinear_frobenius_on_unit_form():

@@ -328,6 +328,29 @@ def test_out_of_budget_spec_exits_2_at_once(tmp_path, capsys, command, field, va
 
 
 @pytest.mark.parametrize(
+    "window, grow, code",
+    [
+        # raised dim 2 * 29 = 58 fits the cap; the window + 2 re-run's 2 * 31 = 62 does not
+        (28, False, 2),
+        (28, True, 2),
+        # the re-run's 2 * 30 = 60 fits
+        (27, False, 0),
+    ],
+)
+def test_cartier_budget_covers_the_raised_rerun(tmp_path, capsys, monkeypatch, window, grow, code):
+    monkeypatch.setenv("QPRISM_MAX_DIM", "60")
+    spec = {**COHOMOLOGY_SPEC, "level": -1, "m_prec": 1, "degree_window": window}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    start = time.perf_counter()
+    got, report = run_json(capsys, "cartier", "--spec", str(path), *(["--grow"] if grow else []))
+    assert time.perf_counter() - start < 1
+    assert got == code
+    if code:
+        assert report["error"]["field"] == "degree_window"
+
+
+@pytest.mark.parametrize(
     "argv, field",
     [
         (["adic", "--spec", {**ADIC_SPEC, "m": 2**70}], "m"),
@@ -396,6 +419,34 @@ def test_out_of_range_flag_exits_2_naming_it(tmp_path, capsys, argv, field):
     assert code == 2
     assert report["ok"] is False
     assert report["error"]["field"] == field
+
+
+@pytest.mark.parametrize(
+    "p, order, code",
+    [
+        (11, 0, 0),
+        (13, 0, 0),
+        (17, 0, 0),
+        (19, 0, 0),
+        (3, 2, 0),
+        (5, 1, 0),
+        (23, 0, 2),
+        (37, 0, 2),
+        (43, 0, 2),
+        (97, 0, 2),
+    ],
+)
+def test_envelope_term_budget_reads_real_term_counts(capsys, p, order, code):
+    # x + (p)_q w0 is sparse: its powers stay far below the count of
+    # multisets of its terms, which would refuse every p >= 11
+    start = time.perf_counter()
+    got, report = run_json(capsys, "envelope", "--p", str(p), "--order", str(order))
+    assert got == code
+    if code:
+        assert time.perf_counter() - start < 1
+        assert report["error"]["field"] == "order"
+    else:
+        assert len(report["relations"]) == order + 1
 
 
 def test_internal_error_exits_3_with_a_report(capsys, monkeypatch):
