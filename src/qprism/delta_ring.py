@@ -142,13 +142,15 @@ def phi_map(f: DeltaElement) -> DeltaElement:
 def phi_delta(f: DeltaElement) -> tuple[DeltaElement, DeltaElement]:
     """Return (phi(f), delta(f)) with delta = (phi(f) - f^p)/p exactly.
 
-    delta spends one p-adic digit: its precision is f.precision - 1.  The
-    power f^p is formed first, held to the term budget of a parsed power
-    (`grammar.checked_power`): past it SpecError is raised before phi.
+    delta spends one p-adic digit: its precision is f.precision - 1.
     """
     if f.precision < 2:
         raise PrecisionExhausted("delta needs precision >= 2")
-    power = checked_power(f.poly, f.ctx.p)
+    return _phi_delta_of_power(f, f.poly ** f.ctx.p)
+
+
+def _phi_delta_of_power(f: DeltaElement, power: IntPoly) -> tuple[DeltaElement, DeltaElement]:
+    """phi_delta(f) from f^p, already formed, for f of precision >= 2."""
     phi_poly = _phi_substitution(f.ctx, f.poly, f.omega_cap)
     delta_poly = (phi_poly - power).divide_exact(f.ctx.p)
     phi = f._like(phi_poly)
@@ -389,8 +391,8 @@ def envelope_presentation(
     envelope in the coordinate: r_i = delta^{i+1}(x + d*w0), so r_0 is
     already the first delta-image.
 
-    Each delta forms its p-th power under the grammar's term budget
-    (`phi_delta`); past it SpecError is raised.
+    Each delta forms its p-th power first, under the term budget of a
+    parsed power (`grammar.checked_power`); past it SpecError is raised.
     """
     if K < 0:
         raise InvalidArgs("order cap K must be >= 0")
@@ -411,6 +413,7 @@ def envelope_presentation(
     )
     iterates = [base]
     for _ in range(applications):
-        iterates.append(delta_map(iterates[-1]))
+        f = iterates[-1]
+        iterates.append(_phi_delta_of_power(f, checked_power(f.poly, ctx.p))[1])
     gens = ["x"] + [f"w{i}" for i in range(cap + 1)]
     return EnvelopePresentation(gens, iterates[-(K + 1):], K)

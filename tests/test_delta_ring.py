@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from delta_oracle import _TruncatedDelta
 
+import qprism.grammar
+
 from qprism.base_ring import RingContext, WScalar, frobenius_matrix, q_int_poly
 from qprism.delta_ring import (
     DeltaElement,
@@ -26,6 +28,7 @@ from qprism.errors import (
     InvalidArgs,
     OrderOverflow,
     PrecisionExhausted,
+    SpecError,
     WindowTooSmall,
 )
 from qprism.exactpoly import IntPoly
@@ -219,6 +222,26 @@ def test_nygaard_unit_ideal_variant():
     # phi(q-1) = (q^2-1) = (2)_q (q-1) lies in ((2)_q)
     assert nygaard_member(elem(ctx, "q-1"))
     assert not nygaard_member(elem(ctx, "1"))
+
+
+def test_only_the_envelope_holds_delta_to_the_term_budget(monkeypatch):
+    # with a cap of one monomial product per multiplication the envelope is
+    # refused, while the other users of delta keep their verdicts
+    monkeypatch.setattr(qprism.grammar, "MAX_TERMS", 1)
+    ctx = RingContext(2, 3, 3)
+    d = DeltaElement(ctx, q_int_poly(2, 1))
+    assert is_distinguished(d)
+    assert qpd_check(elem(ctx, "q-1"), [elem(ctx, "q-1")])
+    assert nygaard_member(elem(ctx, "q-1"))
+    with pytest.raises(SpecError):
+        envelope_presentation(DeltaElement(ctx, -IntPoly.var("x")), d, 0)
+
+
+def test_q_integer_past_the_term_budget_is_distinguished():
+    # ((53)_q)^53 forms a 1093*1665 product, over the cap of a parsed power
+    ctx = RingContext(53, 2, 2)
+    assert 1093 * 1665 > qprism.grammar.MAX_TERMS
+    assert is_distinguished(DeltaElement(ctx, q_int_poly(53, 1)))
 
 
 def test_envelope_prispol_relation_p2():
