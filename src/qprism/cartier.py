@@ -10,8 +10,10 @@ programmatically rather than assumed.  The raised flat index of
 reshape (rank, D' + 1, p, m), so grade k is one index of its third axis,
 and the Frobenius legs and the block split read every grade through it.
 
-Each run flattens two connections by probing basis sections: the source
-theta' and the raised theta.  Every other descent matrix derives from these
+Each run flattens two connections, the source theta' and the raised theta,
+each assembled from m x m W-blocks: powers of the sigma block, their
+running sums for the derivation, and one block product per coefficient of
+the connection matrix.  Every other descent matrix derives from these
 two by indexing or by m x m W-block products: the Frobenius legs are 0/1
 degree selections, each block operator is theta' with its output degree
 shifted by one (the factor x') plus (k)_q blocks, and the Verschiebung
@@ -31,16 +33,15 @@ from .homology import (
     FlatMatrix,
     cone_acyclic,
     flat_dim,
-    flatten_operator,
     is_chain_map,
     kernel_log_cardinality,
+    max_flat_dim,
     w_mult_block,
     w_scale_blocks,
 )
 from .twisted_calculus import (
     ConnectionModule,
     QPolynomial,
-    connection_apply,
     quasi_nilpotence_check,
 )
 
@@ -75,19 +76,42 @@ def level_raise(conn_prime: ConnectionModule) -> ConnectionModule:
 
 
 def flatten_connection(m: ConnectionModule) -> FlatMatrix:
+    """The connection as a matrix over Z/p^N, assembled from m x m W-blocks.
+
+    Let twist be 1 at level 0 and p at level -1, scale 1 at level 0 and
+    (p)_q at level -1, and Q_d = B(q^twist)^d the block of sigma^twist on
+    x^d, B(w) being `w_mult_block(w)`.  The section e_j x^d goes to
+    scale (d)_{q^twist} e_j x^{d-1} + sum_{i, e} c_e q^{twist d} e_i x^{d+e}
+    for theta_ij = sum_e c_e x^e, where (d)_{q^twist} = Q_0 + ... + Q_{d-1}.
+    In the reshape (rank, D+1, m, rank, D+1, m) a derivation block lowers
+    the degree by one and a theta block keeps or raises it, so no block is
+    written twice.
+    """
     if m.window is None:
         raise InvalidArgs("flattening needs a degree window")
-
-    def apply(j, d):
-        section = [
-            QPolynomial.x(m.ctx, d, m.window)
-            if i == j
-            else QPolynomial.zero(m.ctx, m.window)
-            for i in range(m.rank)
-        ]
-        return connection_apply(m, section)
-
-    return flatten_operator(m.ctx, m.rank, m.window, m.rank, m.window, apply)
+    ctx, rank, size = m.ctx, m.rank, m.window + 1
+    dim = flat_dim(ctx, rank, m.window)
+    if dim > max_flat_dim():
+        raise InvalidArgs(f"flattened dimension exceeds QPRISM_MAX_DIM={max_flat_dim()}")
+    pn = ctx.pn
+    twist, scale = (1, WScalar.one(ctx)) if m.level == 0 else (ctx.p, q_int(ctx.p, 1, ctx))
+    step = w_mult_block(q_power(ctx, twist))
+    sigma_blocks = np.empty((size, ctx.m_prec, ctx.m_prec), dtype=np.int64)
+    sigma_blocks[0] = np.eye(ctx.m_prec, dtype=np.int64)
+    for d in range(1, size):
+        sigma_blocks[d] = sigma_blocks[d - 1] @ step % pn
+    # derivation[d - 1] = B(scale) (d)_{q^twist} for d = 1..D
+    derivation = w_mult_block(scale) @ (np.cumsum(sigma_blocks[:-1], axis=0) % pn) % pn
+    blocks = np.zeros((rank, size, ctx.m_prec, rank, size, ctx.m_prec), dtype=np.int64)
+    deg = np.arange(size)
+    for j in range(rank):
+        blocks[j, deg[:-1], :, j, deg[1:], :] = derivation
+        for i in range(rank):
+            for e, c in m.theta[i][j].coeffs.items():
+                blocks[i, deg[e:], :, j, deg[: size - e], :] = (
+                    w_mult_block(c) @ sigma_blocks[: size - e] % pn
+                )
+    return FlatMatrix(ctx.p, ctx.n_prec, blocks.reshape(dim, dim))
 
 
 def _block_diagonal(block: np.ndarray, copies: int) -> np.ndarray:

@@ -391,8 +391,9 @@ def envelope_presentation(
     envelope in the coordinate: r_i = delta^{i+1}(x + d*w0), so r_0 is
     already the first delta-image.
 
-    Each delta forms its p-th power first, under the term budget of a
-    parsed power (`grammar.checked_power`); past it SpecError is raised.
+    Each delta forms its p-th power first by `grammar.checked_power`, which
+    holds each of its products to MAX_TERMS monomial products; past it
+    SpecError is raised.
     """
     if K < 0:
         raise InvalidArgs("order cap K must be >= 0")

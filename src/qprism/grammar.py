@@ -32,10 +32,12 @@ MAX_NESTING = 64
 # `((1+x)^k)^k`), and every spec field stays far below this in practice.
 MAX_EXPONENT = 1024
 
-# Cap on the monomial products one multiplication may form: a*b for an a-term
-# times a b-term polynomial, checked before it is expanded.  A power is
-# checked at each product of its square-and-multiply, so `(1+q+x)^64` passes
-# and `(1+q+x)^128` exits 2 at its last squaring (2145*2145).
+# Cap on the monomial products one literal may form: a*b for an a-term times
+# a b-term polynomial, summed over every product of the literal and checked
+# before each product is expanded.  A power is charged at each product of its
+# square-and-multiply, so `(1+q+x)^64` (about 0.34M products) passes and
+# `(1+q+x)^128` exits 2 at its last squaring (2145*2145), as does a sum of
+# four `(1+q+x)^64`.
 MAX_TERMS = 1 << 20
 
 _TOKEN = re.compile(
@@ -67,30 +69,40 @@ def _int(text: str) -> int:
         raise SpecError(f"integer literal of {len(text)} digits is too long") from exc
 
 
-def _check_terms(a: int, b: int, what: str) -> None:
-    if a * b > MAX_TERMS:
-        raise SpecError(f"{what} would form {a}*{b} monomial products, over the cap {MAX_TERMS}")
+def _check_terms(a: int, b: int, what: str, spent: int = 0) -> int:
+    """spent + a*b, the monomial products formed so far with one a-term
+    times b-term product more; refused past MAX_TERMS."""
+    total = spent + a * b
+    if total > MAX_TERMS:
+        so_far = f", {total} in this literal" if spent else ""
+        raise SpecError(
+            f"{what} would form {a}*{b} monomial products{so_far}, over the cap {MAX_TERMS}"
+        )
+    return total
 
 
 class _Capped:
-    """A polynomial whose every product is held to MAX_TERMS, by the real
-    term counts of its operands, before it is formed."""
+    """A polynomial whose every product is passed to `charge` with the real
+    term counts of its operands before it is formed."""
 
-    def __init__(self, poly: IntPoly, what: str):
+    def __init__(self, poly: IntPoly, what: str, charge):
         self.poly = poly
         self.what = what
+        self.charge = charge
 
     def __mul__(self, other: _Capped) -> _Capped:
-        _check_terms(len(self.poly.terms), len(other.poly.terms), self.what)
-        return _Capped(self.poly * other.poly, self.what)
+        self.charge(len(self.poly.terms), len(other.poly.terms), self.what)
+        return _Capped(self.poly * other.poly, self.what, self.charge)
 
 
-def checked_power(base: IntPoly, n: int) -> IntPoly:
-    """base**n by the square-and-multiply of `IntPoly.__pow__`, refused at
-    the first product that would form more than MAX_TERMS monomial products."""
+def checked_power(base: IntPoly, n: int, charge=_check_terms) -> IntPoly:
+    """base**n by the square-and-multiply of `IntPoly.__pow__`, each
+    product first passed to charge(a, b, what), which raises to refuse it.
+    By default a product is refused when it alone would form more than
+    MAX_TERMS monomial products."""
     if not n:
         return IntPoly.one()
-    return square_and_multiply(_Capped(base, f"power ^{n}"), n).poly
+    return square_and_multiply(_Capped(base, f"power ^{n}", charge), n).poly
 
 
 def _canonical_var(name: str) -> str:
@@ -106,6 +118,10 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.allowed = allowed
+        self.spent = 0  # monomial products this literal has formed
+
+    def charge(self, a: int, b: int, what: str) -> None:
+        self.spent = _check_terms(a, b, what, self.spent)
 
     def peek(self) -> tuple[str, str] | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -146,7 +162,7 @@ class _Parser:
             elif tok is None or not (tok[0] in ("int", "var") or tok == ("op", "(")):
                 return result
             factor = self.parse_factor()
-            _check_terms(len(result.terms), len(factor.terms), "product")
+            self.charge(len(result.terms), len(factor.terms), "product")
             result = result * factor
 
     def parse_factor(self) -> IntPoly:
@@ -174,7 +190,7 @@ class _Parser:
             degree = max([1] + [base.degree(v) for v in base.variables()])
             if n * degree > MAX_EXPONENT:
                 raise SpecError(f"power ^{n} exceeds the exponent cap {MAX_EXPONENT}")
-            base = checked_power(base, n)
+            base = checked_power(base, n, self.charge)
         return base
 
 
@@ -185,8 +201,8 @@ def parse_poly(text: str, allowed: set[str] | None = None) -> IntPoly:
     w{k} -> wk); None accepts any variable the grammar can spell.
     Parentheses may nest at most MAX_NESTING deep, which keeps the
     recursive descent far from the interpreter's recursion limit, no
-    power may raise an exponent above MAX_EXPONENT, and no product or power
-    may form more than MAX_TERMS monomial products.
+    power may raise an exponent above MAX_EXPONENT, and the products and
+    powers of the whole literal may form at most MAX_TERMS monomial products.
     """
     tokens = _tokenize(text)
     if not tokens:

@@ -1,12 +1,15 @@
 """Reference builders of the descent matrices, kept as test oracles.
 
-These are the earlier constructions: the Frobenius legs and the block
-operators were flattened by probing each basis section through
-`flatten_operator` and `connection_apply`, the semilinear Frobenius legs
-through a flattening of Z/p^N-linear maps one basis element at a time, and
-the Verschiebung target differential as a dense product.  The library now
-derives every one of them from the two connection flattenings by indexing
-and by m x m W-block products; the tests compare both entry by entry.
+These are the earlier constructions.  `probed_connection` flattens a
+connection by probing each basis section (component j, degree d) through
+`connection_apply` and the generic `flatten_operator`; the library now
+assembles the same matrix from m x m W-blocks.  The Frobenius legs and the
+block operators were flattened by probing in the same way, the semilinear
+Frobenius legs through a flattening of Z/p^N-linear maps one basis element
+at a time, and the Verschiebung target differential as a dense product
+with the probed raised connection.  The library derives every one of them
+from its two connection flattenings by indexing and by m x m W-block
+products; the tests compare both entry by entry.
 
 `block_triangular` is the earlier block-by-block loop of the triangular
 certificate, which the library now decides with one mask.
@@ -17,10 +20,26 @@ from __future__ import annotations
 import numpy as np
 
 from qprism.base_ring import RingContext, WScalar, q_int, q_power
-from qprism.cartier import flatten_connection, level_raise, raised_window
+from qprism.cartier import level_raise, raised_window
 from qprism.errors import InvalidArgs
 from qprism.homology import FlatMatrix, flat_dim, flatten_operator, max_flat_dim, w_mult_block
 from qprism.twisted_calculus import ConnectionModule, QPolynomial, connection_apply
+
+
+def probed_connection(m: ConnectionModule) -> FlatMatrix:
+    if m.window is None:
+        raise InvalidArgs("flattening needs a degree window")
+
+    def apply(j, d):
+        section = [
+            QPolynomial.x(m.ctx, d, m.window)
+            if i == j
+            else QPolynomial.zero(m.ctx, m.window)
+            for i in range(m.rank)
+        ]
+        return connection_apply(m, section)
+
+    return flatten_operator(m.ctx, m.rank, m.window, m.rank, m.window, apply)
 
 
 def flatten_z_linear(
@@ -101,7 +120,7 @@ def verschiebung_target(conn_prime: ConnectionModule) -> FlatMatrix:
         ctx.n_prec,
         np.kron(np.eye(rank * (win_out + 1), dtype=np.int64), w_mult_block(pq)),
     )
-    return v_forms.matmul(flatten_connection(level_raise(conn_prime)))
+    return v_forms.matmul(probed_connection(level_raise(conn_prime)))
 
 
 def block_operator(conn_prime: ConnectionModule, k: int, twist: bool) -> FlatMatrix:

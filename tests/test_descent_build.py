@@ -1,8 +1,10 @@
-"""The descent matrices built from the two connection flattenings against the
-probing builders kept in flatten_oracle, and the flattening and product
+"""The connection flattening and the descent matrices built from it against
+the probing builders kept in flatten_oracle, and the flattening and product
 counts of one verification run."""
 
+import itertools
 import json
+import random
 from pathlib import Path
 
 import numpy as np
@@ -10,26 +12,92 @@ import pytest
 
 import flatten_oracle as oracle
 from qprism import cartier, homology
-from qprism.base_ring import RingContext
+from qprism.base_ring import RingContext, WScalar
 from qprism.cartier import (
     CartierProblem,
     _verify_once,
     block_split,
     chain_map_build,
+    flatten_connection,
+    level_raise,
     random_nilpotent_theta,
     semilinear_frobenius,
 )
 from qprism.cli import load_connection_spec
-from qprism.errors import NotAChainMap
-from qprism.homology import FlatMatrix, cone_acyclic, is_chain_map
-from qprism.twisted_calculus import ConnectionModule
+from qprism.errors import InvalidArgs, NotAChainMap
+from qprism.homology import FlatMatrix, cone_acyclic, flat_dim, is_chain_map
+from qprism.twisted_calculus import ConnectionModule, QPolynomial
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-LEVEL_MINUS_ONE_FIXTURES = sorted(
+CONNECTION_FIXTURES = sorted(
     path.name
     for path in FIXTURES.glob("*.json")
-    if json.loads(path.read_text()).get("level") == -1 and path.name != "bad_rank.json"
+    if "level" in json.loads(path.read_text()) and path.name != "bad_rank.json"
 )
+LEVEL_MINUS_ONE_FIXTURES = [
+    name
+    for name in CONNECTION_FIXTURES
+    if json.loads((FIXTURES / name).read_text())["level"] == -1
+]
+
+
+def _sweep_theta(ctx: RingContext, rank: int, window: int, rng: random.Random):
+    """theta whose entries are zero, or random coefficients at a few
+    random degrees, with the window degree among them for a third of all
+    entries."""
+    theta = []
+    for _ in range(rank):
+        row = []
+        for _ in range(rank):
+            kind = rng.randrange(3)
+            degrees = set()
+            if kind:
+                degrees = {rng.randrange(window + 1) for _ in range(rng.randrange(1, 4))}
+                if kind == 2:
+                    degrees.add(window)
+            coeffs = {d: WScalar.random(ctx, rng) for d in degrees}
+            row.append(QPolynomial(ctx, coeffs, window))
+        theta.append(row)
+    return theta
+
+
+def test_flatten_connection_matches_the_probe_on_a_seeded_sweep():
+    shapes = itertools.product((0, -1), (2, 3, 5), (1, 2, 3), (1, 2, 3, 4), range(13))
+    for seed, (level, p, rank, m_prec, window) in enumerate(shapes):
+        rng = random.Random(seed)
+        ctx = RingContext(p, 1 + seed % 3, m_prec)
+        theta = _sweep_theta(ctx, rank, window, rng)
+        for conn in (
+            ConnectionModule(ctx, rank, level, theta, window),
+            ConnectionModule.trivial(ctx, rank, level, window),
+        ):
+            # FlatMatrix equality compares the modulus, the shape and every entry
+            assert flatten_connection(conn) == oracle.probed_connection(conn), (
+                level, p, rank, m_prec, window,
+            )
+    assert seed + 1 == 936
+
+
+@pytest.mark.parametrize("name", CONNECTION_FIXTURES)
+def test_flatten_connection_matches_the_probe_on_fixtures(name):
+    # the spec, then its --grow context (N+1, M+1, window+2); each level -1
+    # connection also with its raised connection
+    for grow in (0, 1):
+        conn, _, _ = load_connection_spec(str(FIXTURES / name), grow)
+        for c in [conn] + ([level_raise(conn)] if conn.level == -1 else []):
+            assert flatten_connection(c) == oracle.probed_connection(c), (grow, c.level)
+
+
+def test_flatten_connection_refuses_a_dimension_over_the_cap(monkeypatch):
+    conn, _, _ = load_connection_spec(str(FIXTURES / "p3_rank2_seeded.json"))
+    dim = flat_dim(conn.ctx, conn.rank, conn.window)
+    monkeypatch.setenv("QPRISM_MAX_DIM", str(dim - 1))
+    with pytest.raises(InvalidArgs, match=f"flattened dimension exceeds QPRISM_MAX_DIM={dim - 1}"):
+        flatten_connection(conn)
+    monkeypatch.setenv("QPRISM_MAX_DIM", str(dim))
+    assert flatten_connection(conn).rows == dim
+    with pytest.raises(InvalidArgs, match="needs a degree window"):
+        flatten_connection(conn.rewindow(None))
 
 
 def _seeded_connections():
@@ -77,7 +145,7 @@ def test_descent_matrices_match_oracle_on_seeded_connections():
 
 def test_verify_once_flattens_twice_and_multiplies_at_most_three_times(monkeypatch):
     counts = {"flatten": 0, "matmul": 0}
-    flatten, matmul = homology.flatten_operator, homology.FlatMatrix.matmul
+    flatten, matmul = cartier.flatten_connection, homology.FlatMatrix.matmul
 
     def counted_flatten(*args, **kwargs):
         counts["flatten"] += 1
@@ -87,8 +155,7 @@ def test_verify_once_flattens_twice_and_multiplies_at_most_three_times(monkeypat
         counts["matmul"] += 1
         return matmul(self, other)
 
-    monkeypatch.setattr(homology, "flatten_operator", counted_flatten)
-    monkeypatch.setattr(cartier, "flatten_operator", counted_flatten)
+    monkeypatch.setattr(cartier, "flatten_connection", counted_flatten)
     monkeypatch.setattr(homology.FlatMatrix, "matmul", counted_matmul)
     conn, _, _ = load_connection_spec(str(FIXTURES / "p3_rank2_seeded.json"))
     report = _verify_once(CartierProblem(conn))

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from qprism.errors import SpecError
@@ -106,3 +108,16 @@ def test_term_cap():
     ):
         with pytest.raises(SpecError, match="monomial products"):
             parse_poly(bad)
+
+
+def test_term_cap_holds_a_whole_literal():
+    # each (1+q+x)^64 forms 340425 monomial products: three fit the budget
+    # of one literal, a fourth does not, however the literal combines them
+    power = parse_poly("(1+q+x)^64")
+    assert parse_poly("+".join(["(1+q+x)^64"] * 3)) == 3 * power
+    start = time.perf_counter()
+    with pytest.raises(SpecError, match="in this literal"):
+        parse_poly("+".join(["(1+q+x)^64"] * 40))
+    assert time.perf_counter() - start < 1
+    with pytest.raises(SpecError, match="in this literal"):
+        parse_poly("(1+q+x)^64-(1+q+x)^64+(1+q+x)^64-(1+q+x)^64")
