@@ -17,7 +17,7 @@ the connection matrix.  Every other descent matrix derives from these
 two by indexing or by m x m W-block products: the Frobenius legs are 0/1
 degree selections, each block operator is theta' with its output degree
 shifted by one (the factor x') plus (k)_q blocks, and the Verschiebung
-target differential rescales each W-block of theta by (p)_q.
+check rescales each W-block of theta' and of theta by (p)_q.
 """
 
 from __future__ import annotations
@@ -44,6 +44,10 @@ from .twisted_calculus import (
     QPolynomial,
     quasi_nilpotence_check,
 )
+
+
+# the degree window grows by this much for the stability re-run
+STABILITY_WINDOW_STEP = 2
 
 
 def raised_window(p: int, window: int) -> int:
@@ -132,60 +136,63 @@ def _frobenius_leg(
 
 @dataclass
 class ChainMapData:
-    """The comparison maps between the source and raised complexes.
+    """A map of two-term complexes [source_differential] -> [target_differential].
 
-    frobenius / divided_frobenius are the degree-0 and degree-1 legs of the
-    map of complexes.  The Verschiebung is the chain map from the raised
-    complex to the same module with its differential rescaled by (p)_q,
-    the chain-level shadow of inverting the distinguished element.  Its
-    degree-0 leg is the identity and is not stored; its forms leg
-    verschiebung_on_forms is multiplication by (p)_q built as a Kronecker
-    product, and verschiebung_target_differential rescales each W-block of
-    the raised differential by (p)_q.  verschiebung_ok checks the forms
-    leg applied to the raised differential against that rescaling, one
-    construction against the other.
+    module_leg acts in degree 0 and forms_leg in degree 1; the pair is a
+    chain map when forms_leg source_differential = target_differential
+    module_leg.  The descent comparison carries the source complex to the
+    raised one by the Frobenius F and the divided Frobenius Fdiv;
+    `semilinear_frobenius` carries the trivial level -1 complex to its
+    raised window by the Frobenius endomorphism.
     """
 
     source_differential: FlatMatrix
     target_differential: FlatMatrix
-    frobenius: FlatMatrix
-    divided_frobenius: FlatMatrix
-    verschiebung_on_forms: FlatMatrix
-    verschiebung_target_differential: FlatMatrix
+    module_leg: FlatMatrix
+    forms_leg: FlatMatrix
 
     def chain_map_ok(self) -> bool:
         return is_chain_map(
             self.source_differential,
             self.target_differential,
-            self.frobenius,
-            self.divided_frobenius,
+            self.module_leg,
+            self.forms_leg,
         )
-
-    def verschiebung_ok(self) -> bool:
-        lhs = self.verschiebung_on_forms.matmul(self.target_differential)
-        return lhs == self.verschiebung_target_differential
 
 
 def chain_map_build(conn_prime: ConnectionModule) -> ChainMapData:
+    """The comparison (F, Fdiv) from the source complex [theta'] to the
+    raised complex [theta]."""
     if conn_prime.level != -1:
         raise WrongLevel("chain map construction consumes a level -1 connection")
     if conn_prime.window is None:
         raise InvalidArgs("chain map construction needs a degree window")
     ctx = conn_prime.ctx
     rank, win_in = conn_prime.rank, conn_prime.window
-    theta_prime_flat = flatten_connection(conn_prime)
-    theta_flat = flatten_connection(level_raise(conn_prime))
-    pq = q_int(ctx.p, 1, ctx)
     eye = np.eye(ctx.m_prec, dtype=np.int64)
     return ChainMapData(
-        source_differential=theta_prime_flat,
-        target_differential=theta_flat,
-        frobenius=_frobenius_leg(ctx, rank, win_in, 0, eye),
-        divided_frobenius=_frobenius_leg(ctx, rank, win_in, ctx.p - 1, eye),
-        verschiebung_on_forms=FlatMatrix(
-            ctx.p, ctx.n_prec, _block_diagonal(w_mult_block(pq), theta_flat.rows // ctx.m_prec)
-        ),
-        verschiebung_target_differential=w_scale_blocks(theta_flat, pq),
+        source_differential=flatten_connection(conn_prime),
+        target_differential=flatten_connection(level_raise(conn_prime)),
+        module_leg=_frobenius_leg(ctx, rank, win_in, 0, eye),
+        forms_leg=_frobenius_leg(ctx, rank, win_in, ctx.p - 1, eye),
+    )
+
+
+def verschiebung_ok(data: ChainMapData, ctx: RingContext) -> bool:
+    """The Verschiebung check of the descent comparison in `data`.
+
+    The Verschiebung is the identity on the module and (p)_q on forms, the
+    chain-level shadow of inverting the distinguished element.  Following
+    the comparison by it gives (p)_q Fdiv theta' = ((p)_q theta) F: the
+    chain-map equation between the two differentials with every W-block
+    rescaled by (p)_q.  Both legs stay selections, so no product is formed.
+    """
+    pq = q_int(ctx.p, 1, ctx)
+    return is_chain_map(
+        w_scale_blocks(data.source_differential, pq),
+        w_scale_blocks(data.target_differential, pq),
+        data.module_leg,
+        data.forms_leg,
     )
 
 
@@ -205,7 +212,6 @@ class CartierProblem:
 class BlockData:
     operators: dict[int, FlatMatrix]
     twisted_operators: dict[int, FlatMatrix]
-    structure_ok: bool
 
 
 def _block_operator(x_theta: FlatMatrix, ctx: RingContext, k: int, twist: bool) -> FlatMatrix:
@@ -259,7 +265,7 @@ def block_split(problem: CartierProblem, data: ChainMapData | None = None) -> Bl
         operators[k] = _block_operator(x_theta, ctx, k, twist=False)
     if not structure_ok:
         raise WindowUnstable("raised connection escaped its degree grading")
-    return BlockData(operators, twisted, True)
+    return BlockData(operators, twisted)
 
 
 @dataclass
@@ -354,8 +360,8 @@ def _verify_once(problem: CartierProblem) -> CartierReport:
     acyclic = cone_acyclic(
         data.source_differential,
         data.target_differential,
-        data.frobenius,
-        data.divided_frobenius,
+        data.module_leg,
+        data.forms_leg,
     )
     return CartierReport(
         context=conn.ctx,
@@ -366,19 +372,19 @@ def _verify_once(problem: CartierProblem) -> CartierReport:
         # cone_acyclic raised NotAChainMap unless Fdiv theta' = theta F, so
         # the chain-map equation holds here; there is no need to test it again
         chain_map_ok=True,
-        verschiebung_ok=data.verschiebung_ok(),
+        verschiebung_ok=verschiebung_ok(data, conn.ctx),
         blocks=blocks,
         cone_acyclic=acyclic,
     )
 
 
-def cartier_verify(problem: CartierProblem, grow_window: int = 2) -> CartierReport:
+def cartier_verify(problem: CartierProblem) -> CartierReport:
     """Run every check of the descent pipeline and re-run at a larger
     window to certify the verdicts are truncation-stable."""
     report = _verify_once(problem)
     conn = problem.conn_prime
     grown = CartierProblem(
-        conn.rewindow(conn.window + grow_window), problem.iterate_cap
+        conn.rewindow(conn.window + STABILITY_WINDOW_STEP), problem.iterate_cap
     )
     grown_report = _verify_once(grown)
     report.stability = {
@@ -393,43 +399,28 @@ def cartier_verify(problem: CartierProblem, grow_window: int = 2) -> CartierRepo
     return report
 
 
-@dataclass
-class FrobeniusEndoData:
-    source_differential: FlatMatrix
-    target_differential: FlatMatrix
-    phi_on_module: FlatMatrix
-    phi_on_forms: FlatMatrix
+def semilinear_frobenius(ctx: RingContext, window: int) -> ChainMapData:
+    """Frobenius endomorphism of the trivial level -1 complex, from the
+    window to its raised window.
 
-    def chain_map_ok(self) -> bool:
-        return is_chain_map(
-            self.source_differential,
-            self.target_differential,
-            self.phi_on_module,
-            self.phi_on_forms,
-        )
-
-
-def semilinear_frobenius(ctx: RingContext, window: int) -> FrobeniusEndoData:
-    """Frobenius endomorphism of the trivial level -1 complex.
-
-    On the module it is the ring Frobenius (q -> q^p, x -> x^p); on forms
-    the image of the basis form acquires the (p)_q x^{p-1} twist.  Both
-    legs are only Z/p^N-linear: W enters through the m x m matrix of the
-    W-Frobenius t^i -> (q^p - 1)^i, Kronecker-multiplied with the degree
-    selection.
+    The module leg is the ring Frobenius (q -> q^p, x -> x^p); on the
+    forms leg the image of the basis form acquires the (p)_q x^{p-1}
+    twist.  Both legs are only Z/p^N-linear: W enters through the m x m
+    matrix of the W-Frobenius t^i -> (q^p - 1)^i, Kronecker-multiplied
+    with the degree selection.
     """
     p = ctx.p
     w_frobenius = np.array(frobenius_matrix(ctx), dtype=np.int64)
     pq = q_int(p, 1, ctx)
-    return FrobeniusEndoData(
+    return ChainMapData(
         source_differential=flatten_connection(
             ConnectionModule.trivial(ctx, 1, -1, window=window)
         ),
         target_differential=flatten_connection(
             ConnectionModule.trivial(ctx, 1, -1, window=raised_window(p, window))
         ),
-        phi_on_module=_frobenius_leg(ctx, 1, window, 0, w_frobenius),
-        phi_on_forms=_frobenius_leg(ctx, 1, window, p - 1, w_mult_block(pq) @ w_frobenius),
+        module_leg=_frobenius_leg(ctx, 1, window, 0, w_frobenius),
+        forms_leg=_frobenius_leg(ctx, 1, window, p - 1, w_mult_block(pq) @ w_frobenius),
     )
 
 

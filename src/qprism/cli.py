@@ -24,7 +24,7 @@ from .adic_diagnostics import (
     torsion_bound,
 )
 from .base_ring import RingContext, is_supported_prime, q_int_poly
-from .cartier import CartierProblem, cartier_verify, flatten_connection
+from .cartier import STABILITY_WINDOW_STEP, CartierProblem, cartier_verify, flatten_connection
 from .delta_ring import DeltaElement, envelope_presentation, run_axiom_suite
 from .divided_poly import poincare_exactness
 from .errors import NotAChainMap, QPrismError, SpecError
@@ -83,10 +83,15 @@ def _finer(grow: int, n: int, m: int, window: int = 0) -> tuple[int, int, int]:
 
 def _check_budget(p: int, n_field: str, n: int, *shapes: dict[str, int]) -> None:
     """Refuse, before any arithmetic depends on them, a modulus p^n above
-    the cap and a flattened dimension (the product of one shape's factors)
-    above QPRISM_MAX_DIM; the error names the field at fault."""
+    the cap and a shape over `_check_dims`; the error names the field at fault."""
     if not modulus_within_cap(p, n):
         raise SpecError(f"p^{n_field} = {p}^{n} exceeds the modulus cap", field=n_field)
+    _check_dims(*shapes)
+
+
+def _check_dims(*shapes: dict[str, int]) -> None:
+    """Refuse a flattened dimension (the product of one shape's factors)
+    above QPRISM_MAX_DIM, naming its largest factor."""
     for factors in shapes:
         if prod(factors.values()) > max_flat_dim():
             raise SpecError(
@@ -172,6 +177,9 @@ def _load_adic_spec(path: str, grow: int = 0):
             {"relations": len(rel_rows), "m": width},
         )
         ctx = RingContext(p, n, m)
+    else:
+        # Z and Zq keep no coordinates, but their Koszul complex acts on M + M too
+        _check_dims({"generators": 2 * generators})
 
     def entry_of(text, field):
         if isinstance(text, int):
@@ -364,13 +372,14 @@ def cmd_cartier(args) -> int:
             raise SpecError(
                 "cartier pipeline needs level -1 in field 'level'", field="level"
             )
-        # the largest matrices are the raised ones of the window + 2 re-run
+        # the largest matrices are the raised ones of the stability re-run
         ctx = conn.ctx
+        rerun_degrees = conn.window + STABILITY_WINDOW_STEP + 1
         _check_budget(
             ctx.p,
             "n_prec",
             ctx.n_prec,
-            {"rank": conn.rank, "p": ctx.p, "degree_window": conn.window + 3, "m_prec": ctx.m_prec},
+            {"rank": conn.rank, "p": ctx.p, "degree_window": rerun_degrees, "m_prec": ctx.m_prec},
         )
         rep = cartier_verify(CartierProblem(conn, iterate_cap=args.iterate_cap))
         verdicts = rep.to_json()

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .base_ring import RingContext, WScalar, q_binomial, q_int
 from .errors import CapExceeded, RankMismatch, WrongLevel
-from .twisted_calculus import ConnectionModule, QPolynomial, connection_apply
+from .twisted_calculus import ConnectionModule, QPolynomial
 
 
 class DividedElement:
@@ -205,20 +205,16 @@ def hyperdiff_extend(m: ConnectionModule) -> PrismaticDiffOp:
     if m.level != -1:
         raise WrongLevel("hyperdiff extension needs a level -1 connection")
     ctx = m.ctx
-    theta_cols = [connection_apply(m, m.basis_section(j)) for j in range(m.rank)]
-    comp0 = tuple(
-        tuple(theta_cols[j][i] for j in range(m.rank)) for i in range(m.rank)
-    )
     qm1x = QPolynomial.monomial(WScalar.t(ctx), 1)
     one = QPolynomial.one(ctx)
     z = QPolynomial.zero(ctx)
     comp1 = tuple(
         tuple(
-            (one if i == j else z) + qm1x * theta_cols[j][i] for j in range(m.rank)
+            (one if i == j else z) + qm1x * m.theta[i][j] for j in range(m.rank)
         )
         for i in range(m.rank)
     )
-    return PrismaticDiffOp(ctx, m.rank, m.rank, 1, {0: comp0, 1: comp1})
+    return PrismaticDiffOp(ctx, m.rank, m.rank, 1, {0: m.theta, 1: comp1})
 
 
 @dataclass

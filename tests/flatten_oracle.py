@@ -79,7 +79,8 @@ def flatten_z_linear(
 
 
 def frobenius_legs(conn_prime: ConnectionModule) -> tuple[FlatMatrix, FlatMatrix]:
-    """(frobenius, divided_frobenius) by probing x'^d e_j -> x^{pd} e_j and
+    """The module and forms legs of the comparison, the Frobenius F and the
+    divided Frobenius Fdiv, by probing x'^d e_j -> x^{pd} e_j and
     x'^d e_j -> x^{pd+p-1} e_j."""
     ctx = conn_prime.ctx
     p = ctx.p
@@ -149,7 +150,7 @@ def block_operator(conn_prime: ConnectionModule, k: int, twist: bool) -> FlatMat
 
 
 def semilinear_legs(ctx: RingContext, window: int) -> tuple[FlatMatrix, FlatMatrix]:
-    """(phi_on_module, phi_on_forms) of the trivial level -1 complex: the
+    """(module_leg, forms_leg) of the trivial level -1 complex: the
     ring Frobenius q -> q^p, x -> x^p on the module, with the extra
     (p)_q x^{p-1} twist on forms."""
     p = ctx.p

@@ -265,8 +265,8 @@ def test_criterion_07_semilinear_frobenius():
         data = semilinear_frobenius(ctx, window)
         # full matrix identity covers every monomial x^n, n <= window
         assert data.chain_map_ok()
-        lhs = data.phi_on_forms.matmul(data.source_differential)
-        rhs = data.target_differential.matmul(data.phi_on_module)
+        lhs = data.forms_leg.matmul(data.source_differential)
+        rhs = data.target_differential.matmul(data.module_leg)
         assert lhs == rhs
     _report(7, "Frobenius endomorphism commutes with the trivial complex, p 2/3")
 
@@ -352,8 +352,8 @@ def test_criterion_11_classical_degeneration():
     assert elim_oracle.cone_acyclic(
         data.source_differential,
         data.target_differential,
-        data.frobenius,
-        data.divided_frobenius,
+        data.module_leg,
+        data.forms_leg,
     )
     _report(11, "q = 1 truncation reproduces the classical descent verdict")
 

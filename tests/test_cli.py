@@ -363,6 +363,10 @@ def test_cartier_budget_covers_the_raised_rerun(tmp_path, capsys, monkeypatch, w
         (["poincare", "--p", "2", "--cap", "2", "--m", "1000000000"], "m"),
         (["poincare", "--p", "2", "--cap", "2", "--window", "-3"], "window"),
         (["poincare", "--p", "2", "--cap", "1", "--n", "21", "--grow"], "n"),
+        (["adic", "--spec", {**ADIC_SPEC, "base": "Z", "generators": 2**63, "relations": []}],
+         "generators"),
+        (["adic", "--spec", {**ADIC_SPEC, "base": "Zq", "generators": 2**63, "relations": []}],
+         "generators"),
     ],
 )
 def test_out_of_budget_adic_and_poincare_exit_2_at_once(tmp_path, capsys, argv, field):

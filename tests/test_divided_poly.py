@@ -1,8 +1,11 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from qprism.base_ring import RingContext, WScalar, q_binomial, q_int
+from qprism.cli import load_connection_spec
 from qprism.divided_poly import (
     DividedElement,
     PrismaticDiffOp,
@@ -14,7 +17,14 @@ from qprism.divided_poly import (
     linearized_differential,
 )
 from qprism.errors import CapExceeded, RankMismatch, WrongLevel
-from qprism.twisted_calculus import ConnectionModule, QPolynomial
+from qprism.twisted_calculus import ConnectionModule, QPolynomial, connection_apply
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+LEVEL_MINUS_ONE_FIXTURES = sorted(
+    path.name
+    for path in FIXTURES.glob("*.json")
+    if json.loads(path.read_text()).get("level") == -1 and path.name != "bad_rank.json"
+)
 
 
 def test_comultiply_counit():
@@ -164,6 +174,20 @@ def test_hyperdiff_constant_twist():
     op = hyperdiff_extend(m)
     expected = QPolynomial.one(ctx) + QPolynomial.parse(ctx, "(q-1)*x") * c
     assert op.apply(1, [QPolynomial.one(ctx)]) == [expected]
+
+
+@pytest.mark.parametrize("name", LEVEL_MINUS_ONE_FIXTURES)
+def test_hyperdiff_components_match_the_connection_on_basis_sections(name):
+    # the connection of e_j is column j of theta, as d_q(1) = 0 and sigma(1) = 1
+    conn, _, _ = load_connection_spec(str(FIXTURES / name))
+    ctx = conn.ctx
+    op = hyperdiff_extend(conn)
+    qm1x = QPolynomial.monomial(WScalar.t(ctx), 1)
+    for j in range(conn.rank):
+        image = connection_apply(conn, conn.basis_section(j))
+        unit = [QPolynomial.one(ctx) if i == j else QPolynomial.zero(ctx) for i in range(conn.rank)]
+        assert [row[j] for row in op.component(0)] == image
+        assert [row[j] for row in op.component(1)] == [u + qm1x * c for u, c in zip(unit, image)]
 
 
 def test_hyperdiff_wrong_level():
