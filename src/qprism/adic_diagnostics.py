@@ -36,7 +36,13 @@ import numpy as np
 from .base_ring import RingContext, WScalar
 from .errors import InvalidArgs, NotBounded
 from .exactpoly import IntPoly
-from .homology import right_kernel_basis, smith_exponents, span_exponents, w_mult_block
+from .homology import (
+    right_kernel_basis,
+    smith_exponents,
+    span_contains,
+    span_exponents,
+    w_mult_block,
+)
 
 # --- integer Smith form -------------------------------------------------------
 
@@ -395,7 +401,7 @@ class _FiniteEngine:
 
     def kills(self, f, s: int, k: int) -> bool:
         images = self._kernel(f, k) @ self._power(f, s).T % self.modulus
-        return self._log(np.vstack([self.rows, images])) == self._log(self.rows)
+        return span_contains(self.rows, images, self.p, self.N)
 
     def block(self, scalars: list[list]) -> np.ndarray:
         g = self.m.generators

@@ -17,7 +17,8 @@ the connection matrix.  Every other descent matrix derives from these
 two by indexing or by m x m W-block products: the Frobenius legs are 0/1
 degree selections, each block operator is theta' with its output degree
 shifted by one (the factor x') plus (k)_q blocks, and the Verschiebung
-check rescales each W-block of theta' and of theta by (p)_q.
+check rescales each W-block of theta' and of theta by (p)_q.  The
+quasi-nilpotence witnesses are read off powers of theta' as well.
 """
 
 from __future__ import annotations
@@ -347,8 +348,8 @@ def _block_certificate(conn_prime: ConnectionModule, k: int, op: FlatMatrix) -> 
 
 def _verify_once(problem: CartierProblem) -> CartierReport:
     conn = problem.conn_prime
-    nil = quasi_nilpotence_check(conn, problem.iterate_cap)
     data = chain_map_build(conn)
+    nil = quasi_nilpotence_check(data.source_differential, conn.rank, problem.iterate_cap)
     blocks_data = block_split(problem, data)
     blocks = {}
     for k, op in blocks_data.operators.items():

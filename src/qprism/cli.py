@@ -30,7 +30,7 @@ from .divided_poly import poincare_exactness
 from .errors import NotAChainMap, QPrismError, SpecError
 from .exactpoly import IntPoly
 from .grammar import parse_poly, poly_to_string
-from .homology import TwoTermComplex, cohomology_of_complex, max_flat_dim, modulus_within_cap
+from .homology import cohomology_of_complex, max_flat_dim, modulus_within_cap
 from .twisted_calculus import ConnectionModule, QPolynomial
 
 SCHEMA = "qprism/1"
@@ -358,7 +358,7 @@ def cmd_poincare(args) -> int:
 def cmd_cohomology(args) -> int:
     def build(path, grow):
         conn, meta, _ = load_connection_spec(path, grow)
-        groups = cohomology_of_complex(TwoTermComplex(flatten_connection(conn))).to_json()
+        groups = cohomology_of_complex(flatten_connection(conn)).to_json()
         # h0 and h1 are sizes, not verdicts: the grown groups are reported, not diffed
         return {**meta, "cohomology": groups}, None if grow else groups, True
 

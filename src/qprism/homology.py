@@ -3,8 +3,8 @@ factors, cohomology of two-term complexes and mapping cones, and the
 flattening of W-linear operators to matrices over Z/p^N.
 
 Every count and yes/no verdict (cohomology, kernel cardinalities, cone
-acyclicity) is read off Smith exponents; Howell forms serve the callers that
-need kernel vectors or row-span membership.
+acyclicity) and every row-span membership is read off Smith exponents;
+Howell forms serve the callers that need kernel vectors.
 
 Matrices act on column vectors; a map C0 -> C1 between free modules of
 dimensions a and b is a b x a matrix with entries reduced into [0, n).
@@ -124,20 +124,6 @@ def howell_form(mat, n: int) -> np.ndarray:
     return work[:r]
 
 
-def reduce_against(vec: np.ndarray, howell: np.ndarray, n: int) -> np.ndarray:
-    """Normal form of vec modulo the row span of a Howell-form matrix."""
-    v = np.array(vec, dtype=np.int64) % n
-    for row in howell:
-        nz = np.nonzero(row)[0]
-        if len(nz) == 0:
-            continue
-        c = int(nz[0])
-        b = int(row[c])
-        if v[c] % b == 0:
-            v = (v - (int(v[c]) // b) * row) % n
-    return v
-
-
 def right_kernel_basis(mat, n: int) -> np.ndarray:
     """Rows spanning {v : mat @ v = 0} = {v : v @ mat^T = 0} over Z/n."""
     _check_modulus(n)
@@ -189,6 +175,13 @@ def span_exponents(gen_rows, p: int, N: int) -> list[int]:
     if g.size == 0:
         return []
     return sorted(N - v for v in smith_exponents(g, p, N) if v < N)
+
+
+def span_contains(rows, extra, p: int, N: int) -> bool:
+    """Whether the span of rows inside a free Z/p^N-module contains every
+    row of extra: adding them leaves the order of the span unchanged."""
+    grown = span_exponents(np.vstack([rows, extra]), p, N)
+    return sum(grown) == sum(span_exponents(rows, p, N))
 
 
 # --- complexes ----------------------------------------------------------------
@@ -250,16 +243,9 @@ class FlatMatrix:
 
 
 @dataclass
-class TwoTermComplex:
-    d0: FlatMatrix
-
-
-@dataclass
 class CohomologyReport:
     h0_invariant_factors: list[int]
     h1_invariant_factors: list[int]
-    h0_log_cardinality: int
-    h1_log_cardinality: int
 
     def to_json(self) -> dict:
         return {
@@ -275,7 +261,7 @@ def kernel_log_cardinality(mat: FlatMatrix) -> int:
     return N * mat.cols - sum(N - v for v in smith_exponents(mat.entries, mat.p, N))
 
 
-def cohomology_of_complex(c: TwoTermComplex) -> CohomologyReport:
+def cohomology_of_complex(d0: FlatMatrix) -> CohomologyReport:
     """Kernel and cokernel of d0 decomposed into invariant factors.
 
     Z/p^N is a chain ring, so d0 is equivalent to its Smith diagonal with
@@ -283,13 +269,12 @@ def cohomology_of_complex(c: TwoTermComplex) -> CohomologyReport:
     Z/p^N per column beyond len(s), and coker d0 has the same torsion plus
     a free Z/p^N per row beyond len(s).
     """
-    d0 = c.d0
     N = d0.n_prec
     s = smith_exponents(d0.entries, d0.p, N)
     torsion = [v for v in s if v > 0]
     h0 = sorted(torsion + [N] * (d0.cols - len(s)))
     h1 = sorted(torsion + [N] * (d0.rows - len(s)))
-    return CohomologyReport(h0, h1, sum(h0), sum(h1))
+    return CohomologyReport(h0, h1)
 
 
 def _selection_rows(f: FlatMatrix) -> np.ndarray | None:

@@ -1,5 +1,6 @@
 """The coordinate algebra W[x] with sigma(x) = q x, twisted derivations of
-levels 0 and -1, and twisted connections on finite free modules.
+levels 0 and -1, twisted connections on finite free modules, and their
+quasi-nilpotence witnesses read off the flattened connection.
 
 A degree window D means the quotient W[x]/(x^{D+1}); operators that raise
 degree act on the quotient, and window legitimacy is asserted per operator
@@ -10,10 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .base_ring import RingContext, WScalar, q_int, q_power, w_invert
 from .errors import InvalidArgs, RankMismatch
 from .exactpoly import IntPoly
 from .grammar import parse_poly, poly_to_string
+from .homology import FlatMatrix
 
 
 class QPolynomial:
@@ -195,22 +199,6 @@ def twisted_derive(f: QPolynomial, level: int) -> QPolynomial:
     return QPolynomial(ctx, out, f.window)
 
 
-@dataclass(frozen=True)
-class DifferentialForm:
-    """Rank-one form module element: coefficient times the basis symbol."""
-
-    coefficient: QPolynomial
-    basis: str  # "dq_x" (level 0) or "dqp_x" (level -1)
-
-    def __post_init__(self):
-        if self.basis not in ("dq_x", "dqp_x"):
-            raise InvalidArgs("basis must be dq_x or dqp_x")
-
-
-def basis_symbol(level: int) -> str:
-    return "dq_x" if level == 0 else "dqp_x"
-
-
 class ConnectionModule:
     """Finite free module with a twisted connection of level 0 or -1.
 
@@ -242,14 +230,6 @@ class ConnectionModule:
     def trivial(cls, ctx: RingContext, rank: int, level: int, window=None):
         z = QPolynomial.zero(ctx, window)
         return cls(ctx, rank, level, [[z] * rank for _ in range(rank)], window)
-
-    def basis_section(self, j: int) -> list[QPolynomial]:
-        return [
-            QPolynomial.one(self.ctx, self.window)
-            if i == j
-            else QPolynomial.zero(self.ctx, self.window)
-            for i in range(self.rank)
-        ]
 
     def rewindow(self, window: int | None) -> ConnectionModule:
         return ConnectionModule(self.ctx, self.rank, self.level, self.theta, window)
@@ -293,26 +273,29 @@ def connection_apply(m: ConnectionModule, section) -> list[QPolynomial]:
 class NilpotenceReport:
     nilpotent: bool
     witness: list[int | None]
-    iterate_cap: int
 
 
-def quasi_nilpotence_check(m: ConnectionModule, iterate_cap: int) -> NilpotenceReport:
-    """Least k with the k-th connection iterate of each basis vector zero
-    in the windowed truncation, or a failure marker at the cap."""
-    if m.window is None:
-        raise InvalidArgs("quasi-nilpotence needs a degree window")
-    witnesses: list[int | None] = []
-    for j in range(m.rank):
-        s = m.basis_section(j)
-        found = None
-        for k in range(1, iterate_cap + 1):
-            s = connection_apply(m, s)
-            if all(c.is_zero() for c in s):
-                found = k
-                break
-        witnesses.append(found)
-    return NilpotenceReport(
-        nilpotent=all(w is not None for w in witnesses),
-        witness=witnesses,
-        iterate_cap=iterate_cap,
-    )
+def quasi_nilpotence_check(theta: FlatMatrix, rank: int, iterate_cap: int) -> NilpotenceReport:
+    """Least k with theta^k e_j = 0 for each basis section e_j of a flattened
+    connection theta on a windowed module of the given rank, or None when
+    no k up to the cap works.
+
+    e_j (component j, degree 0, t-power 0) is flat column j * (n / rank), so
+    one n x rank block carries the iterates of every e_j at once.  If
+    theta^k e_j = 0, theta is nilpotent on the theta-stable submodule that
+    e_j generates, so the kernels of its powers there grow strictly until
+    they fill it; it has length at most N * n, the length of (Z/p^N)^n, so
+    the least k is at most N * n and the loop stops at min(iterate_cap, N * n).
+    """
+    n = theta.rows
+    iterates = np.zeros((n, rank), dtype=np.int64)
+    iterates[np.arange(rank) * (n // rank), np.arange(rank)] = 1
+    witnesses: list[int | None] = [None] * rank
+    for k in range(1, min(iterate_cap, theta.n_prec * n) + 1):
+        iterates = theta.entries @ iterates % theta.modulus
+        for j in np.flatnonzero(~iterates.any(axis=0)):
+            if witnesses[j] is None:
+                witnesses[j] = k
+        if None not in witnesses:
+            break
+    return NilpotenceReport(nilpotent=None not in witnesses, witness=witnesses)

@@ -8,7 +8,9 @@ it against these routines on seeded random matrices.
 
 The Howell-kernel route to kernel cardinalities and cone acyclicity, and the
 cokernel exponents, are kept here too: the library now reads every count off
-Smith exponents, and the tests compare the two routes.  `row_span_member`
+Smith exponents, and the tests compare the two routes.  `reduce_against`,
+the Howell normal-form membership probe, is kept here the same way: the
+library decides membership by comparing span orders.  `row_span_member`
 and `howell_reduce` are test-only helpers over the library's Howell form.
 """
 
@@ -247,8 +249,22 @@ def cokernel_exponents(mat, p: int, N: int, target_dim: int | None = None) -> li
     return sorted(exps)
 
 
+def reduce_against(vec: np.ndarray, howell: np.ndarray, n: int) -> np.ndarray:
+    """Normal form of vec modulo the row span of a Howell-form matrix."""
+    v = np.array(vec, dtype=np.int64) % n
+    for row in howell:
+        nz = np.nonzero(row)[0]
+        if len(nz) == 0:
+            continue
+        c = int(nz[0])
+        b = int(row[c])
+        if v[c] % b == 0:
+            v = (v - (int(v[c]) // b) * row) % n
+    return v
+
+
 def row_span_member(vec, mat, n: int) -> bool:
-    return not homology.reduce_against(np.asarray(vec), homology.howell_form(mat, n), n).any()
+    return not reduce_against(np.asarray(vec), homology.howell_form(mat, n), n).any()
 
 
 @dataclass

@@ -3,11 +3,13 @@
 These are the earlier constructions.  `probed_connection` flattens a
 connection by probing each basis section (component j, degree d) through
 `connection_apply` and the generic `flatten_operator`; the library now
-assembles the same matrix from m x m W-blocks.  The Frobenius legs and the
-block operators were flattened by probing in the same way, the semilinear
-Frobenius legs through a flattening of Z/p^N-linear maps one basis element
-at a time, and the Verschiebung target differential as a dense product
-with the probed raised connection.  The library derives every one of them
+assembles the same matrix from m x m W-blocks.  `probed_witnesses` iterates
+`connection_apply` on the basis sections for the quasi-nilpotence
+witnesses, which the library reads off powers of the flattened connection.
+The Frobenius legs and the block operators were flattened by probing in
+the same way, the semilinear Frobenius legs through a flattening of
+Z/p^N-linear maps one basis element at a time, and the Verschiebung target
+differential as a dense product with the probed raised connection.  The library derives every one of them
 from its two connection flattenings by indexing and by m x m W-block
 products; the tests compare both entry by entry.
 
@@ -40,6 +42,27 @@ def probed_connection(m: ConnectionModule) -> FlatMatrix:
         return connection_apply(m, section)
 
     return flatten_operator(m.ctx, m.rank, m.window, m.rank, m.window, apply)
+
+
+def probed_witnesses(m: ConnectionModule, cap: int) -> list[int | None]:
+    """Least k with the k-th connection iterate of each basis vector zero
+    in the windowed truncation, or None at the cap."""
+    if m.window is None:
+        raise InvalidArgs("quasi-nilpotence needs a degree window")
+    witnesses: list[int | None] = []
+    for j in range(m.rank):
+        s = [
+            QPolynomial.one(m.ctx, m.window) if i == j else QPolynomial.zero(m.ctx, m.window)
+            for i in range(m.rank)
+        ]
+        found = None
+        for k in range(1, cap + 1):
+            s = connection_apply(m, s)
+            if all(c.is_zero() for c in s):
+                found = k
+                break
+        witnesses.append(found)
+    return witnesses
 
 
 def flatten_z_linear(

@@ -361,7 +361,7 @@ def test_quasi_isomorphism_matches_cohomology_invariants():
     from pathlib import Path
 
     from qprism.cartier import flatten_connection
-    from qprism.homology import TwoTermComplex, cohomology_of_complex
+    from qprism.homology import cohomology_of_complex
 
     fixtures = sorted(
         (Path(__file__).resolve().parent.parent / "fixtures").glob("p*_rank*.json")
@@ -377,7 +377,7 @@ def test_quasi_isomorphism_matches_cohomology_invariants():
         ]
         conn = ConnectionModule(ctx, spec["rank"], spec["level"], theta, window)
         raised = level_raise(conn)
-        h_src = cohomology_of_complex(TwoTermComplex(flatten_connection(conn)))
-        h_tgt = cohomology_of_complex(TwoTermComplex(flatten_connection(raised)))
+        h_src = cohomology_of_complex(flatten_connection(conn))
+        h_tgt = cohomology_of_complex(flatten_connection(raised))
         assert h_src.h0_invariant_factors == h_tgt.h0_invariant_factors, path.name
         assert h_src.h1_invariant_factors == h_tgt.h1_invariant_factors, path.name

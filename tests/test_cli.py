@@ -425,6 +425,20 @@ def test_out_of_range_flag_exits_2_naming_it(tmp_path, capsys, argv, field):
     assert report["error"]["field"] == field
 
 
+def test_huge_iterate_cap_stops_at_the_module_length(tmp_path, capsys):
+    # theta = 1 is not nilpotent; no witness can exceed N times the flat
+    # dimension, so a cap above that gives the report of cap 32
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**COHOMOLOGY_SPEC, "level": -1, "degree_window": 3,
+                                "theta_matrix": [["1"]]}))
+    start = time.perf_counter()
+    code, out = run(capsys, "cartier", "--spec", str(path), "--iterate-cap", "1000000000")
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert json.loads(out)["reports"][0]["report"]["witness"] == [-1]
+    assert run(capsys, "cartier", "--spec", str(path), "--iterate-cap", "32") == (1, out)
+
+
 @pytest.mark.parametrize(
     "p, order, code",
     [

@@ -1,6 +1,7 @@
-"""The connection flattening and the descent matrices built from it against
-the probing builders kept in flatten_oracle, and the flattening and product
-counts of one verification run."""
+"""The connection flattening, the descent matrices built from it and the
+quasi-nilpotence witnesses read off it against the probing builders kept in
+flatten_oracle, and the flattening, product and probe counts of one
+verification run."""
 
 import itertools
 import json
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import flatten_oracle as oracle
-from qprism import cartier, homology
+from qprism import cartier, homology, twisted_calculus
 from qprism.base_ring import RingContext, WScalar, q_int
 from qprism.cartier import (
     CartierProblem,
@@ -27,7 +28,7 @@ from qprism.cartier import (
 from qprism.cli import load_connection_spec
 from qprism.errors import InvalidArgs, NotAChainMap
 from qprism.homology import FlatMatrix, cone_acyclic, flat_dim, is_chain_map, w_scale_blocks
-from qprism.twisted_calculus import ConnectionModule, QPolynomial
+from qprism.twisted_calculus import ConnectionModule, QPolynomial, quasi_nilpotence_check
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 CONNECTION_FIXTURES = sorted(
@@ -89,6 +90,55 @@ def test_flatten_connection_matches_the_probe_on_fixtures(name):
             assert flatten_connection(c) == oracle.probed_connection(c), (grow, c.level)
 
 
+WITNESS_CAPS = (1, 4, 32)
+
+
+def _check_witnesses(conn: ConnectionModule, cap: int) -> bool:
+    """Both routes give the same witnesses; returns the verdict."""
+    report = quasi_nilpotence_check(flatten_connection(conn), conn.rank, cap)
+    assert report.witness == oracle.probed_witnesses(conn, cap), (conn.level, conn.window, cap)
+    assert report.nilpotent == (None not in report.witness)
+    return report.nilpotent
+
+
+@pytest.mark.parametrize("name", CONNECTION_FIXTURES)
+def test_nilpotence_witnesses_match_the_probe_on_fixtures(name):
+    # the spec and its --grow context, each at its window and the window of
+    # the stability re-run
+    for grow in (0, 1):
+        conn, _, _ = load_connection_spec(str(FIXTURES / name), grow)
+        for c in (conn, conn.rewindow(conn.window + cartier.STABILITY_WINDOW_STEP)):
+            for cap in WITNESS_CAPS:
+                _check_witnesses(c, cap)
+
+
+def test_nilpotence_witnesses_match_the_probe_on_a_seeded_sweep():
+    # random theta at levels 0 and -1, many of them not nilpotent, and seeded
+    # nilpotent ones; most modules put the length bound N * n below the cap
+    verdicts = []
+    for seed in range(72):
+        rng = random.Random(seed)
+        ctx = RingContext(rng.choice((2, 3, 5)), rng.randint(1, 3), rng.randint(1, 3))
+        rank, window, level = rng.randint(1, 3), rng.randrange(4), rng.choice((0, -1))
+        if seed % 3:
+            theta = _sweep_theta(ctx, rank, window, rng)
+        else:
+            theta = random_nilpotent_theta(ctx, rank, window, seed=seed)
+        conn = ConnectionModule(ctx, rank, level, theta, window)
+        verdicts += [_check_witnesses(conn, cap) for cap in WITNESS_CAPS]
+    assert len(verdicts) == 216
+    assert 60 <= verdicts.count(False) <= 156
+
+
+def test_nilpotence_witness_can_reach_the_length_bound():
+    # multiplication by p on Z/p^N (rank 1, window 0, m 1, so n = 1) first
+    # vanishes at its N-th power: the bound N * n is attained
+    ctx = RingContext(2, 3, 1)
+    conn = ConnectionModule(ctx, 1, 0, [[QPolynomial.parse(ctx, "2", 0)]], 0)
+    report = quasi_nilpotence_check(flatten_connection(conn), 1, 32)
+    assert report.witness == oracle.probed_witnesses(conn, 32) == [3]
+
+
 def test_flatten_connection_refuses_a_dimension_over_the_cap(monkeypatch):
     conn, _, _ = load_connection_spec(str(FIXTURES / "p3_rank2_seeded.json"))
     dim = flat_dim(conn.ctx, conn.rank, conn.window)
@@ -148,8 +198,13 @@ def test_descent_matrices_match_oracle_on_seeded_connections():
 
 
 def test_verify_once_flattens_twice_and_never_multiplies(monkeypatch):
-    counts = {"flatten": 0, "matmul": 0}
+    counts = {"flatten": 0, "matmul": 0, "apply": 0}
     flatten, matmul = cartier.flatten_connection, homology.FlatMatrix.matmul
+    apply = twisted_calculus.connection_apply
+
+    def counted_apply(*args, **kwargs):
+        counts["apply"] += 1
+        return apply(*args, **kwargs)
 
     def counted_flatten(*args, **kwargs):
         counts["flatten"] += 1
@@ -161,11 +216,13 @@ def test_verify_once_flattens_twice_and_never_multiplies(monkeypatch):
 
     monkeypatch.setattr(cartier, "flatten_connection", counted_flatten)
     monkeypatch.setattr(homology.FlatMatrix, "matmul", counted_matmul)
+    monkeypatch.setattr(twisted_calculus, "connection_apply", counted_apply)
     conn, _, _ = load_connection_spec(str(FIXTURES / "p3_rank2_seeded.json"))
     report = _verify_once(CartierProblem(conn))
     assert report.all_ok
     assert counts["flatten"] == 2
     assert counts["matmul"] == 0
+    assert counts["apply"] == 0
 
 
 def test_verschiebung_ok_detects_a_corrupted_forms_leg():

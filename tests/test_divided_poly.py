@@ -184,8 +184,8 @@ def test_hyperdiff_components_match_the_connection_on_basis_sections(name):
     op = hyperdiff_extend(conn)
     qm1x = QPolynomial.monomial(WScalar.t(ctx), 1)
     for j in range(conn.rank):
-        image = connection_apply(conn, conn.basis_section(j))
         unit = [QPolynomial.one(ctx) if i == j else QPolynomial.zero(ctx) for i in range(conn.rank)]
+        image = connection_apply(conn, unit)
         assert [row[j] for row in op.component(0)] == image
         assert [row[j] for row in op.component(1)] == [u + qm1x * c for u, c in zip(unit, image)]
 

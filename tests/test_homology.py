@@ -8,7 +8,6 @@ from qprism.base_ring import RingContext, WScalar
 from qprism.errors import InvalidArgs, NotAChainMap
 from qprism.homology import (
     FlatMatrix,
-    TwoTermComplex,
     cohomology_of_complex,
     cone_acyclic,
     is_chain_map,
@@ -18,6 +17,7 @@ from qprism.homology import (
     kernel_log_cardinality,
     right_kernel_basis,
     smith_exponents,
+    span_contains,
     span_exponents,
     w_mult_block,
 )
@@ -152,17 +152,14 @@ def test_span_and_cokernel_exponents():
 
 
 def test_cohomology_identity_and_zero():
-    ident = TwoTermComplex(FlatMatrix(2, 2, [[1]]))
-    rep = cohomology_of_complex(ident)
+    rep = cohomology_of_complex(FlatMatrix(2, 2, [[1]]))
     assert rep.h0_invariant_factors == [] and rep.h1_invariant_factors == []
-    zero = TwoTermComplex(FlatMatrix(2, 2, [[0]]))
-    rep = cohomology_of_complex(zero)
+    rep = cohomology_of_complex(FlatMatrix(2, 2, [[0]]))
     assert rep.h0_invariant_factors == [2] and rep.h1_invariant_factors == [2]
 
 
 def test_cohomology_mult_by_p():
-    c = TwoTermComplex(FlatMatrix(2, 2, [[2]]))
-    rep = cohomology_of_complex(c)
+    rep = cohomology_of_complex(FlatMatrix(2, 2, [[2]]))
     # enumeration: kernel of 2 on Z/4 is {0, 2} = Z/2, cokernel = Z/2
     assert rep.h0_invariant_factors == [1]
     assert rep.h1_invariant_factors == [1]
@@ -378,7 +375,7 @@ def test_two_term_cohomology_against_full_enumeration():
     ctx = RingContext(2, 2, 2)
     conn = ConnectionModule.trivial(ctx, 1, -1, window=2)
     d0 = flatten_connection(conn)
-    rep = cohomology_of_complex(TwoTermComplex(d0))
+    rep = cohomology_of_complex(d0)
     n = d0.modulus
     dim = d0.cols
     kernel = 0
@@ -388,8 +385,8 @@ def test_two_term_cohomology_against_full_enumeration():
         images.add(image)
         if not any(image):
             kernel += 1
-    assert 2 ** rep.h0_log_cardinality == kernel
-    assert 2 ** rep.h1_log_cardinality * len(images) == n**dim
+    assert 2 ** sum(rep.h0_invariant_factors) == kernel
+    assert 2 ** sum(rep.h1_invariant_factors) * len(images) == n**dim
 
 
 # --- the chain-ring kernel against the general-Z/n oracle and sympy -----------
@@ -403,6 +400,27 @@ def random_matrix(rng, p, N, rows, cols, kind):
     elif kind == "sparse":
         a = np.where(rng.random((rows, cols)) < 0.3, a, 0)
     return a.astype(np.int64)
+
+
+def test_span_contains_matches_the_howell_probe_on_a_seeded_sweep():
+    # the library's rule (the span's order is unchanged) against the Howell
+    # normal form of the oracle, on vectors in and out of random spans
+    rng = np.random.default_rng(31)
+    cases = members = 0
+    for p, N in ((2, 1), (2, 3), (3, 2), (5, 2), (7, 1)):
+        n = p**N
+        for kind in ("dense", "p-divisible", "sparse"):
+            for _ in range(8):
+                rows, cols = (int(x) for x in rng.integers(1, 7, size=2))
+                mat = random_matrix(rng, p, N, rows, cols, kind)
+                inside = rng.integers(0, n, size=rows) @ mat % n
+                outside = rng.integers(0, n, size=cols)
+                for vec in (inside, outside, p * outside % n):
+                    member = row_span_member(vec, mat, n)
+                    assert span_contains(mat, [vec], p, N) == member, (p, N, mat, vec)
+                    cases += 1
+                    members += member
+    assert cases == 360 and 120 <= members < cases
 
 
 def sweep_matrices(seed, count):
@@ -481,12 +499,12 @@ def test_smith_cohomology_matches_howell_kernel_sweep():
         rows, cols = mat.shape
         seen_shapes.add((rows == 0, cols == 0, rows == cols))
         fm = FlatMatrix(p, N, mat)
-        rep = cohomology_of_complex(TwoTermComplex(fm))
+        rep = cohomology_of_complex(fm)
         kern = right_kernel_basis(mat, p**N)
         assert rep.h0_invariant_factors == span_exponents(kern, p, N), (p, N, mat)
         assert rep.h1_invariant_factors == cokernel_exponents(mat, p, N, target_dim=rows)
         assert kernel_log_cardinality(fm) == elim_oracle.kernel_log_cardinality(fm)
-        assert rep.h0_log_cardinality == kernel_log_cardinality(fm)
+        assert sum(rep.h0_invariant_factors) == kernel_log_cardinality(fm)
     assert {(True, True, True), (True, False, False), (False, True, False)} <= seen_shapes
     assert (False, False, True) in seen_shapes and (False, False, False) in seen_shapes
 

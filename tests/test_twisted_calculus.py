@@ -3,6 +3,7 @@ import random
 import pytest
 
 from qprism.base_ring import RingContext, WScalar, q_int
+from qprism.cartier import flatten_connection
 from qprism.errors import InvalidArgs, RankMismatch
 from qprism.twisted_calculus import (
     ConnectionModule,
@@ -140,7 +141,7 @@ def test_rank_mismatch():
 def test_nilpotence_zero_connection():
     ctx = RingContext(2, 2, 2)
     m = ConnectionModule.trivial(ctx, 2, 0, window=3)
-    report = quasi_nilpotence_check(m, 5)
+    report = quasi_nilpotence_check(flatten_connection(m), m.rank, 5)
     assert report.nilpotent and report.witness == [1, 1]
 
 
@@ -148,7 +149,7 @@ def test_nilpotence_qminus1_x_twist():
     ctx = RingContext(2, 2, 2)
     theta = [[QPolynomial.parse(ctx, "(q-1)*x", 4)]]
     m = ConnectionModule(ctx, 1, 0, theta, window=4)
-    report = quasi_nilpotence_check(m, 10)
+    report = quasi_nilpotence_check(flatten_connection(m), m.rank, 10)
     assert report.nilpotent
     k = report.witness[0]
     # oracle: iterate through the flattened matrix power independently
@@ -181,7 +182,7 @@ def test_nilpotence_unit_connection_fails():
     ctx = RingContext(2, 2, 2)
     theta = [[QPolynomial.one(ctx, 3)]]
     m = ConnectionModule(ctx, 1, 0, theta, window=3)
-    report = quasi_nilpotence_check(m, 8)
+    report = quasi_nilpotence_check(flatten_connection(m), m.rank, 8)
     assert not report.nilpotent
     assert report.witness == [None]
 
@@ -192,9 +193,9 @@ def test_nilpotence_monotone_under_truncation():
     small = RingContext(2, 2, 2)
     theta = [[QPolynomial.parse(big, "(q-1)*x+2", 4)]]
     m = ConnectionModule(big, 1, 0, theta, window=4)
-    rep = quasi_nilpotence_check(m, 12)
+    rep = quasi_nilpotence_check(flatten_connection(m), m.rank, 12)
     assert rep.nilpotent
-    rep_small = quasi_nilpotence_check(m.reduce_to(small), 12)
+    rep_small = quasi_nilpotence_check(flatten_connection(m.reduce_to(small)), m.rank, 12)
     assert rep_small.nilpotent
     assert all(
         ws <= wb for ws, wb in zip(rep_small.witness, rep.witness)
@@ -205,15 +206,5 @@ def test_window_required_for_nilpotence():
     ctx = RingContext(2, 2, 2)
     m = ConnectionModule.trivial(ctx, 1, 0)
     with pytest.raises(InvalidArgs):
-        quasi_nilpotence_check(m, 3)
+        quasi_nilpotence_check(flatten_connection(m), m.rank, 3)
 
-
-def test_differential_form_basis_symbols():
-    from qprism.twisted_calculus import DifferentialForm, basis_symbol
-
-    ctx = RingContext(2, 2, 2)
-    form = DifferentialForm(QPolynomial.x(ctx), basis_symbol(-1))
-    assert form.basis == "dqp_x"
-    assert basis_symbol(0) == "dq_x"
-    with pytest.raises(InvalidArgs):
-        DifferentialForm(QPolynomial.x(ctx), "dx")
