@@ -17,8 +17,10 @@ the connection matrix.  Every other descent matrix derives from these
 two by indexing or by m x m W-block products: the Frobenius legs are 0/1
 degree selections, each block operator is theta' with its output degree
 shifted by one (the factor x') plus (k)_q blocks, and the Verschiebung
-check rescales each W-block of theta' and of theta by (p)_q.  The
-quasi-nilpotence witnesses are read off powers of theta' as well.
+check rescales each W-block of theta' and of the columns of theta that F
+selects by (p)_q.  The quasi-nilpotence witnesses are read off powers of
+theta' as well.  Each of these matrices is made fresh and reduced, and
+is wrapped by `FlatMatrix.adopt` with no copy.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .homology import (
     is_chain_map,
     kernel_log_cardinality,
     max_flat_dim,
+    selection_rows,
     w_mult_block,
     w_scale_blocks,
 )
@@ -116,7 +119,7 @@ def flatten_connection(m: ConnectionModule) -> FlatMatrix:
                 blocks[i, deg[e:], :, j, deg[: size - e], :] = (
                     w_mult_block(c) @ sigma_blocks[: size - e] % pn
                 )
-    return FlatMatrix(ctx.p, ctx.n_prec, blocks.reshape(dim, dim))
+    return FlatMatrix.adopt(ctx.p, ctx.n_prec, blocks.reshape(dim, dim))
 
 
 def _block_diagonal(block: np.ndarray, copies: int) -> np.ndarray:
@@ -131,8 +134,9 @@ def _frobenius_leg(
     source basis section, placed in grade k of the raised module."""
     cols = flat_dim(ctx, rank, win_in)
     out = np.zeros((rank, win_in + 1, ctx.p, ctx.m_prec, cols), dtype=np.int64)
-    out[:, :, k] = _block_diagonal(w_block, rank * (win_in + 1)).reshape(out[:, :, k].shape)
-    return FlatMatrix(ctx.p, ctx.n_prec, out.reshape(-1, cols))
+    diagonal = _block_diagonal(w_block % ctx.pn, rank * (win_in + 1))
+    out[:, :, k] = diagonal.reshape(out[:, :, k].shape)
+    return FlatMatrix.adopt(ctx.p, ctx.n_prec, out.reshape(-1, cols))
 
 
 @dataclass
@@ -186,13 +190,20 @@ def verschiebung_ok(data: ChainMapData, ctx: RingContext) -> bool:
     chain-level shadow of inverting the distinguished element.  Following
     the comparison by it gives (p)_q Fdiv theta' = ((p)_q theta) F: the
     chain-map equation between the two differentials with every W-block
-    rescaled by (p)_q.  Both legs stay selections, so no product is formed.
+    rescaled by (p)_q.  The rescaling acts on rows, so it commutes with
+    F's selection of columns: only the columns of theta that F selects are
+    rescaled, and the identity takes F's place.  No product is formed.
     """
+    f_rows = selection_rows(data.module_leg)
+    if f_rows is None:
+        raise InvalidArgs("the Verschiebung check needs a Frobenius leg that selects")
     pq = q_int(ctx.p, 1, ctx)
+    source, target = data.source_differential, data.target_differential
+    theta_f = FlatMatrix.adopt(target.p, target.n_prec, target.entries[:, f_rows])
     return is_chain_map(
-        w_scale_blocks(data.source_differential, pq),
-        w_scale_blocks(data.target_differential, pq),
-        data.module_leg,
+        w_scale_blocks(source, pq),
+        w_scale_blocks(theta_f, pq),
+        FlatMatrix.identity(source.p, source.n_prec, source.cols),
         data.forms_leg,
     )
 
@@ -222,7 +233,8 @@ def _block_operator(x_theta: FlatMatrix, ctx: RingContext, k: int, twist: bool) 
     without it, the plain certificate operator."""
     scaled = w_scale_blocks(x_theta, q_power(ctx, k)) if twist else x_theta
     diagonal = _block_diagonal(w_mult_block(q_int(k, 1, ctx)), x_theta.rows // ctx.m_prec)
-    return FlatMatrix(ctx.p, ctx.n_prec, scaled.entries + diagonal)
+    entries = scaled.entries + diagonal
+    return FlatMatrix.adopt(ctx.p, ctx.n_prec, np.remainder(entries, ctx.pn, out=entries))
 
 
 def _shift_degree(flat: FlatMatrix, rank: int, window: int) -> FlatMatrix:
@@ -231,7 +243,7 @@ def _shift_degree(flat: FlatMatrix, rank: int, window: int) -> FlatMatrix:
     blocks = flat.entries.reshape(rank, window + 1, -1, flat.cols)
     shifted = np.zeros_like(blocks)
     shifted[:, 1:] = blocks[:, :-1]
-    return FlatMatrix(flat.p, flat.n_prec, shifted.reshape(flat.entries.shape))
+    return FlatMatrix.adopt(flat.p, flat.n_prec, shifted.reshape(flat.entries.shape))
 
 
 def block_split(problem: CartierProblem, data: ChainMapData | None = None) -> BlockData:

@@ -4,7 +4,12 @@ flattening of W-linear operators to matrices over Z/p^N.
 
 Every count and yes/no verdict (cohomology, kernel cardinalities, cone
 acyclicity) and every row-span membership is read off Smith exponents;
-Howell forms serve the callers that need kernel vectors.
+Howell forms serve the callers that need kernel vectors.  The Smith
+routine first peels unit singletons, rows or columns whose one nonzero
+entry is a unit, in vectorised rounds, and eliminates only what is left,
+one valuation layer at a time.  A unit-triangular block operator always
+peels completely, and on every fixture and benchmark spec so do the
+descent's cone matrices.
 
 Matrices act on column vectors; a map C0 -> C1 between free modules of
 dimensions a and b is a b x a matrix with entries reduced into [0, n).
@@ -60,6 +65,17 @@ def _as_matrix(mat, n: int) -> np.ndarray:
     if a.ndim != 2:
         raise InvalidArgs("expected a 2-D matrix")
     a %= n
+    return a
+
+
+def _reduced(mat, n: int) -> np.ndarray:
+    """mat as a 2-D int64 array with entries in [0, n): mat itself when it
+    already is one, else a reduced copy."""
+    a = np.asarray(mat, dtype=np.int64)
+    if a.ndim != 2:
+        raise InvalidArgs("expected a 2-D matrix")
+    if a.size and (a.min() < 0 or a.max() >= n):
+        a = a % n
     return a
 
 
@@ -137,20 +153,69 @@ def right_kernel_basis(mat, n: int) -> np.ndarray:
 # --- Smith invariant factors over Z/p^N --------------------------------------
 
 
+def _peel_unit_singletons(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows and columns of a, reduced mod p^N, left once every unit
+    singleton is peeled off.
+
+    A column whose only nonzero entry is a unit u splits off as u: column
+    operations clear the rest of u's row and change nothing else.  So does
+    a row whose only nonzero entry is a unit, by row operations.  A round
+    peels every unit singleton column, one per row, then every unit
+    singleton row, one per column.  A singleton row whose column was just
+    peeled holds that same pivot, so the pivots sit in distinct rows and
+    columns, and a = diag(units) + the block left.  Peeling makes new
+    singletons, so rounds repeat until one peels nothing.  A singleton of
+    positive valuation stays: its row or column may hold entries of lower
+    valuation elsewhere.
+    """
+    rows, cols = a.shape
+    # coordinates of the nonzeros by a flat scan; 2-D np.nonzero is several times slower
+    r, c = np.divmod(np.flatnonzero(a != 0), max(cols, 1))
+    unit = a[r, c] % p != 0
+    row_left = np.ones(rows, dtype=bool)
+    col_left = np.ones(cols, dtype=bool)
+    while True:
+        row_peel = np.zeros(rows, dtype=bool)
+        col_peel = np.zeros(cols, dtype=bool)
+        pick = unit & (np.bincount(c, minlength=cols)[c] == 1)
+        taken_rows, first = np.unique(r[pick], return_index=True)
+        row_peel[taken_rows] = True
+        col_peel[c[pick][first]] = True
+        pick = unit & (np.bincount(r, minlength=rows)[r] == 1)
+        taken_cols, first = np.unique(c[pick], return_index=True)
+        row_peel[r[pick][first]] = True
+        col_peel[taken_cols] = True
+        if not (taken_rows.size or taken_cols.size):
+            return np.flatnonzero(row_left), np.flatnonzero(col_left)
+        row_left &= ~row_peel
+        col_left &= ~col_peel
+        keep = ~(row_peel[r] | col_peel[c])
+        r, c, unit = r[keep], c[keep], unit[keep]
+
+
 def smith_exponents(mat, p: int, N: int) -> list[int]:
     """p-adic valuations of the Smith diagonal over Z/p^N, nondecreasing.
 
     One entry per diagonal position up to min(rows, cols); positions the
-    reduction never reaches carry valuation N.  Works one valuation layer
-    at a time: every column of the remaining block with a unit entry gives
-    a pivot of valuation v, then the block, now divisible by p, is divided
-    by p.  A column without units keeps none while its layer is eliminated,
-    so one scan over the columns per layer finds every pivot.
+    reduction never reaches carry valuation N.  Unit singletons peel off
+    first as exponents 0 (`_peel_unit_singletons`), and only the block
+    left is copied and eliminated, one valuation layer at a time: every
+    column of the remaining block with a unit entry gives a pivot of
+    valuation v, then the block, now divisible by p, is divided by p.  A
+    column without units keeps none while its layer is eliminated, so one
+    scan over the columns per layer finds every pivot.
     """
     n = p**N
     if _check_modulus(n) != (p, N):
         raise InvalidArgs(f"{p} is not a prime")
-    work = _as_matrix(mat, n)
+    a = _reduced(mat, n)
+    rows, cols = _peel_unit_singletons(a, p)
+    peeled = a.shape[0] - rows.size
+    if peeled:
+        work = a[np.ix_(rows, cols)]
+    else:
+        # eliminate in place only in an array made here
+        work = a if a is not mat and a.base is None else a.copy()
     size = min(work.shape)
     out: list[int] = []
     for v in range(N):
@@ -165,7 +230,7 @@ def smith_exponents(mat, p: int, N: int) -> list[int]:
             _eliminate(work[k:, k:], 0, 0, n // p**v)
             out.append(v)
         work[len(out):, len(out):] //= p
-    return out + [N] * (size - len(out))
+    return [0] * peeled + out + [N] * (size - len(out))
 
 
 def span_exponents(gen_rows, p: int, N: int) -> list[int]:
@@ -198,6 +263,14 @@ class FlatMatrix:
     def __post_init__(self):
         self.entries = _as_matrix(self.entries, self.modulus)
 
+    @classmethod
+    def adopt(cls, p: int, n_prec: int, entries: np.ndarray) -> FlatMatrix:
+        """Wrap a 2-D int64 array already reduced mod p^N that the caller
+        hands over and no longer uses: no copy and no reduction."""
+        mat = cls.__new__(cls)
+        mat.p, mat.n_prec, mat.entries = p, n_prec, entries
+        return mat
+
     @property
     def modulus(self) -> int:
         return self.p**self.n_prec
@@ -227,7 +300,7 @@ class FlatMatrix:
             prod = prod.astype(np.int64)
         else:
             prod = self.entries @ other.entries
-        return FlatMatrix(self.p, self.n_prec, prod)  # reduced mod p^N on construction
+        return FlatMatrix.adopt(self.p, self.n_prec, np.remainder(prod, n, out=prod))
 
     def __eq__(self, other):
         return (
@@ -239,7 +312,7 @@ class FlatMatrix:
 
     @classmethod
     def identity(cls, p: int, n_prec: int, dim: int) -> FlatMatrix:
-        return cls(p, n_prec, np.eye(dim, dtype=np.int64))
+        return cls.adopt(p, n_prec, np.eye(dim, dtype=np.int64))
 
 
 @dataclass
@@ -277,7 +350,7 @@ def cohomology_of_complex(d0: FlatMatrix) -> CohomologyReport:
     return CohomologyReport(h0, h1)
 
 
-def _selection_rows(f: FlatMatrix) -> np.ndarray | None:
+def selection_rows(f: FlatMatrix) -> np.ndarray | None:
     """The row of the one nonzero entry, a 1, of every column of f, when
     those rows are distinct (f sends basis vectors to distinct basis
     vectors); otherwise None."""
@@ -306,9 +379,9 @@ def is_chain_map(d0: FlatMatrix, d0p: FlatMatrix, f0: FlatMatrix, f1: FlatMatrix
     d0p.check_product(f0)
     if (f1.p, f1.n_prec, f1.rows, d0.cols) != (d0p.p, d0p.n_prec, d0p.rows, f0.cols):
         return False
-    r0 = _selection_rows(f0)
+    r0 = selection_rows(f0)
     rhs = d0p.matmul(f0).entries if r0 is None else d0p.entries[:, r0]
-    r1 = _selection_rows(f1)
+    r1 = selection_rows(f1)
     if r1 is None:
         return np.array_equal(f1.matmul(d0).entries, rhs)
     off = np.ones(rhs.shape[0], dtype=bool)
@@ -340,10 +413,10 @@ def cone_acyclic(
     if not is_chain_map(d0, d0p, f0, f1):
         raise NotAChainMap("f1 d0 != d0' f0")
     p, N = d0.p, d0.n_prec
-    delta0 = FlatMatrix(
+    delta0 = FlatMatrix.adopt(
         p, N, np.vstack([d0.entries, (-f0.entries) % d0.modulus])
     )
-    delta1 = FlatMatrix(p, N, np.hstack([f1.entries, d0p.entries]))
+    delta1 = FlatMatrix.adopt(p, N, np.hstack([f1.entries, d0p.entries]))
     return all(exactness(delta0, delta1))
 
 
@@ -362,8 +435,9 @@ def w_mult_block(w: WScalar) -> np.ndarray:
 
 def w_scale_blocks(mat: FlatMatrix, w: WScalar) -> FlatMatrix:
     """mat followed by multiplication by w: every m x m W-block times w."""
-    blocks = mat.entries.reshape(-1, w.ctx.m_prec, mat.cols)
-    return FlatMatrix(mat.p, mat.n_prec, (w_mult_block(w) @ blocks).reshape(mat.entries.shape))
+    blocks = w_mult_block(w) @ mat.entries.reshape(-1, w.ctx.m_prec, mat.cols)
+    np.remainder(blocks, mat.modulus, out=blocks)
+    return FlatMatrix.adopt(mat.p, mat.n_prec, blocks.reshape(mat.entries.shape))
 
 
 def flat_dim(ctx: RingContext, rank: int, window: int) -> int:
@@ -423,5 +497,5 @@ def flatten_operator(
                     mat[row0 : row0 + m, col0 : col0 + m] = (
                         mat[row0 : row0 + m, col0 : col0 + m] + w_mult_block(w)
                     ) % ctx.pn
-    return FlatMatrix(ctx.p, ctx.n_prec, mat)
+    return FlatMatrix.adopt(ctx.p, ctx.n_prec, mat)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base_ring import RingContext, WScalar, q_int, q_power, w_invert
+from .base_ring import RingContext, WScalar, q_int, q_power
 from .errors import InvalidArgs, RankMismatch
 from .exactpoly import IntPoly
 from .grammar import parse_poly, poly_to_string
@@ -166,13 +166,6 @@ def sigma(f: QPolynomial, power: int = 1) -> QPolynomial:
         f.ctx,
         {d: w * q_power(f.ctx, power * d) for d, w in f.coeffs.items()},
         f.window,
-    )
-
-
-def sigma_inverse(f: QPolynomial, power: int = 1) -> QPolynomial:
-    qinv = w_invert(q_power(f.ctx, power))
-    return QPolynomial(
-        f.ctx, {d: w * qinv**d for d, w in f.coeffs.items()}, f.window
     )
 
 

@@ -225,6 +225,64 @@ def test_verify_once_flattens_twice_and_never_multiplies(monkeypatch):
     assert counts["apply"] == 0
 
 
+def test_verify_once_peels_every_smith_pivot(monkeypatch):
+    # every Smith call of a run on a quasi-nilpotent connection peels unit
+    # singletons only: the chain-ring elimination step never runs
+    counts = {"smith": 0, "eliminate": 0}
+    smith, eliminate = homology.smith_exponents, homology._eliminate
+
+    def counted_smith(*args):
+        counts["smith"] += 1
+        return smith(*args)
+
+    def counted_eliminate(*args):
+        counts["eliminate"] += 1
+        return eliminate(*args)
+
+    monkeypatch.setattr(homology, "smith_exponents", counted_smith)
+    monkeypatch.setattr(homology, "_eliminate", counted_eliminate)
+    for name in LEVEL_MINUS_ONE_FIXTURES:
+        conn, _, _ = load_connection_spec(str(FIXTURES / name))
+        for window in (conn.window, conn.window + cartier.STABILITY_WINDOW_STEP):
+            report = _verify_once(CartierProblem(conn.rewindow(window)))
+            assert report.nilpotent and report.all_ok, name
+    # per run, two kernel counts for each of the p - 1 blocks and two for the
+    # cone: 7 fixtures at p = 2 and 6 at p = 3, each at two windows
+    assert counts == {"smith": 128, "eliminate": 0}
+    # the connection's own cohomology operator does not peel away
+    conn, _, _ = load_connection_spec(str(FIXTURES / "p3_rank2_seeded.json"))
+    homology.cohomology_of_complex(flatten_connection(conn))
+    assert counts["smith"] == 129 and counts["eliminate"] > 0
+
+
+def test_descent_matrices_are_reduced_int64():
+    # the descent matrices are wrapped by FlatMatrix.adopt, which skips the
+    # reduction that FlatMatrix(...) applies to input from outside
+    def assert_reduced(mat):
+        e = mat.entries
+        assert e.dtype == np.int64 and e.ndim == 2
+        assert not e.size or (e.min() >= 0 and e.max() < mat.modulus)
+
+    for name in LEVEL_MINUS_ONE_FIXTURES:
+        conn, _, _ = load_connection_spec(str(FIXTURES / name))
+        data = chain_map_build(conn)
+        split = block_split(CartierProblem(conn), data)
+        pq = q_int(conn.ctx.p, 1, conn.ctx)
+        for mat in (
+            data.source_differential,
+            data.target_differential,
+            data.module_leg,
+            data.forms_leg,
+            w_scale_blocks(data.target_differential, pq),
+            *split.operators.values(),
+            *split.twisted_operators.values(),
+        ):
+            assert_reduced(mat)
+        endo = semilinear_frobenius(conn.ctx, conn.window)
+        assert_reduced(endo.module_leg)
+        assert_reduced(endo.forms_leg)
+
+
 def test_verschiebung_ok_detects_a_corrupted_forms_leg():
     conn, _, _ = load_connection_spec(str(FIXTURES / "p2_rank2_seeded.json"))
     data = chain_map_build(conn)
@@ -237,6 +295,17 @@ def test_verschiebung_ok_detects_a_corrupted_forms_leg():
     forms[row, col] = 0
     forms[(row + 1) % data.forms_leg.rows, col] = 1
     assert not verschiebung_ok(data, conn.ctx)
+
+
+def test_verschiebung_ok_needs_a_frobenius_leg_that_selects():
+    # the check reads the columns of theta at F's rows, so F must send basis
+    # vectors to distinct basis vectors
+    conn, _, _ = load_connection_spec(str(FIXTURES / "p2_rank2_seeded.json"))
+    data = chain_map_build(conn)
+    leg = data.module_leg
+    data.module_leg = FlatMatrix(leg.p, leg.n_prec, 3 * leg.entries)
+    with pytest.raises(InvalidArgs):
+        verschiebung_ok(data, conn.ctx)
 
 
 def _corrupted(leg: FlatMatrix, col: int, target: int, kind: str) -> FlatMatrix:

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from qprism import homology
 from qprism.base_ring import RingContext, WScalar
 from qprism.errors import InvalidArgs, NotAChainMap
 from qprism.homology import (
@@ -442,26 +443,145 @@ def test_chain_ring_kernel_matches_oracle_sweep():
         assert smith_exponents(mat, p, N) == elim_oracle.smith_exponents(mat, p, N)
 
 
-def test_smith_exponents_against_sympy_smith_form():
+def sympy_exponents(mat, p, N):
+    """Smith exponents over Z/p^N from sympy's Smith form of [mat | p^N I]
+    over Z, one per row of mat, capped at N."""
     from sympy import ZZ, Matrix
     from sympy.matrices.normalforms import smith_normal_form
 
+    rows = mat.shape[0]
+    n = p**N
+    aug = np.hstack([mat, n * np.eye(rows, dtype=np.int64)])
+    snf = smith_normal_form(Matrix(aug), domain=ZZ)
+    capped = []
+    for i in range(rows):
+        d, v = abs(int(snf[i, i])), 0
+        while v < N and d % p == 0:
+            d //= p
+            v += 1
+        capped.append(v)
+    return sorted(capped)
+
+
+def test_smith_exponents_against_sympy_smith_form():
     for p, N, mat in sweep_matrices(seed=223, count=5):
         rows, cols = mat.shape
         if rows == 0:
             continue
-        n = p**N
-        aug = np.hstack([mat, n * np.eye(rows, dtype=np.int64)])
-        snf = smith_normal_form(Matrix(aug), domain=ZZ)
-        capped = []
-        for i in range(rows):
-            d, v = abs(int(snf[i, i])), 0
-            while v < N and d % p == 0:
-                d //= p
-                v += 1
-            capped.append(v)
         padded = smith_exponents(mat, p, N) + [N] * (rows - min(rows, cols))
-        assert sorted(capped) == padded, (p, N, mat)
+        assert sympy_exponents(mat, p, N) == padded, (p, N, mat)
+
+
+# --- unit-singleton peeling ---------------------------------------------------
+
+
+def random_unit(rng, p, n):
+    return int(rng.integers(0, n // p)) * p + int(rng.integers(1, p))
+
+
+def permuted(rng, mat):
+    return mat[rng.permutation(mat.shape[0])][:, rng.permutation(mat.shape[1])]
+
+
+def basis_columns(rng, p, n, rows, count, valuation):
+    """count columns p^valuation * u * e_r, u a unit and r random."""
+    out = np.zeros((rows, count), dtype=np.int64)
+    out[rng.integers(0, rows, size=count), np.arange(count)] = [
+        p**valuation * random_unit(rng, p, n) % n for _ in range(count)
+    ]
+    return out
+
+
+def peeling_case(rng, p, N, kind):
+    """One matrix of the given kind, reduced mod p^N."""
+    n = p**N
+    rows, cols = (int(x) for x in rng.integers(1, 7, size=2))
+    sparse = random_matrix(rng, p, N, rows, cols, "sparse")
+    if kind == "selection":
+        # a selection block, its ones sometimes scaled by units, stacked with a sparse block
+        size = int(rng.integers(1, 7))
+        sel = np.eye(size, dtype=np.int64)[:, rng.permutation(size)[: int(rng.integers(1, size + 1))]]
+        sel = sel * (random_unit(rng, p, n) if rng.random() < 0.5 else 1)
+        other = random_matrix(rng, p, N, int(rng.integers(0, 5)), sel.shape[1], "sparse")
+        mat = np.vstack([sel, other]) if rng.random() < 0.5 else np.vstack([other, sel]).T
+    elif kind == "non-unit singleton":
+        valuation = int(rng.integers(1, N + 1))
+        mat = np.hstack([sparse, basis_columns(rng, p, n, rows, 2, valuation)])
+        if rng.random() < 0.5:
+            mat = mat.T
+    elif kind == "two singletons in a row":
+        mat = np.hstack([sparse, basis_columns(rng, p, n, rows, 2, 0)])
+        mat[:, -1] = 0
+        mat[int(np.flatnonzero(mat[:, -2])[0]), -1] = random_unit(rng, p, n)
+        if rng.random() < 0.5:
+            mat = mat.T
+    elif kind == "shared pivot":
+        # a unit alone in both its row and its column
+        mat = np.zeros((rows + 1, cols + 1), dtype=np.int64)
+        mat[0, 0] = random_unit(rng, p, n)
+        mat[1:, 1:] = random_matrix(rng, p, N, rows, cols, "dense")
+    elif kind == "zero lines":
+        mat = np.zeros((rows + 2, cols + 2), dtype=np.int64)
+        mat[:rows, :cols] = random_matrix(rng, p, N, rows, cols, "dense")
+    elif kind == "empty":
+        mat = np.zeros((0, cols) if rng.random() < 0.5 else (rows, 0), dtype=np.int64)
+    elif kind == "unit triangular":
+        size = int(rng.integers(1, 9))
+        mat = np.triu(random_matrix(rng, p, N, size, size, "dense"), 1)
+        mat[np.arange(size), np.arange(size)] = [random_unit(rng, p, n) for _ in range(size)]
+    else:  # "nothing peels": every row and column holds at least two nonzeros
+        rows, cols = (int(x) for x in rng.integers(2, 7, size=2))
+        mat = random_matrix(rng, p, N, rows, cols, "dense")
+        mat[mat == 0] = p ** int(rng.integers(0, N))
+    return permuted(rng, mat)
+
+
+PEELING_KINDS = (
+    "selection",
+    "non-unit singleton",
+    "two singletons in a row",
+    "shared pivot",
+    "zero lines",
+    "empty",
+    "unit triangular",
+    "nothing peels",
+)
+
+
+def test_peeled_smith_exponents_match_the_oracles_on_a_seeded_sweep():
+    # the peeled Smith form against the pivot-scan oracle on every case and
+    # against sympy on the first few of each kind; the input is passed
+    # reduced, unreduced and as a list, and must come back unchanged;
+    # 467 of the 720 cases peel at least one pivot
+    rng = np.random.default_rng(239)
+    cases = against_sympy = peeled = 0
+    for p in (2, 3, 5):
+        for N in (1, 2, 3):
+            n = p**N
+            for kind in PEELING_KINDS:
+                for draw in range(10):
+                    mat = peeling_case(rng, p, N, kind)
+                    want = elim_oracle.smith_exponents(mat, p, N)
+                    if draw < 3 and mat.shape[0]:
+                        padded = want + [N] * (mat.shape[0] - len(want))
+                        assert sympy_exponents(mat, p, N) == padded, (p, N, kind, mat)
+                        against_sympy += 1
+                    # multiples of p^N large enough to overflow int64 products
+                    unreduced = mat + n * rng.integers(-(2**50), 2**50, size=mat.shape)
+                    # a list with no rows reads as 1-D, so 0 x k goes as arrays only
+                    as_list = [unreduced.tolist()] if mat.shape[0] else []
+                    for given in [mat, unreduced, *as_list]:
+                        kept = np.array(given, dtype=np.int64)
+                        assert smith_exponents(given, p, N) == want, (p, N, kind, mat)
+                        assert np.array_equal(np.array(given, dtype=np.int64), kept)
+                    left_rows, left_cols = homology._peel_unit_singletons(mat, p)
+                    if kind == "unit triangular":
+                        assert left_rows.size == left_cols.size == 0
+                    if kind == "nothing peels":
+                        assert (left_rows.size, left_cols.size) == mat.shape
+                    peeled += left_rows.size < mat.shape[0]
+                    cases += 1
+    assert (cases, against_sympy, peeled) == (720, 203, 467)
 
 
 def test_moduli_must_be_prime_powers():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from qprism.base_ring import RingContext, WScalar, q_int
+from qprism.base_ring import RingContext, WScalar, q_int, q_power, w_invert
 from qprism.cartier import flatten_connection
 from qprism.errors import InvalidArgs, RankMismatch
 from qprism.twisted_calculus import (
@@ -11,9 +11,14 @@ from qprism.twisted_calculus import (
     connection_apply,
     quasi_nilpotence_check,
     sigma,
-    sigma_inverse,
     twisted_derive,
 )
+
+
+def sigma_inverse(f: QPolynomial, power: int = 1) -> QPolynomial:
+    """x -> q^(-power) x, the inverse of `sigma`."""
+    qinv = w_invert(q_power(f.ctx, power))
+    return QPolynomial(f.ctx, {d: w * qinv**d for d, w in f.coeffs.items()}, f.window)
 
 
 def random_qpoly(rng, ctx, max_deg, window=None):
