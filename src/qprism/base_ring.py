@@ -65,7 +65,12 @@ class RingContext:
 
 
 class WScalar:
-    """Element of W(p, N, M); coefficient i is the t^i coordinate."""
+    """Element of W(p, N, M); coefficient i is the t^i coordinate.
+
+    The coordinates may also be equal-length numpy object arrays, one lane
+    per element: a batch.  Ring operations and `frobenius` act lane-wise;
+    `is_zero`, `__eq__` and `__hash__` are for single elements only.
+    """
 
     __slots__ = ("ctx", "coeffs")
 
@@ -143,14 +148,11 @@ class WScalar:
             return NotImplemented
         self._check(other)
         m = self.ctx.m_prec
+        bs = other.coeffs
         out = [0] * m
         for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
             for j in range(m - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
+                out[i + j] += a * bs[j]
         return WScalar(self.ctx, out)
 
     __rmul__ = __mul__
@@ -270,20 +272,29 @@ def q_int(n: int, r: int, ctx: RingContext) -> WScalar:
     q^{rj} = (1 + t)^{rj}, so the t^i coordinate is sum_{j<n} C(rj, i).
     C(rj, i) is a polynomial of degree i in j whose coordinates in the
     basis C(j, k) are its forward differences at j = 0, and
-    sum_{j<n} C(j, k) = C(n, k+1); so the cost does not grow with n.
+    sum_{j<n} C(j, k) = C(n, k+1); so the cost does not grow with n.  The
+    differences depend on (r, M) only and are computed once for each.
     """
     if n < 0:
         raise InvalidArgs("q_int needs n >= 0")
     if r < 1:
         raise InvalidArgs("q_int needs r >= 1")
-    coeffs = []
-    for i in range(ctx.m_prec):
-        total = 0
-        for k in range(i + 1):
-            diff = sum((-1) ** (k - l) * comb(k, l) * comb(r * l, i) for l in range(k + 1))
-            total += diff * comb(n, k + 1)
-        coeffs.append(total)
-    return WScalar(ctx, coeffs)
+    return WScalar(ctx, [
+        sum(diff * comb(n, k + 1) for k, diff in enumerate(row))
+        for row in _q_int_differences(r, ctx.m_prec)
+    ])
+
+
+@lru_cache(maxsize=None)
+def _q_int_differences(r: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """Row i holds the forward differences at j = 0 of j -> C(rj, i), for i < m."""
+    return tuple(
+        tuple(
+            sum((-1) ** (k - l) * comb(k, l) * comb(r * l, i) for l in range(k + 1))
+            for k in range(i + 1)
+        )
+        for i in range(m)
+    )
 
 
 def q_int_poly(n: int, r: int = 1) -> IntPoly:
@@ -296,21 +307,28 @@ def q_int_poly(n: int, r: int = 1) -> IntPoly:
     return total
 
 
-def q_binomial_poly(n: int, k: int, r: int = 1) -> IntPoly:
-    """Gaussian binomial in base q^r by the q-Pascal recurrence, exact in Z[q].
+def q_binomial_rows(n: int, r: int = 1) -> list[list[IntPoly]]:
+    """Rows 0..n of the Gaussian binomials in base q^r, exact in Z[q], by
+    the q-Pascal recurrence
 
-    C(n, k) = C(n-1, k-1) + q^{rk} C(n-1, k), boundary C(n, 0) = C(n, n) = 1.
+        C(m, k) = C(m-1, k-1) + q^{rk} C(m-1, k),  C(m, 0) = C(m, m) = 1.
     """
+    rows = [[IntPoly.one()]]
+    for m in range(1, n + 1):
+        prev = rows[-1]
+        rows.append(
+            [IntPoly.one()]
+            + [prev[j - 1] + IntPoly.var("q", r * j) * prev[j] for j in range(1, m)]
+            + [IntPoly.one()]
+        )
+    return rows
+
+
+def q_binomial_poly(n: int, k: int, r: int = 1) -> IntPoly:
+    """Gaussian binomial C(n, k) in base q^r (`q_binomial_rows`)."""
     if k < 0 or k > n:
         raise InvalidArgs(f"need 0 <= k <= n, got n={n}, k={k}")
-    row = [IntPoly.one()]
-    for m in range(1, n + 1):
-        new = [IntPoly.one()]
-        for j in range(1, m):
-            new.append(row[j - 1] + IntPoly.var("q", r * j) * row[j])
-        new.append(IntPoly.one())
-        row = new
-    return row[k]
+    return q_binomial_rows(n, r)[n][k]
 
 
 def q_binomial(n: int, k: int, r: int, ctx: RingContext) -> WScalar:

@@ -9,25 +9,31 @@ costs one p-adic digit of validity on truncated lifts.
 
 The axiom suite's bulk sweep runs on q-only elements in W(p, N+1, M)
 through `WScalar`, the one W arithmetic: the extra digit pays for the
-division by p, and `w_delta` is delta there.  One helper, `_law_defects`,
-states the product and sum laws for both `WScalar` and `IntPoly`.
+division by p, and `w_delta` is delta there.  It runs on batches, one
+`WScalar` whose coordinates are object arrays with one lane per pair, so
+each chunk of pairs costs one pass of Python-level arithmetic.  One helper,
+`_law_defects`, states the product and sum laws for `WScalar`, single or
+batched, and for `IntPoly`.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from math import comb
 
 import numpy as np
 
-from .base_ring import RingContext, WScalar, q_binomial_poly, q_int, q_int_poly
+from .base_ring import RingContext, WScalar, q_binomial_rows, q_int, q_int_poly
 from .errors import InvalidArgs, OrderOverflow, PrecisionExhausted, WindowTooSmall
 from .exactpoly import IntPoly
 from .grammar import checked_power, parse_poly
 from .homology import span_contains
 
 DEFAULT_OMEGA_CAP = 16
+# pairs per batch of the axiom suite's bulk sweep; bounds its memory at any --samples
+SWEEP_CHUNK = 4096
 
 
 class DeltaElement:
@@ -255,8 +261,9 @@ def _law_defects(a, b, delta, p: int):
         delta(ab)  = a^p delta(b) + b^p delta(a) + p delta(a) delta(b),
         delta(a+b) = delta(a) + delta(b) - sum_{0<i<p} C(p, i)/p a^i b^(p-i).
 
-    a and b are both WScalars or both IntPolys, and delta(f, f^p) is delta
-    on their ring; a^1..a^p and b^1..b^p are formed once and serve both laws.
+    a and b are both WScalars (single, or batches of the same lanes) or both
+    IntPolys, and delta(f, f^p) is delta on their ring; a^1..a^p and
+    b^1..b^p are formed once and serve both laws.
     """
     apow, bpow = [a], [b]
     for _ in range(p - 1):
@@ -280,17 +287,20 @@ def run_axiom_suite(
 ) -> dict:
     """Exact delta-ring and q-combinatorics property sweep.
 
-    The bulk sweep draws random pairs of W(p, N+1, M), one p-adic digit
-    above the context, and checks the product and sum laws at precision
-    N-1 with `w_delta`; a smaller sample repeats both laws on exact
-    multivariate lifts carrying the coordinate x.  The q-analog identities
-    are checked exactly in Z[q].
+    The bulk sweep (`_bulk_sweep`) checks the product and sum laws on
+    `samples` random pairs of W(p, N+1, M), a batch at a time; a smaller
+    sample repeats both laws pair by pair on exact multivariate lifts
+    carrying the coordinate x, and its first failing pair stops it.  Both
+    sweeps draw from one rng per context, the bulk sweep first.  The
+    q-analog identities are checked exactly in Z[q].
     """
     report: dict = {"contexts": [], "ok": True}
-    # the q-Pascal identity lives in Z[q] and holds or fails for every context
-    binom = [[q_binomial_poly(n0, k0, 1) for k0 in range(n0 + 1)] for n0 in range(13)]
+    # the q-Pascal identity lives in Z[q] and holds or fails for every context.
+    # The triangle is built by C(n,k) = C(n-1,k-1) + q^k C(n-1,k), so the check
+    # is the mirror recurrence C(n,k) = q^(n-k) C(n-1,k-1) + C(n-1,k).
+    binom = q_binomial_rows(12)
     pascal_ok = all(
-        binom[n0][k0] == binom[n0 - 1][k0 - 1] + IntPoly.var("q", k0) * binom[n0 - 1][k0]
+        binom[n0][k0] == IntPoly.var("q", n0 - k0) * binom[n0 - 1][k0 - 1] + binom[n0 - 1][k0]
         for n0 in range(2, 13)
         for k0 in range(1, n0)
     )
@@ -298,26 +308,17 @@ def run_axiom_suite(
         rng = random.Random((seed, ctx.p, ctx.n_prec, ctx.m_prec).__hash__())
         p = ctx.p
         mod = p ** max(ctx.n_prec - 1, 1)
-        up = RingContext(p, ctx.n_prec + 1, ctx.m_prec)
-        # (pairs, draw one element, delta(f, f^p), "the defect is not 0 mod p^(N-1)")
-        sweeps = [
-            (samples, lambda: WScalar.random(up, rng), w_delta,
-             lambda defect: any(c % mod for c in defect.coeffs)),
-            (exact_samples, lambda: _random_lift(rng, ctx), lambda f, f_p: _delta_poly(ctx, f, f_p),
-             lambda defect: not _congruent(defect, mod, ctx)),
-        ]
-        product_ok = sum_ok = True
-        for pairs, draw, delta, nonzero in sweeps:
-            for _ in range(pairs):
-                a = draw()
-                b = draw()
-                product, sum_ = _law_defects(a, b, delta, p)
-                if nonzero(product):
-                    product_ok = False
-                    break
-                if nonzero(sum_):
-                    sum_ok = False
-                    break
+        product_ok, sum_ok = _bulk_sweep(ctx, samples, rng)
+        for _ in range(exact_samples):
+            a = _random_lift(rng, ctx)
+            b = _random_lift(rng, ctx)
+            product, sum_ = _law_defects(a, b, partial(_delta_poly, ctx), p)
+            if not _congruent(product, mod, ctx):
+                product_ok = False
+                break
+            if not _congruent(sum_, mod, ctx):
+                sum_ok = False
+                break
         dist_ok = is_distinguished(DeltaElement(ctx, q_int_poly(p, 1)))
         qm1_ok = not is_distinguished(DeltaElement(ctx, IntPoly.var("q") - 1))
         mult_ok = all(
@@ -341,6 +342,34 @@ def run_axiom_suite(
             v for k, v in entry.items() if isinstance(v, bool)
         )
     return report
+
+
+def _bulk_sweep(ctx: RingContext, samples: int, rng) -> tuple[bool, bool]:
+    """(product law holds, sum law holds) on `samples` random pairs of
+    W(p, N+1, M), judged at precision N-1 with `w_delta`.
+
+    Each chunk of pairs is one batch `WScalar` per side, so `_law_defects`
+    runs once per chunk.  The coordinates come from rng.randrange(p^(N+1))
+    in the order of drawing pair by pair (a's M coordinates, then b's), so
+    a sweep that passes leaves rng as drawing pair by pair does.  A chunk
+    is judged whole, and the sweep stops after the first chunk in which a
+    law fails.
+    """
+    p, m = ctx.p, ctx.m_prec
+    mod = p ** max(ctx.n_prec - 1, 1)
+    up = RingContext(p, ctx.n_prec + 1, m)
+    for start in range(0, samples, SWEEP_CHUNK):
+        lanes = min(SWEEP_CHUNK, samples - start)
+        draws = np.array([rng.randrange(up.pn) for _ in range(lanes * 2 * m)], dtype=object)
+        # axis 0: a or b, axis 1: the t-coordinate, axis 2: the pair
+        coords = draws.reshape(lanes, 2, m).transpose(1, 2, 0)
+        product, sum_ = _law_defects(WScalar(up, coords[0]), WScalar(up, coords[1]), w_delta, p)
+        product_ok, sum_ok = (
+            not any((c % mod).any() for c in defect.coeffs) for defect in (product, sum_)
+        )
+        if not (product_ok and sum_ok):
+            return product_ok, sum_ok
+    return True, True
 
 
 def _random_lift(rng, ctx: RingContext) -> IntPoly:

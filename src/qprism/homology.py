@@ -355,15 +355,21 @@ def selection_rows(f: FlatMatrix) -> np.ndarray | None:
     those rows are distinct (f sends basis vectors to distinct basis
     vectors); otherwise None."""
     e = f.entries
-    if not e.shape[0]:
+    n_rows, n_cols = e.shape
+    if not n_rows:
         return None
-    rows = e.argmax(axis=0)
+    # coordinates of the nonzeros by a flat scan, in row-major order, so one
+    # nonzero per row means strictly increasing rows
+    r, c = np.divmod(np.flatnonzero(e != 0), max(n_cols, 1))
     if (
-        np.count_nonzero(e) != e.shape[1]
-        or not (e[rows, np.arange(e.shape[1])] == 1).all()
-        or np.unique(rows).size != rows.size
+        r.size != n_cols
+        or (np.diff(r) <= 0).any()
+        or not np.bincount(c, minlength=n_cols).all()
+        or not (e[r, c] == 1).all()
     ):
         return None
+    rows = np.empty(n_cols, dtype=np.intp)
+    rows[c] = r
     return rows
 
 

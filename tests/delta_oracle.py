@@ -1,15 +1,42 @@
-"""Reference delta arithmetic on truncated q-lifts, kept as a test oracle.
+"""Reference delta arithmetic and law sweep on truncated q-lifts, kept as
+test oracles.
 
 `_TruncatedDelta` is the earlier second W arithmetic of the axiom suite's
 bulk sweep: t-coordinate tuples mod p^(N+1) with their own product, sum,
 p-th power, Frobenius and delta.  The library now runs that sweep on
 `WScalar` in W(p, N+1, M) with `delta_ring.w_delta`; the tests compare the
 two on seeded random elements.  The class is kept verbatim.
+
+`per_pair_sweep` is the earlier bulk sweep of `run_axiom_suite`: one pair
+of single `WScalar`s at a time, stopping at the first failing pair.  The
+library now sweeps a chunk of pairs as one batch (`delta_ring._bulk_sweep`);
+the tests compare the verdicts and the rng state the two leave.  The loop
+is kept verbatim.
 """
 
 from __future__ import annotations
 
-from qprism.base_ring import RingContext
+from qprism.base_ring import RingContext, WScalar
+from qprism.delta_ring import _law_defects, w_delta
+
+
+def per_pair_sweep(ctx: RingContext, samples: int, rng) -> tuple[bool, bool]:
+    """(product law holds, sum law holds) over `samples` pairs drawn one by one."""
+    p = ctx.p
+    mod = p ** max(ctx.n_prec - 1, 1)
+    up = RingContext(p, ctx.n_prec + 1, ctx.m_prec)
+    product_ok = sum_ok = True
+    for _ in range(samples):
+        a = WScalar.random(up, rng)
+        b = WScalar.random(up, rng)
+        product, sum_ = _law_defects(a, b, w_delta, p)
+        if any(c % mod for c in product.coeffs):
+            product_ok = False
+            break
+        if any(c % mod for c in sum_.coeffs):
+            sum_ok = False
+            break
+    return product_ok, sum_ok
 
 
 class _TruncatedDelta:

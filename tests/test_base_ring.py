@@ -1,5 +1,7 @@
 import random
+from math import comb
 
+import numpy as np
 import pytest
 
 from qprism.base_ring import (
@@ -92,6 +94,53 @@ def test_q_int_product_rule():
     assert q_int_poly(4, 1) == expected
     ctx = ctx322()
     assert q_int(4, 1, ctx) == q_int(2, 1, ctx) * q_int(2, 2, ctx)
+
+
+def _q_int_uncached(n, r, ctx):
+    """The forward-difference formula of `q_int`, recomputed on every call."""
+    coeffs = []
+    for i in range(ctx.m_prec):
+        total = 0
+        for k in range(i + 1):
+            diff = sum((-1) ** (k - l) * comb(k, l) * comb(r * l, i) for l in range(k + 1))
+            total += diff * comb(n, k + 1)
+        coeffs.append(total)
+    return WScalar(ctx, coeffs)
+
+
+def test_q_int_matches_the_power_sum_and_the_uncached_formula():
+    for r in range(1, 6):
+        for m in range(1, 7):
+            ctx = RingContext((2, 3, 5)[(r + m) % 3], 3, m)
+            step = WScalar.q(ctx) ** r
+            power, total = WScalar.one(ctx), WScalar.zero(ctx)
+            for n in range(41):
+                # total = sum_{j<n} q^(rj)
+                assert q_int(n, r, ctx) == total, (r, m, n)
+                assert q_int(n, r, ctx) == _q_int_uncached(n, r, ctx), (r, m, n)
+                total, power = total + power, power * step
+
+
+def test_batched_wscalar_acts_lane_wise():
+    rng = random.Random(21)
+    for p, n, m in ((2, 3, 1), (3, 2, 3), (5, 4, 4), (7, 3, 5)):
+        ctx = RingContext(p, n, m)
+        xs = [random_scalar(rng, ctx) for _ in range(9)]
+        ys = [random_scalar(rng, ctx) for _ in range(9)]
+        # coordinate i of the batch is the object array of the lanes' coordinates i
+        bx, by = (WScalar(ctx, np.array([w.coeffs for w in ws], dtype=object).T) for ws in (xs, ys))
+        results = (
+            (bx * by, [x * y for x, y in zip(xs, ys)]),
+            (bx + by, [x + y for x, y in zip(xs, ys)]),
+            (bx - by, [x - y for x, y in zip(xs, ys)]),
+            (-bx, [-x for x in xs]),
+            (bx * (p + 2), [x * (p + 2) for x in xs]),
+            (bx**p, [x**p for x in xs]),
+            (bx.frobenius(), [x.frobenius() for x in xs]),
+        )
+        for batch, singles in results:
+            for lane, single in enumerate(singles):
+                assert tuple(c[lane] for c in batch.coeffs) == single.coeffs, (p, n, m, lane)
 
 
 def _factorial_quotient_oracle(n, k):

@@ -1,11 +1,13 @@
+import itertools
 import random
 from math import comb
 
 import numpy as np
 import pytest
-from delta_oracle import _TruncatedDelta
+from delta_oracle import _TruncatedDelta, per_pair_sweep
 
 import qprism.grammar
+from qprism import delta_ring
 
 from qprism.base_ring import RingContext, WScalar, frobenius_matrix, q_int_poly
 from qprism.delta_ring import (
@@ -388,3 +390,84 @@ def test_axiom_suite_fails_with_a_wrong_frobenius(monkeypatch):
     assert not suite["ok"]
     for entry in suite["contexts"]:
         assert entry["product_law"] is False, entry["context"]
+
+
+def _states_after(sweep, ctx, samples, seed):
+    rng = random.Random(seed)
+    verdict = sweep(ctx, samples, rng)
+    return verdict, rng.getstate()
+
+
+def test_bulk_sweep_matches_the_per_pair_oracle(monkeypatch):
+    # a small chunk puts the sample counts on both sides of chunk boundaries
+    monkeypatch.setattr(delta_ring, "SWEEP_CHUNK", 7)
+    counts = itertools.cycle((0, 1, 6, 7, 8, 15, 23))
+    for p in (2, 3, 5, 7):
+        for n in range(1, 5):
+            for m in range(1, 6):
+                ctx = RingContext(p, n, m)
+                samples = next(counts)
+                seed = p * 100 + n * 10 + m
+                got = _states_after(delta_ring._bulk_sweep, ctx, samples, seed)
+                want = _states_after(per_pair_sweep, ctx, samples, seed)
+                assert got == want, (p, n, m, samples)
+                assert got[0] == (True, True)
+
+
+def test_bulk_sweep_matches_the_oracle_past_one_full_chunk():
+    ctx = RingContext(2, 2, 2)
+    samples = delta_ring.SWEEP_CHUNK + 5
+    assert _states_after(delta_ring._bulk_sweep, ctx, samples, 1) == _states_after(
+        per_pair_sweep, ctx, samples, 1
+    )
+
+
+def _delta_corrupted_at(lane, only_lanes=None):
+    """w_delta plus 1 in the t^0 coordinate of one lane of a batch, in batches
+    of `only_lanes` lanes if given.  delta + 1 shifts the sum law by -1."""
+
+    def corrupted(u, u_p):
+        d = w_delta(u, u_p)
+        c0 = d.coeffs[0].copy()
+        if only_lanes is None or c0.size == only_lanes:
+            c0[lane] += 1
+        return WScalar(d.ctx, (c0,) + d.coeffs[1:])
+
+    return corrupted
+
+
+def test_bulk_sweep_catches_a_delta_corrupted_on_one_lane(monkeypatch):
+    monkeypatch.setattr(delta_ring, "SWEEP_CHUNK", 7)
+    for p in (2, 3, 5, 7):
+        for n, m in ((2, 1), (3, 3), (4, 5)):
+            ctx = RingContext(p, n, m)
+            seed = p + n + m
+            # the last pair of 25 sits alone in the tail chunk of 4 lanes: the
+            # sweep reaches it, having drawn every pair
+            monkeypatch.setattr(delta_ring, "w_delta", _delta_corrupted_at(3, only_lanes=4))
+            verdict, state = _states_after(delta_ring._bulk_sweep, ctx, 25, seed)
+            assert verdict[1] is False, (p, n, m)
+            assert state == _states_after(per_pair_sweep, ctx, 25, seed)[1]
+            # a lane of every chunk: the sweep stops after the first chunk
+            monkeypatch.setattr(delta_ring, "w_delta", _delta_corrupted_at(2))
+            verdict, state = _states_after(delta_ring._bulk_sweep, ctx, 25, seed)
+            assert verdict[1] is False, (p, n, m)
+            assert state == _states_after(per_pair_sweep, ctx, 7, seed)[1]
+
+
+def test_q_pascal_catches_a_corrupted_triangle(monkeypatch):
+    contexts = [RingContext(2, 2, 2), RingContext(3, 2, 2)]
+    assert run_axiom_suite(contexts, samples=5)["ok"]
+    build = delta_ring.q_binomial_rows
+
+    def corrupted(n, r=1):
+        rows = build(n, r)
+        rows[7][3] = rows[7][3] + IntPoly.var("q", 2)
+        return rows
+
+    monkeypatch.setattr(delta_ring, "q_binomial_rows", corrupted)
+    suite = run_axiom_suite(contexts, samples=5)
+    assert not suite["ok"]
+    for entry in suite["contexts"]:
+        assert entry["q_pascal"] is False
+        assert entry["product_law"] and entry["sum_law"]

@@ -17,6 +17,7 @@ from qprism.homology import (
     howell_form,
     kernel_log_cardinality,
     right_kernel_basis,
+    selection_rows,
     smith_exponents,
     span_contains,
     span_exponents,
@@ -211,6 +212,56 @@ def test_chain_map_test_by_indexing_matches_the_products():
         assert verdict == (g1.matmul(d) == dp.matmul(g0)), trial
         verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def _selection_rows_by_argmax(f):
+    """The earlier body of `selection_rows`: a column-wise argmax."""
+    e = f.entries
+    if not e.shape[0]:
+        return None
+    rows = e.argmax(axis=0)
+    if (
+        np.count_nonzero(e) != e.shape[1]
+        or not (e[rows, np.arange(e.shape[1])] == 1).all()
+        or np.unique(rows).size != rows.size
+    ):
+        return None
+    return rows
+
+
+def test_selection_rows_matches_the_argmax_body():
+    rng = np.random.default_rng(17)
+    found = {True: 0, False: 0}
+    for trial in range(400):
+        cols = int(rng.integers(0, 7))
+        rows = cols + int(rng.integers(0, 4))
+        e = np.zeros((rows, cols), dtype=np.int64)
+        e[rng.permutation(rows)[:cols], np.arange(cols)] = 1
+        miss = trial % 7
+        if cols and miss == 1:  # a zero column
+            e[:, rng.integers(cols)] = 0
+        elif cols and miss == 2 and rows > 1:  # two nonzeros in one column
+            j = rng.integers(cols)
+            e[rng.choice(np.flatnonzero(e[:, j] == 0)), j] = int(rng.integers(1, 8))
+        elif cols and miss == 3:  # an entry other than 1
+            j = rng.integers(cols)
+            e[:, j] *= int(rng.integers(2, 8))
+        elif cols > 1 and miss == 4:  # a repeated row
+            j, k = rng.choice(cols, 2, replace=False)
+            e[:, k] = e[:, j]
+        elif miss == 5:  # no rows
+            e = e[:0]
+        elif cols > 1 and miss == 6:  # one column's 1 moved into another column
+            j, k = rng.choice(cols, 2, replace=False)
+            e[:, k] += e[:, j]
+            e[:, j] = 0
+        f = FlatMatrix(2, 3, e)
+        got, want = selection_rows(f), _selection_rows_by_argmax(f)
+        assert (got is None) == (want is None), (trial, e)
+        if got is not None:
+            assert np.array_equal(got, want), (trial, e)
+        found[got is None] += 1
+    assert min(found.values()) > 50
 
 
 def test_cone_routes_agree_randomly():
