@@ -10,8 +10,11 @@ an explicit error rather than approximated).
 
 Each base's algorithms sit behind one engine, chosen by `_engine`:
 `_ZEngine` (closed forms on the cyclic decomposition of a Z-module),
-`_FiniteEngine` (Zpn and W, flattened to spans over Z/p^N) and `_ZqEngine`
-(integer matrices on diagonal monic summands).  They share these methods:
+`_FiniteEngine` (Zpn and W, flattened to spans over Z/p^N, where every
+question compares span orders read off Smith exponents and the one kernel
+computed is the annihilator of the relations) and `_ZqEngine` (integer
+matrices on diagonal monic summands, compared by rank).  They share these
+methods:
 
 - `torsion_step(f, b)`: a key that stops changing exactly when the
   f^b-torsion does, and the orders reported for that torsion;
@@ -138,11 +141,15 @@ def _z_kernel(mat: list[list[int]], width: int) -> list[list[int]]:
     return [[row[j] for row in V] for j in range(len(diag), width)]
 
 
-def _z_solvable(mat: list[list[int]], v: list[int]) -> bool:
-    """Whether v lies in the lattice generated by the columns of mat."""
+def _z_solvable(mat: list[list[int]], vectors: list[list[int]]) -> bool:
+    """Whether every vector lies in the lattice generated by the columns of
+    mat, from one Smith form of mat: U v must be a multiple of the diagonal."""
     diag, U, _V = snf_z(mat, want_transforms=True)
-    uv = [sum(u * x for u, x in zip(row, v)) for row in U]
-    return all(x % d == 0 for x, d in zip(uv, diag)) and not any(uv[len(diag):])
+    for v in vectors:
+        uv = [sum(u * x for u, x in zip(row, v)) for row in U]
+        if any(x % d for x, d in zip(uv, diag)) or any(uv[len(diag):]):
+            return False
+    return True
 
 
 def _spread(scalars: list[list], n: int) -> list[list]:
@@ -287,7 +294,7 @@ class _ZEngine:
             width = dim + sum(1 for d in next_orders if d)
             kernel = [v[:dim] for v in _z_kernel(stacked, width)]
         image = [a + r for a, r in zip(incoming or [[]] * dim, _diagonal(orders))]
-        return all(_z_solvable(image, v) for v in kernel)
+        return _z_solvable(image, kernel)
 
     def flatness(self, f: int, g: int, window: int, details: dict):
         orders = self.orders
@@ -311,19 +318,6 @@ class _ZEngine:
 # --- engine: finite bases via flattening --------------------------------------
 
 
-def _finite_preimage(mat: np.ndarray, span: np.ndarray, n: int) -> np.ndarray:
-    """Rows spanning {v : mat v in row-span(span)} over Z/n."""
-    dim = mat.shape[1]
-    if span.shape[0] == 0:
-        return right_kernel_basis(mat, n)
-    stacked = np.hstack([mat % n, (-span.T) % n])
-    kern = right_kernel_basis(stacked, n)
-    if kern.shape[0] == 0:
-        return np.zeros((0, dim), dtype=np.int64)
-    proj = kern[:, :dim] % n
-    return proj[proj.any(axis=1)]
-
-
 def _direct_sum(spans: list[np.ndarray]) -> np.ndarray:
     """Rows of a direct sum, given the rows spanning each summand."""
     eye = np.eye(len(spans), dtype=np.int64)
@@ -331,10 +325,16 @@ def _direct_sum(spans: list[np.ndarray]) -> np.ndarray:
 
 
 class _FiniteEngine:
-    """Bases Zpn and W: M flattened to a Z/p^N-module, one block of
+    """Bases Zpn and W: M flattened to a Z/p^N-module F/S, one block of
     coordinates per generator on which a scalar acts by `mult_block`.
     Submodules are spans of rows; complex terms are (dimension, rows
-    spanning the relations) and differentials matrices over Z/p^N."""
+    spanning the relations) and differentials matrices over Z/p^N.
+
+    Every question is a comparison of span orders.  Z/p^N is a Frobenius
+    ring, so under the dot product a submodule K of F has K^perp^perp = K
+    and K is isomorphic to F/K^perp.  The f^k-torsion, lifted to F, is
+    K_k = {v : f^k v in S}, whose annihilator is S^perp f^k: the one
+    kernel the engine computes is `perp`, spanning S^perp."""
 
     def __init__(self, m: ModulePresentation, mult_block):
         self.m = m
@@ -343,13 +343,11 @@ class _FiniteEngine:
         self.width = len(mult_block(m.scalar(1)))
         self.dim = m.generators * self.width
         rels = m.relations
-        # the presentation map base^relations -> base^generators
-        self.presentation = self._flat(
-            [[rel[j] for rel in rels] for j in range(m.generators)], len(rels)
-        )
-        self.rows = self.presentation.T
+        # the relations S: columns of the presentation map base^relations -> base^generators
+        presentation = self._flat([[rel[j] for rel in rels] for j in range(m.generators)], len(rels))
+        self.rows = presentation.T
+        self.perp = right_kernel_basis(self.rows, self.modulus)
         self._powers: dict = {}
-        self._kernels: dict = {}
 
     def _flat(self, scalars: list[list], cols: int) -> np.ndarray:
         """The Z/p^N matrix of a matrix of scalars, entry by entry."""
@@ -386,22 +384,20 @@ class _FiniteEngine:
             self._powers[f, k] = power
         return self._powers[f, k]
 
-    def _kernel(self, f, k: int) -> np.ndarray:
-        """Rows spanning the f^k-torsion, relations included."""
-        if (f, k) not in self._kernels:
-            self._kernels[f, k] = (
-                _finite_preimage(self._power(f, k), self.rows, self.modulus) if k else self.rows
-            )
-        return self._kernels[f, k]
+    def _annihilator(self, f, k: int) -> np.ndarray:
+        """Rows spanning K_k^perp = S^perp f^k, K_k the lifted f^k-torsion."""
+        return self.perp @ self._power(f, k) % self.modulus
 
     def torsion_step(self, f, b: int):
+        # K_b is isomorphic to F / K_b^perp, the cokernel of the annihilator's rows;
         # the torsion grows with b, so its orders change until it stabilizes
-        orders = span_exponents(self._kernel(f, b), self.p, self.N)
+        s = smith_exponents(self._annihilator(f, b), self.p, self.N)
+        orders = sorted([v for v in s if v > 0] + [self.N] * (self.dim - len(s)))
         return orders, orders
 
     def kills(self, f, s: int, k: int) -> bool:
-        images = self._kernel(f, k) @ self._power(f, s).T % self.modulus
-        return span_contains(self.rows, images, self.p, self.N)
+        # f^s kills K_k iff K_k lies in K_s iff K_s^perp lies in K_k^perp
+        return span_contains(self._annihilator(f, k), self._annihilator(f, s), self.p, self.N)
 
     def block(self, scalars: list[list]) -> np.ndarray:
         g = self.m.generators
@@ -413,12 +409,13 @@ class _FiniteEngine:
 
     def exact_at(self, incoming, term, outgoing, next_term) -> bool:
         dim, span = term
-        if outgoing is None:
-            kernel = np.eye(dim, dtype=np.int64)
-        else:
-            kernel = _finite_preimage(outgoing, next_term[1], self.modulus)
+        kernel_log = self.N * dim
+        if outgoing is not None:
+            # |{v : A v in S'}| = |F| |S'| / |A F + S'|
+            next_span = next_term[1]
+            kernel_log += self._log(next_span) - self._log(np.vstack([next_span, outgoing.T]))
         image = span if incoming is None else np.vstack([span, incoming.T])
-        return self._log(np.vstack([kernel, span])) == self._log(image)
+        return kernel_log == self._log(image)
 
     def flatness(self, f, g, window: int, details: dict):
         """Complete flatness: M/(f,g)M is free over base/(f,g) and the
@@ -452,24 +449,13 @@ class _FiniteEngine:
         return free_ok and tor_ok, formally
 
     def _tor1_vanishes(self, ideal) -> bool:
-        """First Tor of M against base/(ideal), from a two-step flattened
-        resolution.
-
-        The presentation map sends one free copy of the base per relation
-        onto the relation submodule; its kernel supplies the syzygy step,
-        so the Tor vanishes iff the preimage of ideal * base^g under the
-        presentation equals syzygies + ideal * base^r.
-        """
-        r = len(self.m.relations)
-        if r == 0:
-            return True  # free module
-        pre = _finite_preimage(
-            self.presentation, self.multiples(ideal, self.m.generators), self.modulus
-        )
-        image = np.vstack(
-            [right_kernel_basis(self.presentation, self.modulus), self.multiples(ideal, r)]
-        )
-        return self._log(np.vstack([pre, image])) == self._log(image)
+        """First Tor of M = F/S against base/(ideal).  From 0 -> S -> F -> M
+        -> 0 it is (S meet IF)/IS, so it vanishes iff |S| |IF| / |S + IF|
+        equals |IS|, I the ideal."""
+        rows, ideal_f = self.rows, self.multiples(ideal, self.m.generators)
+        ideal_s = self.multiples(ideal, len(self.m.relations)) @ rows % self.modulus
+        meet = self._log(rows) + self._log(ideal_f) - self._log(np.vstack([rows, ideal_f]))
+        return meet == self._log(ideal_s)
 
 
 # --- engine: exact Z[q], monic normal forms ------------------------------------
@@ -566,9 +552,10 @@ class _ZqEngine:
                 if f.is_zero() and s == 0:
                     return False
                 continue
-            kernel = _z_kernel(self._power(f, i, k), monic.degree("q"))
-            power = self._power(f, i, s)
-            if any(sum(x * y for x, y in zip(row, v)) for row in power for v in kernel):
+            # integer kernels are saturated, so ker f^k lies in ker f^s iff
+            # the rows of f^s lie in the rational row space of f^k
+            power = self._power(f, i, k)
+            if _z_rank(power + self._power(f, i, s)) != _z_rank(power):
                 return False
         return True
 
@@ -596,9 +583,9 @@ def torsion_bound(m: ModulePresentation, f, cap: int = 8) -> TorsionReport:
     """Least b <= cap with ker(f^{b+1}) = ker(f^b), else unbounded-at-cap.
 
     The per-exponent report records the structure of the f^b-torsion: for
-    base Z the factor orders, for finite bases the cyclic orders of the
-    flattened torsion subquotient, for Zq the Z-rank of the torsion of
-    each monic summand.
+    base Z the factor orders, for finite bases the cyclic orders of its
+    preimage {v : f^b v in S} in the flattened free module, relations S
+    included, for Zq the Z-rank of the torsion of each monic summand.
     """
     return _torsion_report(_engine(m), m.scalar(f), cap)
 
@@ -774,7 +761,7 @@ def bounded_and_flat_check(
 
     bounded: g-torsion-free and M/gM has a finite f-power-torsion bound.
     completely_flat: M/(f,g)M free over the quotient base and the first
-    Tor against base/(f,g) vanishes (computed from a syzygy step).
+    Tor against base/(f,g) vanishes.
     formally_flat: M/(f,g)^j M free over base/(f,g)^j through the window.
     """
     f, g = m.scalar(f), m.scalar(g)

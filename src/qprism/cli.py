@@ -446,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ax.add_argument("--m", type=int, default=None)
     p_ax.add_argument("--samples", type=int, default=200)
     p_ax.add_argument("--seed", type=int, default=0)
-    p_ax.set_defaults(fn=cmd_axioms, floors={"n": 1, "m": 1, "samples": 0})
+    p_ax.set_defaults(fn=cmd_axioms, floors={"n": 2, "m": 1, "samples": 0})
 
     p_env = sub.add_parser("envelope", help="truncated envelope relations")
     p_env.add_argument("--p", type=int, required=True)

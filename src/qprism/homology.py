@@ -3,12 +3,13 @@ factors, cohomology of two-term complexes and mapping cones, and the
 flattening of W-linear operators to matrices over Z/p^N.
 
 Every count and yes/no verdict (cohomology, kernel cardinalities, cone
-acyclicity) and every row-span membership is read off Smith exponents;
-Howell forms serve the callers that need kernel vectors.  The Smith
-routine first peels unit singletons, rows or columns whose one nonzero
-entry is a unit, in vectorised rounds, and eliminates only what is left,
-one valuation layer at a time.  A unit-triangular block operator always
-peels completely, and on every fixture and benchmark spec so do the
+acyclicity) and every row-span membership is read off Smith exponents.
+The Howell form serves `right_kernel_basis`, whose one caller in the
+library is the annihilator of a module's relations in `adic_diagnostics`.
+The Smith routine first peels unit singletons, rows or columns whose one
+nonzero entry is a unit, in vectorised rounds, and eliminates only what is
+left, one valuation layer at a time.  A unit-triangular block operator
+always peels completely, and on every fixture and benchmark spec so do the
 descent's cone matrices.
 
 Matrices act on column vectors; a map C0 -> C1 between free modules of

@@ -12,6 +12,14 @@ Smith exponents, and the tests compare the two routes.  `reduce_against`,
 the Howell normal-form membership probe, is kept here the same way: the
 library decides membership by comparing span orders.  `row_span_member`
 and `howell_reduce` are test-only helpers over the library's Howell form.
+
+The earlier routes of the `adic_diagnostics` engines are kept as well:
+`PreimageEngine` builds a Howell kernel for the preimage behind every
+question over Zpn and W, where the library reads span orders off one
+annihilator per module; `KernelZqEngine` decides `kills` by dot products
+with integer kernel vectors, where the library compares ranks; and
+`PerVectorZEngine` recomputes the Smith form of the image once per kernel
+vector.  `oracle_engine` stands in for `adic_diagnostics._engine`.
 """
 
 from __future__ import annotations
@@ -22,9 +30,25 @@ from math import gcd
 import numpy as np
 
 from qprism import homology
+from qprism.adic_diagnostics import (
+    _diagonal,
+    _FiniteEngine,
+    _identity,
+    _z_kernel,
+    _ZEngine,
+    _ZqEngine,
+    snf_z,
+)
 from qprism.base_ring import WScalar
 from qprism.errors import InvalidArgs, NotAChainMap
-from qprism.homology import FlatMatrix, is_chain_map, right_kernel_basis, span_exponents
+from qprism.homology import (
+    FlatMatrix,
+    is_chain_map,
+    right_kernel_basis,
+    span_contains,
+    span_exponents,
+    w_mult_block,
+)
 
 _MAX_MODULUS = 1 << 21
 
@@ -312,3 +336,125 @@ def cone_acyclic(
         return False
     im1 = N * dim_mid - k1
     return im1 == N * dim_end
+
+
+# --- earlier routes of the adic engines ------------------------------------------
+
+
+def _finite_preimage(mat: np.ndarray, span: np.ndarray, n: int) -> np.ndarray:
+    """Rows spanning {v : mat v in row-span(span)} over Z/n."""
+    dim = mat.shape[1]
+    if span.shape[0] == 0:
+        return right_kernel_basis(mat, n)
+    stacked = np.hstack([mat % n, (-span.T) % n])
+    kern = right_kernel_basis(stacked, n)
+    if kern.shape[0] == 0:
+        return np.zeros((0, dim), dtype=np.int64)
+    proj = kern[:, :dim] % n
+    return proj[proj.any(axis=1)]
+
+
+class PreimageEngine(_FiniteEngine):
+    """The finite engine with a Howell preimage kernel per question."""
+
+    def __init__(self, m, mult_block):
+        super().__init__(m, mult_block)
+        self.presentation = self.rows.T
+        self._kernels: dict = {}
+
+    def _kernel(self, f, k: int) -> np.ndarray:
+        """Rows spanning the f^k-torsion, relations included."""
+        if (f, k) not in self._kernels:
+            self._kernels[f, k] = (
+                _finite_preimage(self._power(f, k), self.rows, self.modulus) if k else self.rows
+            )
+        return self._kernels[f, k]
+
+    def torsion_step(self, f, b: int):
+        # the torsion grows with b, so its orders change until it stabilizes
+        orders = span_exponents(self._kernel(f, b), self.p, self.N)
+        return orders, orders
+
+    def kills(self, f, s: int, k: int) -> bool:
+        images = self._kernel(f, k) @ self._power(f, s).T % self.modulus
+        return span_contains(self.rows, images, self.p, self.N)
+
+    def exact_at(self, incoming, term, outgoing, next_term) -> bool:
+        dim, span = term
+        if outgoing is None:
+            kernel = np.eye(dim, dtype=np.int64)
+        else:
+            kernel = _finite_preimage(outgoing, next_term[1], self.modulus)
+        image = span if incoming is None else np.vstack([span, incoming.T])
+        return self._log(np.vstack([kernel, span])) == self._log(image)
+
+    def _tor1_vanishes(self, ideal) -> bool:
+        """First Tor of M against base/(ideal), from a two-step flattened
+        resolution.
+
+        The presentation map sends one free copy of the base per relation
+        onto the relation submodule; its kernel supplies the syzygy step,
+        so the Tor vanishes iff the preimage of ideal * base^g under the
+        presentation equals syzygies + ideal * base^r.
+        """
+        r = len(self.m.relations)
+        if r == 0:
+            return True  # free module
+        pre = _finite_preimage(
+            self.presentation, self.multiples(ideal, self.m.generators), self.modulus
+        )
+        image = np.vstack(
+            [right_kernel_basis(self.presentation, self.modulus), self.multiples(ideal, r)]
+        )
+        return self._log(np.vstack([pre, image])) == self._log(image)
+
+
+class KernelZqEngine(_ZqEngine):
+    """The Zq engine deciding `kills` from integer kernel vectors."""
+
+    def kills(self, f, s: int, k: int) -> bool:
+        for i, monic in enumerate(self.mono):
+            if monic is None:
+                # the f^k-torsion is 0, or everything when f = 0, which f^s kills for s > 0
+                if f.is_zero() and s == 0:
+                    return False
+                continue
+            kernel = _z_kernel(self._power(f, i, k), monic.degree("q"))
+            power = self._power(f, i, s)
+            if any(sum(x * y for x, y in zip(row, v)) for row in power for v in kernel):
+                return False
+        return True
+
+
+def _z_solvable(mat: list[list[int]], v: list[int]) -> bool:
+    """Whether v lies in the lattice generated by the columns of mat."""
+    diag, U, _V = snf_z(mat, want_transforms=True)
+    uv = [sum(u * x for u, x in zip(row, v)) for row in U]
+    return all(x % d == 0 for x, d in zip(uv, diag)) and not any(uv[len(diag):])
+
+
+class PerVectorZEngine(_ZEngine):
+    """The Z engine solving for each kernel vector with its own Smith form."""
+
+    def exact_at(self, incoming, orders, outgoing, next_orders) -> bool:
+        dim = len(orders)
+        if outgoing is None:
+            kernel = _identity(dim)
+        else:
+            # preimage lattice of the next term's relations
+            stacked = [a + r for a, r in zip(outgoing, _diagonal(next_orders))]
+            width = dim + sum(1 for d in next_orders if d)
+            kernel = [v[:dim] for v in _z_kernel(stacked, width)]
+        image = [a + r for a, r in zip(incoming or [[]] * dim, _diagonal(orders))]
+        return all(_z_solvable(image, v) for v in kernel)
+
+
+def oracle_engine(m):
+    """`adic_diagnostics._engine` with every earlier route above."""
+    if m.base == "Z":
+        return PerVectorZEngine(m)
+    if m.base == "Zq":
+        return KernelZqEngine(m)
+    if m.base == "W":
+        return PreimageEngine(m, w_mult_block)
+    return PreimageEngine(m, lambda v: np.array([[v]], dtype=np.int64))

@@ -7,8 +7,11 @@ import pytest
 
 from qprism.adic_diagnostics import (
     ModulePresentation,
+    PresentedComplex,
+    _engine,
     _g_torsion_free,
     _residue_matrix,
+    _torsion_report,
     bounded_and_flat_check,
     koszul_build,
     koszul_reduction_cone_acyclic,
@@ -20,7 +23,7 @@ from qprism.errors import InvalidArgs, NotBounded
 from qprism.exactpoly import IntPoly
 from qprism.homology import smith_exponents
 
-from elim_oracle import _fp_rank
+from elim_oracle import _fp_rank, oracle_engine
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -531,7 +534,7 @@ def test_w_torsion_and_pro_iso_against_enumeration():
 
 
 def test_pro_iso_check_builds_one_engine(monkeypatch):
-    # the torsion bound and the shift search share one engine and its kernels
+    # the torsion bound and the shift search share one engine and its annihilator
     from qprism import adic_diagnostics
 
     built = []
@@ -542,3 +545,123 @@ def test_pro_iso_check_builds_one_engine(monkeypatch):
     report = pro_iso_check(m, 2)
     assert len(built) == 1
     assert report.bound == torsion_bound(m, 2).bound
+
+
+# --- the earlier engine routes as oracles ------------------------------------------
+
+
+def _outcome(call):
+    """A predicate's report as JSON, or the refusal it raises."""
+    try:
+        return call().to_json()
+    except NotBounded as exc:
+        return f"NotBounded: {exc}"
+
+
+def _every_predicate(m, f, g, n, mexp):
+    two = koszul_build(m, f, g, n, mexp)
+    return {
+        "bound": _outcome(lambda: torsion_bound(m, f)),
+        "pro_iso": _outcome(lambda: pro_iso_check(m, f, n_max=3)),
+        "flat": _outcome(lambda: bounded_and_flat_check(m, f, g)),
+        "koszul_one": koszul_build(m, f, None, n).acyclic(),
+        "koszul_two": [two.exact_at(i) for i in range(3)],
+        "cone": koszul_reduction_cone_acyclic(m, f, g, n, mexp),
+    }
+
+
+def _with_oracle(monkeypatch, predicates, *args):
+    """The predicates from the library's engines and from the oracle's."""
+    from qprism import adic_diagnostics
+
+    got = predicates(*args)
+    with monkeypatch.context() as patch:
+        patch.setattr(adic_diagnostics, "_engine", oracle_engine)
+        want = predicates(*args)
+    return got, want
+
+
+def _engine_answers(eng, m, f, g, n, mexp, rng):
+    """One answer from eng to each engine question: torsion orders, kills,
+    exactness and Tor_1."""
+    two = koszul_build(m, f, g, n, mexp)
+    s, k = rng.randint(0, 2), rng.randint(0, 3)
+    return {
+        "torsion": _torsion_report(eng, f, 8).to_json(),
+        "kills": eng.kills(f, s, k),
+        "exact": PresentedComplex(eng, two.terms, two.differentials).exact_at(rng.randint(0, 2)),
+        "tor1": eng._tor1_vanishes([f, g]),
+    }
+
+
+def test_finite_engines_match_the_preimage_oracle(monkeypatch):
+    # span orders off one annihilator against a Howell preimage kernel per
+    # question, engine by engine on every case and through every predicate
+    # on every 20th; scalars lean to high p- and t-adic valuation so that
+    # the modules have torsion and Tor
+    rng = random.Random(306)
+    tor1 = 0
+    for case in range(1000):
+        p, N, mp = rng.choice((2, 3, 5)), rng.randint(1, 3), rng.randint(1, 3)
+        base = rng.choice(("Zpn", "W"))
+        ctx = RingContext(p, N, mp if base == "W" else 1)
+
+        def scalar():
+            coeffs = [p ** rng.randint(0, N) * rng.randrange(ctx.pn) % ctx.pn for _ in range(mp)]
+            if base == "Zpn":
+                return coeffs[0]
+            lead = rng.randint(0, mp - 1)
+            return WScalar(ctx, [0] * lead + coeffs[lead:])
+
+        gens = rng.randint(1, 3)
+        rows = [[scalar() for _ in range(gens)] for _ in range(rng.randint(0, 3))]
+        m = ModulePresentation(base, gens, rows, ctx)
+        args = m, scalar(), scalar(), rng.randint(1, 2), rng.randint(1, 2)
+        seed = rng.random()
+        got = _engine_answers(_engine(m), *args, random.Random(seed))
+        assert got == _engine_answers(oracle_engine(m), *args, random.Random(seed)), case
+        tor1 += not got["tor1"]
+        if case % 20 == 0:
+            got, want = _with_oracle(monkeypatch, _every_predicate, *args)
+            assert got == want, case
+    assert tor1 >= 10
+
+
+def test_z_engine_matches_the_per_vector_oracle(monkeypatch):
+    rng = random.Random(307)
+    for case in range(200):
+        gens = rng.randint(1, 3)
+        rows = [[rng.randint(-6, 6) for _ in range(gens)] for _ in range(rng.randint(0, 3))]
+        args = z_module(gens, rows), rng.randint(-4, 4), rng.randint(-4, 4), 1, rng.randint(1, 2)
+        got, want = _with_oracle(monkeypatch, _every_predicate, *args)
+        assert got == want, case
+
+
+def _zq_predicates(m, f, g):
+    return {
+        "bound": _outcome(lambda: torsion_bound(m, f)),
+        "pro_iso": _outcome(lambda: pro_iso_check(m, f, n_max=3)),
+        "g_torsion_free": _g_torsion_free(m, g),
+    }
+
+
+def test_zq_kills_matches_the_kernel_oracle(monkeypatch):
+    # ranks of stacked powers against dot products with integer kernel vectors
+    rng = random.Random(308)
+    q = IntPoly.var("q")
+
+    def poly(degree):
+        return sum((rng.randint(-2, 2) * q**i for i in range(degree + 1)), IntPoly.const(0))
+
+    shifts = set()
+    for case in range(300):
+        gens = rng.randint(1, 3)
+        degrees = [rng.randint(0, 3) for _ in range(gens)]
+        # degree 0 marks a free generator
+        diagonal = [q**e + poly(e - 1) if e else 0 for e in degrees]
+        rows = [[diagonal[i] if j == i else 0 for j in range(gens)] for i in range(gens)]
+        m = ModulePresentation("Zq", gens, rows)
+        got, want = _with_oracle(monkeypatch, _zq_predicates, m, poly(2), poly(1))
+        assert got == want, case
+        shifts.add(got["pro_iso"]["shift"] if isinstance(got["pro_iso"], dict) else None)
+    assert len(shifts) >= 3

@@ -169,6 +169,22 @@ def test_adic_zq_free(capsys):
     assert flat["bounded"] is True and flat["completely_flat"] is True
 
 
+def test_adic_over_z_with_50_free_generators_is_fast(tmp_path, capsys):
+    # each exactness check solves every kernel vector from one Smith form
+    predicates = {}
+    for generators in (1, 50):
+        path = tmp_path / f"free{generators}.json"
+        spec = {"base": "Z", "generators": generators, "relations": [], "f": "2", "g": "3"}
+        path.write_text(json.dumps(spec))
+        start = time.perf_counter()
+        code, report = run_json(capsys, "adic", "--spec", str(path))
+        assert time.perf_counter() - start < 2
+        assert code == 0
+        predicates[generators] = report["reports"][0]["predicates"]
+    # Z^50 and Z answer every question alike
+    assert predicates[50] == predicates[1]
+
+
 def test_determinism_byte_identical(capsys):
     for argv in (
         ["cartier", "--spec", str(FIXTURES / "p2_rank1_seeded.json")],
@@ -409,6 +425,8 @@ def test_out_of_budget_adic_and_poincare_exit_2_at_once(tmp_path, capsys, argv, 
         (["envelope", "--p", "3", "--order", "3"], "order"),
         (["envelope", "--p", "5", "--order", "2"], "order"),
         (["envelope", "--p", "2", "--order", "9"], "order"),
+        # the delta of W needs precision N >= 2
+        (["axioms", "--n", "1"], "n"),
     ],
 )
 def test_out_of_range_flag_exits_2_naming_it(tmp_path, capsys, argv, field):
