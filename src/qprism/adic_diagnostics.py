@@ -13,25 +13,30 @@ Each base's algorithms sit behind one engine, chosen by `_engine`:
 `_FiniteEngine` (Zpn and W, flattened to spans over Z/p^N, where every
 question compares span orders read off Smith exponents and the one kernel
 computed is the annihilator of the relations) and `_ZqEngine` (integer
-matrices on diagonal monic summands, compared by rank).  They share these
-methods:
+matrices on diagonal monic summands, compared by rank).  A presentation
+builds its engine once, on first use (`ModulePresentation.engine`), and is
+not mutated after that.  The engines share these methods:
 
 - `torsion_step(f, b)`: a key that stops changing exactly when the
   f^b-torsion does, and the orders reported for that torsion;
 - `kills(f, s, k)`: whether f^s kills the f^k-torsion;
+- `quotient(s)`: the engine of M/sM, built from the engine's own data;
 - `block(scalars)` and `term(quotients)`: a differential and a term of a
   complex whose terms are direct sums of copies of M or M/sM;
 - `exact_at(incoming, term, outgoing, next_term)`: exactness at one spot;
 - `flatness(f, g, window, details)`: the complete and formal flatness core.
 
-`torsion_bound`, `pro_iso_check`, `_g_torsion_free`, `koszul_build`,
-`koszul_reduction_cone_acyclic` and `PresentedComplex.exact_at` are written
-once on top of them.
+Over Z such a complex is the sum, over the cyclic factors Z/d of M, of
+the complex with terms Z/gcd(d, s) and the scalar matrices as
+differentials, so `_ZEngine` decides exactness once per distinct order d,
+on terms of rank at most 2.  The predicates below are written once on top
+of the engines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd
 
 import numpy as np
@@ -40,6 +45,7 @@ from .base_ring import RingContext, WScalar
 from .errors import InvalidArgs, NotBounded
 from .exactpoly import IntPoly
 from .homology import (
+    howell_form,
     right_kernel_basis,
     smith_exponents,
     span_contains,
@@ -70,7 +76,7 @@ def snf_z(mat: list[list[int]], want_transforms: bool = False):
     rows = len(a)
     cols = len(a[0]) if rows else 0
     U = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    V = [[int(i == j) for j in range(cols)] for i in range(cols)]
+    V = _identity(cols) if want_transforms else []
     diag = []
     top = 0
     while top < min(rows, cols):
@@ -106,8 +112,8 @@ def snf_z(mat: list[list[int]], want_transforms: bool = False):
                     quo = a[top][j] // a[top][top]
                     for i in range(rows):
                         a[i][j] -= quo * a[i][top]
-                    for i in range(cols):
-                        V[i][j] -= quo * V[i][top]
+                    for row in V:
+                        row[j] -= quo * row[top]
                     if a[top][j]:
                         _swap_cols(a, top, j)
                         _swap_cols(V, top, j)
@@ -152,14 +158,6 @@ def _z_solvable(mat: list[list[int]], vectors: list[list[int]]) -> bool:
     return True
 
 
-def _spread(scalars: list[list], n: int) -> list[list]:
-    """The block matrix with each scalar s replaced by s times the n x n
-    identity: the map between sums of copies of a module on n generators."""
-    return [
-        [s if k == j else 0 for s in row for j in range(n)] for row in scalars for k in range(n)
-    ]
-
-
 # --- presentations ------------------------------------------------------------
 
 
@@ -186,6 +184,12 @@ class ModulePresentation:
                 raise InvalidArgs("relation matrix columns count must equal generators")
         self.relations = [[self.scalar(v) for v in row] for row in self.relations]
 
+    @cached_property
+    def engine(self):
+        """The base's engine for this module, built on first use from the
+        relations as they are then; the presentation is not mutated after."""
+        return _engine(self)
+
     def scalar(self, value):
         """value as an element of the base: an int for Z, an int in
         [0, p^N) for Zpn, a WScalar for W (q = 1 + t) and an IntPoly in q
@@ -205,18 +209,11 @@ class ModulePresentation:
         return int(value) % self.ctx.pn if self.base == "Zpn" else int(value)
 
 
-def _quotient_presentation(m: ModulePresentation, s) -> ModulePresentation:
-    """M/sM: the relations plus s times each generator."""
-    zero = m.scalar(0)
-    extra = [[s if j == i else zero for j in range(m.generators)] for i in range(m.generators)]
-    return ModulePresentation(m.base, m.generators, m.relations + extra, m.ctx)
-
-
 def _engine(m: ModulePresentation):
     if m.base == "Z":
-        return _ZEngine(m)
+        return _ZEngine(_z_cyclic_orders(m))
     if m.base == "Zq":
-        return _ZqEngine(m)
+        return _ZqEngine(_monic_action_basis(m), bool(m.relations))
     if m.base == "W":
         return _FiniteEngine(m, w_mult_block)
     return _FiniteEngine(m, lambda v: np.array([[v]], dtype=np.int64))
@@ -227,7 +224,6 @@ class TorsionReport:
     bound: int | None  # None means unbounded at the cap
     cap: int
     torsion_generators: dict[int, list]
-    caps_note: str = ""
 
     @property
     def bounded(self) -> bool:
@@ -237,9 +233,7 @@ class TorsionReport:
         return {
             "bound": self.bound if self.bound is not None else "unbounded-at-cap",
             "cap": self.cap,
-            "torsion_orders": {
-                str(k): v for k, v in sorted(self.torsion_generators.items())
-            },
+            "torsion_orders": {str(k): v for k, v in sorted(self.torsion_generators.items())},
         }
 
 
@@ -257,13 +251,30 @@ def _diagonal(orders: list[int]) -> list[list[int]]:
     return [[d if c == k else 0 for c, d in enumerate(orders) if d] for k in range(len(orders))]
 
 
+def _z_exact_at(d: int, incoming, quotients, outgoing, next_quotients) -> bool:
+    """Exactness at one spot of the complex on the factor Z/d."""
+    orders = [d if s is None else gcd(d, s) for s in quotients]
+    dim = len(orders)
+    if outgoing is None:
+        kernel = _identity(dim)
+    else:
+        # preimage lattice of the next term's relations
+        next_orders = [d if s is None else gcd(d, s) for s in next_quotients]
+        stacked = [a + r for a, r in zip(outgoing, _diagonal(next_orders))]
+        width = dim + sum(1 for e in next_orders if e)
+        kernel = [v[:dim] for v in _z_kernel(stacked, width)]
+    image = [a + r for a, r in zip(incoming or [[]] * dim, _diagonal(orders))]
+    return _z_solvable(image, kernel)
+
+
 class _ZEngine:
     """Base Z: M is a sum of cyclic groups Z/d (d = 0 for Z), and the
-    torsion predicates are closed forms in the orders d.  Complex terms
-    are lists of orders and differentials integer matrices."""
+    torsion predicates are closed forms in the orders d.  A complex term is
+    its list of quotient scalars (None for M) and a differential its integer
+    scalar matrix, read on each factor Z/d as terms Z/gcd(d, s)."""
 
-    def __init__(self, m: ModulePresentation):
-        self.orders = _z_cyclic_orders(m)
+    def __init__(self, orders: list[int]):
+        self.orders = orders
 
     def torsion_step(self, f: int, b: int):
         fb = f**b
@@ -278,50 +289,41 @@ class _ZEngine:
             d // gcd(d, fk) * fs % d == 0 if d else fk != 0 or fs == 0 for d in self.orders
         )
 
-    def block(self, scalars: list[list]) -> list[list[int]]:
-        return _spread(scalars, len(self.orders))
+    def quotient(self, s: int) -> _ZEngine:
+        # (Z/d) / s(Z/d) is Z/gcd(d, s), and the factors Z/1 drop out
+        return _ZEngine([e for e in (gcd(d, s) for d in self.orders) if e != 1])
 
-    def term(self, quotients: list) -> list[int]:
-        return [d if s is None else gcd(d, s) for s in quotients for d in self.orders]
+    def block(self, scalars: list[list]) -> list[list]:
+        return scalars
 
-    def exact_at(self, incoming, orders, outgoing, next_orders) -> bool:
-        dim = len(orders)
-        if outgoing is None:
-            kernel = _identity(dim)
-        else:
-            # preimage lattice of the next term's relations
-            stacked = [a + r for a, r in zip(outgoing, _diagonal(next_orders))]
-            width = dim + sum(1 for d in next_orders if d)
-            kernel = [v[:dim] for v in _z_kernel(stacked, width)]
-        image = [a + r for a, r in zip(incoming or [[]] * dim, _diagonal(orders))]
-        return _z_solvable(image, kernel)
+    def term(self, quotients: list) -> list:
+        return quotients
+
+    def exact_at(self, incoming, quotients, outgoing, next_quotients) -> bool:
+        return all(
+            _z_exact_at(d, incoming, quotients, outgoing, next_quotients)
+            for d in sorted(set(self.orders))
+        )
 
     def flatness(self, f: int, g: int, window: int, details: dict):
-        orders = self.orders
         d0 = gcd(f, g)
         details["ideal"] = d0
         if d0 == 0:
-            completely = all(d == 0 for d in orders)
+            completely = all(d == 0 for d in self.orders)
             return completely, completely
         if d0 == 1:
             return True, True
-        completely = all(d == 0 or gcd(d, d0) == 1 for d in orders)
+        completely = all(d == 0 or gcd(d, d0) == 1 for d in self.orders)
         # d0 > 1 divides every h_j, the generator of (f, g)^j
         formally = True
         for j in range(1, window + 1):
             hj = gcd(*(f**a * g ** (j - a) for a in range(j + 1)))
-            formally = formally and all(d == 0 or gcd(d, hj) in (1, hj) for d in orders)
+            formally = formally and all(d == 0 or gcd(d, hj) in (1, hj) for d in self.orders)
         details["formal_window"] = window
         return completely, formally
 
 
 # --- engine: finite bases via flattening --------------------------------------
-
-
-def _direct_sum(spans: list[np.ndarray]) -> np.ndarray:
-    """Rows of a direct sum, given the rows spanning each summand."""
-    eye = np.eye(len(spans), dtype=np.int64)
-    return np.vstack([np.kron(eye[c], span) for c, span in enumerate(spans)])
 
 
 class _FiniteEngine:
@@ -336,35 +338,44 @@ class _FiniteEngine:
     K_k = {v : f^k v in S}, whose annihilator is S^perp f^k: the one
     kernel the engine computes is `perp`, spanning S^perp."""
 
-    def __init__(self, m: ModulePresentation, mult_block):
-        self.m = m
-        self.mult_block = mult_block
+    def __init__(self, m: ModulePresentation, mult_block, rows: np.ndarray | None = None):
+        # given rows, the module on m's generators with the relations they span
+        self.m, self.mult_block = m, mult_block
         self.p, self.N, self.modulus = m.ctx.p, m.ctx.n_prec, m.ctx.pn
         self.width = len(mult_block(m.scalar(1)))
         self.dim = m.generators * self.width
-        rels = m.relations
-        # the relations S: columns of the presentation map base^relations -> base^generators
-        presentation = self._flat([[rel[j] for rel in rels] for j in range(m.generators)], len(rels))
-        self.rows = presentation.T
-        self.perp = right_kernel_basis(self.rows, self.modulus)
-        self._powers: dict = {}
+        if rows is None:
+            rels = m.relations
+            # the relations S: columns of the presentation map base^relations -> base^generators
+            rows = self._flat([[rel[j] for rel in rels] for j in range(m.generators)], len(rels)).T
+        self.rows = rows
+        self.perp = right_kernel_basis(rows, self.modulus)
 
-    def _flat(self, scalars: list[list], cols: int) -> np.ndarray:
-        """The Z/p^N matrix of a matrix of scalars, entry by entry."""
+    def _flat(self, scalars: list[list], cols: int, copies: int = 1) -> np.ndarray:
+        """The Z/p^N matrix of a matrix of scalars, each acting on `copies` copies
+        of the base: one block per scalar, spread over the identity in one step."""
         w = self.width
-        out = np.zeros((len(scalars) * w, cols * w), dtype=np.int64)
+        blocks = np.zeros((len(scalars), cols, w, w), dtype=np.int64)
         for i, row in enumerate(scalars):
             for j, s in enumerate(row):
-                out[i * w : (i + 1) * w, j * w : (j + 1) * w] = self.mult_block(self.m.scalar(s))
-        return out
+                blocks[i, j] = self.mult_block(self.m.scalar(s))
+        spread = np.einsum("ijcd,kl->ikcjld", blocks, np.eye(copies, dtype=np.int64))
+        return spread.reshape(len(scalars) * copies * w, cols * copies * w)
+
+    def _per_generator(self, rows: np.ndarray, block: np.ndarray) -> np.ndarray:
+        """rows with the coordinates of each generator multiplied by block."""
+        shape = (len(rows), self.m.generators, self.width)
+        return (rows.reshape(shape) @ block).reshape(rows.shape) % self.modulus
 
     def _log(self, rows: np.ndarray) -> int:
         """log_p of the order of the submodule the rows span."""
         return sum(span_exponents(rows, self.p, self.N))
 
     def multiples(self, scalars, copies: int) -> np.ndarray:
-        """Rows spanning (scalars) * base^copies."""
-        return np.vstack([self._flat(_spread([[s]], copies), copies).T for s in scalars])
+        """Rows spanning (scalars) * base^copies: the Howell form of the
+        ideal inside one copy of the base, repeated on every copy."""
+        ideal = np.vstack([self.mult_block(self.m.scalar(s)).T for s in scalars])
+        return np.kron(np.eye(copies, dtype=np.int64), howell_form(ideal, self.modulus))
 
     def quotient_rows(self, scalars) -> np.ndarray:
         """Rows spanning the relations of M / (scalars) M."""
@@ -375,18 +386,13 @@ class _FiniteEngine:
     def quotient_log(self, scalars) -> int:
         return self.N * self.dim - self._log(self.quotient_rows(scalars))
 
-    def _power(self, f, k: int) -> np.ndarray:
-        if (f, k) not in self._powers:
-            if k <= 1:
-                power = self.block([[f]]) if k else np.eye(self.dim, dtype=np.int64)
-            else:
-                power = self._power(f, 1) @ self._power(f, k - 1) % self.modulus
-            self._powers[f, k] = power
-        return self._powers[f, k]
+    def quotient(self, s) -> _FiniteEngine:
+        return _FiniteEngine(self.m, self.mult_block, self.quotient_rows([s]))
 
     def _annihilator(self, f, k: int) -> np.ndarray:
-        """Rows spanning K_k^perp = S^perp f^k, K_k the lifted f^k-torsion."""
-        return self.perp @ self._power(f, k) % self.modulus
+        """Rows spanning K_k^perp = S^perp f^k, K_k the lifted f^k-torsion:
+        each generator's coordinates of S^perp times the block of f^k."""
+        return self._per_generator(self.perp, self.mult_block(self.m.scalar(f**k)))
 
     def torsion_step(self, f, b: int):
         # K_b is isomorphic to F / K_b^perp, the cokernel of the annihilator's rows;
@@ -400,12 +406,14 @@ class _FiniteEngine:
         return span_contains(self._annihilator(f, k), self._annihilator(f, s), self.p, self.N)
 
     def block(self, scalars: list[list]) -> np.ndarray:
-        g = self.m.generators
-        return self._flat(_spread(scalars, g), len(scalars[0]) * g)
+        return self._flat(scalars, len(scalars[0]), self.m.generators)
 
     def term(self, quotients: list) -> tuple:
+        # the rows of the direct sum: each summand's relations in its own block
+        eye = np.eye(len(quotients), dtype=np.int64)
         spans = [self.quotient_rows(() if s is None else [s]) for s in quotients]
-        return len(quotients) * self.dim, _direct_sum(spans)
+        rows = np.vstack([np.kron(e, span) for e, span in zip(eye, spans)])
+        return len(quotients) * self.dim, rows
 
     def exact_at(self, incoming, term, outgoing, next_term) -> bool:
         dim, span = term
@@ -417,34 +425,34 @@ class _FiniteEngine:
         image = span if incoming is None else np.vstack([span, incoming.T])
         return kernel_log == self._log(image)
 
+    def _residue_rank(self) -> int:
+        """F_p-rank of the relations modulo p and t, each generator's first coordinate."""
+        residues = self.rows.reshape(len(self.rows), self.m.generators, self.width)[:, :, 0]
+        return smith_exponents(residues, self.p, 1).count(0)
+
     def flatness(self, f, g, window: int, details: dict):
         """Complete flatness: M/(f,g)M is free over base/(f,g) and the
         first Tor against base/(f,g) vanishes.  Formal flatness: the same
         freeness for every power of (f,g) until the powers stabilize."""
         m = self.m
-        base = _engine(ModulePresentation(m.base, 1, [], m.ctx))
+        base = ModulePresentation(m.base, 1, [], m.ctx).engine
         q_log = base.quotient_log([f, g])
         if q_log == 0:
             details["ideal"] = "unit"
             return True, True
-        mu = m.generators - smith_exponents(_residue_matrix(m), self.p, 1).count(0)
+        mu = m.generators - self._residue_rank()
         free_ok = self.quotient_log([f, g]) == mu * q_log
         tor_ok = self._tor1_vanishes([f, g])
         details.update(minimal_generators=mu, quotient_free=free_ok, tor1_zero=tor_ok)
-        formally = True
-        prev = None
-        j = 1
-        while True:
+        formally, prev, j = True, None, 1
+        while j <= self.N + m.ctx.m_prec + 2:
             powers = [f**a * g ** (j - a) for a in range(j + 1)]
             qj_log = base.quotient_log(powers)
             formally = formally and self.quotient_log(powers) == mu * qj_log
             # the powers shrink, so equal orders mean equal ideals
-            if j > 1 and qj_log == prev:
+            if qj_log == prev:
                 break
-            prev = qj_log
-            j += 1
-            if j > self.N + m.ctx.m_prec + 2:
-                break
+            prev, j = qj_log, j + 1
         details["formal_powers_checked"] = j
         return free_ok and tor_ok, formally
 
@@ -453,7 +461,8 @@ class _FiniteEngine:
         -> 0 it is (S meet IF)/IS, so it vanishes iff |S| |IF| / |S + IF|
         equals |IS|, I the ideal."""
         rows, ideal_f = self.rows, self.multiples(ideal, self.m.generators)
-        ideal_s = self.multiples(ideal, len(self.m.relations)) @ rows % self.modulus
+        # S is spanned by the relations times each t^i, so IS by the rows times the ideal
+        ideal_s = np.vstack([self._per_generator(rows, self.mult_block(s).T) for s in ideal])
         meet = self._log(rows) + self._log(ideal_f) - self._log(np.vstack([rows, ideal_f]))
         return meet == self._log(ideal_s)
 
@@ -476,15 +485,17 @@ def _monic_action_basis(m: ModulePresentation):
     for i, row in enumerate(rels):
         if any(not entry.is_zero() for j, entry in enumerate(row) if j != i):
             raise InvalidArgs("Zq relation matrix must be diagonal")
-        entry = row[i]
-        if entry.is_zero():
-            mono.append(None)
-            continue
-        lead = entry.coefficient_poly("q", entry.degree("q"))
-        if lead != IntPoly.const(1):
-            raise InvalidArgs("Zq relations must be monic in q")
-        mono.append(entry)
+        mono.append(_monic(row[i]))
     return mono
+
+
+def _monic(entry: IntPoly) -> IntPoly | None:
+    """A diagonal relation: None when it is zero, else the monic entry."""
+    if entry.is_zero():
+        return None
+    if entry.coefficient_poly("q", entry.degree("q")) != IntPoly.const(1):
+        raise InvalidArgs("Zq relations must be monic in q")
+    return entry
 
 
 def _poly_mod_monic(poly: IntPoly, monic: IntPoly) -> IntPoly:
@@ -517,8 +528,8 @@ class _ZqEngine:
     Z[q], a domain, or Z[q]/(monic), a free Z-module of rank deg(monic) on
     which a scalar acts by an integer matrix."""
 
-    def __init__(self, m: ModulePresentation):
-        self.mono = _monic_action_basis(m)
+    def __init__(self, mono: list, presented: bool):
+        self.mono, self.presented = mono, presented
         self._powers: dict = {}
 
     def _power(self, f: IntPoly, i: int, k: int) -> list[list[int]]:
@@ -559,6 +570,12 @@ class _ZqEngine:
                 return False
         return True
 
+    def quotient(self, s: IntPoly) -> _ZqEngine:
+        # s times each generator joins the relations, one per generator only when M is free
+        if self.presented:
+            raise InvalidArgs("Zq base supports one monic relation per generator (diagonal)")
+        return _ZqEngine([_monic(s)] * len(self.mono) if self.mono else [], bool(self.mono))
+
     def term(self, quotients):
         raise InvalidArgs("Koszul complexes are not supported over exact Z[q]")
 
@@ -587,7 +604,7 @@ def torsion_bound(m: ModulePresentation, f, cap: int = 8) -> TorsionReport:
     preimage {v : f^b v in S} in the flattened free module, relations S
     included, for Zq the Z-rank of the torsion of each monic summand.
     """
-    return _torsion_report(_engine(m), m.scalar(f), cap)
+    return _torsion_report(m.engine, m.scalar(f), cap)
 
 
 def _torsion_report(eng, f, cap: int) -> TorsionReport:
@@ -605,7 +622,7 @@ def _torsion_report(eng, f, cap: int) -> TorsionReport:
 
 def _g_torsion_free(m: ModulePresentation, g) -> bool:
     """Whether g acts injectively: the g-torsion equals the g^0-torsion, 0."""
-    eng, g = _engine(m), m.scalar(g)
+    eng, g = m.engine, m.scalar(g)
     return eng.torsion_step(g, 1)[0] == eng.torsion_step(g, 0)[0]
 
 
@@ -617,8 +634,9 @@ class PresentedComplex:
     """Bounded cochain complex whose terms are direct sums of copies of a
     presented module (possibly further quotiented), with scalar-matrix
     differentials, in the representation of the module's engine: lists of
-    cyclic orders and integer matrices for Z, (ambient_dim, relation rows)
-    and matrices over Z/p^N for the finite bases.
+    quotient scalars and the scalar matrices themselves for Z,
+    (ambient_dim, relation rows) and matrices over Z/p^N for the finite
+    bases.
     """
 
     engine: object
@@ -638,9 +656,7 @@ class PresentedComplex:
         return all(self.exact_at(i) for i in range(len(self.terms)))
 
 
-def koszul_build(
-    m: ModulePresentation, f, g=None, n: int = 1, mexp: int = 1
-) -> PresentedComplex:
+def koszul_build(m: ModulePresentation, f, g=None, n: int = 1, mexp: int = 1) -> PresentedComplex:
     """One- or two-variable Koszul complex on a presented module.
 
     One variable: [M -> M] via f^n.  Two variables: the total complex
@@ -649,7 +665,7 @@ def koszul_build(
     """
     if n < 1 or mexp < 1:
         raise InvalidArgs("Koszul exponents must be >= 1")
-    eng = _engine(m)
+    eng = m.engine
     fn = m.scalar(f) ** n
     if g is None:
         return PresentedComplex(eng, [eng.term([None]), eng.term([None])], [eng.block([[fn]])])
@@ -658,9 +674,7 @@ def koszul_build(
     return PresentedComplex(eng, terms, [eng.block([[gm], [fn]]), eng.block([[fn, -gm]])])
 
 
-def koszul_reduction_cone_acyclic(
-    m: ModulePresentation, f, g, n: int = 1, mexp: int = 1
-) -> bool:
+def koszul_reduction_cone_acyclic(m: ModulePresentation, f, g, n: int = 1, mexp: int = 1) -> bool:
     """Acyclicity of the cone comparing the two-variable Koszul complex
     with [M/g^m -> M/g^m] via f^n, the reduction that holds for
     g-torsion-free modules.
@@ -668,7 +682,7 @@ def koszul_reduction_cone_acyclic(
     Cone terms: M -> M+M -> M + M/g^m -> M/g^m, with the comparison legs
     projecting onto the second factor and the quotient.
     """
-    eng = _engine(m)
+    eng = m.engine
     fn, gm = m.scalar(f) ** n, m.scalar(g) ** mexp
     terms = [eng.term([None]), eng.term([None, None]), eng.term([None, gm]), eng.term([gm])]
     differentials = [
@@ -700,29 +714,25 @@ class ProIsoReport:
         }
 
 
-def pro_iso_check(
-    m: ModulePresentation, f, n_max: int = 4, cap: int = 8
-) -> ProIsoReport:
+def pro_iso_check(m: ModulePresentation, f, n_max: int = 4, cap: int = 8) -> ProIsoReport:
     """Stabilization shift of the torsion pro-system.
 
     The transition from level n+s to level n on the f-power-torsion is
     multiplication by f^s; the system is pro-zero exactly when some shift
     kills all of it, and the least such shift is reported together with
-    per-level verdicts at that shift.
+    per-level verdicts at that shift, all true by construction.  The
+    f^k-torsion grows with k and is the f^b-torsion from the bound b on, so
+    s holds at every level n <= n_max iff f^s kills the f^min(n_max+s, b)-torsion.
     """
-    eng, f = _engine(m), m.scalar(f)
+    eng, f = m.engine, m.scalar(f)
     bound_report = _torsion_report(eng, f, cap)
     if not bound_report.bounded:
         raise NotBounded("torsion unbounded at the cap")
     b = bound_report.bound
-    levels = range(1, n_max + 1)
-    shift = next(
-        (s for s in range(cap + 1) if all(eng.kills(f, s, n + s) for n in levels)), None
-    )
+    shift = next((s for s in range(cap + 1) if eng.kills(f, s, min(n_max + s, b))), None)
     if shift is None:
         raise NotBounded("no stabilization shift at the cap")
-    per_level = {n: eng.kills(f, shift, n + shift) for n in levels}
-    return ProIsoReport(shift, b, per_level, shift == b)
+    return ProIsoReport(shift, b, dict.fromkeys(range(1, n_max + 1), True), shift == b)
 
 
 # --- boundedness and flatness ---------------------------------------------------
@@ -744,16 +754,6 @@ class FlatnessReport:
         }
 
 
-def _residue_matrix(m: ModulePresentation) -> np.ndarray:
-    """The relation matrix over the residue field F_p."""
-    p = m.ctx.p
-    out = np.zeros((len(m.relations), m.generators), dtype=np.int64)
-    for i, rel in enumerate(m.relations):
-        for j, v in enumerate(rel):
-            out[i, j] = v.fp_residue() if isinstance(v, WScalar) else int(v) % p
-    return out
-
-
 def bounded_and_flat_check(
     m: ModulePresentation, f, g, torsion_cap: int = 8, formal_window: int = 3
 ) -> FlatnessReport:
@@ -767,9 +767,9 @@ def bounded_and_flat_check(
     f, g = m.scalar(f), m.scalar(g)
     details: dict = {}
     # first, so an engine refusing the inputs says why before M/gM is built
-    completely, formally = _engine(m).flatness(f, g, formal_window, details)
+    completely, formally = m.engine.flatness(f, g, formal_window, details)
     tf = _g_torsion_free(m, g)
-    tb = torsion_bound(_quotient_presentation(m, g), f, torsion_cap)
+    tb = _torsion_report(m.engine.quotient(g), f, torsion_cap)
     details["g_torsion_free"] = tf
     details["quotient_torsion_bound"] = tb.bound if tb.bounded else "unbounded-at-cap"
     return FlatnessReport(tf and tb.bounded, completely, formally, details)

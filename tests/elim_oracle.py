@@ -15,11 +15,16 @@ and `howell_reduce` are test-only helpers over the library's Howell form.
 
 The earlier routes of the `adic_diagnostics` engines are kept as well:
 `PreimageEngine` builds a Howell kernel for the preimage behind every
-question over Zpn and W, where the library reads span orders off one
-annihilator per module; `KernelZqEngine` decides `kills` by dot products
-with integer kernel vectors, where the library compares ranks; and
-`PerVectorZEngine` recomputes the Smith form of the image once per kernel
-vector.  `oracle_engine` stands in for `adic_diagnostics._engine`.
+question over Zpn and W, and a dense power of the flattened f for every
+exponent, where the library reads span orders off one annihilator per
+module; `KernelZqEngine` decides `kills` by dot products with integer
+kernel vectors, where the library compares ranks; and `PerVectorZEngine`
+spreads every scalar matrix over the identity of all of M and recomputes
+the Smith form of the image once per kernel vector, where the library
+decides exactness once per distinct cyclic order.  Each builds M/sM from
+`_quotient_presentation`, the dense presentation with s times each
+generator among the relations, where the library's engines build it from
+their own data.  `oracle_engine` stands in for `adic_diagnostics._engine`.
 """
 
 from __future__ import annotations
@@ -31,9 +36,12 @@ import numpy as np
 
 from qprism import homology
 from qprism.adic_diagnostics import (
+    ModulePresentation,
     _diagonal,
     _FiniteEngine,
     _identity,
+    _monic_action_basis,
+    _z_cyclic_orders,
     _z_kernel,
     _ZEngine,
     _ZqEngine,
@@ -341,6 +349,21 @@ def cone_acyclic(
 # --- earlier routes of the adic engines ------------------------------------------
 
 
+def _quotient_presentation(m: ModulePresentation, s) -> ModulePresentation:
+    """M/sM: the relations plus s times each generator."""
+    zero = m.scalar(0)
+    extra = [[s if j == i else zero for j in range(m.generators)] for i in range(m.generators)]
+    return ModulePresentation(m.base, m.generators, m.relations + extra, m.ctx)
+
+
+def _spread(scalars: list[list], n: int) -> list[list]:
+    """The block matrix with each scalar s replaced by s times the n x n
+    identity: the map between sums of copies of a module on n generators."""
+    return [
+        [s if k == j else 0 for s in row for j in range(n)] for row in scalars for k in range(n)
+    ]
+
+
 def _finite_preimage(mat: np.ndarray, span: np.ndarray, n: int) -> np.ndarray:
     """Rows spanning {v : mat v in row-span(span)} over Z/n."""
     dim = mat.shape[1]
@@ -355,12 +378,29 @@ def _finite_preimage(mat: np.ndarray, span: np.ndarray, n: int) -> np.ndarray:
 
 
 class PreimageEngine(_FiniteEngine):
-    """The finite engine with a Howell preimage kernel per question."""
+    """The finite engine with a Howell preimage kernel per question and a
+    dense power of the flattened f per exponent."""
 
     def __init__(self, m, mult_block):
         super().__init__(m, mult_block)
         self.presentation = self.rows.T
         self._kernels: dict = {}
+        self._powers: dict = {}
+
+    def quotient(self, s):
+        return oracle_engine(_quotient_presentation(self.m, s))
+
+    def _residue_rank(self) -> int:
+        return _fp_rank(self.m)
+
+    def _power(self, f, k: int) -> np.ndarray:
+        if (f, k) not in self._powers:
+            if k <= 1:
+                power = self.block([[f]]) if k else np.eye(self.dim, dtype=np.int64)
+            else:
+                power = self._power(f, 1) @ self._power(f, k - 1) % self.modulus
+            self._powers[f, k] = power
+        return self._powers[f, k]
 
     def _kernel(self, f, k: int) -> np.ndarray:
         """Rows spanning the f^k-torsion, relations included."""
@@ -412,6 +452,13 @@ class PreimageEngine(_FiniteEngine):
 class KernelZqEngine(_ZqEngine):
     """The Zq engine deciding `kills` from integer kernel vectors."""
 
+    def __init__(self, m):
+        super().__init__(_monic_action_basis(m), bool(m.relations))
+        self.m = m
+
+    def quotient(self, s):
+        return KernelZqEngine(_quotient_presentation(self.m, s))
+
     def kills(self, f, s: int, k: int) -> bool:
         for i, monic in enumerate(self.mono):
             if monic is None:
@@ -434,7 +481,22 @@ def _z_solvable(mat: list[list[int]], v: list[int]) -> bool:
 
 
 class PerVectorZEngine(_ZEngine):
-    """The Z engine solving for each kernel vector with its own Smith form."""
+    """The Z engine on scalar matrices spread over all of M, solving for
+    each kernel vector with its own Smith form.  Complex terms are lists of
+    orders and differentials integer matrices."""
+
+    def __init__(self, m):
+        super().__init__(_z_cyclic_orders(m))
+        self.m = m
+
+    def quotient(self, s):
+        return PerVectorZEngine(_quotient_presentation(self.m, s))
+
+    def block(self, scalars: list[list]) -> list[list[int]]:
+        return _spread(scalars, len(self.orders))
+
+    def term(self, quotients: list) -> list[int]:
+        return [d if s is None else gcd(d, s) for s in quotients for d in self.orders]
 
     def exact_at(self, incoming, orders, outgoing, next_orders) -> bool:
         dim = len(orders)

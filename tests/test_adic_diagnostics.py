@@ -2,6 +2,7 @@ import glob
 import itertools
 import os
 import random
+import time
 
 import pytest
 
@@ -9,8 +10,8 @@ from qprism.adic_diagnostics import (
     ModulePresentation,
     PresentedComplex,
     _engine,
+    _ZqEngine,
     _g_torsion_free,
-    _residue_matrix,
     _torsion_report,
     bounded_and_flat_check,
     koszul_build,
@@ -21,9 +22,7 @@ from qprism.adic_diagnostics import (
 from qprism.base_ring import RingContext, WScalar
 from qprism.errors import InvalidArgs, NotBounded
 from qprism.exactpoly import IntPoly
-from qprism.homology import smith_exponents
-
-from elim_oracle import _fp_rank, oracle_engine
+from elim_oracle import _fp_rank, _quotient_presentation, oracle_engine
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -316,7 +315,7 @@ def test_pro_iso_bound_one_completion_agreement():
 
 
 def fp_rank(m):
-    return smith_exponents(_residue_matrix(m), m.ctx.p, 1).count(0)
+    return m.engine._residue_rank()
 
 
 def test_fp_rank_on_adic_fixtures():
@@ -570,14 +569,20 @@ def _every_predicate(m, f, g, n, mexp):
     }
 
 
-def _with_oracle(monkeypatch, predicates, *args):
-    """The predicates from the library's engines and from the oracle's."""
+def _with_oracle(monkeypatch, predicates, m, *args):
+    """The predicates from the library's engines and from the oracle's.  A
+    presentation keeps the engine it built first, so the oracle's side runs
+    on a fresh copy, and it must have built an oracle engine for it."""
     from qprism import adic_diagnostics
 
-    got = predicates(*args)
+    got = predicates(m, *args)
+    built = []
+    fresh = ModulePresentation(m.base, m.generators, m.relations, m.ctx)
     with monkeypatch.context() as patch:
-        patch.setattr(adic_diagnostics, "_engine", oracle_engine)
-        want = predicates(*args)
+        patch.setattr(adic_diagnostics, "_engine", lambda m: built.append(m) or oracle_engine(m))
+        want = predicates(fresh, *args)
+    assert built and built[0] is fresh
+    assert type(fresh.engine).__module__ == "elim_oracle"
     return got, want
 
 
@@ -665,3 +670,146 @@ def test_zq_kills_matches_the_kernel_oracle(monkeypatch):
         assert got == want, case
         shifts.add(got["pro_iso"]["shift"] if isinstance(got["pro_iso"], dict) else None)
     assert len(shifts) >= 3
+
+
+# --- one engine per module, and M/sM built by the engine ---------------------------
+
+
+def test_adic_w_quotient_builds_three_engines(monkeypatch, capsys):
+    # M, M/gM and the base: every predicate shares the module's engine
+    from qprism import adic_diagnostics
+    from qprism.cli import run_command
+
+    built = []
+    init = adic_diagnostics._FiniteEngine.__init__
+    monkeypatch.setattr(
+        adic_diagnostics._FiniteEngine, "__init__", lambda *a, **k: built.append(a) or init(*a, **k)
+    )
+    assert run_command(["adic", "--spec", os.path.join(FIXTURES, "adic_w_quotient.json")]) == 0
+    capsys.readouterr()
+    assert len(built) == 3
+
+
+def _random_module(rng, base, gens):
+    """A seeded module over base on gens generators with sparse relations,
+    and a draw of its scalars.  Scalars lean to high valuation, and over Z
+    to a few small values, so that torsion is common and cyclic orders
+    repeat."""
+    q = IntPoly.var("q")
+    if base == "Z":
+        def scalar():
+            return rng.choice((0, 1, 2, 3, 4, 6, 9, -2, -3))
+        ctx = None
+    elif base == "Zq":
+        def scalar():
+            return sum((rng.randint(-2, 2) * q**i for i in range(3)), IntPoly.const(0))
+        # diagonal monic relations, zero ones marking free generators, or none at all
+        if rng.random() < 0.4:
+            return ModulePresentation("Zq", gens, []), scalar
+        diagonal = [q**e + scalar() * (e > 2) + rng.randint(-2, 2) if e else 0
+                    for e in (rng.randint(0, 2) for _ in range(gens))]
+        rows = [[diagonal[i] if j == i else 0 for j in range(gens)] for i in range(gens)]
+        return ModulePresentation("Zq", gens, rows), scalar
+    else:
+        p, N, mp = rng.choice((2, 3)), rng.randint(1, 3), rng.randint(1, 2)
+        ctx = RingContext(p, N, mp if base == "W" else 1)
+
+        def scalar():
+            coeffs = [p ** rng.randint(0, N) * rng.randrange(ctx.pn) % ctx.pn for _ in range(mp)]
+            if base == "Zpn":
+                return coeffs[0]
+            lead = rng.randint(0, mp - 1)
+            return WScalar(ctx, [0] * lead + coeffs[lead:])
+    rows = []
+    for _ in range(rng.randint(0, min(gens, 4))):
+        row = [0] * gens
+        for j in rng.sample(range(gens), min(gens, rng.randint(1, 2))):
+            row[j] = scalar()
+        rows.append(row)
+    return ModulePresentation(base, gens, rows, ctx), scalar
+
+
+def _koszul_on(eng, fn, gm):
+    """The two-variable Koszul complex of `koszul_build`, on an engine."""
+    terms = [eng.term([None]), eng.term([None, None]), eng.term([None])]
+    return PresentedComplex(eng, terms, [eng.block([[gm], [fn]]), eng.block([[fn, -gm]])])
+
+
+def _quotient_answers(make, f, g, s, k):
+    """Torsion report, one `kills` and Koszul exactness from the engine
+    make() builds, or the refusal it raises."""
+    try:
+        eng = make()
+    except InvalidArgs as exc:
+        return f"InvalidArgs: {exc}"
+    torsion = _torsion_report(eng, f, 8).to_json()
+    # Z reports its cyclic orders as a multiset, in the order of a Smith form
+    torsion["torsion_orders"] = {b: sorted(v) for b, v in torsion["torsion_orders"].items()}
+    answers = {"torsion": torsion, "kills": eng.kills(f, s, k)}
+    if not isinstance(eng, _ZqEngine):
+        answers["koszul"] = [_koszul_on(eng, f, g).exact_at(i) for i in range(3)]
+    return answers
+
+
+def test_quotient_matches_the_dense_quotient_presentation():
+    # M/sM from the engine's own data against the engine of the presentation
+    # with s times each generator among the relations; over Z and the finite
+    # bases the oracle engine of that presentation answers too
+    rng = random.Random(310)
+    bases = ("Z", "Zpn", "W", "Zq")
+    repeated, refusals = 0, set()
+    for case in range(160):
+        base = bases[case % 4]
+        gens = 0 if case < 8 else rng.randint(4, 12)
+        m, scalar = _random_module(rng, base, gens)
+        s = m.scalar(0 if case % 5 == 0 else scalar())
+        f, g = m.scalar(scalar()), m.scalar(scalar())
+        args = f, g, rng.randint(0, 2), rng.randint(0, 3)
+        got = _quotient_answers(lambda: m.engine.quotient(s), *args)
+        dense = _quotient_presentation(m, s)
+        assert got == _quotient_answers(lambda: _engine(dense), *args), case
+        if base != "Zq":
+            assert got == _quotient_answers(lambda: oracle_engine(dense), *args), case
+        if base == "Z":
+            orders = m.engine.quotient(s).orders
+            repeated += len(set(orders)) < len(orders)
+        if isinstance(got, str):
+            refusals.add(got)
+    assert repeated >= 10
+    assert refusals == {
+        "InvalidArgs: Zq base supports one monic relation per generator (diagonal)",
+        "InvalidArgs: Zq relations must be monic in q",
+    }
+
+
+def test_pro_iso_check_matches_the_per_level_definition():
+    # one `kills` per candidate shift against the definition: the least s at
+    # which f^s kills the f^(n+s)-torsion at every level n, and those verdicts
+    rng = random.Random(311)
+    bases = ("Z", "Zpn", "W", "Zq")
+    shifts = set()
+    for case in range(200):
+        m, scalar = _random_module(rng, bases[case % 4], rng.randint(1, 4))
+        f, n_max, cap = m.scalar(scalar()), rng.randint(1, 5), rng.randint(0, 6)
+        eng, levels = m.engine, range(1, n_max + 1)
+        if not _torsion_report(eng, f, cap).bounded:
+            with pytest.raises(NotBounded):
+                pro_iso_check(m, f, n_max, cap)
+            continue
+        shift = next(s for s in range(cap + 1) if all(eng.kills(f, s, n + s) for n in levels))
+        rep = pro_iso_check(m, f, n_max, cap)
+        assert rep.shift == shift, case
+        assert rep.per_level == {n: eng.kills(f, shift, n + shift) for n in levels}, case
+        shifts.add(shift)
+    assert len(shifts) >= 3
+
+
+def test_pro_iso_check_with_20000_levels_is_fast():
+    from qprism.cli import _load_adic_spec
+
+    for name in ("adic_w_quotient.json", "adic_z_torsion.json"):
+        m, f, _g, _spec = _load_adic_spec(os.path.join(FIXTURES, name))
+        start = time.perf_counter()
+        rep = pro_iso_check(m, f, n_max=20000)
+        assert time.perf_counter() - start < 1
+        assert len(rep.per_level) == 20000 and all(rep.per_level.values())

@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import json
+import random
 import time
 from pathlib import Path
 
@@ -183,6 +184,47 @@ def test_adic_over_z_with_50_free_generators_is_fast(tmp_path, capsys):
         predicates[generators] = report["reports"][0]["predicates"]
     # Z^50 and Z answer every question alike
     assert predicates[50] == predicates[1]
+
+
+def _sparse_module_spec(base, generators, relations, **fields):
+    """A module spec from a fixed seed whose relation rows have three
+    nonzero entries each, drawn from a few scalars of the base."""
+    rng = random.Random(0)
+    entries = {
+        "Z": ["2", "3", "4", "-6", "9"],
+        "Zpn": ["3", "9", "6", "1", "18"],
+        "W": ["2", "q-1", "2*q", "1+q", "q^2-1"],
+    }[base]
+    rows = []
+    for _ in range(relations):
+        row = ["0"] * generators
+        for j in rng.sample(range(generators), 3):
+            row[j] = rng.choice(entries)
+        rows.append(row)
+    return {"base": base, "generators": generators, "relations": rows, **fields}
+
+
+@pytest.mark.parametrize(
+    "base, generators, relations, fields",
+    [
+        ("Z", 2048, 0, {"f": "2", "g": "3"}),
+        ("Z", 2048, 20, {"f": "2", "g": "3"}),
+        ("Zpn", 400, 20, {"p": 3, "n": 3, "f": "3", "g": "6"}),
+        ("W", 200, 5, {"p": 2, "n": 2, "m": 2, "f": "2", "g": "q-1"}),
+    ],
+    ids=["Z-free", "Z-relations", "Zpn", "W"],
+)
+def test_adic_at_scale_ends_in_5_s(tmp_path, capsys, base, generators, relations, fields):
+    # every predicate of a spec at these sizes, with the engine built once per module
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(_sparse_module_spec(base, generators, relations, **fields)))
+    start = time.perf_counter()
+    code, report = run_json(capsys, "adic", "--spec", str(path))
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    assert set(report["reports"][0]["predicates"]) == {
+        "torsion", "pro_iso", "flatness", "koszul_reduction_acyclic"
+    }
 
 
 def test_determinism_byte_identical(capsys):
