@@ -9,13 +9,14 @@ reduces to exact integer linear algebra; anything wilder is refused with
 an explicit error rather than approximated).
 
 Each base's algorithms sit behind one engine, chosen by `_engine`:
-`_ZEngine` (closed forms on the cyclic decomposition of a Z-module),
-`_FiniteEngine` (Zpn and W, flattened to spans over Z/p^N, where every
-question compares span orders read off Smith exponents and the one kernel
-computed is the annihilator of the relations) and `_ZqEngine` (integer
-matrices on diagonal monic summands, compared by rank).  A presentation
-builds its engine once, on first use (`ModulePresentation.engine`), and is
-not mutated after that.  The engines share these methods:
+`_ZEngine` (closed forms on the cyclic decomposition of a Z-module, and as
+`_ZpnEngine` on the Smith exponents of a Zpn-module's relations),
+`_FiniteEngine` (W, flattened to spans over Z/p^N, where every question
+compares span orders read off Smith exponents and the one kernel computed
+is the annihilator of the relations) and `_ZqEngine` (integer matrices on
+diagonal monic summands, compared by rank).  A presentation builds its
+engine once, on first use (`ModulePresentation.engine`), and is not
+mutated after that.  The engines share these methods:
 
 - `torsion_step(f, b)`: a key that stops changing exactly when the
   f^b-torsion does, and the orders reported for that torsion;
@@ -26,8 +27,8 @@ not mutated after that.  The engines share these methods:
 - `exact_at(incoming, term, outgoing, next_term)`: exactness at one spot;
 - `flatness(f, g, window, details)`: the complete and formal flatness core.
 
-Over Z such a complex is the sum, over the cyclic factors Z/d of M, of
-the complex with terms Z/gcd(d, s) and the scalar matrices as
+Over Z and Z/p^N such a complex is the sum, over the cyclic factors Z/d
+of M, of the complex with terms Z/gcd(d, s) and the scalar matrices as
 differentials, so `_ZEngine` decides exactness once per distinct order d,
 on terms of rank at most 2.  The predicates below are written once on top
 of the engines.
@@ -211,12 +212,15 @@ class ModulePresentation:
 
 def _engine(m: ModulePresentation):
     if m.base == "Z":
-        return _ZEngine(_z_cyclic_orders(m))
+        return _ZEngine(_z_cyclic_orders(m), m)
     if m.base == "Zq":
         return _ZqEngine(_monic_action_basis(m), bool(m.relations))
     if m.base == "W":
-        return _FiniteEngine(m, w_mult_block)
-    return _FiniteEngine(m, lambda v: np.array([[v]], dtype=np.int64))
+        return _FiniteEngine(m)
+    # M is the sum of Z/p^e over the Smith exponents e, e = N where no relation reaches
+    rels = np.array(m.relations, dtype=np.int64).reshape(len(m.relations), m.generators)
+    s = smith_exponents(rels, m.ctx.p, m.ctx.n_prec)
+    return _ZpnEngine([m.ctx.p**e for e in s if e] + [m.ctx.pn] * (m.generators - len(s)), m)
 
 
 @dataclass
@@ -273,8 +277,8 @@ class _ZEngine:
     its list of quotient scalars (None for M) and a differential its integer
     scalar matrix, read on each factor Z/d as terms Z/gcd(d, s)."""
 
-    def __init__(self, orders: list[int]):
-        self.orders = orders
+    def __init__(self, orders: list[int], m: ModulePresentation):
+        self.orders, self.m = orders, m  # M/sM keeps m, which `_ZpnEngine` reads
 
     def torsion_step(self, f: int, b: int):
         fb = f**b
@@ -291,7 +295,7 @@ class _ZEngine:
 
     def quotient(self, s: int) -> _ZEngine:
         # (Z/d) / s(Z/d) is Z/gcd(d, s), and the factors Z/1 drop out
-        return _ZEngine([e for e in (gcd(d, s) for d in self.orders) if e != 1])
+        return type(self)([e for e in (gcd(d, s) for d in self.orders) if e != 1], self.m)
 
     def block(self, scalars: list[list]) -> list[list]:
         return scalars
@@ -323,12 +327,44 @@ class _ZEngine:
         return completely, formally
 
 
-# --- engine: finite bases via flattening --------------------------------------
+class _ZpnEngine(_ZEngine):
+    """Base Zpn: M is the sum of the cyclic groups Z/p^e over the Smith
+    exponents e of the relations S, decided on the orders p^e with e >= 1.
+    The reports keep the flattened route's, in closed forms in e: torsion as
+    its preimage in (Z/p^N)^g, and the details of W's flatness core."""
+
+    def torsion_step(self, f: int, b: int):
+        pn, N = self.m.ctx.pn, self.m.ctx.n_prec
+        log = {self.m.ctx.p**k: k for k in range(N + 1)}
+        # on Z/p^e the preimage {x : f^b x in S} is p^max(0, e - v) Z/p^N, p^v = (f^b, p^N)
+        v = log[gcd(pow(f, b, pn), pn)]
+        units = [N] * (self.m.generators - len(self.orders))
+        orders = sorted(o for o in [N - log[d] + min(log[d], v) for d in self.orders] + units if o)
+        return orders, orders
+
+    def flatness(self, f: int, g: int, window: int, details: dict):
+        pn, N = self.m.ctx.pn, self.m.ctx.n_prec
+        log = {self.m.ctx.p**k: k for k in range(N + 1)}
+        q = log[gcd(f, g, pn)]  # (f, g) is the ideal (p^q)
+        if q == 0:
+            details["ideal"] = "unit"
+            return True, True
+        exps = [log[d] for d in self.orders]
+        free_ok = all(e >= q for e in exps)
+        # Tor_1(Z/p^e, Z/p^q) is p^max(e, q) / p^min(e + q, N)
+        tor_ok = all(min(e + q, N) == max(e, q) for e in exps)
+        details.update(minimal_generators=len(exps), quotient_free=free_ok, tor1_zero=tor_ok)
+        # the powers (p^jq) stop shrinking at j = ceil(N / q) + 1, where M is free iff e = N
+        details["formal_powers_checked"] = -(-N // q) + 1
+        return free_ok and tor_ok, all(e == N for e in exps)
+
+
+# --- engine: W via flattening ---------------------------------------------------
 
 
 class _FiniteEngine:
-    """Bases Zpn and W: M flattened to a Z/p^N-module F/S, one block of
-    coordinates per generator on which a scalar acts by `mult_block`.
+    """Base W: M flattened to a Z/p^N-module F/S, one block of m
+    coordinates per generator on which a scalar acts by `w_mult_block`.
     Submodules are spans of rows; complex terms are (dimension, rows
     spanning the relations) and differentials matrices over Z/p^N.
 
@@ -338,11 +374,11 @@ class _FiniteEngine:
     K_k = {v : f^k v in S}, whose annihilator is S^perp f^k: the one
     kernel the engine computes is `perp`, spanning S^perp."""
 
-    def __init__(self, m: ModulePresentation, mult_block, rows: np.ndarray | None = None):
+    def __init__(self, m: ModulePresentation, rows: np.ndarray | None = None):
         # given rows, the module on m's generators with the relations they span
-        self.m, self.mult_block = m, mult_block
+        self.m = m
         self.p, self.N, self.modulus = m.ctx.p, m.ctx.n_prec, m.ctx.pn
-        self.width = len(mult_block(m.scalar(1)))
+        self.width = m.ctx.m_prec
         self.dim = m.generators * self.width
         if rows is None:
             rels = m.relations
@@ -358,7 +394,7 @@ class _FiniteEngine:
         blocks = np.zeros((len(scalars), cols, w, w), dtype=np.int64)
         for i, row in enumerate(scalars):
             for j, s in enumerate(row):
-                blocks[i, j] = self.mult_block(self.m.scalar(s))
+                blocks[i, j] = w_mult_block(self.m.scalar(s))
         spread = np.einsum("ijcd,kl->ikcjld", blocks, np.eye(copies, dtype=np.int64))
         return spread.reshape(len(scalars) * copies * w, cols * copies * w)
 
@@ -374,7 +410,7 @@ class _FiniteEngine:
     def multiples(self, scalars, copies: int) -> np.ndarray:
         """Rows spanning (scalars) * base^copies: the Howell form of the
         ideal inside one copy of the base, repeated on every copy."""
-        ideal = np.vstack([self.mult_block(self.m.scalar(s)).T for s in scalars])
+        ideal = np.vstack([w_mult_block(self.m.scalar(s)).T for s in scalars])
         return np.kron(np.eye(copies, dtype=np.int64), howell_form(ideal, self.modulus))
 
     def quotient_rows(self, scalars) -> np.ndarray:
@@ -387,12 +423,12 @@ class _FiniteEngine:
         return self.N * self.dim - self._log(self.quotient_rows(scalars))
 
     def quotient(self, s) -> _FiniteEngine:
-        return _FiniteEngine(self.m, self.mult_block, self.quotient_rows([s]))
+        return _FiniteEngine(self.m, self.quotient_rows([s]))
 
     def _annihilator(self, f, k: int) -> np.ndarray:
         """Rows spanning K_k^perp = S^perp f^k, K_k the lifted f^k-torsion:
         each generator's coordinates of S^perp times the block of f^k."""
-        return self._per_generator(self.perp, self.mult_block(self.m.scalar(f**k)))
+        return self._per_generator(self.perp, w_mult_block(self.m.scalar(f**k)))
 
     def torsion_step(self, f, b: int):
         # K_b is isomorphic to F / K_b^perp, the cokernel of the annihilator's rows;
@@ -462,7 +498,7 @@ class _FiniteEngine:
         equals |IS|, I the ideal."""
         rows, ideal_f = self.rows, self.multiples(ideal, self.m.generators)
         # S is spanned by the relations times each t^i, so IS by the rows times the ideal
-        ideal_s = np.vstack([self._per_generator(rows, self.mult_block(s).T) for s in ideal])
+        ideal_s = np.vstack([self._per_generator(rows, w_mult_block(s).T) for s in ideal])
         meet = self._log(rows) + self._log(ideal_f) - self._log(np.vstack([rows, ideal_f]))
         return meet == self._log(ideal_s)
 
@@ -600,9 +636,9 @@ def torsion_bound(m: ModulePresentation, f, cap: int = 8) -> TorsionReport:
     """Least b <= cap with ker(f^{b+1}) = ker(f^b), else unbounded-at-cap.
 
     The per-exponent report records the structure of the f^b-torsion: for
-    base Z the factor orders, for finite bases the cyclic orders of its
-    preimage {v : f^b v in S} in the flattened free module, relations S
-    included, for Zq the Z-rank of the torsion of each monic summand.
+    base Z the factor orders, for Zpn and W the log_p of the cyclic orders
+    of its preimage {v : f^b v in S} in the flattened free module, relations
+    S included, and for Zq the Z-rank of the torsion of each monic summand.
     """
     return _torsion_report(m.engine, m.scalar(f), cap)
 
@@ -634,9 +670,8 @@ class PresentedComplex:
     """Bounded cochain complex whose terms are direct sums of copies of a
     presented module (possibly further quotiented), with scalar-matrix
     differentials, in the representation of the module's engine: lists of
-    quotient scalars and the scalar matrices themselves for Z,
-    (ambient_dim, relation rows) and matrices over Z/p^N for the finite
-    bases.
+    quotient scalars and the scalar matrices themselves for Z and Zpn,
+    (ambient_dim, relation rows) and matrices over Z/p^N for W.
     """
 
     engine: object

@@ -181,11 +181,17 @@ def _load_adic_spec(path: str, grow: int = 0):
         # Z and Zq keep no coordinates, but their Koszul complex acts on M + M too
         _check_dims({"generators": 2 * generators})
 
+    # each distinct string parsed once; a literal that fails is not stored,
+    # so every entry of it raises, the first in reading order first
+    parsed: dict[str, IntPoly] = {}
+
     def entry_of(text, field):
         if isinstance(text, int):
             poly = IntPoly.const(text)
         elif isinstance(text, str):
-            poly = _in_field(field, parse_poly, text, allowed={"q"})
+            if text not in parsed:
+                parsed[text] = _in_field(field, parse_poly, text, allowed={"q"})
+            poly = parsed[text]
         else:
             raise SpecError(f"{field} entries must be strings or ints", field=field)
         if base in ("Z", "Zpn") and poly.variables():
@@ -425,8 +431,21 @@ def cmd_adic(args) -> int:
 # --- entry point ----------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise SpecError, so that they
+    exit 2 with a report naming the flag (`iterate_cap` for --iterate-cap)."""
+
+    def error(self, message):
+        # "argument --p: invalid int value: 'x'", or a list after the colon, as in
+        # "the following arguments are required: --spec" and "unrecognized arguments: --x"
+        head, _, tail = message.partition(": ")
+        name = head.removeprefix("argument ") if head.startswith("argument ") else tail
+        flag = name.split(",")[0].split(" ")[0].lstrip("-").replace("-", "_")
+        raise SpecError(message, field=flag or None)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qprism",
         description=(
             "Exact verification pipelines for q-twisted calculus over "
@@ -498,14 +517,14 @@ def _error(command: str, code: int, error: dict, **extra) -> int:
 
 
 def run_command(argv: list[str]) -> int:
-    parser = build_parser()
+    # the command is set as soon as it is read, so a flag error reports it
+    args = argparse.Namespace(command=None)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        build_parser().parse_args(argv, args)
         _check_flags(args)
         return args.fn(args)
+    except SystemExit:  # --help, which prints to stdout; usage errors raise SpecError
+        return 0
     except SpecError as exc:
         return _error(args.command, 2, {"field": exc.field, "message": str(exc)})
     except NotAChainMap as exc:

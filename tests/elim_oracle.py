@@ -15,16 +15,18 @@ and `howell_reduce` are test-only helpers over the library's Howell form.
 
 The earlier routes of the `adic_diagnostics` engines are kept as well:
 `PreimageEngine` builds a Howell kernel for the preimage behind every
-question over Zpn and W, and a dense power of the flattened f for every
-exponent, where the library reads span orders off one annihilator per
-module; `KernelZqEngine` decides `kills` by dot products with integer
-kernel vectors, where the library compares ranks; and `PerVectorZEngine`
-spreads every scalar matrix over the identity of all of M and recomputes
-the Smith form of the image once per kernel vector, where the library
-decides exactness once per distinct cyclic order.  Each builds M/sM from
-`_quotient_presentation`, the dense presentation with s times each
-generator among the relations, where the library's engines build it from
-their own data.  `oracle_engine` stands in for `adic_diagnostics._engine`.
+question over W, and a dense power of the flattened f for every exponent,
+where the library reads span orders off one annihilator per module.  It
+answers for a Zpn module through `w_twin`, the same module over
+W(p, N, 1) = Z/p^N, where the library decides Zpn on the Smith exponents
+of the relations.  `KernelZqEngine` decides `kills` by dot products with
+integer kernel vectors, where the library compares ranks; and
+`PerVectorZEngine` spreads every scalar matrix over the identity of all of
+M and recomputes the Smith form of the image once per kernel vector, where
+the library decides exactness once per distinct cyclic order.  Each builds
+M/sM from `_quotient_presentation`, the dense presentation with s times
+each generator among the relations, where the library's engines build it
+from their own data.  `oracle_engine` stands in for `adic_diagnostics._engine`.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from qprism.adic_diagnostics import (
     _ZqEngine,
     snf_z,
 )
-from qprism.base_ring import WScalar
+from qprism.base_ring import RingContext, WScalar
 from qprism.errors import InvalidArgs, NotAChainMap
 from qprism.homology import (
     FlatMatrix,
@@ -55,7 +57,6 @@ from qprism.homology import (
     right_kernel_basis,
     span_contains,
     span_exponents,
-    w_mult_block,
 )
 
 _MAX_MODULUS = 1 << 21
@@ -381,8 +382,8 @@ class PreimageEngine(_FiniteEngine):
     """The finite engine with a Howell preimage kernel per question and a
     dense power of the flattened f per exponent."""
 
-    def __init__(self, m, mult_block):
-        super().__init__(m, mult_block)
+    def __init__(self, m):
+        super().__init__(m)
         self.presentation = self.rows.T
         self._kernels: dict = {}
         self._powers: dict = {}
@@ -486,8 +487,7 @@ class PerVectorZEngine(_ZEngine):
     orders and differentials integer matrices."""
 
     def __init__(self, m):
-        super().__init__(_z_cyclic_orders(m))
-        self.m = m
+        super().__init__(_z_cyclic_orders(m), m)
 
     def quotient(self, s):
         return PerVectorZEngine(_quotient_presentation(self.m, s))
@@ -511,12 +511,17 @@ class PerVectorZEngine(_ZEngine):
         return all(_z_solvable(image, v) for v in kernel)
 
 
+def w_twin(m: ModulePresentation) -> ModulePresentation:
+    """The module of a Zpn presentation m over W(p, N, 1), which is Z/p^N."""
+    ctx = RingContext(m.ctx.p, m.ctx.n_prec, 1)
+    return ModulePresentation("W", m.generators, m.relations, ctx)
+
+
 def oracle_engine(m):
-    """`adic_diagnostics._engine` with every earlier route above."""
+    """`adic_diagnostics._engine` with every earlier route above; a Zpn
+    module goes through the flattened route of its W twin."""
     if m.base == "Z":
         return PerVectorZEngine(m)
     if m.base == "Zq":
         return KernelZqEngine(m)
-    if m.base == "W":
-        return PreimageEngine(m, w_mult_block)
-    return PreimageEngine(m, lambda v: np.array([[v]], dtype=np.int64))
+    return PreimageEngine(w_twin(m) if m.base == "Zpn" else m)

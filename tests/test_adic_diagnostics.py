@@ -22,7 +22,7 @@ from qprism.adic_diagnostics import (
 from qprism.base_ring import RingContext, WScalar
 from qprism.errors import InvalidArgs, NotBounded
 from qprism.exactpoly import IntPoly
-from elim_oracle import _fp_rank, _quotient_presentation, oracle_engine
+from elim_oracle import _fp_rank, _quotient_presentation, oracle_engine, w_twin
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -315,7 +315,8 @@ def test_pro_iso_bound_one_completion_agreement():
 
 
 def fp_rank(m):
-    return m.engine._residue_rank()
+    # a Zpn module's engine keeps no flattened rows, so read them off its W twin
+    return (w_twin(m) if m.base == "Zpn" else m).engine._residue_rank()
 
 
 def test_fp_rank_on_adic_fixtures():
@@ -558,12 +559,12 @@ def _outcome(call):
 
 
 def _every_predicate(m, f, g, n, mexp):
-    two = koszul_build(m, f, g, n, mexp)
+    one, two = koszul_build(m, f, None, n), koszul_build(m, f, g, n, mexp)
     return {
         "bound": _outcome(lambda: torsion_bound(m, f)),
         "pro_iso": _outcome(lambda: pro_iso_check(m, f, n_max=3)),
         "flat": _outcome(lambda: bounded_and_flat_check(m, f, g)),
-        "koszul_one": koszul_build(m, f, None, n).acyclic(),
+        "koszul_one": [one.exact_at(i) for i in range(2)],
         "koszul_two": [two.exact_at(i) for i in range(3)],
         "cone": koszul_reduction_cone_acyclic(m, f, g, n, mexp),
     }
@@ -603,7 +604,8 @@ def test_finite_engines_match_the_preimage_oracle(monkeypatch):
     # span orders off one annihilator against a Howell preimage kernel per
     # question, engine by engine on every case and through every predicate
     # on every 20th; scalars lean to high p- and t-adic valuation so that
-    # the modules have torsion and Tor
+    # the modules have torsion and Tor, and a Zpn module is flattened as its
+    # W twin
     rng = random.Random(306)
     tor1 = 0
     for case in range(1000):
@@ -621,7 +623,8 @@ def test_finite_engines_match_the_preimage_oracle(monkeypatch):
         gens = rng.randint(1, 3)
         rows = [[scalar() for _ in range(gens)] for _ in range(rng.randint(0, 3))]
         m = ModulePresentation(base, gens, rows, ctx)
-        args = m, scalar(), scalar(), rng.randint(1, 2), rng.randint(1, 2)
+        m = w_twin(m) if base == "Zpn" else m
+        args = m, m.scalar(scalar()), m.scalar(scalar()), rng.randint(1, 2), rng.randint(1, 2)
         seed = rng.random()
         got = _engine_answers(_engine(m), *args, random.Random(seed))
         assert got == _engine_answers(oracle_engine(m), *args, random.Random(seed)), case
@@ -813,3 +816,35 @@ def test_pro_iso_check_with_20000_levels_is_fast():
         rep = pro_iso_check(m, f, n_max=20000)
         assert time.perf_counter() - start < 1
         assert len(rep.per_level) == 20000 and all(rep.per_level.values())
+
+
+# --- Zpn on Smith exponents against the flattened route of its W twin ----------------
+
+
+def test_zpn_engine_matches_its_w_twin():
+    # W(p, N, 1) is Z/p^N, so the W engine's flattened route is the oracle of
+    # the Zpn engine's closed forms; entries and scalars lean to zero and to
+    # high p-adic valuation, so that every case named in `seen` comes up
+    rng = random.Random(312)
+    seen = dict.fromkeys(("tor1_nonzero", "unit_ideal", "f_zero", "free", "unit_relation"), 0)
+    for case in range(1000):
+        p, N = rng.choice((2, 3, 5)), rng.randint(1, 4)
+        ctx = RingContext(p, N, rng.randint(1, 2))
+
+        def scalar():
+            return 0 if rng.random() < 0.25 else p ** rng.randint(0, N) * rng.randrange(1, ctx.pn)
+
+        gens = rng.randint(0, 4)
+        rows = [[scalar() for _ in range(gens)] for _ in range(rng.randint(0, 4))]
+        m = zpn_module(ctx, gens, rows)
+        args = scalar(), scalar(), rng.randint(1, 2), rng.randint(1, 2)
+        got = _every_predicate(m, *args)
+        assert got == _every_predicate(w_twin(m), *args), case
+        details = got["flat"]["details"]
+        seen["tor1_nonzero"] += details.get("tor1_zero") is False
+        seen["unit_ideal"] += details.get("ideal") == "unit"
+        seen["f_zero"] += args[0] % ctx.pn == 0
+        seen["free"] += ctx.pn in m.engine.orders
+        # a unit relation leaves a generator with exponent 0, which has no order
+        seen["unit_relation"] += len(m.engine.orders) < gens
+    assert min(seen.values()) >= 50, seen

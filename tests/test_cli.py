@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+import qprism.cartier
 import qprism.cli
+import qprism.errors
 from qprism.cli import run_command
 from qprism.grammar import MAX_EXPONENT
 
@@ -211,8 +213,10 @@ def _sparse_module_spec(base, generators, relations, **fields):
         ("Z", 2048, 20, {"f": "2", "g": "3"}),
         ("Zpn", 400, 20, {"p": 3, "n": 3, "f": "3", "g": "6"}),
         ("W", 200, 5, {"p": 2, "n": 2, "m": 2, "f": "2", "g": "q-1"}),
+        ("Zpn", 2048, 20, {"p": 3, "n": 3, "f": "3", "g": "6"}),
+        ("Zpn", 2048, 0, {"p": 3, "n": 3, "f": "3", "g": "6"}),
     ],
-    ids=["Z-free", "Z-relations", "Zpn", "W"],
+    ids=["Z-free", "Z-relations", "Zpn", "W", "Zpn-2048-relations", "Zpn-2048-free"],
 )
 def test_adic_at_scale_ends_in_5_s(tmp_path, capsys, base, generators, relations, fields):
     # every predicate of a spec at these sizes, with the engine built once per module
@@ -621,3 +625,126 @@ def test_malformed_polynomial_names_its_field(tmp_path, capsys, command, field, 
     assert code == 2
     assert report["ok"] is False
     assert report["error"]["field"] == field
+
+
+# --- argument errors ---------------------------------------------------------------
+
+
+def _assert_argument_error(capsys, argv, command, field):
+    code, out = run(capsys, *argv)
+    assert code == 2
+    report = json.loads(out)
+    assert report["schema"] == "qprism/1" and report["ok"] is False
+    assert report["command"] == command
+    assert report["error"]["field"] == field
+
+
+def test_unreadable_flag_value_prints_a_report(capsys):
+    _assert_argument_error(capsys, ["axioms", "--p", "x"], "axioms", "p")
+
+
+def test_missing_required_flag_prints_a_report(capsys):
+    _assert_argument_error(capsys, ["cartier"], "cartier", "spec")
+
+
+def test_unknown_command_prints_a_report(capsys):
+    _assert_argument_error(capsys, ["frobnicate"], None, "command")
+
+
+def test_help_is_not_an_argument_error(capsys):
+    code, out = run(capsys, "cartier", "--help")
+    assert code == 0
+    assert out.startswith("usage: qprism cartier")
+
+
+# --- refusals of the spec loaders ------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "command, spec, field",
+    [
+        ("cohomology", {k: v for k, v in COHOMOLOGY_SPEC.items() if k != "rank"}, "rank"),
+        ("cohomology", {**COHOMOLOGY_SPEC, "theta_matrix": [["0", "0"]]}, "theta_matrix"),
+        ("cartier", {**CONNECTION_SPEC, "theta_matrix": [[0]]}, "theta_matrix"),
+        ("adic", {**ADIC_SPEC, "relations": "q-1"}, "relations"),
+        ("adic", {**ADIC_SPEC, "relations": [["q-1", "0"]]}, "relations"),
+        ("adic", {**ADIC_SPEC, "relations": [[1.5]]}, "relations"),
+        ("adic", {**ADIC_SPEC, "relations": [[None]]}, "relations"),
+        ("adic", {"base": "Z", "generators": 1, "relations": [["q"]]}, "relations"),
+        ("adic", {**ADIC_SPEC, "base": "Zpn", "relations": [["2*q"]]}, "relations"),
+        # the first bad entry in reading order is named, however often its literal repeats
+        ("adic", {**ADIC_SPEC, "generators": 2, "relations": [["1", "q+"], ["q+", "q+"]],
+                  "f": "q+"}, "relations"),
+        ("adic", {**ADIC_SPEC, "base": "Zpn", "relations": [["3"], ["3"]], "f": "3", "g": "q"},
+         "g"),
+    ],
+)
+def test_spec_refusal_names_its_field(tmp_path, capsys, command, spec, field):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, report = run_json(capsys, command, "--spec", str(path))
+    assert code == 2
+    assert report["ok"] is False
+    assert report["error"]["field"] == field
+
+
+def test_repeated_bad_literal_reports_its_first_entry(tmp_path, capsys):
+    # the report is the one of the first bad entry alone
+    errors = []
+    for rows, f in (([["1", "q+"], ["q+", "q+"]], "q+"), ([["1", "q+"], ["0", "0"]], "2")):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({**ADIC_SPEC, "generators": 2, "relations": rows, "f": f}))
+        code, report = run_json(capsys, "adic", "--spec", str(path))
+        assert code == 2
+        errors.append(report["error"])
+    assert errors[0] == errors[1]
+    assert errors[0]["message"].startswith("field 'relations': ")
+
+
+@pytest.mark.parametrize(
+    "spec, strings",
+    [
+        ({**ADIC_SPEC, "generators": 2, "relations": [[2, "q-1"], ["2", 0]], "g": 3},
+         {"relations": [["2", "q-1"], ["2", "0"]], "g": "3"}),
+        ({"base": "Z", "generators": 2, "relations": [[3, "3"], ["0", 9]], "f": 3, "g": "2"},
+         {"relations": [["3", "3"], ["0", "9"]], "f": "3"}),
+    ],
+)
+def test_integer_entries_read_as_their_literals(tmp_path, capsys, spec, strings):
+    reports = []
+    for fields in ({}, strings):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({**spec, **fields}))
+        code, report = run_json(capsys, "adic", "--spec", str(path))
+        assert code == 0
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize(
+    "fields, predicates",
+    [
+        ({"f": None, "g": None}, set()),
+        ({"g": None}, {"torsion", "pro_iso"}),
+        ({"f": None}, set()),
+    ],
+)
+def test_module_spec_without_f_or_g_skips_their_predicates(tmp_path, capsys, fields, predicates):
+    spec = {k: v for k, v in ADIC_SPEC.items() if k not in fields}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, report = run_json(capsys, "adic", "--spec", str(path))
+    assert code == 0
+    assert set(report["reports"][0]["predicates"]) == predicates
+
+
+def test_legs_that_are_no_chain_map_exit_1(capsys, monkeypatch):
+    def not_a_chain_map(*args):
+        raise qprism.errors.NotAChainMap("f1 d0 != d0' f0")
+
+    monkeypatch.setattr(qprism.cartier, "cone_acyclic", not_a_chain_map)
+    code, report = run_json(capsys, "cartier", "--spec", str(FIXTURES / "p2_rank1_trivial.json"))
+    assert code == 1
+    assert report["ok"] is False
+    assert report["failed"] == ["chain_map"]
+    assert report["error"]["message"] == "f1 d0 != d0' f0"
