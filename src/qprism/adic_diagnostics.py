@@ -130,11 +130,6 @@ def _identity(n: int) -> list[list[int]]:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def _z_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
-
-
 def _z_rank(mat: list[list[int]]) -> int:
     # snf_z stops at the first all-zero block, so its diagonal has no zeros
     return len(snf_z(mat))
@@ -192,22 +187,26 @@ class ModulePresentation:
         return _engine(self)
 
     def scalar(self, value):
-        """value as an element of the base: an int for Z, an int in
-        [0, p^N) for Zpn, a WScalar for W (q = 1 + t) and an IntPoly in q
-        for Zq."""
-        if self.base == "W":
-            if isinstance(value, WScalar):
-                return value
-            if isinstance(value, IntPoly):
-                return WScalar.from_int_poly(self.ctx, value)
-            return WScalar.from_int(self.ctx, int(value))
-        if self.base == "Zq":
-            return value if isinstance(value, IntPoly) else IntPoly.const(int(value))
+        return base_scalar(self.base, self.ctx, value)
+
+
+def base_scalar(base: str, ctx: RingContext | None, value):
+    """value, an int, an IntPoly in q or a scalar of the base, as an element
+    of the base: an int for Z, an int in [0, p^N) for Zpn, a WScalar for W
+    (q = 1 + t) and an IntPoly in q for Zq."""
+    if base == "W":
+        if isinstance(value, WScalar):
+            return value
         if isinstance(value, IntPoly):
-            if value.variables():
-                raise InvalidArgs(f"base {self.base} takes integer scalars")
-            value = value.eval_int({})
-        return int(value) % self.ctx.pn if self.base == "Zpn" else int(value)
+            return WScalar.from_int_poly(ctx, value)
+        return WScalar.from_int(ctx, int(value))
+    if base == "Zq":
+        return value if isinstance(value, IntPoly) else IntPoly.const(int(value))
+    if isinstance(value, IntPoly):
+        if value.variables():
+            raise InvalidArgs(f"base {base} takes integer scalars")
+        value = value.eval_int({})
+    return int(value) % ctx.pn if base == "Zpn" else int(value)
 
 
 def _engine(m: ModulePresentation):
@@ -566,18 +565,6 @@ class _ZqEngine:
 
     def __init__(self, mono: list, presented: bool):
         self.mono, self.presented = mono, presented
-        self._powers: dict = {}
-
-    def _power(self, f: IntPoly, i: int, k: int) -> list[list[int]]:
-        """Integer matrix of f^k on the monic summand i."""
-        if (f, i, k) not in self._powers:
-            monic = self.mono[i]
-            if k <= 1:
-                power = _zq_mult_matrix(f, monic) if k else _identity(monic.degree("q"))
-            else:
-                power = _z_matmul(self._power(f, i, 1), self._power(f, i, k - 1))
-            self._powers[f, i, k] = power
-        return self._powers[f, i, k]
 
     def torsion_step(self, f: IntPoly, b: int):
         key, orders = [], []
@@ -586,7 +573,7 @@ class _ZqEngine:
                 # torsion-free unless f = 0
                 key.append(b > 0 and f.is_zero())
             else:
-                rank = _z_rank(self._power(f, i, b))
+                rank = _z_rank(_zq_mult_matrix(f**b, monic))
                 key.append(rank)
                 orders.append(monic.degree("q") - rank)
         # free summands report no orders, so a free module reports none at all
@@ -601,8 +588,8 @@ class _ZqEngine:
                 continue
             # integer kernels are saturated, so ker f^k lies in ker f^s iff
             # the rows of f^s lie in the rational row space of f^k
-            power = self._power(f, i, k)
-            if _z_rank(power + self._power(f, i, s)) != _z_rank(power):
+            power = _zq_mult_matrix(f**k, monic)
+            if _z_rank(power + _zq_mult_matrix(f**s, monic)) != _z_rank(power):
                 return False
         return True
 
@@ -749,8 +736,11 @@ class ProIsoReport:
         }
 
 
-def pro_iso_check(m: ModulePresentation, f, n_max: int = 4, cap: int = 8) -> ProIsoReport:
-    """Stabilization shift of the torsion pro-system.
+def pro_iso_check(
+    m: ModulePresentation, f, torsion: TorsionReport, n_max: int = 4
+) -> ProIsoReport:
+    """Stabilization shift of the torsion pro-system, given the torsion
+    report of f (`torsion_bound`), whose cap also caps the shift.
 
     The transition from level n+s to level n on the f-power-torsion is
     multiplication by f^s; the system is pro-zero exactly when some shift
@@ -759,12 +749,10 @@ def pro_iso_check(m: ModulePresentation, f, n_max: int = 4, cap: int = 8) -> Pro
     f^k-torsion grows with k and is the f^b-torsion from the bound b on, so
     s holds at every level n <= n_max iff f^s kills the f^min(n_max+s, b)-torsion.
     """
-    eng, f = m.engine, m.scalar(f)
-    bound_report = _torsion_report(eng, f, cap)
-    if not bound_report.bounded:
+    if not torsion.bounded:
         raise NotBounded("torsion unbounded at the cap")
-    b = bound_report.bound
-    shift = next((s for s in range(cap + 1) if eng.kills(f, s, min(n_max + s, b))), None)
+    eng, f, b = m.engine, m.scalar(f), torsion.bound
+    shift = next((s for s in range(torsion.cap + 1) if eng.kills(f, s, min(n_max + s, b))), None)
     if shift is None:
         raise NotBounded("no stabilization shift at the cap")
     return ProIsoReport(shift, b, dict.fromkeys(range(1, n_max + 1), True), shift == b)

@@ -122,20 +122,16 @@ def flatten_connection(m: ConnectionModule) -> FlatMatrix:
     return FlatMatrix.adopt(ctx.p, ctx.n_prec, blocks.reshape(dim, dim))
 
 
-def _block_diagonal(block: np.ndarray, copies: int) -> np.ndarray:
-    """`copies` copies of an m x m block down the diagonal."""
-    return np.kron(np.eye(copies, dtype=np.int64), block)
-
-
 def _frobenius_leg(
     ctx: RingContext, rank: int, win_in: int, k: int, w_block: np.ndarray
 ) -> FlatMatrix:
     """x'^n e_j t^i -> x^{pn+k} e_j (w_block t^i): one m x m block per
     source basis section, placed in grade k of the raised module."""
-    cols = flat_dim(ctx, rank, win_in)
-    out = np.zeros((rank, win_in + 1, ctx.p, ctx.m_prec, cols), dtype=np.int64)
-    diagonal = _block_diagonal(w_block % ctx.pn, rank * (win_in + 1))
-    out[:, :, k] = diagonal.reshape(out[:, :, k].shape)
+    cols, sections, m = flat_dim(ctx, rank, win_in), rank * (win_in + 1), ctx.m_prec
+    # out[a, k, :, a] is the block from section a to grade k of its raised section
+    out = np.zeros((sections, ctx.p, m, sections, m), dtype=np.int64)
+    s = np.arange(sections)
+    out[s, k, :, s] = w_block % ctx.pn
     return FlatMatrix.adopt(ctx.p, ctx.n_prec, out.reshape(-1, cols))
 
 
@@ -231,9 +227,12 @@ def _block_operator(x_theta: FlatMatrix, ctx: RingContext, k: int, twist: bool) 
 
     With twist the operator is the graded piece of the raised connection;
     without it, the plain certificate operator."""
-    scaled = w_scale_blocks(x_theta, q_power(ctx, k)) if twist else x_theta
-    diagonal = _block_diagonal(w_mult_block(q_int(k, 1, ctx)), x_theta.rows // ctx.m_prec)
-    entries = scaled.entries + diagonal
+    # a fresh array, which w_scale_blocks makes
+    entries = w_scale_blocks(x_theta, q_power(ctx, k)).entries if twist else x_theta.entries.copy()
+    m, sections = ctx.m_prec, np.arange(x_theta.rows // ctx.m_prec)
+    # blocks[a, :, b, :] maps basis section b to section a; each diagonal one gains (k)_q
+    blocks = entries.reshape(len(sections), m, len(sections), m)
+    blocks[sections, :, sections] += w_mult_block(q_int(k, 1, ctx))
     return FlatMatrix.adopt(ctx.p, ctx.n_prec, np.remainder(entries, ctx.pn, out=entries))
 
 

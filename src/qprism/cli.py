@@ -18,6 +18,7 @@ from math import prod
 
 from .adic_diagnostics import (
     ModulePresentation,
+    base_scalar,
     bounded_and_flat_check,
     koszul_reduction_cone_acyclic,
     pro_iso_check,
@@ -27,13 +28,15 @@ from .base_ring import RingContext, is_supported_prime, q_int_poly
 from .cartier import STABILITY_WINDOW_STEP, CartierProblem, cartier_verify, flatten_connection
 from .delta_ring import DeltaElement, envelope_presentation, run_axiom_suite
 from .divided_poly import poincare_exactness
-from .errors import NotAChainMap, QPrismError, SpecError
+from .errors import InvalidArgs, NotAChainMap, QPrismError, SpecError
 from .exactpoly import IntPoly
 from .grammar import parse_poly, poly_to_string
 from .homology import cohomology_of_complex, max_flat_dim, modulus_within_cap
 from .twisted_calculus import ConnectionModule, QPolynomial
 
 SCHEMA = "qprism/1"
+# the largest `n_max` of a module spec: the pro-system report has one entry per level
+N_MAX_CEILING = 2**16
 
 
 def _emit(report: dict) -> None:
@@ -181,22 +184,23 @@ def _load_adic_spec(path: str, grow: int = 0):
         # Z and Zq keep no coordinates, but their Koszul complex acts on M + M too
         _check_dims({"generators": 2 * generators})
 
-    # each distinct string parsed once; a literal that fails is not stored,
-    # so every entry of it raises, the first in reading order first
-    parsed: dict[str, IntPoly] = {}
+    # each distinct literal parsed and converted to a scalar of the base once; a
+    # literal that fails is not stored, so every entry of it raises, the first
+    # in reading order first
+    scalars: dict = {}
 
-    def entry_of(text, field):
-        if isinstance(text, int):
-            poly = IntPoly.const(text)
-        elif isinstance(text, str):
-            if text not in parsed:
-                parsed[text] = _in_field(field, parse_poly, text, allowed={"q"})
-            poly = parsed[text]
-        else:
+    def entry_of(literal, field):
+        if isinstance(literal, bool) or not isinstance(literal, (int, str)):
             raise SpecError(f"{field} entries must be strings or ints", field=field)
-        if base in ("Z", "Zpn") and poly.variables():
-            raise SpecError(f"base {base} takes integer {field}", field=field)
-        return poly
+        if literal not in scalars:
+            value = literal
+            if isinstance(literal, str):
+                value = _in_field(field, parse_poly, literal, allowed={"q"})
+            try:
+                scalars[literal] = base_scalar(base, ctx, value)
+            except InvalidArgs:
+                raise SpecError(f"base {base} takes integer {field}", field=field) from None
+        return scalars[literal]
 
     relations = []
     for row in rel_rows:
@@ -400,13 +404,13 @@ def _adic_build(path: str, grow: int):
         return None
     m_pres, f, g, spec = loaded
     cap = _optional(spec, "torsion_cap", int, 8, lambda v: v >= 0)
-    n_max = _optional(spec, "n_max", int, 4, lambda v: v >= 1)
+    n_max = _optional(spec, "n_max", int, 4, lambda v: 1 <= v <= N_MAX_CEILING)
     predicates: dict = {}
     if f is not None:
         tb = torsion_bound(m_pres, f, cap)
         predicates["torsion"] = tb.to_json()
         if tb.bounded:
-            predicates["pro_iso"] = pro_iso_check(m_pres, f, n_max, cap).to_json()
+            predicates["pro_iso"] = pro_iso_check(m_pres, f, tb, n_max).to_json()
     if f is not None and g is not None:
         predicates["flatness"] = bounded_and_flat_check(m_pres, f, g, cap).to_json()
         if m_pres.base != "Zq":

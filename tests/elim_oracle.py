@@ -20,10 +20,12 @@ where the library reads span orders off one annihilator per module.  It
 answers for a Zpn module through `w_twin`, the same module over
 W(p, N, 1) = Z/p^N, where the library decides Zpn on the Smith exponents
 of the relations.  `KernelZqEngine` decides `kills` by dot products with
-integer kernel vectors, where the library compares ranks; and
-`PerVectorZEngine` spreads every scalar matrix over the identity of all of
-M and recomputes the Smith form of the image once per kernel vector, where
-the library decides exactness once per distinct cyclic order.  Each builds
+integer kernel vectors, where the library compares ranks, and builds the
+matrix of f^k on a monic summand as a product of k matrices of f, where
+the library reduces f^k modulo the monic; and `PerVectorZEngine` spreads
+every scalar matrix over the identity of all of M and recomputes the
+Smith form of the image once per kernel vector, where the library decides
+exactness once per distinct cyclic order.  Each builds
 M/sM from `_quotient_presentation`, the dense presentation with s times
 each generator among the relations, where the library's engines build it
 from their own data.  `oracle_engine` stands in for `adic_diagnostics._engine`.
@@ -45,12 +47,15 @@ from qprism.adic_diagnostics import (
     _monic_action_basis,
     _z_cyclic_orders,
     _z_kernel,
+    _z_rank,
     _ZEngine,
+    _zq_mult_matrix,
     _ZqEngine,
     snf_z,
 )
 from qprism.base_ring import RingContext, WScalar
 from qprism.errors import InvalidArgs, NotAChainMap
+from qprism.exactpoly import IntPoly
 from qprism.homology import (
     FlatMatrix,
     is_chain_map,
@@ -450,15 +455,44 @@ class PreimageEngine(_FiniteEngine):
         return self._log(np.vstack([pre, image])) == self._log(image)
 
 
+def _z_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
 class KernelZqEngine(_ZqEngine):
-    """The Zq engine deciding `kills` from integer kernel vectors."""
+    """The Zq engine deciding `kills` from integer kernel vectors, with the
+    matrix of f^k on a monic summand a product of k matrices of f."""
 
     def __init__(self, m):
         super().__init__(_monic_action_basis(m), bool(m.relations))
         self.m = m
+        self._powers: dict = {}
+
+    def _power(self, f: IntPoly, i: int, k: int) -> list[list[int]]:
+        """Integer matrix of f^k on the monic summand i."""
+        if (f, i, k) not in self._powers:
+            monic = self.mono[i]
+            if k <= 1:
+                power = _zq_mult_matrix(f, monic) if k else _identity(monic.degree("q"))
+            else:
+                power = _z_matmul(self._power(f, i, 1), self._power(f, i, k - 1))
+            self._powers[f, i, k] = power
+        return self._powers[f, i, k]
 
     def quotient(self, s):
         return KernelZqEngine(_quotient_presentation(self.m, s))
+
+    def torsion_step(self, f: IntPoly, b: int):
+        key, orders = [], []
+        for i, monic in enumerate(self.mono):
+            if monic is None:
+                key.append(b > 0 and f.is_zero())
+            else:
+                rank = _z_rank(self._power(f, i, b))
+                key.append(rank)
+                orders.append(monic.degree("q") - rank)
+        return key, orders or None
 
     def kills(self, f, s: int, k: int) -> bool:
         for i, monic in enumerate(self.mono):

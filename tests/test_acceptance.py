@@ -318,15 +318,17 @@ def test_criterion_09_appendix_suite():
     # pro-system stabilization shift equals the torsion bound
     for p in (2, 5):
         m = ModulePresentation("Z", 2, [[0, p * p]])
-        rep = pro_iso_check(m, p, n_max=4)
+        rep = pro_iso_check(m, p, torsion_bound(m, p), n_max=4)
         assert rep.shift == 2 and rep.matches_bound
         assert all(rep.per_level.values())
     # derived-vs-classical completion agreement at finite stages: the
     # bounded fixtures have pro-zero torsion at the reported shift, so the
     # limit towers agree levelwise
-    rep = pro_iso_check(ModulePresentation("Z", 1, []), 7, n_max=4)
+    m = ModulePresentation("Z", 1, [])
+    rep = pro_iso_check(m, 7, torsion_bound(m, 7), n_max=4)
     assert rep.shift == 0 and all(rep.per_level.values())
-    rep = pro_iso_check(ModulePresentation("Z", 2, [[0, 3]]), 3, n_max=4)
+    m = ModulePresentation("Z", 2, [[0, 3]])
+    rep = pro_iso_check(m, 3, torsion_bound(m, 3), n_max=4)
     assert rep.shift == 1 and rep.matches_bound and all(rep.per_level.values())
     _report(9, "torsion bounds, Koszul reduction cones, pro-system shifts")
 

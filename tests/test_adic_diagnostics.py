@@ -162,7 +162,7 @@ def test_koszul_zq_unsupported():
 
 def test_pro_iso_torsion_free_shift_zero():
     m = z_module(1, [])
-    rep = pro_iso_check(m, 7, n_max=3)
+    rep = pro_iso_check(m, 7, torsion_bound(m, 7), n_max=3)
     assert rep.shift == 0
     assert rep.matches_bound
     assert all(rep.per_level.values())
@@ -171,7 +171,7 @@ def test_pro_iso_torsion_free_shift_zero():
 def test_pro_iso_z_plus_zp2_shift_two():
     for p in (2, 5):
         m = z_module(2, [[0, p * p]])
-        rep = pro_iso_check(m, p, n_max=4)
+        rep = pro_iso_check(m, p, torsion_bound(m, p), n_max=4)
         assert rep.shift == 2
         assert rep.bound == 2
         assert rep.matches_bound
@@ -185,13 +185,14 @@ def test_pro_iso_unbounded_raises():
     ctx = RingContext(2, 3, 1)
     m = zpn_module(ctx, 1, [])
     with pytest.raises(NotBounded):
-        pro_iso_check(m, 2, n_max=2, cap=1)
+        pro_iso_check(m, 2, torsion_bound(m, 2, 1), n_max=2)
 
 
 def test_pro_iso_w_base():
     ctx = RingContext(2, 2, 2)
     m = w_module(ctx, 1, [])
-    rep = pro_iso_check(m, WScalar.from_int(ctx, 2), n_max=3, cap=6)
+    f = WScalar.from_int(ctx, 2)
+    rep = pro_iso_check(m, f, torsion_bound(m, f, 6), n_max=3)
     assert rep.matches_bound
 
 
@@ -297,7 +298,7 @@ def test_pro_iso_zq_monic_quotient():
     from qprism.base_ring import q_int_poly
 
     m = ModulePresentation("Zq", 1, [[q_int_poly(3, 1)]])
-    rep = pro_iso_check(m, IntPoly.const(3), n_max=3)
+    rep = pro_iso_check(m, IntPoly.const(3), torsion_bound(m, IntPoly.const(3)), n_max=3)
     assert rep.shift == 0 and rep.matches_bound
 
 
@@ -306,7 +307,7 @@ def test_pro_iso_bound_one_completion_agreement():
     for p in (2, 3):
         m = z_module(2, [[0, p]])
         assert torsion_bound(m, p).bound == 1
-        rep = pro_iso_check(m, p, n_max=4)
+        rep = pro_iso_check(m, p, torsion_bound(m, p), n_max=4)
         assert rep.shift == 1 and rep.matches_bound
         assert all(rep.per_level.values())
 
@@ -377,7 +378,7 @@ def test_pro_iso_zero_f_kills_from_shift_one():
         (w_module(RingContext(2, 2, 2), 1, []), 0),
     ]
     for m, f in cases:
-        rep = pro_iso_check(m, f, n_max=3)
+        rep = pro_iso_check(m, f, torsion_bound(m, f), n_max=3)
         assert (rep.shift, rep.bound) == (1, 1), m
         assert rep.matches_bound and all(rep.per_level.values())
 
@@ -405,7 +406,7 @@ def test_zero_module_is_torsion_free_for_g_zero():
 
 
 def _predicates(m, f, g, n, mexp):
-    rep = pro_iso_check(m, f, n_max=3)
+    rep = pro_iso_check(m, f, torsion_bound(m, f), n_max=3)
     cx = koszul_build(m, f, g, n, mexp)
     return {
         "bound": torsion_bound(m, f).bound,
@@ -446,7 +447,8 @@ def test_cross_base_oracle_zq_line():
         fa, ga = f.eval_int({"q": a}), g.eval_int({"q": a})
         zq, z = ModulePresentation("Zq", 1, [[q - a]]), z_module(1, [])
         assert torsion_bound(zq, f).bound == torsion_bound(z, fa).bound
-        rq, rz = pro_iso_check(zq, f, n_max=3), pro_iso_check(z, fa, n_max=3)
+        rq = pro_iso_check(zq, f, torsion_bound(zq, f), n_max=3)
+        rz = pro_iso_check(z, fa, torsion_bound(z, fa), n_max=3)
         assert (rq.shift, rq.per_level) == (rz.shift, rz.per_level)
         assert _g_torsion_free(zq, g) == _g_torsion_free(z, ga)
 
@@ -457,11 +459,11 @@ def test_pro_iso_zq_degree_two_summand():
     q = IntPoly.var("q")
     m = ModulePresentation("Zq", 1, [[q * q - q]])
     assert torsion_bound(m, q).bound == 1
-    rep = pro_iso_check(m, q, n_max=3)
+    rep = pro_iso_check(m, q, torsion_bound(m, q), n_max=3)
     assert rep.shift == 1 and all(rep.per_level.values())
     # q on Z[q]/(q^2) is nilpotent: the q-torsion is everything from q^2 on
     m = ModulePresentation("Zq", 1, [[q * q]])
-    rep = pro_iso_check(m, q, n_max=3)
+    rep = pro_iso_check(m, q, torsion_bound(m, q), n_max=3)
     assert (rep.shift, rep.bound) == (2, 2)
 
 
@@ -523,7 +525,7 @@ def test_w_torsion_and_pro_iso_against_enumeration():
         torsion, zero_after = _enumerated_torsion(m, f, 12)
         bound = next(b for b in range(12) if len(torsion[b + 1]) == len(torsion[b]))
         assert torsion_bound(m, f).bound == bound
-        rep = pro_iso_check(m, f, n_max=3)
+        rep = pro_iso_check(m, f, torsion_bound(m, f), n_max=3)
 
         def kills(s, k):
             return all(zero_after(v, s) for v in torsion[k])
@@ -542,7 +544,7 @@ def test_pro_iso_check_builds_one_engine(monkeypatch):
     monkeypatch.setattr(adic_diagnostics, "_engine", lambda m: built.append(m) or engine(m))
     ctx = RingContext(2, 2, 2)
     m = w_module(ctx, 1, [[WScalar.t(ctx)]])
-    report = pro_iso_check(m, 2)
+    report = pro_iso_check(m, 2, torsion_bound(m, 2))
     assert len(built) == 1
     assert report.bound == torsion_bound(m, 2).bound
 
@@ -562,7 +564,7 @@ def _every_predicate(m, f, g, n, mexp):
     one, two = koszul_build(m, f, None, n), koszul_build(m, f, g, n, mexp)
     return {
         "bound": _outcome(lambda: torsion_bound(m, f)),
-        "pro_iso": _outcome(lambda: pro_iso_check(m, f, n_max=3)),
+        "pro_iso": _outcome(lambda: pro_iso_check(m, f, torsion_bound(m, f), n_max=3)),
         "flat": _outcome(lambda: bounded_and_flat_check(m, f, g)),
         "koszul_one": [one.exact_at(i) for i in range(2)],
         "koszul_two": [two.exact_at(i) for i in range(3)],
@@ -648,7 +650,7 @@ def test_z_engine_matches_the_per_vector_oracle(monkeypatch):
 def _zq_predicates(m, f, g):
     return {
         "bound": _outcome(lambda: torsion_bound(m, f)),
-        "pro_iso": _outcome(lambda: pro_iso_check(m, f, n_max=3)),
+        "pro_iso": _outcome(lambda: pro_iso_check(m, f, torsion_bound(m, f), n_max=3)),
         "g_torsion_free": _g_torsion_free(m, g),
     }
 
@@ -797,10 +799,10 @@ def test_pro_iso_check_matches_the_per_level_definition():
         eng, levels = m.engine, range(1, n_max + 1)
         if not _torsion_report(eng, f, cap).bounded:
             with pytest.raises(NotBounded):
-                pro_iso_check(m, f, n_max, cap)
+                pro_iso_check(m, f, torsion_bound(m, f, cap), n_max)
             continue
         shift = next(s for s in range(cap + 1) if all(eng.kills(f, s, n + s) for n in levels))
-        rep = pro_iso_check(m, f, n_max, cap)
+        rep = pro_iso_check(m, f, torsion_bound(m, f, cap), n_max)
         assert rep.shift == shift, case
         assert rep.per_level == {n: eng.kills(f, shift, n + shift) for n in levels}, case
         shifts.add(shift)
@@ -813,7 +815,7 @@ def test_pro_iso_check_with_20000_levels_is_fast():
     for name in ("adic_w_quotient.json", "adic_z_torsion.json"):
         m, f, _g, _spec = _load_adic_spec(os.path.join(FIXTURES, name))
         start = time.perf_counter()
-        rep = pro_iso_check(m, f, n_max=20000)
+        rep = pro_iso_check(m, f, torsion_bound(m, f), n_max=20000)
         assert time.perf_counter() - start < 1
         assert len(rep.per_level) == 20000 and all(rep.per_level.values())
 

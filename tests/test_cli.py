@@ -7,14 +7,17 @@ from pathlib import Path
 
 import pytest
 
+import qprism.adic_diagnostics
 import qprism.cartier
 import qprism.cli
 import qprism.errors
-from qprism.cli import run_command
+from qprism.cli import N_MAX_CEILING, run_command
+from qprism.exactpoly import IntPoly
 from qprism.grammar import MAX_EXPONENT
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
+ADIC_FIXTURES = sorted(path.name for path in FIXTURES.glob("adic_*.json"))
 
 
 def run(capsys, *argv):
@@ -229,6 +232,49 @@ def test_adic_at_scale_ends_in_5_s(tmp_path, capsys, base, generators, relations
     assert set(report["reports"][0]["predicates"]) == {
         "torsion", "pro_iso", "flatness", "koszul_reduction_acyclic"
     }
+
+
+@pytest.mark.parametrize("name", ADIC_FIXTURES)
+def test_adic_computes_each_torsion_report_once(capsys, monkeypatch, name):
+    # one for M, which the pro-system shift reads too, and one for M/gM
+    calls = []
+    report = qprism.adic_diagnostics._torsion_report
+    monkeypatch.setattr(
+        qprism.adic_diagnostics, "_torsion_report", lambda *a: calls.append(a) or report(*a)
+    )
+    code, _ = run(capsys, "adic", "--spec", str(FIXTURES / name))
+    assert code == 0
+    assert len(calls) == 2
+
+
+def test_adic_converts_each_distinct_literal_once(tmp_path, capsys, monkeypatch):
+    # 40,960 relation entries hold "0" and five scalars, and f and g are among them
+    calls = []
+    variables = IntPoly.variables
+    monkeypatch.setattr(IntPoly, "variables", lambda self: calls.append(self) or variables(self))
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(_sparse_module_spec("Zpn", 2048, 20, p=3, n=3, f="3", g="6")))
+    code, _ = run(capsys, "adic", "--spec", str(path))
+    assert code == 0
+    assert len(calls) <= 6
+
+
+@pytest.mark.parametrize("name", ADIC_FIXTURES)
+def test_n_max_has_a_ceiling(tmp_path, capsys, name):
+    # the pro-system report has one entry per level, so n_max is capped
+    spec = json.loads((FIXTURES / name).read_text())
+    path = tmp_path / "spec.json"
+    runs = []
+    for n_max in (N_MAX_CEILING + 1, N_MAX_CEILING):
+        path.write_text(json.dumps({**spec, "n_max": n_max}))
+        start = time.perf_counter()
+        runs.append(run_json(capsys, "adic", "--spec", str(path)))
+        assert time.perf_counter() - start < 1
+    (above, refusal), (at, report) = runs
+    assert above == 2
+    assert refusal["error"] == {"field": "n_max", "message": "field 'n_max' out of range"}
+    assert at == 0
+    assert len(report["reports"][0]["predicates"]["pro_iso"]["per_level"]) == N_MAX_CEILING
 
 
 def test_determinism_byte_identical(capsys):
@@ -677,6 +723,10 @@ def test_help_is_not_an_argument_error(capsys):
                   "f": "q+"}, "relations"),
         ("adic", {**ADIC_SPEC, "base": "Zpn", "relations": [["3"], ["3"]], "f": "3", "g": "q"},
          "g"),
+        # a JSON boolean is no integer literal, though Python reads true as 1
+        ("adic", {"base": "Z", "generators": 1, "relations": [[True]]}, "relations"),
+        ("adic", {"base": "Z", "generators": 1, "relations": [[1]], "f": True}, "f"),
+        ("adic", {"base": "Z", "generators": 1, "relations": [[1]], "f": 1, "g": True}, "g"),
     ],
 )
 def test_spec_refusal_names_its_field(tmp_path, capsys, command, spec, field):
