@@ -183,22 +183,23 @@ class WScalar:
         return self.fp_residue() != 0
 
     # conversions --------------------------------------------------------
-    def lift(self) -> IntPoly:
-        """Canonical integer lift: sum of coeffs[i] * (q-1)^i, coeffs in [0, p^N)."""
-        t = IntPoly.var("q") - 1
-        total = IntPoly()
+    def _q_expansion(self) -> list[int]:
+        """sum_i coeffs[i] (q-1)^i in the q-basis, unreduced: the coefficient
+        of q^j is sum_i coeffs[i] C(i, j) (-1)^(i-j)."""
+        out = [0] * len(self.coeffs)
         for i, c in enumerate(self.coeffs):
             if c:
-                total = total + IntPoly.const(c) * t**i
-        return total
+                for j in range(i + 1):
+                    out[j] += c * comb(i, j) * (-1) ** (i - j)
+        return out
+
+    def lift(self) -> IntPoly:
+        """Canonical integer lift: sum of coeffs[i] * (q-1)^i, coeffs in [0, p^N)."""
+        return IntPoly({(("q", j),) if j else (): c for j, c in enumerate(self._q_expansion())})
 
     def q_coefficients(self) -> list[int]:
         """Coefficients of the canonical representative in the q-basis."""
-        out = [0] * self.ctx.m_prec
-        for i, c in enumerate(self.coeffs):
-            for j in range(i + 1):
-                out[j] += c * comb(i, j) * (-1) ** (i - j)
-        return [v % self.ctx.pn for v in out]
+        return [v % self.ctx.pn for v in self._q_expansion()]
 
     def reduce_to(self, ctx: RingContext) -> WScalar:
         """Image under W(p,N,M) -> W(p,N',M') for N' <= N, M' <= M."""

@@ -5,22 +5,25 @@ certificates, and the quasi-isomorphism verdict.
 The coordinate x' of the source module acts as x^p after raising, so a
 source window D' pairs with the target window p*D' + p - 1; the degree
 grading then matches both quotient windows exactly, which is asserted
-programmatically rather than assumed.  The raised flat index of
-(component j, degree p*n + k, t-power i) is the index (j, n, k, i) of the
-reshape (rank, D' + 1, p, m), so grade k is one index of its third axis,
-and the Frobenius legs and the block split read every grade through it.
+programmatically rather than assumed.
+
+Every descent matrix is a `FlatMatrix` in m x m W-blocks, one per pair of
+basis sections, and a section is numbered j * (window + 1) + degree.  The
+raised section of (component j, degree p*n + k) is then p * s + k for the
+source section s of (j, n): its grade k is the raised section mod p and s
+is the raised section // p.  The Frobenius legs and the block split read
+every grade through this numbering, block by block.
 
 Each run flattens two connections, the source theta' and the raised theta,
 each assembled from m x m W-blocks: powers of the sigma block, their
 running sums for the derivation, and one block product per coefficient of
 the connection matrix.  Every other descent matrix derives from these
-two by indexing or by m x m W-block products: the Frobenius legs are 0/1
-degree selections, each block operator is theta' with its output degree
-shifted by one (the factor x') plus (k)_q blocks, and the Verschiebung
-check rescales each W-block of theta' and of the columns of theta that F
-selects by (p)_q.  The quasi-nilpotence witnesses are read off powers of
-theta' as well.  Each of these matrices is made fresh and reduced, and
-is wrapped by `FlatMatrix.adopt` with no copy.
+two by renumbering blocks or by m x m W-block products: the Frobenius legs
+hold one block per source section, each block operator is theta' with its
+output degree shifted by one (the factor x') plus (k)_q blocks, and the
+Verschiebung check rescales each W-block of theta' and of theta F by
+(p)_q.  The quasi-nilpotence witnesses are read off powers of theta' as
+well.  So every step costs O(stored blocks * m^2), not O(n^2).
 """
 
 from __future__ import annotations
@@ -91,9 +94,8 @@ def flatten_connection(m: ConnectionModule) -> FlatMatrix:
     x^d, B(w) being `w_mult_block(w)`.  The section e_j x^d goes to
     scale (d)_{q^twist} e_j x^{d-1} + sum_{i, e} c_e q^{twist d} e_i x^{d+e}
     for theta_ij = sum_e c_e x^e, where (d)_{q^twist} = Q_0 + ... + Q_{d-1}.
-    In the reshape (rank, D+1, m, rank, D+1, m) a derivation block lowers
-    the degree by one and a theta block keeps or raises it, so no block is
-    written twice.
+    A derivation block lowers the degree by one and a theta block keeps or
+    raises it, so no block position is written twice.
     """
     if m.window is None:
         raise InvalidArgs("flattening needs a degree window")
@@ -109,30 +111,40 @@ def flatten_connection(m: ConnectionModule) -> FlatMatrix:
     for d in range(1, size):
         sigma_blocks[d] = sigma_blocks[d - 1] @ step % pn
     # derivation[d - 1] = B(scale) (d)_{q^twist} for d = 1..D
-    derivation = w_mult_block(scale) @ (np.cumsum(sigma_blocks[:-1], axis=0) % pn) % pn
-    blocks = np.zeros((rank, size, ctx.m_prec, rank, size, ctx.m_prec), dtype=np.int64)
+    derivation = w_mult_block(scale) @ (np.cumsum(sigma_blocks[:-1], axis=0) % pn)
     deg = np.arange(size)
+    brow, bcol, blocks = [], [], []
     for j in range(rank):
-        blocks[j, deg[:-1], :, j, deg[1:], :] = derivation
+        brow.append(j * size + deg[:-1])
+        bcol.append(j * size + deg[1:])
+        blocks.append(derivation)
         for i in range(rank):
             for e, c in m.theta[i][j].coeffs.items():
-                blocks[i, deg[e:], :, j, deg[: size - e], :] = (
-                    w_mult_block(c) @ sigma_blocks[: size - e] % pn
-                )
-    return FlatMatrix.adopt(ctx.p, ctx.n_prec, blocks.reshape(dim, dim))
+                brow.append(i * size + deg[e:])
+                bcol.append(j * size + deg[: size - e])
+                blocks.append(w_mult_block(c) @ sigma_blocks[: size - e])
+    return FlatMatrix.from_blocks(
+        ctx.p,
+        ctx.n_prec,
+        (dim, dim),
+        ctx.m_prec,
+        np.concatenate(brow),
+        np.concatenate(bcol),
+        np.concatenate(blocks),
+    )
 
 
 def _frobenius_leg(
     ctx: RingContext, rank: int, win_in: int, k: int, w_block: np.ndarray
 ) -> FlatMatrix:
     """x'^n e_j t^i -> x^{pn+k} e_j (w_block t^i): one m x m block per
-    source basis section, placed in grade k of the raised module."""
-    cols, sections, m = flat_dim(ctx, rank, win_in), rank * (win_in + 1), ctx.m_prec
-    # out[a, k, :, a] is the block from section a to grade k of its raised section
-    out = np.zeros((sections, ctx.p, m, sections, m), dtype=np.int64)
-    s = np.arange(sections)
-    out[s, k, :, s] = w_block % ctx.pn
-    return FlatMatrix.adopt(ctx.p, ctx.n_prec, out.reshape(-1, cols))
+    source section s, at the raised section p * s + k of grade k."""
+    cols, m = flat_dim(ctx, rank, win_in), ctx.m_prec
+    s = np.arange(cols // m)
+    blocks = np.broadcast_to(w_block, (s.size, m, m))
+    return FlatMatrix.from_blocks(
+        ctx.p, ctx.n_prec, (ctx.p * cols, cols), m, ctx.p * s + k, s, blocks
+    )
 
 
 @dataclass
@@ -187,20 +199,14 @@ def verschiebung_ok(data: ChainMapData, ctx: RingContext) -> bool:
     the comparison by it gives (p)_q Fdiv theta' = ((p)_q theta) F: the
     chain-map equation between the two differentials with every W-block
     rescaled by (p)_q.  The rescaling acts on rows, so it commutes with
-    F's selection of columns: only the columns of theta that F selects are
-    rescaled, and the identity takes F's place.  No product is formed.
+    F's selection of columns: theta F is formed first and then rescaled.
     """
-    f_rows = selection_rows(data.module_leg)
-    if f_rows is None:
+    if selection_rows(data.module_leg) is None:
         raise InvalidArgs("the Verschiebung check needs a Frobenius leg that selects")
     pq = q_int(ctx.p, 1, ctx)
     source, target = data.source_differential, data.target_differential
-    theta_f = FlatMatrix.adopt(target.p, target.n_prec, target.entries[:, f_rows])
-    return is_chain_map(
-        w_scale_blocks(source, pq),
-        w_scale_blocks(theta_f, pq),
-        FlatMatrix.identity(source.p, source.n_prec, source.cols),
-        data.forms_leg,
+    return data.forms_leg @ w_scale_blocks(source, pq) == w_scale_blocks(
+        target @ data.module_leg, pq
     )
 
 
@@ -227,22 +233,43 @@ def _block_operator(x_theta: FlatMatrix, ctx: RingContext, k: int, twist: bool) 
 
     With twist the operator is the graded piece of the raised connection;
     without it, the plain certificate operator."""
-    # a fresh array, which w_scale_blocks makes
-    entries = w_scale_blocks(x_theta, q_power(ctx, k)).entries if twist else x_theta.entries.copy()
-    m, sections = ctx.m_prec, np.arange(x_theta.rows // ctx.m_prec)
-    # blocks[a, :, b, :] maps basis section b to section a; each diagonal one gains (k)_q
-    blocks = entries.reshape(len(sections), m, len(sections), m)
-    blocks[sections, :, sections] += w_mult_block(q_int(k, 1, ctx))
-    return FlatMatrix.adopt(ctx.p, ctx.n_prec, np.remainder(entries, ctx.pn, out=entries))
+    m = ctx.m_prec
+    blocks = w_mult_block(q_power(ctx, k)) @ x_theta.blocks if twist else x_theta.blocks
+    # every section s gains (k)_q s on the diagonal
+    s = np.arange(x_theta.rows // m)
+    return FlatMatrix.from_blocks(
+        ctx.p,
+        ctx.n_prec,
+        x_theta.shape,
+        m,
+        np.concatenate([x_theta.brow, s]),
+        np.concatenate([x_theta.bcol, s]),
+        np.concatenate([blocks, np.broadcast_to(w_mult_block(q_int(k, 1, ctx)), (s.size, m, m))]),
+    )
 
 
-def _shift_degree(flat: FlatMatrix, rank: int, window: int) -> FlatMatrix:
-    """x' times an operator on the windowed module: every output degree
-    moves up by one, and degree window + 1 falls out of the window."""
-    blocks = flat.entries.reshape(rank, window + 1, -1, flat.cols)
-    shifted = np.zeros_like(blocks)
-    shifted[:, 1:] = blocks[:, :-1]
-    return FlatMatrix.adopt(flat.p, flat.n_prec, shifted.reshape(flat.entries.shape))
+def _shift_degree(flat: FlatMatrix, window: int) -> FlatMatrix:
+    """x' times an operator on the windowed module in W-blocks: every output
+    degree moves up by one, and degree window + 1 falls out of the window."""
+    stays = flat.brow % (window + 1) != window
+    brow, bcol, blocks = flat.brow[stays] + 1, flat.bcol[stays], flat.blocks[stays]
+    return FlatMatrix.from_blocks(flat.p, flat.n_prec, flat.shape, flat.b, brow, bcol, blocks)
+
+
+def _graded_piece(theta: FlatMatrix, k: int, shape) -> FlatMatrix:
+    """The blocks of the raised theta (in W-blocks) leaving grade k, at the
+    source sections of their raised sections."""
+    p = theta.p
+    pick = theta.bcol % p == k
+    return FlatMatrix.from_blocks(
+        p,
+        theta.n_prec,
+        shape,
+        theta.b,
+        theta.brow[pick] // p,
+        theta.bcol[pick] // p,
+        theta.blocks[pick],
+    )
 
 
 def block_split(problem: CartierProblem, data: ChainMapData | None = None) -> BlockData:
@@ -252,28 +279,24 @@ def block_split(problem: CartierProblem, data: ChainMapData | None = None) -> Bl
     each grade k >= 1 is a one-term complex whose operator is the graded
     piece of the raised connection.  The operators derive from the source
     flattening in `data` (built here when not given), and the split is
-    checked entry by entry against its raised flattening; any mismatch
+    checked block by block against its raised flattening; any mismatch
     means an operator escaped its window.
     """
     conn = problem.conn_prime
     ctx = conn.ctx
-    p = ctx.p
+    p, m = ctx.p, ctx.m_prec
     if data is None:
         data = chain_map_build(conn)
-    x_theta = _shift_degree(data.source_differential, conn.rank, conn.window)
-    grades = (conn.rank, conn.window + 1, p, ctx.m_prec)
-    view = data.target_differential.entries.reshape(grades + grades)
-    # occupied[k_out, k_in]: some entry maps grade k_in into grade k_out;
-    # shift[k_out, k_in]: k_out = k_in - 1 mod p, the only moves allowed
-    occupied = view.any(axis=(0, 1, 3, 4, 5, 7))
-    shift = np.arange(p)[:, None] == (np.arange(p) - 1) % p
-    structure_ok = not (occupied & ~shift).any()
+    x_theta = _shift_degree(data.source_differential.with_blocks(m), conn.window)
+    theta = data.target_differential.with_blocks(m)
+    # a raised section's grade is its residue mod p; grade k may only map
+    # into grade k - 1 mod p
+    structure_ok = bool((theta.brow % p == (theta.bcol - 1) % p).all())
     operators = {}
     twisted = {}
     for k in range(1, p):
         twisted[k] = _block_operator(x_theta, ctx, k, twist=True)
-        graded = view[:, :, k - 1, :, :, :, k, :].reshape(twisted[k].entries.shape)
-        structure_ok = structure_ok and np.array_equal(graded, twisted[k].entries)
+        structure_ok = structure_ok and _graded_piece(theta, k, x_theta.shape) == twisted[k]
         operators[k] = _block_operator(x_theta, ctx, k, twist=False)
     if not structure_ok:
         raise WindowUnstable("raised connection escaped its degree grading")
@@ -332,24 +355,20 @@ def _block_certificate(conn_prime: ConnectionModule, k: int, op: FlatMatrix) -> 
     """
     ctx = conn_prime.ctx
     win = conn_prime.window
-    rank = conn_prime.rank
     m = ctx.m_prec
     pq = q_int(ctx.p, 1, ctx)
     diagonal = [q_int(k, 1, ctx) + pq * q_int(n, ctx.p, ctx) for n in range(win + 1)]
     unit_diagonal = all(d.is_unit() for d in diagonal)
-    # blocks[i, nn, :, j, n, :] maps component j, degree n to component i, degree nn
-    blocks = op.entries.reshape(rank, win + 1, m, rank, win + 1, m)
-    comp, deg = np.arange(rank), np.arange(win + 1)
-    # on_diagonal[j, n] is the block from (j, n) to itself
-    on_diagonal = blocks[comp[:, None], deg, :, comp[:, None], deg, :]
-    diagonal_ok = bool((on_diagonal == np.array([w_mult_block(d) for d in diagonal])).all())
-    # masks over [i, nn, j, n]; not_raising marks the blocks with output
-    # degree nn <= input degree n, the diagonal aside
-    same_place = (
-        np.eye(rank, dtype=bool)[:, None, :, None] & np.eye(win + 1, dtype=bool)[None, :, None, :]
-    )
-    not_raising = (deg[:, None] <= deg)[None, :, None, :] & ~same_place
-    triangular = diagonal_ok and not (blocks.any(axis=(2, 5)) & not_raising).any()
+    blocks = op.with_blocks(m)
+    # section s has degree s mod (win + 1); its diagonal block must be B(diagonal[degree])
+    on_diagonal = blocks.brow == blocks.bcol
+    found = np.zeros((op.rows // m, m, m), dtype=np.int64)
+    found[blocks.brow[on_diagonal]] = blocks.blocks[on_diagonal]
+    want = np.array([w_mult_block(d) for d in diagonal])[np.arange(found.shape[0]) % (win + 1)]
+    diagonal_ok = np.array_equal(found, want)
+    # every other block must map to a higher degree
+    raising = blocks.brow % (win + 1) > blocks.bcol % (win + 1)
+    triangular = diagonal_ok and bool((on_diagonal | raising).all())
     return {
         "unit_diagonal": unit_diagonal,
         "triangular": triangular,
@@ -418,8 +437,8 @@ def semilinear_frobenius(ctx: RingContext, window: int) -> ChainMapData:
     The module leg is the ring Frobenius (q -> q^p, x -> x^p); on the
     forms leg the image of the basis form acquires the (p)_q x^{p-1}
     twist.  Both legs are only Z/p^N-linear: W enters through the m x m
-    matrix of the W-Frobenius t^i -> (q^p - 1)^i, Kronecker-multiplied
-    with the degree selection.
+    matrix of the W-Frobenius t^i -> (q^p - 1)^i, one block per section
+    of the degree selection.
     """
     p = ctx.p
     w_frobenius = np.array(frobenius_matrix(ctx), dtype=np.int64)

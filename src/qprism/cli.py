@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 import traceback
+from functools import cache
 from math import prod
 
 from .adic_diagnostics import (
@@ -504,6 +505,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `run_command` uses, built on first use and kept for the
+    process.  Parsing leaves it unchanged: every call fills a fresh
+    namespace.  It holds the cmd_* functions as they were when it was built."""
+    return build_parser()
+
+
 def _check_flags(args) -> None:
     """Every integer flag at or above its command's floor, and --p a prime
     by the spec files' test, else exit 2 naming the flag."""
@@ -524,7 +533,7 @@ def run_command(argv: list[str]) -> int:
     # the command is set as soon as it is read, so a flag error reports it
     args = argparse.Namespace(command=None)
     try:
-        build_parser().parse_args(argv, args)
+        _parser().parse_args(argv, args)
         _check_flags(args)
         return args.fn(args)
     except SystemExit:  # --help, which prints to stdout; usage errors raise SpecError

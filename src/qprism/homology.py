@@ -2,12 +2,18 @@
 factors, cohomology of two-term complexes and mapping cones, and the
 flattening of W-linear operators to matrices over Z/p^N.
 
+A flattened operator is a `FlatMatrix`: its nonzero b x b blocks with
+their block coordinates.  Every descent operator is built in m x m
+W-blocks, so a product, a stack, a rescaling or a comparison of such
+operators costs time in proportion to their stored blocks, not to n^2.
+
 Every count and yes/no verdict (cohomology, kernel cardinalities, cone
 acyclicity) and every row-span membership is read off Smith exponents.
 The Howell form serves `right_kernel_basis`, whose one caller in the
 library is the annihilator of a module's relations in `adic_diagnostics`.
 The Smith routine first peels unit singletons, rows or columns whose one
-nonzero entry is a unit, in vectorised rounds, and eliminates only what is
+nonzero entry is a unit, in vectorised rounds over the coordinates of the
+nonzero entries, and makes dense and eliminates only the rows and columns
 left, one valuation layer at a time.  A unit-triangular block operator
 always peels completely, and on every fixture and benchmark spec so do the
 descent's cone matrices.
@@ -21,7 +27,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -30,9 +36,6 @@ from .errors import InvalidArgs, NotAChainMap
 
 # int64 products must not overflow: modulus^2 * max_dim < 2^63.
 _MAX_MODULUS = 1 << 21
-
-# float64 holds every integer below 2^53 exactly
-_FLOAT64_EXACT = 1 << 53
 
 
 def max_flat_dim() -> int:
@@ -154,9 +157,12 @@ def right_kernel_basis(mat, n: int) -> np.ndarray:
 # --- Smith invariant factors over Z/p^N --------------------------------------
 
 
-def _peel_unit_singletons(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rows and columns of a, reduced mod p^N, left once every unit
-    singleton is peeled off.
+def _peel_unit_singletons(
+    shape: tuple[int, int], r: np.ndarray, c: np.ndarray, v: np.ndarray, p: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rows and columns left once every unit singleton is peeled off a
+    matrix of the given shape whose nonzero entries, reduced mod p^N, are
+    v at rows r and columns c, each position once.
 
     A column whose only nonzero entry is a unit u splits off as u: column
     operations clear the rest of u's row and change nothing else.  So does
@@ -165,14 +171,12 @@ def _peel_unit_singletons(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray
     singleton row, one per column.  A singleton row whose column was just
     peeled holds that same pivot, so the pivots sit in distinct rows and
     columns, and a = diag(units) + the block left.  Peeling makes new
-    singletons, so rounds repeat until one peels nothing.  A singleton of
-    positive valuation stays: its row or column may hold entries of lower
-    valuation elsewhere.
+    singletons, so rounds repeat until one peels nothing; each costs
+    O(nonzeros + rows + cols).  A singleton of positive valuation stays:
+    its row or column may hold entries of lower valuation elsewhere.
     """
-    rows, cols = a.shape
-    # coordinates of the nonzeros by a flat scan; 2-D np.nonzero is several times slower
-    r, c = np.divmod(np.flatnonzero(a != 0), max(cols, 1))
-    unit = a[r, c] % p != 0
+    rows, cols = shape
+    unit = v % p != 0
     row_left = np.ones(rows, dtype=bool)
     col_left = np.ones(cols, dtype=bool)
     while True:
@@ -194,25 +198,53 @@ def _peel_unit_singletons(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray
         r, c, unit = r[keep], c[keep], unit[keep]
 
 
+def _flat_nonzero(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of the nonzero entries of a 2-D array, in row-major
+    order, by a flat scan; 2-D np.nonzero is several times slower."""
+    return np.divmod(np.flatnonzero(a), max(a.shape[1], 1))
+
+
 def smith_exponents(mat, p: int, N: int) -> list[int]:
     """p-adic valuations of the Smith diagonal over Z/p^N, nondecreasing.
 
-    One entry per diagonal position up to min(rows, cols); positions the
-    reduction never reaches carry valuation N.  Unit singletons peel off
-    first as exponents 0 (`_peel_unit_singletons`), and only the block
-    left is copied and eliminated, one valuation layer at a time: every
-    column of the remaining block with a unit entry gives a pivot of
-    valuation v, then the block, now divisible by p, is divided by p.  A
-    column without units keeps none while its layer is eliminated, so one
-    scan over the columns per layer finds every pivot.
+    mat is a `FlatMatrix` over Z/p^N or anything np.array reads as a 2-D
+    integer matrix.  One entry per diagonal position up to min(rows, cols);
+    positions the reduction never reaches carry valuation N.  Unit
+    singletons peel off first as exponents 0 (`_peel_unit_singletons`),
+    read from the blocks of a `FlatMatrix` or from a flat scan of a dense
+    input.  Only the rows and columns left are made into a dense array and
+    eliminated, one valuation layer at a time: every column of the
+    remaining block with a unit entry gives a pivot of valuation v, then
+    the block, now divisible by p, is divided by p.  A column without
+    units keeps none while its layer is eliminated, so one scan over the
+    columns per layer finds every pivot.
     """
     n = p**N
     if _check_modulus(n) != (p, N):
         raise InvalidArgs(f"{p} is not a prime")
-    a = _reduced(mat, n)
-    rows, cols = _peel_unit_singletons(a, p)
-    peeled = a.shape[0] - rows.size
-    if peeled:
+    if isinstance(mat, FlatMatrix):
+        if mat.modulus != n:
+            raise InvalidArgs("mixed moduli")
+        a, shape = None, mat.shape
+        r, c, vals = mat.coords()
+    else:
+        a = _reduced(mat, n)
+        shape = a.shape
+        r, c = _flat_nonzero(a)
+        vals = a[r, c]
+    rows, cols = _peel_unit_singletons(shape, r, c, vals, p)
+    peeled = shape[0] - rows.size
+    if a is None:
+        work = np.zeros((rows.size, cols.size), dtype=np.int64)
+        if work.size:
+            # the entries of the lines left, renumbered within them
+            row_at = np.full(shape[0], -1)
+            row_at[rows] = np.arange(rows.size)
+            col_at = np.full(shape[1], -1)
+            col_at[cols] = np.arange(cols.size)
+            keep = (row_at[r] >= 0) & (col_at[c] >= 0)
+            work[row_at[r[keep]], col_at[c[keep]]] = vals[keep]
+    elif peeled:
         work = a[np.ix_(rows, cols)]
     else:
         # eliminate in place only in an array made here
@@ -250,27 +282,67 @@ def span_contains(rows, extra, p: int, N: int) -> bool:
     return sum(grown) == sum(span_exponents(rows, p, N))
 
 
-# --- complexes ----------------------------------------------------------------
+# --- block matrices and complexes ----------------------------------------------
 
 
-@dataclass
 class FlatMatrix:
-    """Matrix over Z/p^N acting on column vectors."""
+    """Matrix over Z/p^N acting on column vectors, stored as its nonzero
+    b x b blocks.
 
-    p: int
-    n_prec: int
-    entries: np.ndarray
+    Block t holds rows b * brow[t] .. b * brow[t] + b - 1 and columns
+    b * bcol[t] .. b * bcol[t] + b - 1.  The blocks are int64, reduced into [0, p^N), and
+    none is all zero; they are sorted by (brow, bcol) with no position
+    twice, so two matrices at one b are equal exactly when their arrays
+    are.  The descent builds every operator with b = m, one block per pair
+    of W-basis sections; a matrix handed in dense is stored with b = 1, one
+    block per nonzero entry.  A matrix is not changed once built.
 
-    def __post_init__(self):
-        self.entries = _as_matrix(self.entries, self.modulus)
+    `dense` is the one conversion to a full rows x cols array; nothing in
+    the library calls it.
+    """
+
+    __slots__ = ("p", "n_prec", "shape", "b", "brow", "bcol", "blocks")
+
+    def __init__(self, p: int, n_prec: int, entries):
+        """The dense matrix entries (anything np.array reads as 2-D),
+        reduced mod p^N, with b = 1."""
+        a = _as_matrix(entries, p**n_prec)
+        r, c = _flat_nonzero(a)
+        self._set(p, n_prec, a.shape, 1, r, c, a[r, c].reshape(-1, 1, 1))
+
+    def _set(self, p, n_prec, shape, b, brow, bcol, blocks) -> FlatMatrix:
+        """Fill in blocks already in the stored form: no copy and no check."""
+        self.p, self.n_prec, self.shape, self.b = p, n_prec, tuple(shape), b
+        self.brow, self.bcol, self.blocks = brow, bcol, blocks
+        return self
 
     @classmethod
-    def adopt(cls, p: int, n_prec: int, entries: np.ndarray) -> FlatMatrix:
-        """Wrap a 2-D int64 array already reduced mod p^N that the caller
-        hands over and no longer uses: no copy and no reduction."""
-        mat = cls.__new__(cls)
-        mat.p, mat.n_prec, mat.entries = p, n_prec, entries
-        return mat
+    def from_blocks(cls, p: int, n_prec: int, shape, b: int, brow, bcol, blocks) -> FlatMatrix:
+        """The matrix of the given shape whose b x b block at (brow[t],
+        bcol[t]) is the sum of every blocks[t] placed there, mod p^N.  The
+        blocks may be any int64 values, all zero, or at one position twice."""
+        rows, cols = shape
+        if b < 1 or rows % b or cols % b:
+            raise InvalidArgs(f"{rows} x {cols} does not split into {b} x {b} blocks")
+        n = p**n_prec
+        width = max(cols // b, 1)
+        key = np.asarray(brow, dtype=np.int64) * width + np.asarray(bcol, dtype=np.int64)
+        blocks = np.remainder(np.asarray(blocks, dtype=np.int64), n)
+        # most callers hand in blocks already in order, at distinct positions
+        if not (key[1:] > key[:-1]).all():
+            order = np.argsort(key, kind="stable")
+            key, blocks = key[order], blocks[order]
+            first = np.flatnonzero(np.diff(key, prepend=-1))
+            if first.size < key.size:
+                # each sum has fewer than 2^42 terms below 2^21
+                blocks = np.add.reduceat(blocks, first, axis=0)
+                np.remainder(blocks, n, out=blocks)
+                key = key[first]
+        keep = blocks.any(axis=(1, 2))
+        if not keep.all():
+            key, blocks = key[keep], blocks[keep]
+        brow, bcol = np.divmod(key, width)
+        return cls.__new__(cls)._set(p, n_prec, shape, b, brow, bcol, blocks)
 
     @property
     def modulus(self) -> int:
@@ -278,11 +350,52 @@ class FlatMatrix:
 
     @property
     def rows(self) -> int:
-        return self.entries.shape[0]
+        return self.shape[0]
 
     @property
     def cols(self) -> int:
-        return self.entries.shape[1]
+        return self.shape[1]
+
+    @property
+    def entries(self) -> np.ndarray:
+        """A dense copy, for callers that want an array."""
+        return self.dense()
+
+    @property
+    def size(self) -> int:
+        """rows * cols, the number np.size reports for an array."""
+        return self.rows * self.cols
+
+    def coords(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row, column and value of every nonzero entry, each position once."""
+        b = self.b
+        t, within = np.divmod(np.flatnonzero(self.blocks), b * b)
+        i, j = np.divmod(within, b)
+        return self.brow[t] * b + i, self.bcol[t] * b + j, self.blocks[t, i, j]
+
+    def with_blocks(self, b: int) -> FlatMatrix:
+        """The same matrix stored in b x b blocks; self when it already is."""
+        if b == self.b:
+            return self
+        r, c, v = self.coords()
+        # one block per entry; from_blocks sums those at one position
+        blocks = np.zeros((v.size, b, b), dtype=np.int64)
+        blocks[np.arange(v.size), r % b, c % b] = v
+        return FlatMatrix.from_blocks(self.p, self.n_prec, self.shape, b, r // b, c // b, blocks)
+
+    def dense(self) -> np.ndarray:
+        """A fresh rows x cols int64 array of the entries."""
+        out = np.zeros(self.shape, dtype=np.int64)
+        b = self.b
+        grid = out.reshape(self.rows // b, b, self.cols // b, b)
+        grid[self.brow, :, self.bcol, :] = self.blocks
+        return out
+
+    def __neg__(self) -> FlatMatrix:
+        # a reduced nonzero entry stays nonzero
+        return FlatMatrix.__new__(FlatMatrix)._set(
+            self.p, self.n_prec, self.shape, self.b, self.brow, self.bcol, self.modulus - self.blocks
+        )
 
     def check_product(self, other: FlatMatrix) -> None:
         """Raise unless self @ other is defined."""
@@ -291,29 +404,81 @@ class FlatMatrix:
         if self.cols != other.rows:
             raise InvalidArgs("shape mismatch")
 
-    def matmul(self, other: FlatMatrix) -> FlatMatrix:
-        """self @ other, exactly: in float64 BLAS while every partial sum is
-        an integer below 2^53 (exact in any summation order), else in int64."""
+    def __matmul__(self, other: FlatMatrix) -> FlatMatrix:
+        """self @ other, exactly, in blocks of the common divisor of both b.
+
+        Each block of self meets the blocks of other in the block row that
+        matches its block column, so the cost is O(pairs * b^3).  A factor
+        with one block per block column, such as a Frobenius leg or the
+        identity, meets each block of the other factor at most once.
+        """
         self.check_product(other)
-        n = self.modulus
-        if self.cols * (n - 1) ** 2 < _FLOAT64_EXACT:
-            prod = self.entries.astype(np.float64) @ other.entries.astype(np.float64)
-            prod = prod.astype(np.int64)
-        else:
-            prod = self.entries @ other.entries
-        return FlatMatrix.adopt(self.p, self.n_prec, np.remainder(prod, n, out=prod))
+        b = gcd(self.b, other.b)
+        a, c = self.with_blocks(b), other.with_blocks(b)
+        lo = np.searchsorted(c.brow, a.bcol, side="left")
+        counts = np.searchsorted(c.brow, a.bcol, side="right") - lo
+        ia = np.repeat(np.arange(a.bcol.size), counts)
+        ic = np.arange(ia.size) - np.repeat(np.cumsum(counts) - counts - lo, counts)
+        # a block product sums b products of entries below 2^21
+        prod = a.blocks[ia] @ c.blocks[ic]
+        return FlatMatrix.from_blocks(
+            self.p, self.n_prec, (self.rows, other.cols), b, a.brow[ia], c.bcol[ic], prod
+        )
+
+    def matmul(self, other: FlatMatrix) -> FlatMatrix:
+        """self @ other, under the method name that callers outside the
+        library use (the tests, and the tracer of perfbench/)."""
+        return self @ other
 
     def __eq__(self, other):
+        if not isinstance(other, FlatMatrix) or (self.p, self.n_prec, self.shape) != (
+            other.p,
+            other.n_prec,
+            other.shape,
+        ):
+            return False
+        b = gcd(self.b, other.b)
+        x, y = self.with_blocks(b), other.with_blocks(b)
         return (
-            isinstance(other, FlatMatrix)
-            and (self.p, self.n_prec) == (other.p, other.n_prec)
-            and self.entries.shape == other.entries.shape
-            and bool((self.entries == other.entries).all())
+            np.array_equal(x.brow, y.brow)
+            and np.array_equal(x.bcol, y.bcol)
+            and np.array_equal(x.blocks, y.blocks)
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"FlatMatrix(p={self.p}, n_prec={self.n_prec}, shape={self.shape}, "
+            f"b={self.b}, blocks={self.bcol.size})"
         )
 
     @classmethod
     def identity(cls, p: int, n_prec: int, dim: int) -> FlatMatrix:
-        return cls.adopt(p, n_prec, np.eye(dim, dtype=np.int64))
+        diagonal = np.arange(dim)
+        ones = np.ones((dim, 1, 1), dtype=np.int64)
+        return cls.from_blocks(p, n_prec, (dim, dim), 1, diagonal, diagonal, ones)
+
+
+def _stacked(parts: list[FlatMatrix], axis: int) -> FlatMatrix:
+    """The parts side by side: one above the other along axis 0, left to
+    right along axis 1, in blocks of the common divisor of their b."""
+    b = gcd(*(m.b for m in parts))
+    parts = [m.with_blocks(b) for m in parts]
+    offsets = np.cumsum([0] + [m.shape[axis] // b for m in parts[:-1]])
+    placed = [
+        (m.brow, m.bcol + off) if axis else (m.brow + off, m.bcol)
+        for m, off in zip(parts, offsets)
+    ]
+    shape = list(parts[0].shape)
+    shape[axis] = sum(m.shape[axis] for m in parts)
+    return FlatMatrix.from_blocks(
+        parts[0].p,
+        parts[0].n_prec,
+        shape,
+        b,
+        np.concatenate([r for r, _ in placed]),
+        np.concatenate([c for _, c in placed]),
+        np.concatenate([m.blocks for m in parts]),
+    )
 
 
 @dataclass
@@ -332,7 +497,7 @@ def kernel_log_cardinality(mat: FlatMatrix) -> int:
     """log_p of |{v : mat v = 0}| = log_p |domain| - log_p |image|, the
     image read off the Smith exponents: position v spans Z/p^(N-v)."""
     N = mat.n_prec
-    return N * mat.cols - sum(N - v for v in smith_exponents(mat.entries, mat.p, N))
+    return N * mat.cols - sum(N - v for v in smith_exponents(mat, mat.p, N))
 
 
 def cohomology_of_complex(d0: FlatMatrix) -> CohomologyReport:
@@ -344,7 +509,7 @@ def cohomology_of_complex(d0: FlatMatrix) -> CohomologyReport:
     a free Z/p^N per row beyond len(s).
     """
     N = d0.n_prec
-    s = smith_exponents(d0.entries, d0.p, N)
+    s = smith_exponents(d0, d0.p, N)
     torsion = [v for v in s if v > 0]
     h0 = sorted(torsion + [N] * (d0.cols - len(s)))
     h1 = sorted(torsion + [N] * (d0.rows - len(s)))
@@ -355,18 +520,15 @@ def selection_rows(f: FlatMatrix) -> np.ndarray | None:
     """The row of the one nonzero entry, a 1, of every column of f, when
     those rows are distinct (f sends basis vectors to distinct basis
     vectors); otherwise None."""
-    e = f.entries
-    n_rows, n_cols = e.shape
+    n_rows, n_cols = f.shape
     if not n_rows:
         return None
-    # coordinates of the nonzeros by a flat scan, in row-major order, so one
-    # nonzero per row means strictly increasing rows
-    r, c = np.divmod(np.flatnonzero(e != 0), max(n_cols, 1))
+    r, c, v = f.coords()
     if (
         r.size != n_cols
-        or (np.diff(r) <= 0).any()
         or not np.bincount(c, minlength=n_cols).all()
-        or not (e[r, c] == 1).all()
+        or np.bincount(r, minlength=n_rows).max() > 1
+        or not (v == 1).all()
     ):
         return None
     rows = np.empty(n_cols, dtype=np.intp)
@@ -375,25 +537,17 @@ def selection_rows(f: FlatMatrix) -> np.ndarray | None:
 
 
 def is_chain_map(d0: FlatMatrix, d0p: FlatMatrix, f0: FlatMatrix, f1: FlatMatrix) -> bool:
-    """f1 d0 == d0' f0.
+    """f1 d0 == d0' f0, both sides as block products.
 
-    A leg that sends basis vectors to distinct basis vectors, as the
-    Frobenius legs do, is applied by indexing instead of a product: d0' f0
-    gathers the columns of d0' at f0's rows, and f1 d0 is d0 placed at
-    f1's rows with zeros elsewhere.
+    A leg with one block per block column, as the identity and the
+    Frobenius legs are, meets each block of the differential at most once,
+    so then each side costs O(blocks of the differential).
     """
     f1.check_product(d0)
     d0p.check_product(f0)
     if (f1.p, f1.n_prec, f1.rows, d0.cols) != (d0p.p, d0p.n_prec, d0p.rows, f0.cols):
         return False
-    r0 = selection_rows(f0)
-    rhs = d0p.matmul(f0).entries if r0 is None else d0p.entries[:, r0]
-    r1 = selection_rows(f1)
-    if r1 is None:
-        return np.array_equal(f1.matmul(d0).entries, rhs)
-    off = np.ones(rhs.shape[0], dtype=bool)
-    off[r1] = False
-    return np.array_equal(rhs[r1], d0.entries) and not rhs[off].any()
+    return f1 @ d0 == d0p @ f0
 
 
 def exactness(d0: FlatMatrix, d1: FlatMatrix):
@@ -419,12 +573,14 @@ def cone_acyclic(
     """
     if not is_chain_map(d0, d0p, f0, f1):
         raise NotAChainMap("f1 d0 != d0' f0")
-    p, N = d0.p, d0.n_prec
-    delta0 = FlatMatrix.adopt(
-        p, N, np.vstack([d0.entries, (-f0.entries) % d0.modulus])
-    )
-    delta1 = FlatMatrix.adopt(p, N, np.hstack([f1.entries, d0p.entries]))
-    return all(exactness(delta0, delta1))
+    return all(exactness(*cone_differentials(d0, d0p, f0, f1)))
+
+
+def cone_differentials(
+    d0: FlatMatrix, d0p: FlatMatrix, f0: FlatMatrix, f1: FlatMatrix
+) -> tuple[FlatMatrix, FlatMatrix]:
+    """The differentials (d0; -f0) and (f1 | d0p) of the mapping cone."""
+    return _stacked([d0, -f0], axis=0), _stacked([f1, d0p], axis=1)
 
 
 # --- flattening W-linear operators -------------------------------------------
@@ -442,9 +598,11 @@ def w_mult_block(w: WScalar) -> np.ndarray:
 
 def w_scale_blocks(mat: FlatMatrix, w: WScalar) -> FlatMatrix:
     """mat followed by multiplication by w: every m x m W-block times w."""
-    blocks = w_mult_block(w) @ mat.entries.reshape(-1, w.ctx.m_prec, mat.cols)
-    np.remainder(blocks, mat.modulus, out=blocks)
-    return FlatMatrix.adopt(mat.p, mat.n_prec, blocks.reshape(mat.entries.shape))
+    m = w.ctx.m_prec
+    mat = mat.with_blocks(m)
+    return FlatMatrix.from_blocks(
+        mat.p, mat.n_prec, mat.shape, m, mat.brow, mat.bcol, w_mult_block(w) @ mat.blocks
+    )
 
 
 def flat_dim(ctx: RingContext, rank: int, window: int) -> int:
@@ -478,7 +636,8 @@ def flatten_operator(
 
     apply_fn maps a basis section (component j, degree d) to the list of
     rank_out output QPolynomials.  W-linearity lets every t^i copy share
-    one application through multiplication blocks.
+    one application: each output coefficient is one m x m multiplication
+    block.
     """
     from .twisted_calculus import QPolynomial
 
@@ -488,21 +647,19 @@ def flatten_operator(
         raise InvalidArgs(
             f"flattened dimension exceeds QPRISM_MAX_DIM={max_flat_dim()}"
         )
-    mat = np.zeros((dim_out, dim_in), dtype=np.int64)
     m = ctx.m_prec
+    brow, bcol, blocks = [], [], [np.zeros((0, m, m), dtype=np.int64)]
     for j in range(rank_in):
         for d in range(window_in + 1):
-            out_sections = apply_fn(j, d)
-            col0 = (j * (window_in + 1) + d) * m
-            for i, poly in enumerate(out_sections):
+            for i, poly in enumerate(apply_fn(j, d)):
                 if not isinstance(poly, QPolynomial):
                     raise InvalidArgs("apply_fn must return QPolynomial sections")
                 for dd, w in poly.coeffs.items():
                     if dd > window_out:
                         raise InvalidArgs("operator escapes the output window")
-                    row0 = (i * (window_out + 1) + dd) * m
-                    mat[row0 : row0 + m, col0 : col0 + m] = (
-                        mat[row0 : row0 + m, col0 : col0 + m] + w_mult_block(w)
-                    ) % ctx.pn
-    return FlatMatrix.adopt(ctx.p, ctx.n_prec, mat)
-
+                    brow.append(i * (window_out + 1) + dd)
+                    bcol.append(j * (window_in + 1) + d)
+                    blocks.append(w_mult_block(w)[None])
+    return FlatMatrix.from_blocks(
+        ctx.p, ctx.n_prec, (dim_out, dim_in), m, brow, bcol, np.concatenate(blocks)
+    )

@@ -273,20 +273,29 @@ def quasi_nilpotence_check(theta: FlatMatrix, rank: int, iterate_cap: int) -> Ni
     connection theta on a windowed module of the given rank, or None when
     no k up to the cap works.
 
-    e_j (component j, degree 0, t-power 0) is flat column j * (n / rank), so
-    one n x rank block carries the iterates of every e_j at once.  If
+    e_j (component j, degree 0, t-power 0) is flat column j * (n / rank).
+    The iterates of every e_j are carried at once as block column j of an
+    n x (rank * b) block matrix, so each step is one block product and
+    e_j's iterate is zero once its block column holds no block.  If
     theta^k e_j = 0, theta is nilpotent on the theta-stable submodule that
     e_j generates, so the kernels of its powers there grow strictly until
     they fill it; it has length at most N * n, the length of (Z/p^N)^n, so
     the least k is at most N * n and the loop stops at min(iterate_cap, N * n).
     """
-    n = theta.rows
-    iterates = np.zeros((n, rank), dtype=np.int64)
-    iterates[np.arange(rank) * (n // rank), np.arange(rank)] = 1
+    n, b = theta.rows, theta.b
+    comp = np.arange(rank)
+    start = comp * (n // rank)
+    ones = np.zeros((rank, b, b), dtype=np.int64)
+    ones[comp, start % b, 0] = 1
+    iterates = FlatMatrix.from_blocks(
+        theta.p, theta.n_prec, (n, rank * b), b, start // b, comp, ones
+    )
     witnesses: list[int | None] = [None] * rank
     for k in range(1, min(iterate_cap, theta.n_prec * n) + 1):
-        iterates = theta.entries @ iterates % theta.modulus
-        for j in np.flatnonzero(~iterates.any(axis=0)):
+        iterates = theta @ iterates
+        alive = np.zeros(rank, dtype=bool)
+        alive[iterates.bcol] = True
+        for j in np.flatnonzero(~alive):
             if witnesses[j] is None:
                 witnesses[j] = k
         if None not in witnesses:

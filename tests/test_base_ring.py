@@ -312,3 +312,29 @@ def test_q_binomial_base_power_is_substitution():
             base = q_binomial_poly(n, k, 1)
             subbed = base.substitute({"q": IntPoly.var("q", 2)})
             assert q_binomial_poly(n, k, 2) == subbed
+
+
+def _lift_by_powers(w: WScalar) -> IntPoly:
+    """The earlier body of `WScalar.lift`: the sum of c_i (q - 1)^i through
+    IntPoly products."""
+    t = IntPoly.var("q") - 1
+    total = IntPoly()
+    for i, c in enumerate(w.coeffs):
+        if c:
+            total = total + IntPoly.const(c) * t**i
+    return total
+
+
+def test_lift_matches_the_sum_of_powers():
+    rng = random.Random(47)
+    checked = 0
+    for p in (2, 3, 5):
+        for n_prec in (1, 2, 3):
+            for m_prec in (1, 2, 3, 4):
+                ctx = RingContext(p, n_prec, m_prec)
+                elements = [WScalar.zero(ctx), WScalar.one(ctx), WScalar.t(ctx)]
+                elements += [WScalar.random(ctx, rng) for _ in range(12)]
+                for w in elements:
+                    assert w.lift() == _lift_by_powers(w), (p, n_prec, m_prec, w.coeffs)
+                    checked += 1
+    assert checked == 540

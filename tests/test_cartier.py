@@ -203,6 +203,7 @@ def test_block_split_refuses_a_corrupted_raised_differential(out_grade, in_grade
     entries = data.target_differential.entries
     row, col = index(1, 3 * 2 + out_grade, 1), index(0, 3 * 1 + in_grade, 0)
     entries[row, col] = (entries[row, col] + 1) % ctx.pn
+    data.target_differential = FlatMatrix(ctx.p, ctx.n_prec, entries)
     with pytest.raises(WindowUnstable):
         block_split(problem, data)
 
@@ -381,3 +382,58 @@ def test_quasi_isomorphism_matches_cohomology_invariants():
         h_tgt = cohomology_of_complex(flatten_connection(raised))
         assert h_src.h0_invariant_factors == h_tgt.h0_invariant_factors, path.name
         assert h_src.h1_invariant_factors == h_tgt.h1_invariant_factors, path.name
+
+
+SCALE_PROBE = """
+import contextlib, io, json, resource, sys, time
+from qprism.cli import run_command
+out = io.StringIO()
+start = time.perf_counter()
+with contextlib.redirect_stdout(out):
+    code = run_command(["cartier", "--spec", sys.argv[1]])
+seconds = time.perf_counter() - start
+peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"code": code, "ok": json.loads(out.getvalue())["ok"],
+                  "seconds": seconds, "peak_mb": peak_mb}))
+"""
+
+
+def test_cartier_at_raised_dim_4050_runs_in_time_and_memory(tmp_path):
+    # rank 2, p 3, N = M = 3, window 224: raised dimension 4050, and 4086 for
+    # the stability re-run; the run must pass in under 1.5 s in process and
+    # peak under 300 MB (Linux reports ru_maxrss in KiB)
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    ctx = RingContext(3, 3, 3)
+    window = 224
+    assert flat_dim(ctx, 2, raised_window(3, window)) == 4050
+    theta = random_nilpotent_theta(ctx, 2, window, seed=0)
+    spec = {
+        "p": 3,
+        "n_prec": 3,
+        "m_prec": 3,
+        "level": -1,
+        "rank": 2,
+        "degree_window": window,
+        "theta_matrix": [[entry.to_string() for entry in row] for row in theta],
+    }
+    path = tmp_path / "dim4050.json"
+    path.write_text(json.dumps(spec))
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", SCALE_PROBE, str(path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["code"] == 0 and result["ok"] is True
+    assert result["seconds"] < 1.5, result
+    assert result["peak_mb"] < 300, result

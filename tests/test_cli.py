@@ -798,3 +798,34 @@ def test_legs_that_are_no_chain_map_exit_1(capsys, monkeypatch):
     assert report["ok"] is False
     assert report["failed"] == ["chain_map"]
     assert report["error"]["message"] == "f1 d0 != d0' f0"
+
+
+def test_one_parser_serves_every_call_as_a_fresh_process_would(capsys):
+    # run_command parses with one parser per process; --spec lists must not
+    # carry over from one call to the next, and usage errors and --help must
+    # print what a fresh process prints
+    import os
+    import subprocess
+    import sys
+
+    a, b = str(FIXTURES / "p2_rank1_trivial.json"), str(FIXTURES / "p3_rank1_seeded.json")
+    argvs = [
+        ["cohomology", "--spec", a, "--spec", b],
+        ["cohomology", "--spec", a],
+        ["axioms", "--p", "x"],
+        ["q-int", "5"],
+        ["--help"],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for argv in argvs:
+        got = run(capsys, *argv)
+        proc = subprocess.run(
+            [sys.executable, "-m", "qprism.cli", *argv],
+            env=env,
+            cwd=ROOT,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert got == (proc.returncode, proc.stdout), argv
+    assert qprism.cli._parser() is qprism.cli._parser()

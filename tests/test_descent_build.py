@@ -11,9 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dense_oracle
 import flatten_oracle as oracle
 from qprism import cartier, homology, twisted_calculus
-from qprism.base_ring import RingContext, WScalar, q_int
+from qprism.base_ring import RingContext, WScalar, frobenius_matrix, q_int
 from qprism.cartier import (
     CartierProblem,
     _verify_once,
@@ -27,7 +28,15 @@ from qprism.cartier import (
 )
 from qprism.cli import load_connection_spec
 from qprism.errors import InvalidArgs, NotAChainMap
-from qprism.homology import FlatMatrix, cone_acyclic, flat_dim, is_chain_map, w_scale_blocks
+from qprism.homology import (
+    FlatMatrix,
+    cone_acyclic,
+    cone_differentials,
+    flat_dim,
+    is_chain_map,
+    w_mult_block,
+    w_scale_blocks,
+)
 from qprism.twisted_calculus import ConnectionModule, QPolynomial, quasi_nilpotence_check
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -184,6 +193,119 @@ def _check_against_oracle(conn: ConnectionModule):
     assert endo.forms_leg == forms
 
 
+def _same(mat: FlatMatrix, want: np.ndarray) -> bool:
+    """The dense copy of a block result equals the oracle's array."""
+    got = mat.dense()
+    return got.shape == want.shape and np.array_equal(got, want)
+
+
+def _check_against_dense_oracle(conn: ConnectionModule):
+    ctx = conn.ctx
+    p, N, m, pn = ctx.p, ctx.n_prec, ctx.m_prec, ctx.pn
+    data = chain_map_build(conn)
+    source = dense_oracle.flatten_connection(conn)
+    raised = dense_oracle.flatten_connection(level_raise(conn))
+    assert _same(data.source_differential, source)
+    assert _same(data.target_differential, raised)
+    eye = np.eye(m, dtype=np.int64)
+    frob = dense_oracle.frobenius_leg(ctx, conn.rank, conn.window, 0, eye)
+    fdiv = dense_oracle.frobenius_leg(ctx, conn.rank, conn.window, p - 1, eye)
+    assert _same(data.module_leg, frob) and _same(data.forms_leg, fdiv)
+    w_frob = np.array(frobenius_matrix(ctx), dtype=np.int64)
+    pq = q_int(p, 1, ctx)
+    endo = semilinear_frobenius(ctx, conn.window)
+    assert _same(endo.module_leg, dense_oracle.frobenius_leg(ctx, 1, conn.window, 0, w_frob))
+    assert _same(
+        endo.forms_leg,
+        dense_oracle.frobenius_leg(ctx, 1, conn.window, p - 1, w_mult_block(pq) @ w_frob),
+    )
+    # the two sides of the Verschiebung check
+    assert _same(
+        w_scale_blocks(data.source_differential, pq), dense_oracle.w_scale_blocks(source, pq)
+    )
+    assert _same(
+        w_scale_blocks(data.target_differential @ data.module_leg, pq),
+        dense_oracle.w_scale_blocks(raised @ frob % pn, pq),
+    )
+    x_theta = cartier._shift_degree(data.source_differential, conn.window)
+    x_dense = dense_oracle.shift_degree(source, conn.rank, conn.window)
+    assert _same(x_theta, x_dense)
+    structure_ok, pieces = dense_oracle.graded_pieces(conn, raised)
+    assert structure_ok
+    split = block_split(CartierProblem(conn), data)
+    for k in range(1, p):
+        assert _same(cartier._graded_piece(data.target_differential, k, x_theta.shape), pieces[k])
+        assert _same(split.operators[k], dense_oracle.block_operator(x_dense, ctx, k, False))
+        assert _same(split.twisted_operators[k], dense_oracle.block_operator(x_dense, ctx, k, True))
+    delta0, delta1 = cone_differentials(
+        data.source_differential, data.target_differential, data.module_leg, data.forms_leg
+    )
+    want0, want1 = dense_oracle.cone_differentials(source, raised, frob, fdiv, pn)
+    assert _same(delta0, want0) and _same(delta1, want1)
+    for cap in WITNESS_CAPS:
+        report = quasi_nilpotence_check(data.source_differential, conn.rank, cap)
+        assert report.witness == dense_oracle.nilpotence_witnesses(source, conn.rank, cap, p, N)
+
+
+def test_block_descent_matrices_match_the_dense_builders_on_a_seeded_sweep():
+    # fixtures, seeded nilpotent connections, and random theta of which many
+    # are not nilpotent, so the witnesses take both values
+    cases = [
+        load_connection_spec(str(FIXTURES / name))[0] for name in LEVEL_MINUS_ONE_FIXTURES
+    ]
+    cases += list(_seeded_connections())
+    for seed in range(60):
+        rng = random.Random(seed)
+        ctx = RingContext(rng.choice((2, 3, 5)), rng.randint(1, 3), rng.randint(1, 4))
+        rank, window = rng.randint(1, 3), rng.randrange(6)
+        cases.append(ConnectionModule(ctx, rank, -1, _sweep_theta(ctx, rank, window, rng), window))
+    for conn in cases:
+        _check_against_dense_oracle(conn)
+    assert len(cases) == 163
+
+
+def test_cartier_never_makes_a_matrix_dense(monkeypatch, tmp_path, capsys):
+    # every descent step works on stored blocks: no FlatMatrix is turned into
+    # a full array during a run, on any connection fixture or on the shape
+    # of the benchmark's descent workload
+    import importlib
+
+    from qprism.cli import run_command
+
+    calls = []
+    dense = FlatMatrix.dense
+
+    def counted(self):
+        calls.append(self.shape)
+        return dense(self)
+
+    monkeypatch.setattr(FlatMatrix, "dense", counted)
+    monkeypatch.syspath_prepend(str(FIXTURES.parent))
+    workloads = importlib.import_module("perfbench.workloads")
+    scaled = tmp_path / "descent.json"
+    shape = workloads.DESCENT_SHAPE
+    scaled.write_text(
+        json.dumps(
+            {
+                "p": shape.p,
+                "n_prec": shape.n_prec,
+                "m_prec": shape.m_prec,
+                "level": -1,
+                "rank": shape.rank,
+                "degree_window": shape.window,
+                "theta_matrix": workloads.nilpotent_theta(shape, 1),
+            }
+        )
+    )
+    specs = [str(FIXTURES / name) for name in CONNECTION_FIXTURES] + [str(scaled)]
+    for spec in specs:
+        for argv in (["cartier", "--spec", spec], ["cartier", "--spec", spec, "--grow"]):
+            code = run_command(argv)
+            capsys.readouterr()
+        assert code == 0 or spec != str(scaled)
+    assert calls == []
+
+
 @pytest.mark.parametrize("name", LEVEL_MINUS_ONE_FIXTURES)
 def test_descent_matrices_match_oracle_on_fixtures(name):
     conn, _, _ = load_connection_spec(str(FIXTURES / name))
@@ -256,8 +378,8 @@ def test_verify_once_peels_every_smith_pivot(monkeypatch):
 
 
 def test_descent_matrices_are_reduced_int64():
-    # the descent matrices are wrapped by FlatMatrix.adopt, which skips the
-    # reduction that FlatMatrix(...) applies to input from outside
+    # the descent matrices are built in blocks by FlatMatrix.from_blocks, not
+    # by the dense FlatMatrix(...) that reduces input from outside
     def assert_reduced(mat):
         e = mat.entries
         assert e.dtype == np.int64 and e.ndim == 2
@@ -294,6 +416,7 @@ def test_verschiebung_ok_detects_a_corrupted_forms_leg():
     row = int(np.flatnonzero(forms[:, col])[0])
     forms[row, col] = 0
     forms[(row + 1) % data.forms_leg.rows, col] = 1
+    data.forms_leg = FlatMatrix(conn.ctx.p, conn.ctx.n_prec, forms)
     assert not verschiebung_ok(data, conn.ctx)
 
 
