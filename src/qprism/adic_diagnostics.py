@@ -49,7 +49,6 @@ from .homology import (
     howell_form,
     right_kernel_basis,
     smith_exponents,
-    span_contains,
     span_exponents,
     w_mult_block,
 )
@@ -385,6 +384,8 @@ class _FiniteEngine:
             rows = self._flat([[rel[j] for rel in rels] for j in range(m.generators)], len(rels)).T
         self.rows = rows
         self.perp = right_kernel_basis(rows, self.modulus)
+        # log_p of the order of the span of _annihilator(f, k), by (f, k)
+        self._annihilator_logs: dict = {}
 
     def _flat(self, scalars: list[list], cols: int, copies: int = 1) -> np.ndarray:
         """The Z/p^N matrix of a matrix of scalars, each acting on `copies` copies
@@ -433,12 +434,18 @@ class _FiniteEngine:
         # K_b is isomorphic to F / K_b^perp, the cokernel of the annihilator's rows;
         # the torsion grows with b, so its orders change until it stabilizes
         s = smith_exponents(self._annihilator(f, b), self.p, self.N)
+        self._annihilator_logs[f, b] = sum(self.N - v for v in s)
         orders = sorted([v for v in s if v > 0] + [self.N] * (self.dim - len(s)))
         return orders, orders
 
     def kills(self, f, s: int, k: int) -> bool:
-        # f^s kills K_k iff K_k lies in K_s iff K_s^perp lies in K_k^perp
-        return span_contains(self._annihilator(f, k), self._annihilator(f, s), self.p, self.N)
+        # f^s kills K_k iff K_k lies in K_s iff K_s^perp lies in K_k^perp, that
+        # is iff adding K_s^perp leaves the order of K_k^perp unchanged
+        annihilator = self._annihilator(f, k)
+        if (f, k) not in self._annihilator_logs:
+            self._annihilator_logs[f, k] = self._log(annihilator)
+        grown = self._log(np.vstack([annihilator, self._annihilator(f, s)]))
+        return grown == self._annihilator_logs[f, k]
 
     def block(self, scalars: list[list]) -> np.ndarray:
         return self._flat(scalars, len(scalars[0]), self.m.generators)

@@ -355,16 +355,26 @@ def _block_certificate(conn_prime: ConnectionModule, k: int, op: FlatMatrix) -> 
     """
     ctx = conn_prime.ctx
     win = conn_prime.window
-    m = ctx.m_prec
-    pq = q_int(ctx.p, 1, ctx)
-    diagonal = [q_int(k, 1, ctx) + pq * q_int(n, ctx.p, ctx) for n in range(win + 1)]
-    unit_diagonal = all(d.is_unit() for d in diagonal)
+    m, pn = ctx.m_prec, ctx.pn
+    # B(q^p)^d for d < win, formed by doubling the list of powers, apart
+    # from the running products that flatten_connection forms
+    step = w_mult_block(q_power(ctx, ctx.p))
+    powers = np.eye(m, dtype=np.int64)[None]
+    while len(powers) < win:
+        powers = np.concatenate([powers, powers @ (powers[-1] @ step % pn) % pn])
+    # B((n)_{q^p}) = B(1) + B(q^p) + ... + B(q^p)^(n-1) for n = 0..win
+    sums = np.zeros((win + 1, m, m), dtype=np.int64)
+    np.cumsum(powers[:win], axis=0, out=sums[1:])
+    pq, kq = w_mult_block(q_int(ctx.p, 1, ctx)), w_mult_block(q_int(k, 1, ctx))
+    diagonal = (kq + pq @ (sums % pn)) % pn
+    # B(w)[0, 0] is the constant coordinate of w, a unit exactly when w is
+    unit_diagonal = bool((diagonal[:, 0, 0] % ctx.p).all())
     blocks = op.with_blocks(m)
-    # section s has degree s mod (win + 1); its diagonal block must be B(diagonal[degree])
+    # section s has degree s mod (win + 1); its diagonal block must be diagonal[degree]
     on_diagonal = blocks.brow == blocks.bcol
     found = np.zeros((op.rows // m, m, m), dtype=np.int64)
     found[blocks.brow[on_diagonal]] = blocks.blocks[on_diagonal]
-    want = np.array([w_mult_block(d) for d in diagonal])[np.arange(found.shape[0]) % (win + 1)]
+    want = diagonal[np.arange(found.shape[0]) % (win + 1)]
     diagonal_ok = np.array_equal(found, want)
     # every other block must map to a higher degree
     raising = blocks.brow % (win + 1) > blocks.bcol % (win + 1)

@@ -13,10 +13,13 @@ The Howell form serves `right_kernel_basis`, whose one caller in the
 library is the annihilator of a module's relations in `adic_diagnostics`.
 The Smith routine first peels unit singletons, rows or columns whose one
 nonzero entry is a unit, in vectorised rounds over the coordinates of the
-nonzero entries, and makes dense and eliminates only the rows and columns
-left, one valuation layer at a time.  A unit-triangular block operator
-always peels completely, and on every fixture and benchmark spec so do the
-descent's cone matrices.
+nonzero entries.  A unit-triangular block operator always peels
+completely, and on every fixture and benchmark spec so do the descent's
+cone matrices.  The rows and columns left are made dense and eliminated in
+place, one valuation layer at a time, with one rank-1 update per pivot
+restricted to the nonzero rows of its column and the nonzero columns of
+its row.  The chain-ring step `_eliminate`, with its row swap and pivot
+scaling, serves the Howell form only.
 
 Matrices act on column vectors; a map C0 -> C1 between free modules of
 dimensions a and b is a b x a matrix with entries reduced into [0, n).
@@ -204,6 +207,59 @@ def _flat_nonzero(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.divmod(np.flatnonzero(a), max(a.shape[1], 1))
 
 
+def _eliminate_layers(work: np.ndarray, p: int, N: int) -> list[int]:
+    """Valuations of the Smith pivots of work over Z/p^N, one per pivot,
+    nondecreasing; work is eliminated in place.
+
+    Layer v works modulo p^(N-v) on the block the layers before left,
+    divided by p^v, and visits each column once.  A column with a unit u in
+    row i gets one rank-1 update of its nonzero rows by the factors
+    col * u^-1, restricted to the nonzero columns of row i; the factor of
+    row i is 1, so row i and the column both become zero.  A column with
+    no unit waits: each update adds to it a multiple of its own entry in
+    the pivot row, so it stays divisible by p.  Then the zero rows and
+    columns drop out and the block is divided by p.  Any order of unit
+    pivots gives the same exponents.
+    """
+    out: list[int] = []
+    size = min(work.shape)
+    for v in range(N):
+        mod = p ** (N - v)
+        for j in range(work.shape[1]):
+            col = work[:, j]
+            nz = col.nonzero()[0]
+            if not nz.size:
+                continue
+            vals = col[nz]
+            units = (vals % p).nonzero()[0]
+            if not units.size:
+                continue
+            i = nz[units[0]]
+            if nz.size == 1:
+                # the update would only clear the pivot row
+                work[i] = 0
+            else:
+                f = vals * pow(int(vals[units[0]]), -1, mod) % mod
+                support = work[i].nonzero()[0]
+                at = nz[:, None], support
+                block = work[at]
+                block -= np.outer(f, work[i, support])
+                work[at] = np.remainder(block, mod, out=block)
+            out.append(v)
+            if len(out) == size:
+                return out
+        if v == N - 1:
+            break
+        rows = np.flatnonzero(work.any(axis=1))
+        if not rows.size:
+            break
+        cols = np.flatnonzero(work.any(axis=0))
+        if rows.size < work.shape[0] or cols.size < work.shape[1]:
+            work = work[np.ix_(rows, cols)]
+        work //= p
+    return out
+
+
 def smith_exponents(mat, p: int, N: int) -> list[int]:
     """p-adic valuations of the Smith diagonal over Z/p^N, nondecreasing.
 
@@ -212,12 +268,9 @@ def smith_exponents(mat, p: int, N: int) -> list[int]:
     positions the reduction never reaches carry valuation N.  Unit
     singletons peel off first as exponents 0 (`_peel_unit_singletons`),
     read from the blocks of a `FlatMatrix` or from a flat scan of a dense
-    input.  Only the rows and columns left are made into a dense array and
-    eliminated, one valuation layer at a time: every column of the
-    remaining block with a unit entry gives a pivot of valuation v, then
-    the block, now divisible by p, is divided by p.  A column without
-    units keeps none while its layer is eliminated, so one scan over the
-    columns per layer finds every pivot.
+    input.  Only when rows and columns are left are they made into a dense
+    array, which `_eliminate_layers` eliminates in place, one valuation
+    layer at a time.
     """
     n = p**N
     if _check_modulus(n) != (p, N):
@@ -234,35 +287,24 @@ def smith_exponents(mat, p: int, N: int) -> list[int]:
         vals = a[r, c]
     rows, cols = _peel_unit_singletons(shape, r, c, vals, p)
     peeled = shape[0] - rows.size
+    size = min(rows.size, cols.size)
+    if not size:
+        return [0] * peeled
     if a is None:
+        # the entries of the lines left, renumbered within them
         work = np.zeros((rows.size, cols.size), dtype=np.int64)
-        if work.size:
-            # the entries of the lines left, renumbered within them
-            row_at = np.full(shape[0], -1)
-            row_at[rows] = np.arange(rows.size)
-            col_at = np.full(shape[1], -1)
-            col_at[cols] = np.arange(cols.size)
-            keep = (row_at[r] >= 0) & (col_at[c] >= 0)
-            work[row_at[r[keep]], col_at[c[keep]]] = vals[keep]
+        row_at = np.full(shape[0], -1)
+        row_at[rows] = np.arange(rows.size)
+        col_at = np.full(shape[1], -1)
+        col_at[cols] = np.arange(cols.size)
+        keep = (row_at[r] >= 0) & (col_at[c] >= 0)
+        work[row_at[r[keep]], col_at[c[keep]]] = vals[keep]
     elif peeled:
         work = a[np.ix_(rows, cols)]
     else:
         # eliminate in place only in an array made here
         work = a if a is not mat and a.base is None else a.copy()
-    size = min(work.shape)
-    out: list[int] = []
-    for v in range(N):
-        for j in range(len(out), work.shape[1]):
-            k = len(out)
-            if k == size:
-                break
-            if not (work[k:, j] % p).any():
-                continue
-            if j != k:
-                work[:, [k, j]] = work[:, [j, k]]
-            _eliminate(work[k:, k:], 0, 0, n // p**v)
-            out.append(v)
-        work[len(out):, len(out):] //= p
+    out = _eliminate_layers(work, p, N)
     return [0] * peeled + out + [N] * (size - len(out))
 
 

@@ -2,9 +2,12 @@
 
 These are the earlier general-Z/n implementations: a Howell form built on
 extended gcds and unit multipliers, a Smith form with a scalar pivot scan,
-and a row-reduction rank over the residue field F_p.  The library now does
-all three with one chain-ring elimination step over Z/p^N; the tests check
-it against these routines on seeded random matrices.
+and a row-reduction rank over the residue field F_p.  The library now
+builds the Howell form from one chain-ring elimination step over Z/p^N and
+reads Smith exponents, and with them the residue rank, off a layered
+elimination in place; the tests check both against these routines on
+seeded random matrices.  The library's earlier layered Smith loop, a column
+swap and one chain-ring step per pivot, is kept as `layered_smith_exponents`.
 
 The Howell-kernel route to kernel cardinalities and cone acyclicity, and the
 cokernel exponents, are kept here too: the library now reads every count off
@@ -245,6 +248,35 @@ def smith_exponents(mat, p: int, N: int) -> list[int]:
         out.append(best_v)
         work = work[1:, 1:]
     return out
+
+
+def layered_smith_exponents(mat, p: int, N: int) -> list[int]:
+    """Smith exponents by the layered loop the library ran before it
+    eliminated each layer in place, without the unit-singleton peel.
+
+    One valuation layer at a time: every column of the remaining block with
+    a unit entry is swapped to the diagonal and cleared by one
+    `homology._eliminate` step, a pivot of valuation v; then the block, now
+    divisible by p, is divided by p.
+    """
+    n = p**N
+    _check_modulus(n)
+    work = _as_matrix(mat.dense() if isinstance(mat, FlatMatrix) else mat, n)
+    size = min(work.shape)
+    out: list[int] = []
+    for v in range(N):
+        for j in range(len(out), work.shape[1]):
+            k = len(out)
+            if k == size:
+                break
+            if not (work[k:, j] % p).any():
+                continue
+            if j != k:
+                work[:, [k, j]] = work[:, [j, k]]
+            homology._eliminate(work[k:, k:], 0, 0, n // p**v)
+            out.append(v)
+        work[len(out):, len(out):] //= p
+    return out + [N] * (size - len(out))
 
 
 def _fp_rank(m: ModulePresentation) -> int:

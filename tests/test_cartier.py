@@ -437,3 +437,58 @@ def test_cartier_at_raised_dim_4050_runs_in_time_and_memory(tmp_path):
     assert result["code"] == 0 and result["ok"] is True
     assert result["seconds"] < 1.5, result
     assert result["peak_mb"] < 300, result
+
+
+COMMAND_PROBE = """
+import contextlib, io, json, resource, sys, time
+from qprism.cli import run_command
+out = io.StringIO()
+start = time.perf_counter()
+with contextlib.redirect_stdout(out):
+    code = run_command(sys.argv[1:])
+seconds = time.perf_counter() - start
+peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"code": code, "ok": json.loads(out.getvalue())["ok"],
+                  "seconds": seconds, "peak_mb": peak_mb}))
+"""
+
+
+def test_cohomology_at_dim_4095_runs_in_time_and_memory(tmp_path):
+    # rank 3, p 3, N = M = 3, window 454: flattened dimension 4095, where
+    # nothing peels and every Smith pivot is eliminated; the run must pass
+    # in under 1.5 s in process and peak under 200 MB (ru_maxrss in KiB)
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    ctx = RingContext(3, 3, 3)
+    window = 454
+    assert flat_dim(ctx, 3, window) == 4095
+    theta = random_nilpotent_theta(ctx, 3, window, seed=0)
+    spec = {
+        "p": 3,
+        "n_prec": 3,
+        "m_prec": 3,
+        "level": -1,
+        "rank": 3,
+        "degree_window": window,
+        "theta_matrix": [[entry.to_string() for entry in row] for row in theta],
+    }
+    path = tmp_path / "dim4095.json"
+    path.write_text(json.dumps(spec))
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", COMMAND_PROBE, "cohomology", "--spec", str(path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["code"] == 0 and result["ok"] is True
+    assert result["seconds"] < 1.5, result
+    assert result["peak_mb"] < 200, result

@@ -349,9 +349,9 @@ def test_verify_once_flattens_twice_and_never_multiplies(monkeypatch):
 
 def test_verify_once_peels_every_smith_pivot(monkeypatch):
     # every Smith call of a run on a quasi-nilpotent connection peels unit
-    # singletons only: the chain-ring elimination step never runs
+    # singletons only: the layered elimination never runs
     counts = {"smith": 0, "eliminate": 0}
-    smith, eliminate = homology.smith_exponents, homology._eliminate
+    smith, eliminate = homology.smith_exponents, homology._eliminate_layers
 
     def counted_smith(*args):
         counts["smith"] += 1
@@ -362,7 +362,7 @@ def test_verify_once_peels_every_smith_pivot(monkeypatch):
         return eliminate(*args)
 
     monkeypatch.setattr(homology, "smith_exponents", counted_smith)
-    monkeypatch.setattr(homology, "_eliminate", counted_eliminate)
+    monkeypatch.setattr(homology, "_eliminate_layers", counted_eliminate)
     for name in LEVEL_MINUS_ONE_FIXTURES:
         conn, _, _ = load_connection_spec(str(FIXTURES / name))
         for window in (conn.window, conn.window + cartier.STABILITY_WINDOW_STEP):

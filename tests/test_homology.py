@@ -1,11 +1,15 @@
 import itertools
+import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qprism import homology
 from qprism.base_ring import RingContext, WScalar
+from qprism.cartier import flatten_connection, random_nilpotent_theta
+from qprism.cli import load_connection_spec
 from qprism.errors import InvalidArgs, NotAChainMap
 from qprism.homology import (
     FlatMatrix,
@@ -23,7 +27,7 @@ from qprism.homology import (
     span_exponents,
     w_mult_block,
 )
-from qprism.twisted_calculus import QPolynomial
+from qprism.twisted_calculus import ConnectionModule, QPolynomial
 
 import elim_oracle
 from elim_oracle import (
@@ -635,6 +639,73 @@ def test_peeled_smith_exponents_match_the_oracles_on_a_seeded_sweep():
                     peeled += left_rows.size < mat.shape[0]
                     cases += 1
     assert (cases, against_sympy, peeled) == (720, 203, 467)
+
+
+# --- the layered elimination ---------------------------------------------------
+
+
+def layered_case(rng, p, N, kind):
+    """One matrix of the given kind, reduced mod p^N."""
+    n = p**N
+    rows, cols = (int(x) for x in rng.integers(1, 10, size=2))
+    if kind in ("dense", "p-divisible", "sparse"):
+        return random_matrix(rng, p, N, rows, cols, kind)
+    mat = random_matrix(rng, p, N, rows, cols, "dense")
+    if kind == "zero lines":
+        mat = np.insert(mat, rng.integers(0, rows + 1, size=2), 0, axis=0)
+        return np.insert(mat, rng.integers(0, cols + 1, size=2), 0, axis=1)
+    if kind == "late units":
+        # some columns times p^k, 1 <= k <= N: no unit before layer k, and
+        # the updates of earlier pivots must keep them divisible by p
+        scale = p ** rng.integers(1, N + 1, size=cols)
+        return mat * np.where(rng.random(cols) < 0.6, scale, 1) % n
+    # "banded": nonzeros on the diagonal offsets lo..hi only
+    lo, hi = sorted(int(x) for x in rng.integers(-3, 4, size=2))
+    offset = np.arange(cols)[None, :] - np.arange(rows)[:, None]
+    return np.where((offset >= lo) & (offset <= hi), mat, 0)
+
+
+LAYERED_KINDS = ("dense", "p-divisible", "sparse", "zero lines", "late units", "banded")
+
+
+def connection_operators():
+    """theta' of every connection fixture, and of seeded level -1 specs at
+    ranks 1-3 and windows 0-12."""
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    for path in sorted(fixtures.glob("*.json")):
+        spec = json.loads(path.read_text())
+        if "level" in spec and path.name != "bad_rank.json":
+            yield flatten_connection(load_connection_spec(str(path))[0])
+    rng = random.Random(263)
+    for p in (2, 3, 5):
+        for rank in (1, 2, 3):
+            for window in rng.sample(range(13), 4):
+                ctx = RingContext(p, rng.randint(1, 3), rng.randint(1, 3))
+                theta = random_nilpotent_theta(ctx, rank, window, seed=rng.randrange(10**6))
+                yield flatten_connection(ConnectionModule(ctx, rank, -1, theta, window))
+
+
+def test_layered_smith_exponents_match_both_oracles_on_a_seeded_sweep():
+    # the in-place layered kernel against the layered loop it replaced and
+    # the pivot-scan oracle, each input as a FlatMatrix and as an array
+    rng = np.random.default_rng(257)
+    mats = [
+        (p, N, FlatMatrix(p, N, layered_case(rng, p, N, kind)))
+        for p in (2, 3, 5)
+        for N in range(1, 5)
+        for kind in LAYERED_KINDS
+        for _ in range(8)
+    ]
+    mats += [(op.p, op.n_prec, op) for op in connection_operators()]
+    late = 0
+    for p, N, mat in mats:
+        dense = mat.dense()
+        want = elim_oracle.smith_exponents(dense, p, N)
+        assert elim_oracle.layered_smith_exponents(mat, p, N) == want, (p, N, dense)
+        assert smith_exponents(mat, p, N) == want, (p, N, dense)
+        assert smith_exponents(dense, p, N) == want, (p, N, dense)
+        late += any(0 < v < N for v in want)
+    assert (len(mats), late) == (626, 205)
 
 
 def test_moduli_must_be_prime_powers():
