@@ -11,29 +11,33 @@ The axiom suite's bulk sweep runs on q-only elements in W(p, N+1, M)
 through `WScalar`, the one W arithmetic: the extra digit pays for the
 division by p, and `w_delta` is delta there.  It runs on batches, one
 `WScalar` whose coordinates are object arrays with one lane per pair, so
-each chunk of pairs costs one pass of Python-level arithmetic.  One helper,
-`_law_defects`, states the product and sum laws for `WScalar`, single or
-batched, and for `IntPoly`.
+each chunk of pairs costs one pass of Python-level arithmetic.  The exact
+sweep on lifts in Z[q, x] runs the same way, all its pairs as one
+`_QXBatch`: polynomials in (q, x) modulo p^(N-1) times one more digit of
+headroom, the same argument as for `w_delta`.  One helper, `_law_defects`,
+states the product and sum laws on every carrier: `WScalar`, single or
+batched, `_QXBatch`, and `IntPoly`.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import partial
 from math import comb
 
 import numpy as np
 
 from .base_ring import RingContext, WScalar, q_binomial_rows, q_int, q_int_poly
 from .errors import InvalidArgs, OrderOverflow, PrecisionExhausted, WindowTooSmall
-from .exactpoly import IntPoly
+from .exactpoly import IntPoly, square_and_multiply
 from .grammar import checked_power, parse_poly
 from .homology import span_contains
 
 DEFAULT_OMEGA_CAP = 16
 # pairs per batch of the axiom suite's bulk sweep; bounds its memory at any --samples
 SWEEP_CHUNK = 4096
+# pairs of exact lifts in Z[q, x] that the axiom suite checks per context
+EXACT_SAMPLES = 40
 
 
 class DeltaElement:
@@ -261,9 +265,10 @@ def _law_defects(a, b, delta, p: int):
         delta(ab)  = a^p delta(b) + b^p delta(a) + p delta(a) delta(b),
         delta(a+b) = delta(a) + delta(b) - sum_{0<i<p} C(p, i)/p a^i b^(p-i).
 
-    a and b are both WScalars (single, or batches of the same lanes) or both
-    IntPolys, and delta(f, f^p) is delta on their ring; a^1..a^p and
-    b^1..b^p are formed once and serve both laws.
+    a and b are both WScalars (single, or batches of the same lanes), both
+    _QXBatches of the same lanes or both IntPolys, and delta(f, f^p) is
+    delta on their ring; a^1..a^p and b^1..b^p are formed once and serve
+    both laws.
     """
     apow, bpow = [a], [b]
     for _ in range(p - 1):
@@ -289,19 +294,15 @@ def _q_multiplicative(ctx: RingContext) -> bool:
     return True
 
 
-def run_axiom_suite(
-    contexts: list[RingContext],
-    samples: int = 1000,
-    seed: int = 0,
-    exact_samples: int = 40,
-) -> dict:
+def run_axiom_suite(contexts: list[RingContext], samples: int = 1000, seed: int = 0) -> dict:
     """Exact delta-ring and q-combinatorics property sweep.
 
     The bulk sweep (`_bulk_sweep`) checks the product and sum laws on
-    `samples` random pairs of W(p, N+1, M), a batch at a time; a smaller
-    sample repeats both laws pair by pair on exact multivariate lifts
-    carrying the coordinate x, and its first failing pair stops it.  Both
-    sweeps draw from one rng per context, the bulk sweep first.  The
+    `samples` random pairs of W(p, N+1, M), a batch at a time.  The exact
+    sweep (`_exact_sweep`) repeats both laws on EXACT_SAMPLES pairs of lifts
+    in Z[q, x] carrying the coordinate x, as one batch modulo p^max(N, 2),
+    and its first failing pair in draw order decides which law it fails.
+    Both sweeps draw from one rng per context, the bulk sweep first.  The
     q-analog identities are checked exactly in Z[q].
     """
     report: dict = {"contexts": [], "ok": True}
@@ -317,26 +318,16 @@ def run_axiom_suite(
     for ctx in contexts:
         rng = random.Random((seed, ctx.p, ctx.n_prec, ctx.m_prec).__hash__())
         p = ctx.p
-        mod = p ** max(ctx.n_prec - 1, 1)
-        product_ok, sum_ok = _bulk_sweep(ctx, samples, rng)
-        for _ in range(exact_samples):
-            a = _random_lift(rng, ctx)
-            b = _random_lift(rng, ctx)
-            product, sum_ = _law_defects(a, b, partial(_delta_poly, ctx), p)
-            if not _congruent(product, mod, ctx):
-                product_ok = False
-                break
-            if not _congruent(sum_, mod, ctx):
-                sum_ok = False
-                break
+        bulk_product, bulk_sum = _bulk_sweep(ctx, samples, rng)
+        exact_product, exact_sum = _exact_sweep(ctx, EXACT_SAMPLES, rng)
         dist_ok = is_distinguished(DeltaElement(ctx, q_int_poly(p, 1)))
         qm1_ok = not is_distinguished(DeltaElement(ctx, IntPoly.var("q") - 1))
         mult_ok = _q_multiplicative(ctx)
         entry = {
             "context": ctx.to_json(),
             "samples": samples,
-            "product_law": product_ok,
-            "sum_law": sum_ok,
+            "product_law": bulk_product and exact_product,
+            "sum_law": bulk_sum and exact_sum,
             "p_q_distinguished": dist_ok,
             "q_minus_one_not_distinguished": qm1_ok,
             "q_analog_multiplicativity": mult_ok,
@@ -377,30 +368,136 @@ def _bulk_sweep(ctx: RingContext, samples: int, rng) -> tuple[bool, bool]:
     return True, True
 
 
-def _random_lift(rng, ctx: RingContext) -> IntPoly:
-    total = WScalar.random(ctx, rng).lift()
-    if rng.random() < 0.3:
-        total = total + IntPoly.const(rng.randrange(ctx.pn)) * IntPoly.var("x")
-    return total
+def _exact_sweep(ctx: RingContext, samples: int, rng) -> tuple[bool, bool]:
+    """(product law holds, sum law holds) on `samples` random pairs of exact
+    lifts in Z[q, x], judged at precision (p^max(N-1, 1), (q-1)^M).
+
+    Each lift is the q-expansion of a uniform element of W(p, N, M), and with
+    probability 0.3 a multiple c*x, c < p^N; pair by pair, a then b, each
+    draws its M coordinates, then rng.random(), then c if it carries x.  All
+    pairs run as one `_QXBatch` modulo P = p * p^max(N-1, 1): the laws apply
+    delta only to inputs and to their sums and products, so one digit above
+    the judged precision pays for every division by p.  The first failing
+    pair in draw order decides the verdict: the product law if its product
+    defect fails, else the sum law.
+    """
+    p, m = ctx.p, ctx.m_prec
+    mod = p ** max(ctx.n_prec - 1, 1)
+    modulus = p * mod
+    # axis 1: a or b, axis 2: the x-degree, axis 3: the q-degree
+    lifts = np.zeros((samples, 2, 2, m), dtype=np.int64 if modulus < 2**31 else object)
+    for k in range(samples):
+        for side in (0, 1):
+            lifts[k, side, 0] = [c % modulus for c in WScalar.random(ctx, rng)._q_expansion()]
+            if rng.random() < 0.3:
+                lifts[k, side, 1, 0] = rng.randrange(ctx.pn)
+    a, b = (_QXBatch(lifts[:, side], p, modulus) for side in (0, 1))
+    product, sum_ = _law_defects(a, b, _QXBatch.delta, p)
+    product_bad, sum_bad = (~defect.vanishes(mod, m) for defect in (product, sum_))
+    bad = product_bad | sum_bad
+    if not bad.any():
+        return True, True
+    return (False, True) if product_bad[np.argmax(bad)] else (True, False)
 
 
-def _delta_poly(ctx: RingContext, poly: IntPoly, poly_p: IntPoly) -> IntPoly:
-    """delta(poly), given poly_p = poly^p."""
-    phi = _phi_substitution(ctx, poly, DEFAULT_OMEGA_CAP)
-    return (phi - poly_p).divide_exact(ctx.p)
+class _QXBatch:
+    """Polynomials in (q, x) modulo P, one per lane: coeffs[k, i, j] in [0, P)
+    is the coefficient of x^i q^j in lane k.
 
+    The coefficients are int64 when P < 2^31, so that a product of two
+    residues plus a third stays below 2^63, and Python ints otherwise, with
+    the same code: a sum reduces at once, and a product before its int64
+    entries could overflow.  The shape of an array bounds the degrees and
+    nothing is truncated: a product's shape is the sum of its factors'
+    degree bounds.
+    """
 
-def _congruent(diff: IntPoly, mod: int, ctx: RingContext) -> bool:
-    """Zero at precision (mod, (q-1)^M): reduce and compare."""
-    reduced = diff.map_coefficients(lambda c: c % mod)
-    if reduced.is_zero():
-        return True
-    # fold through the (q-1)-truncation before judging; mod divides p^N
-    return not any(
-        c % mod
-        for slc in reduced.split_by_degree("x").values()
-        for c in WScalar.from_int_poly(ctx, slc).coeffs
-    )
+    __slots__ = ("coeffs", "p", "modulus")
+
+    def __init__(self, coeffs: np.ndarray, p: int, modulus: int):
+        self.coeffs = coeffs
+        self.p = p
+        self.modulus = modulus
+
+    def _like(self, coeffs: np.ndarray) -> _QXBatch:
+        return _QXBatch(coeffs, self.p, self.modulus)
+
+    def _combined(self, other: _QXBatch, sign: int) -> _QXBatch:
+        a, b = self.coeffs, other.coeffs
+        out = np.zeros((a.shape[0], max(a.shape[1], b.shape[1]), max(a.shape[2], b.shape[2])), a.dtype)
+        out[:, : a.shape[1], : a.shape[2]] = a
+        out[:, : b.shape[1], : b.shape[2]] += sign * b
+        out %= self.modulus
+        return self._like(out)
+
+    def __add__(self, other: _QXBatch) -> _QXBatch:
+        return self._combined(other, 1)
+
+    def __sub__(self, other: _QXBatch) -> _QXBatch:
+        return self._combined(other, -1)
+
+    def __mul__(self, other: _QXBatch | int) -> _QXBatch:
+        modulus = self.modulus
+        if isinstance(other, int):
+            return self._like(self.coeffs * (other % modulus) % modulus)
+        # loop over the (x, q) positions where the sparser factor is nonzero
+        # in some lane, adding that position's shifted multiple of the other
+        small, large = self.coeffs, other.coeffs
+        support = np.argwhere((small != 0).any(axis=0))
+        other_support = np.argwhere((large != 0).any(axis=0))
+        if len(other_support) < len(support):
+            small, large, support = large, small, other_support
+        lanes, nx, nq = large.shape
+        out = np.zeros((lanes, small.shape[1] + nx - 1, small.shape[2] + nq - 1), dtype=large.dtype)
+        # each position adds at most one term up to (P-1)^2 to an entry, so
+        # int64 holds `room` positions between reductions; Python ints need none
+        room = (2**63 - modulus) // (modulus - 1) ** 2 if out.dtype == np.int64 else 0
+        term = np.empty_like(large)
+        for n, (i, j) in enumerate(support.tolist(), 1):
+            window = out[:, i : i + nx, j : j + nq]
+            np.multiply(small[:, i, j, None, None], large, out=term)
+            window += term
+            if room and n % room == 0:
+                out %= modulus
+        out %= modulus
+        return self._like(out)
+
+    def __pow__(self, n: int) -> _QXBatch:
+        """self**n for n >= 1."""
+        return square_and_multiply(self, n)
+
+    def frobenius(self) -> _QXBatch:
+        """The lift q -> q^p, x -> x^p: a strided scatter of the coefficients."""
+        p = self.p
+        lanes, nx, nq = self.coeffs.shape
+        out = np.zeros((lanes, (nx - 1) * p + 1, (nq - 1) * p + 1), dtype=self.coeffs.dtype)
+        out[:, ::p, ::p] = self.coeffs
+        return self._like(out)
+
+    def delta(self, power: _QXBatch) -> _QXBatch:
+        """delta = (phi - power) / p, given power = self^p, exact modulo P / p.
+
+        Raises ValueError, as `IntPoly.divide_exact` does, when a residue of
+        phi - power is not divisible by p; it is exactly when the difference
+        of the exact lifts is not, since p divides P.
+        """
+        diff = (self.frobenius() - power).coeffs
+        inexact = diff % self.p != 0
+        if inexact.any():
+            raise ValueError(f"coefficient {diff[inexact][0]} not divisible by {self.p}")
+        return self._like(diff // self.p)
+
+    def vanishes(self, mod: int, m: int) -> np.ndarray:
+        """Per lane, whether the polynomial is zero at precision (mod, (q-1)^m),
+        for mod dividing P: each x-slice folds to its t-coordinates
+        sum_j c_j C(j, i), i < m, reducing after every term."""
+        coeffs = self.coeffs % mod
+        folded = np.zeros(coeffs.shape[:2] + (m,), dtype=coeffs.dtype)
+        for j in range(coeffs.shape[2]):
+            binomials = np.array([comb(j, i) % mod for i in range(m)], dtype=coeffs.dtype)
+            folded += coeffs[:, :, j, None] * binomials
+            folded %= mod
+        return ~(folded != 0).any(axis=(1, 2))
 
 
 @dataclass

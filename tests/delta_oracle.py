@@ -12,12 +12,23 @@ of single `WScalar`s at a time, stopping at the first failing pair.  The
 library now sweeps a chunk of pairs as one batch (`delta_ring._bulk_sweep`);
 the tests compare the verdicts and the rng state the two leave.  The loop
 is kept verbatim.
+
+`per_pair_exact_sweep` is the earlier exact sweep of `run_axiom_suite`:
+exact lifts in Z[q, x] as `IntPoly`s, one pair at a time, each law defect
+reduced and folded through (q-1)^M by `_congruent`, stopping at the first
+failing pair.  The library now runs all the pairs of a context as one
+batch modulo p^max(N, 2) (`delta_ring._exact_sweep`); the tests compare the
+verdicts and the rng state.  The loop and its helpers `_random_lift`,
+`_delta_poly` and `_congruent` are kept verbatim.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 from qprism.base_ring import RingContext, WScalar
-from qprism.delta_ring import _law_defects, w_delta
+from qprism.delta_ring import DEFAULT_OMEGA_CAP, _law_defects, _phi_substitution, w_delta
+from qprism.exactpoly import IntPoly
 
 
 def per_pair_sweep(ctx: RingContext, samples: int, rng) -> tuple[bool, bool]:
@@ -37,6 +48,51 @@ def per_pair_sweep(ctx: RingContext, samples: int, rng) -> tuple[bool, bool]:
             sum_ok = False
             break
     return product_ok, sum_ok
+
+
+def per_pair_exact_sweep(ctx: RingContext, samples: int, rng) -> tuple[bool, bool]:
+    """(product law holds, sum law holds) over `samples` pairs of exact lifts
+    drawn and judged one by one."""
+    p = ctx.p
+    mod = p ** max(ctx.n_prec - 1, 1)
+    product_ok = sum_ok = True
+    for _ in range(samples):
+        a = _random_lift(rng, ctx)
+        b = _random_lift(rng, ctx)
+        product, sum_ = _law_defects(a, b, partial(_delta_poly, ctx), p)
+        if not _congruent(product, mod, ctx):
+            product_ok = False
+            break
+        if not _congruent(sum_, mod, ctx):
+            sum_ok = False
+            break
+    return product_ok, sum_ok
+
+
+def _random_lift(rng, ctx: RingContext) -> IntPoly:
+    total = WScalar.random(ctx, rng).lift()
+    if rng.random() < 0.3:
+        total = total + IntPoly.const(rng.randrange(ctx.pn)) * IntPoly.var("x")
+    return total
+
+
+def _delta_poly(ctx: RingContext, poly: IntPoly, poly_p: IntPoly) -> IntPoly:
+    """delta(poly), given poly_p = poly^p."""
+    phi = _phi_substitution(ctx, poly, DEFAULT_OMEGA_CAP)
+    return (phi - poly_p).divide_exact(ctx.p)
+
+
+def _congruent(diff: IntPoly, mod: int, ctx: RingContext) -> bool:
+    """Zero at precision (mod, (q-1)^M): reduce and compare."""
+    reduced = diff.map_coefficients(lambda c: c % mod)
+    if reduced.is_zero():
+        return True
+    # fold through the (q-1)-truncation before judging; mod divides p^N
+    return not any(
+        c % mod
+        for slc in reduced.split_by_degree("x").values()
+        for c in WScalar.from_int_poly(ctx, slc).coeffs
+    )
 
 
 class _TruncatedDelta:

@@ -492,3 +492,29 @@ def test_cohomology_at_dim_4095_runs_in_time_and_memory(tmp_path):
     assert result["code"] == 0 and result["ok"] is True
     assert result["seconds"] < 1.5, result
     assert result["peak_mb"] < 200, result
+
+
+def test_axioms_at_p_37_runs_in_time_and_memory():
+    # the exact sweep forms a^1..a^37 and b^1..b^37 of 40 lifts in Z[q, x];
+    # the run must pass in under 6 s in process and peak under 100 MB
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    args = ["axioms", "--p", "37", "--n", "2", "--m", "2", "--samples", "1"]
+    proc = subprocess.run(
+        [sys.executable, "-c", COMMAND_PROBE, *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["code"] == 0 and result["ok"] is True
+    assert result["seconds"] < 6, result
+    assert result["peak_mb"] < 100, result

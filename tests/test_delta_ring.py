@@ -4,7 +4,15 @@ from math import comb
 
 import numpy as np
 import pytest
-from delta_oracle import _TruncatedDelta, per_pair_sweep
+import delta_oracle
+from delta_oracle import (
+    _congruent,
+    _delta_poly,
+    _random_lift,
+    _TruncatedDelta,
+    per_pair_exact_sweep,
+    per_pair_sweep,
+)
 
 import qprism.grammar
 from qprism import delta_ring
@@ -12,10 +20,8 @@ from qprism import delta_ring
 from qprism.base_ring import RingContext, WScalar, frobenius_matrix, q_int_poly
 from qprism.delta_ring import (
     DeltaElement,
-    _congruent,
-    _delta_poly,
     _law_defects,
-    _random_lift,
+    _QXBatch,
     delta_map,
     envelope_presentation,
     is_distinguished,
@@ -372,7 +378,13 @@ def test_law_defects_vanish_for_delta_and_not_for_a_corrupted_delta():
         def exact_delta(f, f_p):
             return _delta_poly(ctx, f, f_p)
 
-        for delta, holds in ((exact_delta, True), (lambda f, f_p: exact_delta(f, f_p) + 1, False)):
+        # _QXBatch carrier: the same lifts, one lane per pair, modulo p * mod
+        a, b = (_batch_of([pair[side] for pair in lifts], p, p * mod, ctx.m_prec) for side in (0, 1))
+        batch_delta = _QXBatch.delta
+        for (delta, bdelta), holds in (
+            ((exact_delta, batch_delta), True),
+            ((lambda f, f_p: exact_delta(f, f_p) + 1, _batch_delta_corrupted(plus_f=False)), False),
+        ):
             defects = [_law_defects(a, b, delta, p) for a, b in lifts]
             product_bad = [not _congruent(d[0], mod, ctx) for d in defects]
             sum_bad = [not _congruent(d[1], mod, ctx) for d in defects]
@@ -380,6 +392,20 @@ def test_law_defects_vanish_for_delta_and_not_for_a_corrupted_delta():
                 assert not any(product_bad) and not any(sum_bad), p
             else:
                 assert all(sum_bad) and any(product_bad), p
+            # the batch judges every lane as the IntPoly carrier judges its pair
+            batch = _law_defects(a, b, bdelta, p)
+            assert [not v for v in batch[0].vanishes(mod, ctx.m_prec)] == product_bad, p
+            assert [not v for v in batch[1].vanishes(mod, ctx.m_prec)] == sum_bad, p
+
+
+def _batch_of(polys, p, modulus, m):
+    """The lifts a0 + a1 x, a0 and a1 in Z[q] of degree < m, as one _QXBatch."""
+    coeffs = np.zeros((len(polys), 2, m), dtype=np.int64)
+    for lane, poly in enumerate(polys):
+        for xdeg, slc in poly.split_by_degree("x").items():
+            for qdeg, c in slc.univariate("q").items():
+                coeffs[lane, xdeg, qdeg] = c % modulus
+    return _QXBatch(coeffs, p, modulus)
 
 
 def test_axiom_suite_fails_with_a_wrong_frobenius(monkeypatch):
@@ -390,6 +416,22 @@ def test_axiom_suite_fails_with_a_wrong_frobenius(monkeypatch):
     assert not suite["ok"]
     for entry in suite["contexts"]:
         assert entry["product_law"] is False, entry["context"]
+
+
+def test_axiom_suite_fails_with_a_wrong_delta_on_the_exact_carrier_alone(monkeypatch):
+    # w_delta is untouched, so the bulk sweep passes and every failure below
+    # comes from the exact sweep
+    contexts = [RingContext(p, n, m) for p in (2, 3, 5) for n in (2, 3) for m in (2, 3)]
+    # delta + 1 breaks the sum law, and the product law too on most pairs;
+    # the first failing pair names one of them
+    monkeypatch.setattr(_QXBatch, "delta", _batch_delta_corrupted(plus_f=False))
+    for entry in run_axiom_suite(contexts, samples=50)["contexts"]:
+        assert not (entry["product_law"] and entry["sum_law"]), entry["context"]
+    # delta = 0 makes phi(f) = f^p, multiplicative but not additive: only the
+    # sum law fails, in every context
+    monkeypatch.setattr(_QXBatch, "delta", lambda f, f_p: f_p * 0)
+    for entry in run_axiom_suite(contexts, samples=50)["contexts"]:
+        assert entry["product_law"] is True and entry["sum_law"] is False, entry["context"]
 
 
 def _states_after(sweep, ctx, samples, seed):
@@ -453,6 +495,85 @@ def test_bulk_sweep_catches_a_delta_corrupted_on_one_lane(monkeypatch):
             verdict, state = _states_after(delta_ring._bulk_sweep, ctx, 25, seed)
             assert verdict[1] is False, (p, n, m)
             assert state == _states_after(per_pair_sweep, ctx, 7, seed)[1]
+
+
+def test_exact_sweep_matches_the_per_pair_oracle():
+    counts = itertools.cycle((40, 0, 1, 6, 13))
+    for p in (2, 3, 5, 7):
+        for n in range(1, 5):
+            for m in range(1, 6):
+                ctx = RingContext(p, n, m)
+                samples = next(counts)
+                seed = p * 100 + n * 10 + m
+                got = _states_after(delta_ring._exact_sweep, ctx, samples, seed)
+                assert got == _states_after(per_pair_exact_sweep, ctx, samples, seed), (p, n, m)
+                assert got[0] == (True, True)
+
+
+@pytest.mark.parametrize("p, n, m", [(2, 30, 5), (2, 30, 6), (2, 31, 5), (2, 31, 6), (3, 20, 4)])
+def test_exact_sweep_matches_the_oracle_across_the_int64_boundary(p, n, m):
+    # P = 2^30 runs on int64 and P = 2^31 (and 3^20) on Python ints
+    for seed in (1, 2):
+        ctx = RingContext(p, n, m)
+        got = _states_after(delta_ring._exact_sweep, ctx, delta_ring.EXACT_SAMPLES, seed)
+        assert got == _states_after(per_pair_exact_sweep, ctx, delta_ring.EXACT_SAMPLES, seed)
+
+
+def _batch_delta_corrupted(plus_f, lane=None):
+    """_QXBatch.delta plus f (additive: breaks only the product law) or plus 1
+    (breaks the sum law), on every lane or on one."""
+    delta = _QXBatch.delta
+
+    def corrupted(f, f_p):
+        extra = f.coeffs.copy() if plus_f else np.zeros_like(f.coeffs)
+        if not plus_f:
+            extra[:, 0, 0] = 1
+        if lane is not None:
+            extra[np.arange(len(extra)) != lane] = 0
+        return delta(f, f_p) + f._like(extra)
+
+    return corrupted
+
+
+def _oracle_delta_corrupted(plus_f, pair=None):
+    """The oracle's delta with the same corruption; each pair makes four
+    delta calls (a, b, ab, a + b), so the call count names the pair."""
+    delta = delta_oracle._delta_poly
+    calls = itertools.count()
+
+    def corrupted(ctx, poly, poly_p):
+        d = delta(ctx, poly, poly_p)
+        if next(calls) // 4 != pair and pair is not None:
+            return d
+        return d + poly if plus_f else d + 1
+
+    return corrupted
+
+
+def test_exact_sweep_matches_the_oracle_under_a_corrupted_delta(monkeypatch):
+    verdicts = set()
+    for p in (2, 3, 5, 7):
+        for n, m in ((2, 2), (3, 4)):
+            ctx = RingContext(p, n, m)
+            for plus_f in (False, True):
+                for pair in (None, 0, 9, 39):
+                    seed = p + n + m + pair if pair is not None else p
+                    monkeypatch.setattr(_QXBatch, "delta", _batch_delta_corrupted(plus_f, pair))
+                    got = _states_after(delta_ring._exact_sweep, ctx, 40, seed)[0]
+                    monkeypatch.undo()
+                    monkeypatch.setattr(delta_oracle, "_delta_poly", _oracle_delta_corrupted(plus_f, pair))
+                    want = _states_after(per_pair_exact_sweep, ctx, 40, seed)[0]
+                    monkeypatch.undo()
+                    assert got == want, (p, n, m, plus_f, pair)
+                    # delta + f is additive, so the sum law holds under it;
+                    # on one pair its product defect may still vanish
+                    if plus_f:
+                        assert got[1] is True, (p, n, m, pair)
+                    if pair is None:
+                        assert got != (True, True), (p, n, m, plus_f)
+                    verdicts.add(got)
+    # between them the corruptions name each law on some pair
+    assert {(False, True), (True, False)} <= verdicts
 
 
 def test_q_pascal_catches_a_corrupted_triangle(monkeypatch):
