@@ -23,7 +23,10 @@ hold one block per source section, each block operator is theta' with its
 output degree shifted by one (the factor x') plus (k)_q blocks, and the
 Verschiebung check rescales each W-block of theta' and of theta F by
 (p)_q.  The quasi-nilpotence witnesses are read off powers of theta' as
-well.  So every step costs O(stored blocks * m^2), not O(n^2).
+well, and powers of one m x m block come by doubling.  So every step
+costs O(stored blocks * m^2), not O(n^2).  Every kernel count of a run,
+of the block operators and of the cone, comes from one peel of their
+direct sum.
 """
 
 from __future__ import annotations
@@ -37,11 +40,13 @@ from .base_ring import RingContext, WScalar, frobenius_matrix, q_int, q_power
 from .errors import InvalidArgs, WindowUnstable, WrongLevel
 from .homology import (
     FlatMatrix,
-    cone_acyclic,
+    cone_differentials,
+    exactness,
     flat_dim,
     is_chain_map,
-    kernel_log_cardinality,
+    kernel_log_cardinalities,
     max_flat_dim,
+    require_chain_map,
     selection_rows,
     w_mult_block,
     w_scale_blocks,
@@ -86,6 +91,21 @@ def level_raise(conn_prime: ConnectionModule) -> ConnectionModule:
     return ConnectionModule(ctx, conn_prime.rank, 0, theta, window)
 
 
+def _block_powers(step: np.ndarray, count: int, n: int) -> np.ndarray:
+    """step^0, ..., step^(count - 1) mod n for an m x m block step, formed by
+    doubling: each round multiplies the powers so far by the next one."""
+    m = step.shape[0]
+    powers = np.empty((max(count, 1), m, m), dtype=np.int64)
+    powers[0] = np.eye(m, dtype=np.int64)
+    have = 1
+    while have < count:
+        take = min(have, count - have)
+        next_power = powers[have - 1] @ step % n
+        np.remainder(powers[:take] @ next_power, n, out=powers[have : have + take])
+        have += take
+    return powers[:count]
+
+
 def flatten_connection(m: ConnectionModule) -> FlatMatrix:
     """The connection as a matrix over Z/p^N, assembled from m x m W-blocks.
 
@@ -105,11 +125,7 @@ def flatten_connection(m: ConnectionModule) -> FlatMatrix:
         raise InvalidArgs(f"flattened dimension exceeds QPRISM_MAX_DIM={max_flat_dim()}")
     pn = ctx.pn
     twist, scale = (1, WScalar.one(ctx)) if m.level == 0 else (ctx.p, q_int(ctx.p, 1, ctx))
-    step = w_mult_block(q_power(ctx, twist))
-    sigma_blocks = np.empty((size, ctx.m_prec, ctx.m_prec), dtype=np.int64)
-    sigma_blocks[0] = np.eye(ctx.m_prec, dtype=np.int64)
-    for d in range(1, size):
-        sigma_blocks[d] = sigma_blocks[d - 1] @ step % pn
+    sigma_blocks = _block_powers(w_mult_block(q_power(ctx, twist)), size, pn)
     # derivation[d - 1] = B(scale) (d)_{q^twist} for d = 1..D
     derivation = w_mult_block(scale) @ (np.cumsum(sigma_blocks[:-1], axis=0) % pn)
     deg = np.arange(size)
@@ -138,11 +154,13 @@ def _frobenius_leg(
     ctx: RingContext, rank: int, win_in: int, k: int, w_block: np.ndarray
 ) -> FlatMatrix:
     """x'^n e_j t^i -> x^{pn+k} e_j (w_block t^i): one m x m block per
-    source section s, at the raised section p * s + k of grade k."""
+    source section s, at the raised section p * s + k of grade k, in stored
+    form already (none when w_block is 0 mod p^N)."""
     cols, m = flat_dim(ctx, rank, win_in), ctx.m_prec
-    s = np.arange(cols // m)
-    blocks = np.broadcast_to(w_block, (s.size, m, m))
-    return FlatMatrix.from_blocks(
+    w_block = w_block % ctx.pn
+    s = np.arange(cols // m if w_block.any() else 0)
+    blocks = np.repeat(w_block[None], s.size, axis=0)
+    return FlatMatrix.__new__(FlatMatrix)._set(
         ctx.p, ctx.n_prec, (ctx.p * cols, cols), m, ctx.p * s + k, s, blocks
     )
 
@@ -250,18 +268,22 @@ def _block_operator(x_theta: FlatMatrix, ctx: RingContext, k: int, twist: bool) 
 
 def _shift_degree(flat: FlatMatrix, window: int) -> FlatMatrix:
     """x' times an operator on the windowed module in W-blocks: every output
-    degree moves up by one, and degree window + 1 falls out of the window."""
+    degree moves up by one, and degree window + 1 falls out of the window.
+    The blocks that stay keep their order, so they are in stored form."""
     stays = flat.brow % (window + 1) != window
     brow, bcol, blocks = flat.brow[stays] + 1, flat.bcol[stays], flat.blocks[stays]
-    return FlatMatrix.from_blocks(flat.p, flat.n_prec, flat.shape, flat.b, brow, bcol, blocks)
+    return FlatMatrix.__new__(FlatMatrix)._set(
+        flat.p, flat.n_prec, flat.shape, flat.b, brow, bcol, blocks
+    )
 
 
 def _graded_piece(theta: FlatMatrix, k: int, shape) -> FlatMatrix:
     """The blocks of the raised theta (in W-blocks) leaving grade k, at the
-    source sections of their raised sections."""
+    source sections of their raised sections, in stored form when theta
+    maps grade k into grade k - 1, as `block_split` checks first."""
     p = theta.p
     pick = theta.bcol % p == k
-    return FlatMatrix.from_blocks(
+    return FlatMatrix.__new__(FlatMatrix)._set(
         p,
         theta.n_prec,
         shape,
@@ -346,25 +368,19 @@ class CartierReport:
 
 
 def _block_certificate(conn_prime: ConnectionModule, k: int, op: FlatMatrix) -> dict:
-    """Triangular certificate plus a kernel count for one block.
+    """Triangular certificate for one block.
 
     Diagonal entries (k)_q + (p)_q (n)_{q^p} must be units; the rest of the
     operator must strictly raise the degree, so the windowed quotient is a
-    unit-diagonal triangular map, hence bijective.  The kernel check does
-    not reuse the certificate: it reads the Smith exponents of the operator.
+    unit-diagonal triangular map, hence bijective.  The kernel checks of
+    `_verify_once` do not reuse the certificate.
     """
     ctx = conn_prime.ctx
     win = conn_prime.window
     m, pn = ctx.m_prec, ctx.pn
-    # B(q^p)^d for d < win, formed by doubling the list of powers, apart
-    # from the running products that flatten_connection forms
-    step = w_mult_block(q_power(ctx, ctx.p))
-    powers = np.eye(m, dtype=np.int64)[None]
-    while len(powers) < win:
-        powers = np.concatenate([powers, powers @ (powers[-1] @ step % pn) % pn])
     # B((n)_{q^p}) = B(1) + B(q^p) + ... + B(q^p)^(n-1) for n = 0..win
     sums = np.zeros((win + 1, m, m), dtype=np.int64)
-    np.cumsum(powers[:win], axis=0, out=sums[1:])
+    np.cumsum(_block_powers(w_mult_block(q_power(ctx, ctx.p)), win, pn), axis=0, out=sums[1:])
     pq, kq = w_mult_block(q_int(ctx.p, 1, ctx)), w_mult_block(q_int(k, 1, ctx))
     diagonal = (kq + pq @ (sums % pn)) % pn
     # B(w)[0, 0] is the constant coordinate of w, a unit exactly when w is
@@ -379,39 +395,35 @@ def _block_certificate(conn_prime: ConnectionModule, k: int, op: FlatMatrix) -> 
     # every other block must map to a higher degree
     raising = blocks.brow % (win + 1) > blocks.bcol % (win + 1)
     triangular = diagonal_ok and bool((on_diagonal | raising).all())
-    return {
-        "unit_diagonal": unit_diagonal,
-        "triangular": triangular,
-        "kernel_trivial": kernel_log_cardinality(op) == 0,
-    }
+    return {"unit_diagonal": unit_diagonal, "triangular": triangular}
 
 
 def _verify_once(problem: CartierProblem) -> CartierReport:
+    """One descent run.  One peel of the direct sum of op_k and twisted_k for
+    k = 1..p-1 and the two cone differentials counts every kernel of it."""
     conn = problem.conn_prime
     data = chain_map_build(conn)
     nil = quasi_nilpotence_check(data.source_differential, conn.rank, problem.iterate_cap)
-    blocks_data = block_split(problem, data)
-    blocks = {}
-    for k, op in blocks_data.operators.items():
-        cert = _block_certificate(conn, k, op)
-        cert["twisted_kernel_trivial"] = (
-            kernel_log_cardinality(blocks_data.twisted_operators[k]) == 0
-        )
-        blocks[k] = cert
-    acyclic = cone_acyclic(
-        data.source_differential,
-        data.target_differential,
-        data.module_leg,
-        data.forms_leg,
+    split = block_split(problem, data)
+    legs = (data.source_differential, data.target_differential, data.module_leg, data.forms_leg)
+    require_chain_map(*legs)
+    cone = cone_differentials(*legs)
+    ops = split.operators
+    *kernels, k0, k1 = kernel_log_cardinalities(
+        [*ops.values(), *split.twisted_operators.values(), *cone]
     )
+    blocks = {k: _block_certificate(conn, k, op) for k, op in ops.items()}
+    for cert, plain, twisted in zip(blocks.values(), kernels, kernels[len(ops) :]):
+        cert.update(kernel_trivial=plain == 0, twisted_kernel_trivial=twisted == 0)
+    acyclic = all(exactness(*cone, k0, k1))
     return CartierReport(
         context=conn.ctx,
         rank=conn.rank,
         window=conn.window,
         nilpotent=nil.nilpotent,
         witness=nil.witness,
-        # cone_acyclic raised NotAChainMap unless Fdiv theta' = theta F, so
-        # the chain-map equation holds here; there is no need to test it again
+        # require_chain_map raised NotAChainMap unless Fdiv theta' = theta F,
+        # so the chain-map equation holds here; there is no need to test it again
         chain_map_ok=True,
         verschiebung_ok=verschiebung_ok(data, conn.ctx),
         blocks=blocks,

@@ -104,8 +104,8 @@ def _check_dims(*shapes: dict[str, int]) -> None:
             )
 
 
-def load_connection_spec(path: str, grow: int = 0):
-    spec = _load_json(path)
+def load_connection_spec(path: str, grow: int = 0, spec: dict | None = None):
+    spec = _load_json(path) if spec is None else spec
     p = _require(spec, "p", int, is_supported_prime)
     n_prec = _require(spec, "n_prec", int, lambda v: v >= 1)
     m_prec = _require(spec, "m_prec", int, lambda v: v >= 1)
@@ -154,10 +154,11 @@ def load_connection_spec(path: str, grow: int = 0):
     return conn, meta, spec
 
 
-def _load_adic_spec(path: str, grow: int = 0):
-    """The module spec at path, or None under --grow for the bases Z and
-    Zq, whose answers do not depend on a truncation."""
-    spec = _load_json(path)
+def _load_adic_spec(path: str, grow: int = 0, spec: dict | None = None):
+    """The module spec at path (or spec, its JSON object if already read),
+    or None under --grow for the bases Z and Zq, whose answers do not
+    depend on a truncation."""
+    spec = _load_json(path) if spec is None else spec
     base = _require(spec, "base", str, lambda v: v in ("Z", "Zq", "Zpn", "W"))
     finite = base in ("Zpn", "W")
     if grow and not finite:
@@ -276,17 +277,19 @@ def _attach_grown(entry: dict, verdicts, grown: dict, grown_verdicts) -> bool:
 
 
 def _run_specs(args, build) -> int:
-    """The batch loop of the spec commands.  build(path, grow) returns
-    (entry, verdicts, ok): the report entry, the tree that `expect` and the
-    --grow diff read (None for neither) and the entry's own verdict; under
-    --grow it may return None when there is nothing to grow."""
+    """The batch loop of the spec commands, which reads each spec file once.
+    build(path, spec, grow) returns (entry, verdicts, ok): the report entry,
+    the tree that `expect` and the --grow diff read (None for neither) and
+    the entry's own verdict; under --grow it may return None when there is
+    nothing to grow."""
     reports = []
     ok = True
     for path in args.spec:
-        entry, verdicts, entry_ok = build(path, 0)
-        expect = _optional(_load_json(path), "expect", dict, None)
+        spec = _load_json(path)
+        entry, verdicts, entry_ok = build(path, spec, 0)
+        expect = _optional(spec, "expect", dict, None)
         entry_ok = _check_expect(entry, verdicts, expect) and entry_ok
-        grown = build(path, 1) if args.grow else None
+        grown = build(path, spec, 1) if args.grow else None
         if grown is not None:
             grown_entry, grown_verdicts, _ = grown
             _check_expect(grown_entry, grown_verdicts, expect)  # reported, not a verdict
@@ -367,8 +370,8 @@ def cmd_poincare(args) -> int:
 
 
 def cmd_cohomology(args) -> int:
-    def build(path, grow):
-        conn, meta, _ = load_connection_spec(path, grow)
+    def build(path, spec, grow):
+        conn, meta, _ = load_connection_spec(path, grow, spec)
         groups = cohomology_of_complex(flatten_connection(conn)).to_json()
         # h0 and h1 are sizes, not verdicts: the grown groups are reported, not diffed
         return {**meta, "cohomology": groups}, None if grow else groups, True
@@ -377,8 +380,8 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_cartier(args) -> int:
-    def build(path, grow):
-        conn, meta, _ = load_connection_spec(path, grow)
+    def build(path, spec, grow):
+        conn, meta, _ = load_connection_spec(path, grow, spec)
         if conn.level != -1:
             raise SpecError(
                 "cartier pipeline needs level -1 in field 'level'", field="level"
@@ -399,8 +402,8 @@ def cmd_cartier(args) -> int:
     return _run_specs(args, build)
 
 
-def _adic_build(path: str, grow: int):
-    loaded = _load_adic_spec(path, grow)
+def _adic_build(path: str, spec: dict, grow: int):
+    loaded = _load_adic_spec(path, grow, spec)
     if loaded is None:
         return None
     m_pres, f, g, spec = loaded

@@ -262,7 +262,7 @@ def poincare_exactness(ctx: RingContext, dp_cap: int, window: int = 2) -> dict:
     """
     import numpy as np
 
-    from .homology import FlatMatrix, exactness
+    from .homology import FlatMatrix, exactness, kernel_log_cardinalities
 
     m = ctx.m_prec
     a_dim = (window + 1) * m
@@ -277,9 +277,8 @@ def poincare_exactness(ctx: RingContext, dp_cap: int, window: int = 2) -> dict:
             a_dim, dtype=np.int64
         )
 
-    exact_at_a, exact_middle, exact_end = exactness(
-        FlatMatrix(ctx.p, ctx.n_prec, d0), FlatMatrix(ctx.p, ctx.n_prec, d1)
-    )
+    maps = [FlatMatrix(ctx.p, ctx.n_prec, d) for d in (d0, d1)]
+    exact_at_a, exact_middle, exact_end = exactness(*maps, *kernel_log_cardinalities(maps))
     return {
         "dp_cap": dp_cap,
         "degree_window": window,

@@ -13,9 +13,11 @@ The Howell form serves `right_kernel_basis`, whose one caller in the
 library is the annihilator of a module's relations in `adic_diagnostics`.
 The Smith routine first peels unit singletons, rows or columns whose one
 nonzero entry is a unit, in vectorised rounds over the coordinates of the
-nonzero entries.  A unit-triangular block operator always peels
-completely, and on every fixture and benchmark spec so do the descent's
-cone matrices.  The rows and columns left are made dense and eliminated in
+nonzero entries.  Several matrices peel together as their direct sum, so
+`kernel_log_cardinalities` counts all kernels of a descent run in one
+peel.  A unit-triangular block operator always peels completely, and on
+every fixture and benchmark spec so do the descent's cone matrices.  The
+rows and columns left of each matrix are made dense and eliminated in
 place, one valuation layer at a time, with one rank-1 update per pivot
 restricted to the nonzero rows of its column and the nonzero columns of
 its row.  The chain-ring step `_eliminate`, with its row swap and pivot
@@ -35,14 +37,17 @@ from math import gcd, isqrt
 import numpy as np
 
 from .base_ring import RingContext, WScalar
-from .errors import InvalidArgs, NotAChainMap
+from .errors import InvalidArgs, NotAChainMap, SpecError
 
 # int64 products must not overflow: modulus^2 * max_dim < 2^63.
 _MAX_MODULUS = 1 << 21
 
 
 def max_flat_dim() -> int:
-    return int(os.environ.get("QPRISM_MAX_DIM", "4096"))
+    try:
+        return int(os.environ.get("QPRISM_MAX_DIM", "4096"))
+    except ValueError as exc:
+        raise SpecError(f"QPRISM_MAX_DIM: {exc}", field="QPRISM_MAX_DIM") from None
 
 
 def modulus_within_cap(p: int, N: int) -> bool:
@@ -176,28 +181,26 @@ def _peel_unit_singletons(
     columns, and a = diag(units) + the block left.  Peeling makes new
     singletons, so rounds repeat until one peels nothing; each costs
     O(nonzeros + rows + cols).  A singleton of positive valuation stays:
-    its row or column may hold entries of lower valuation elsewhere.
+    its row or column may hold entries of lower valuation elsewhere.  The
+    parts of a direct sum share no line, so they peel together as each
+    would alone, in as many rounds as the slowest part needs.
     """
     rows, cols = shape
     unit = v % p != 0
     row_left = np.ones(rows, dtype=bool)
     col_left = np.ones(cols, dtype=bool)
     while True:
-        row_peel = np.zeros(rows, dtype=bool)
-        col_peel = np.zeros(cols, dtype=bool)
-        pick = unit & (np.bincount(c, minlength=cols)[c] == 1)
-        taken_rows, first = np.unique(r[pick], return_index=True)
-        row_peel[taken_rows] = True
-        col_peel[c[pick][first]] = True
-        pick = unit & (np.bincount(r, minlength=rows)[r] == 1)
-        taken_cols, first = np.unique(c[pick], return_index=True)
-        row_peel[r[pick][first]] = True
-        col_peel[taken_cols] = True
+        at = np.flatnonzero(unit & (np.bincount(c, minlength=cols) == 1)[c])
+        taken_rows, first = np.unique(r[at], return_index=True)
+        their_cols = c[at[first]]
+        at = np.flatnonzero(unit & (np.bincount(r, minlength=rows) == 1)[r])
+        taken_cols, first = np.unique(c[at], return_index=True)
         if not (taken_rows.size or taken_cols.size):
             return np.flatnonzero(row_left), np.flatnonzero(col_left)
-        row_left &= ~row_peel
-        col_left &= ~col_peel
-        keep = ~(row_peel[r] | col_peel[c])
+        row_left[taken_rows] = col_left[their_cols] = False
+        row_left[r[at[first]]] = col_left[taken_cols] = False
+        # every entry left so far lies on lines left before this round
+        keep = row_left[r] & col_left[c]
         r, c, unit = r[keep], c[keep], unit[keep]
 
 
@@ -260,17 +263,48 @@ def _eliminate_layers(work: np.ndarray, p: int, N: int) -> list[int]:
     return out
 
 
+def _part_exponents(row_off, col_off, r, c, v, p: int, N: int) -> list[list[int]]:
+    """The Smith exponents over Z/p^N of each part of a direct sum with
+    nonzero entries v at rows r and columns c, part k from row row_off[k]
+    and column col_off[k] on.  Peeling is local to rows and columns, so one
+    peel of the sum peels each part as it would alone; the lines left fall
+    to their parts by offset, and a part with rows and columns both left
+    (two parts share no line) has them made dense and eliminated by
+    `_eliminate_layers`."""
+    rows, cols = _peel_unit_singletons((row_off[-1], col_off[-1]), r, c, v, p)
+    row_cut = np.searchsorted(rows, row_off).tolist()
+    col_cut = np.searchsorted(cols, col_off).tolist()
+    out = []
+    for k in range(len(row_cut) - 1):
+        left_rows, left_cols = row_cut[k + 1] - row_cut[k], col_cut[k + 1] - col_cut[k]
+        found = [0] * (int(row_off[k + 1] - row_off[k]) - left_rows)
+        size = min(left_rows, left_cols)
+        if size:
+            # the part's entries on the lines left, renumbered within them
+            row_at = np.full(row_off[-1], -1)
+            row_at[rows[row_cut[k] : row_cut[k + 1]]] = np.arange(left_rows)
+            col_at = np.full(col_off[-1], -1)
+            col_at[cols[col_cut[k] : col_cut[k + 1]]] = np.arange(left_cols)
+            keep = (row_at[r] >= 0) & (col_at[c] >= 0)
+            work = np.zeros((left_rows, left_cols), dtype=np.int64)
+            work[row_at[r[keep]], col_at[c[keep]]] = v[keep]
+            layered = _eliminate_layers(work, p, N)
+            found += layered + [N] * (size - len(layered))
+        out.append(found)
+    return out
+
+
 def smith_exponents(mat, p: int, N: int) -> list[int]:
     """p-adic valuations of the Smith diagonal over Z/p^N, nondecreasing.
 
     mat is a `FlatMatrix` over Z/p^N or anything np.array reads as a 2-D
     integer matrix.  One entry per diagonal position up to min(rows, cols);
-    positions the reduction never reaches carry valuation N.  Unit
-    singletons peel off first as exponents 0 (`_peel_unit_singletons`),
-    read from the blocks of a `FlatMatrix` or from a flat scan of a dense
-    input.  Only when rows and columns are left are they made into a dense
-    array, which `_eliminate_layers` eliminates in place, one valuation
-    layer at a time.
+    positions the reduction never reaches carry valuation N.  This is the
+    one-part case of `_part_exponents`: unit singletons peel off first as
+    exponents 0 (`_peel_unit_singletons`), read from the blocks of a
+    `FlatMatrix` or from a flat scan of a dense input, and only the rows
+    and columns left are made into a dense array and eliminated in place,
+    one valuation layer at a time.
     """
     n = p**N
     if _check_modulus(n) != (p, N):
@@ -278,34 +312,10 @@ def smith_exponents(mat, p: int, N: int) -> list[int]:
     if isinstance(mat, FlatMatrix):
         if mat.modulus != n:
             raise InvalidArgs("mixed moduli")
-        a, shape = None, mat.shape
-        r, c, vals = mat.coords()
-    else:
-        a = _reduced(mat, n)
-        shape = a.shape
-        r, c = _flat_nonzero(a)
-        vals = a[r, c]
-    rows, cols = _peel_unit_singletons(shape, r, c, vals, p)
-    peeled = shape[0] - rows.size
-    size = min(rows.size, cols.size)
-    if not size:
-        return [0] * peeled
-    if a is None:
-        # the entries of the lines left, renumbered within them
-        work = np.zeros((rows.size, cols.size), dtype=np.int64)
-        row_at = np.full(shape[0], -1)
-        row_at[rows] = np.arange(rows.size)
-        col_at = np.full(shape[1], -1)
-        col_at[cols] = np.arange(cols.size)
-        keep = (row_at[r] >= 0) & (col_at[c] >= 0)
-        work[row_at[r[keep]], col_at[c[keep]]] = vals[keep]
-    elif peeled:
-        work = a[np.ix_(rows, cols)]
-    else:
-        # eliminate in place only in an array made here
-        work = a if a is not mat and a.base is None else a.copy()
-    out = _eliminate_layers(work, p, N)
-    return [0] * peeled + out + [N] * (size - len(out))
+        return _part_exponents([0, mat.rows], [0, mat.cols], *mat.coords(), p, N)[0]
+    a = _reduced(mat, n)
+    r, c = _flat_nonzero(a)
+    return _part_exponents([0, a.shape[0]], [0, a.shape[1]], r, c, a[r, c], p, N)[0]
 
 
 def span_exponents(gen_rows, p: int, N: int) -> list[int]:
@@ -434,9 +444,9 @@ class FlatMatrix:
         return out
 
     def __neg__(self) -> FlatMatrix:
-        # a reduced nonzero entry stays nonzero
+        # a nonzero block stays nonzero, and a zero entry in it stays zero
         return FlatMatrix.__new__(FlatMatrix)._set(
-            self.p, self.n_prec, self.shape, self.b, self.brow, self.bcol, self.modulus - self.blocks
+            self.p, self.n_prec, self.shape, self.b, self.brow, self.bcol, -self.blocks % self.modulus
         )
 
     def check_product(self, other: FlatMatrix) -> None:
@@ -535,11 +545,25 @@ class CohomologyReport:
         }
 
 
+def kernel_log_cardinalities(mats: list[FlatMatrix]) -> list[int]:
+    """log_p of |{v : mat v = 0}| = log_p |domain| - log_p |image| for each
+    of mats, all over one Z/p^N, the image read off the Smith exponents:
+    position v spans Z/p^(N-v).  One peel of their direct sum serves all
+    (`_part_exponents`)."""
+    p, N = mats[0].p, mats[0].n_prec
+    parts = [mat.coords() for mat in mats]
+    row_off = np.cumsum([0] + [mat.rows for mat in mats])
+    col_off = np.cumsum([0] + [mat.cols for mat in mats])
+    r = np.concatenate([part[0] + off for part, off in zip(parts, row_off)])
+    c = np.concatenate([part[1] + off for part, off in zip(parts, col_off)])
+    v = np.concatenate([part[2] for part in parts])
+    del parts  # the peel's peak memory is then that of the sum alone
+    found = _part_exponents(row_off, col_off, r, c, v, p, N)
+    return [N * (mat.cols - len(s)) + sum(s) for mat, s in zip(mats, found)]
+
+
 def kernel_log_cardinality(mat: FlatMatrix) -> int:
-    """log_p of |{v : mat v = 0}| = log_p |domain| - log_p |image|, the
-    image read off the Smith exponents: position v spans Z/p^(N-v)."""
-    N = mat.n_prec
-    return N * mat.cols - sum(N - v for v in smith_exponents(mat, mat.p, N))
+    return kernel_log_cardinalities([mat])[0]
 
 
 def cohomology_of_complex(d0: FlatMatrix) -> CohomologyReport:
@@ -592,16 +616,18 @@ def is_chain_map(d0: FlatMatrix, d0p: FlatMatrix, f0: FlatMatrix, f1: FlatMatrix
     return f1 @ d0 == d0p @ f0
 
 
-def exactness(d0: FlatMatrix, d1: FlatMatrix):
-    """Yield, in order, whether 0 -> C0 -d0-> C1 -d1-> C2 -> 0 is exact at
-    C0, C1 and C2, by cardinalities: |ker d0| = 1, |ker d1| = |im d0| and
-    |im d1| = |C2|.  Lazy, so a caller can stop at the first failure."""
+def require_chain_map(d0: FlatMatrix, d0p: FlatMatrix, f0: FlatMatrix, f1: FlatMatrix) -> None:
+    """Raise NotAChainMap unless f1 d0 == d0' f0."""
+    if not is_chain_map(d0, d0p, f0, f1):
+        raise NotAChainMap("f1 d0 != d0' f0")
+
+
+def exactness(d0: FlatMatrix, d1: FlatMatrix, k0: int, k1: int) -> tuple[bool, bool, bool]:
+    """Whether 0 -> C0 -d0-> C1 -d1-> C2 -> 0 is exact at C0, C1 and C2,
+    given k0 = log_p |ker d0| and k1 = log_p |ker d1|, by cardinalities:
+    |ker d0| = 1, |ker d1| = |im d0| and |im d1| = |C2|."""
     N = d0.n_prec
-    k0 = kernel_log_cardinality(d0)
-    yield k0 == 0
-    k1 = kernel_log_cardinality(d1)
-    yield k1 == N * d0.cols - k0
-    yield N * d1.cols - k1 == N * d1.rows
+    return k0 == 0, k1 == N * d0.cols - k0, N * d1.cols - k1 == N * d1.rows
 
 
 def cone_acyclic(
@@ -610,12 +636,12 @@ def cone_acyclic(
     """True iff the mapping cone of (f0, f1) : [d0] -> [d0p] is acyclic.
 
     The cone is C0 -> C1 + C'0 -> C'1 with differentials (d0, -f0) and
-    (f1 | d0p); acyclicity is decided by `exactness`, stopping at the first
-    spot that is not exact.
+    (f1 | d0p); acyclicity is decided by `exactness`, on the kernel counts
+    of both differentials from one peel.
     """
-    if not is_chain_map(d0, d0p, f0, f1):
-        raise NotAChainMap("f1 d0 != d0' f0")
-    return all(exactness(*cone_differentials(d0, d0p, f0, f1)))
+    require_chain_map(d0, d0p, f0, f1)
+    cone = cone_differentials(d0, d0p, f0, f1)
+    return all(exactness(*cone, *kernel_log_cardinalities(cone)))
 
 
 def cone_differentials(
@@ -649,21 +675,6 @@ def w_scale_blocks(mat: FlatMatrix, w: WScalar) -> FlatMatrix:
 
 def flat_dim(ctx: RingContext, rank: int, window: int) -> int:
     return rank * (window + 1) * ctx.m_prec
-
-
-def flatten_sections(ctx: RingContext, rank: int, window: int, sections) -> np.ndarray:
-    """Column vector of a section list (rank QPolynomials) in the basis
-    e_j x^d t^i, index ((j*(window+1)) + d)*m_prec + i."""
-    dim = flat_dim(ctx, rank, window)
-    out = np.zeros(dim, dtype=np.int64)
-    for j, poly in enumerate(sections):
-        for d, w in poly.coeffs.items():
-            if d > window:
-                raise InvalidArgs("section escapes the degree window")
-            base = (j * (window + 1) + d) * ctx.m_prec
-            for i, c in enumerate(w.coeffs):
-                out[base + i] = c
-    return out
 
 
 def flatten_operator(

@@ -1,6 +1,7 @@
 """The coordinate algebra W[x] with sigma(x) = q x, twisted derivations of
 levels 0 and -1, twisted connections on finite free modules, and their
-quasi-nilpotence witnesses read off the flattened connection.
+quasi-nilpotence witnesses, iterated on an int64 array by the flattened
+connection's blocks.
 
 A degree window D means the quotient W[x]/(x^{D+1}); operators that raise
 degree act on the quotient, and window legitimacy is asserted per operator
@@ -274,28 +275,30 @@ def quasi_nilpotence_check(theta: FlatMatrix, rank: int, iterate_cap: int) -> Ni
     no k up to the cap works.
 
     e_j (component j, degree 0, t-power 0) is flat column j * (n / rank).
-    The iterates of every e_j are carried at once as block column j of an
-    n x (rank * b) block matrix, so each step is one block product and
-    e_j's iterate is zero once its block column holds no block.  If
-    theta^k e_j = 0, theta is nilpotent on the theta-stable submodule that
-    e_j generates, so the kernels of its powers there grow strictly until
-    they fill it; it has length at most N * n, the length of (Z/p^N)^n, so
-    the least k is at most N * n and the loop stops at min(iterate_cap, N * n).
+    The iterates of every e_j are column j of one int64 array of shape
+    (n / b, b, rank).  A step multiplies each block of theta by the b x rank
+    slab of its block column, sums each block row's products with one
+    np.add.reduceat over theta's sorted block rows and reduces once mod
+    p^N.  A sum holds (blocks per block row) * b <= n products below 2^42,
+    so it stays below 2^63 while n < 2^21.  If theta^k e_j = 0, theta is
+    nilpotent on the theta-stable submodule that e_j generates, so the
+    kernels of its powers there grow strictly until they fill it; it has
+    length at most N * n, the length of (Z/p^N)^n, so the least k is at
+    most N * n and the loop stops at min(iterate_cap, N * n).
     """
     n, b = theta.rows, theta.b
     comp = np.arange(rank)
     start = comp * (n // rank)
-    ones = np.zeros((rank, b, b), dtype=np.int64)
-    ones[comp, start % b, 0] = 1
-    iterates = FlatMatrix.from_blocks(
-        theta.p, theta.n_prec, (n, rank * b), b, start // b, comp, ones
-    )
+    iterates = np.zeros((n // b, b, rank), dtype=np.int64)
+    iterates[start // b, start % b, comp] = 1
+    block_rows, first = np.unique(theta.brow, return_index=True)
     witnesses: list[int | None] = [None] * rank
     for k in range(1, min(iterate_cap, theta.n_prec * n) + 1):
-        iterates = theta @ iterates
-        alive = np.zeros(rank, dtype=bool)
-        alive[iterates.bcol] = True
-        for j in np.flatnonzero(~alive):
+        products = theta.blocks @ iterates[theta.bcol]
+        iterates = np.zeros_like(iterates)
+        if first.size:
+            iterates[block_rows] = np.add.reduceat(products, first, axis=0) % theta.modulus
+        for j in np.flatnonzero(~iterates.any(axis=(0, 1))):
             if witnesses[j] is None:
                 witnesses[j] = k
         if None not in witnesses:

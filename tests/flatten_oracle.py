@@ -15,6 +15,10 @@ products; the tests compare both entry by entry.
 
 `block_triangular` is the earlier block-by-block loop of the triangular
 certificate, which the library now decides with one mask.
+`flatten_sections` flattens a section list to a column vector; no command
+needs one.  `product_witnesses` is the earlier witness loop, one
+`FlatMatrix` product per iterate, which the library now runs on an int64
+array of the iterates.
 """
 
 from __future__ import annotations
@@ -62,6 +66,46 @@ def probed_witnesses(m: ConnectionModule, cap: int) -> list[int | None]:
                 found = k
                 break
         witnesses.append(found)
+    return witnesses
+
+
+def flatten_sections(ctx: RingContext, rank: int, window: int, sections) -> np.ndarray:
+    """Column vector of a section list (rank QPolynomials) in the basis
+    e_j x^d t^i, index ((j*(window+1)) + d)*m_prec + i."""
+    dim = flat_dim(ctx, rank, window)
+    out = np.zeros(dim, dtype=np.int64)
+    for j, poly in enumerate(sections):
+        for d, w in poly.coeffs.items():
+            if d > window:
+                raise InvalidArgs("section escapes the degree window")
+            base = (j * (window + 1) + d) * ctx.m_prec
+            for i, c in enumerate(w.coeffs):
+                out[base + i] = c
+    return out
+
+
+def product_witnesses(theta: FlatMatrix, rank: int, cap: int) -> list[int | None]:
+    """Least k with theta^k e_j = 0 for each e_j = flat column j * (n / rank),
+    or None up to min(cap, N * n): the iterates are block column j of an
+    n x (rank * b) block matrix, multiplied by theta once per step."""
+    n, b = theta.rows, theta.b
+    comp = np.arange(rank)
+    start = comp * (n // rank)
+    ones = np.zeros((rank, b, b), dtype=np.int64)
+    ones[comp, start % b, 0] = 1
+    iterates = FlatMatrix.from_blocks(
+        theta.p, theta.n_prec, (n, rank * b), b, start // b, comp, ones
+    )
+    witnesses: list[int | None] = [None] * rank
+    for k in range(1, min(cap, theta.n_prec * n) + 1):
+        iterates = theta @ iterates
+        alive = np.zeros(rank, dtype=bool)
+        alive[iterates.bcol] = True
+        for j in np.flatnonzero(~alive):
+            if witnesses[j] is None:
+                witnesses[j] = k
+        if None not in witnesses:
+            break
     return witnesses
 
 

@@ -16,10 +16,11 @@ from qprism.cartier import (
     verschiebung_ok,
 )
 from qprism.errors import WindowUnstable, WrongLevel
-from qprism.homology import FlatMatrix, flat_dim, flatten_sections, w_scale_blocks
+from qprism.homology import FlatMatrix, flat_dim, w_scale_blocks
 from qprism.twisted_calculus import ConnectionModule, QPolynomial, connection_apply
 
 import elim_oracle
+from flatten_oracle import flatten_sections
 
 
 def trivial_problem(p=2, rank=1, window=4):

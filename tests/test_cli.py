@@ -792,7 +792,7 @@ def test_legs_that_are_no_chain_map_exit_1(capsys, monkeypatch):
     def not_a_chain_map(*args):
         raise qprism.errors.NotAChainMap("f1 d0 != d0' f0")
 
-    monkeypatch.setattr(qprism.cartier, "cone_acyclic", not_a_chain_map)
+    monkeypatch.setattr(qprism.cartier, "require_chain_map", not_a_chain_map)
     code, report = run_json(capsys, "cartier", "--spec", str(FIXTURES / "p2_rank1_trivial.json"))
     assert code == 1
     assert report["ok"] is False
@@ -829,3 +829,37 @@ def test_one_parser_serves_every_call_as_a_fresh_process_would(capsys):
         )
         assert got == (proc.returncode, proc.stdout), argv
     assert qprism.cli._parser() is qprism.cli._parser()
+
+
+@pytest.mark.parametrize("value", ["abc", "1e3", ""])
+def test_a_malformed_max_dim_exits_2_naming_it(capsys, monkeypatch, value):
+    monkeypatch.setenv("QPRISM_MAX_DIM", value)
+    code, report = run_json(capsys, "cartier", "--spec", str(FIXTURES / "p2_rank1_trivial.json"))
+    assert code == 2
+    assert report["schema"] == "qprism/1" and report["ok"] is False
+    assert report["error"]["field"] == "QPRISM_MAX_DIM"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cartier", "--grow", "--spec", str(FIXTURES / "p2_rank2_seeded.json")],
+        ["cohomology", "--grow", "--spec", str(FIXTURES / "p3_rank1_seeded.json")],
+        ["adic", "--grow", "--spec", str(FIXTURES / "adic_w_quotient.json")],
+        ["adic", "--grow", "--spec", str(FIXTURES / "adic_z_torsion.json")],
+    ],
+    ids=["cartier", "cohomology", "adic-W", "adic-Z"],
+)
+def test_each_spec_file_is_read_once_per_entry(capsys, monkeypatch, argv):
+    reads = []
+    load_json = qprism.cli._load_json
+
+    def counted(path):
+        reads.append(path)
+        return load_json(path)
+
+    monkeypatch.setattr(qprism.cli, "_load_json", counted)
+    # the same file twice is two entries, each read once
+    code, report = run_json(capsys, *argv, "--spec", argv[-1])
+    assert code == 0 and len(report["reports"]) == 2
+    assert reads == [argv[-1]] * 2

@@ -34,6 +34,7 @@ from qprism.homology import (
     cone_differentials,
     flat_dim,
     is_chain_map,
+    kernel_log_cardinalities,
     w_mult_block,
     w_scale_blocks,
 )
@@ -137,6 +138,43 @@ def test_nilpotence_witnesses_match_the_probe_on_a_seeded_sweep():
         verdicts += [_check_witnesses(conn, cap) for cap in WITNESS_CAPS]
     assert len(verdicts) == 216
     assert 60 <= verdicts.count(False) <= 156
+
+
+def test_nilpotence_witnesses_match_the_product_loop_on_a_seeded_sweep():
+    # the int64 iteration against the FlatMatrix-product loop it replaced, at
+    # levels 0 and -1 and every window 0..12: theta = 0, seeded nilpotent
+    # theta, and random theta, most of which are not nilpotent
+    rng = random.Random(271)
+    verdicts = []
+    for p, rank, window in itertools.product((2, 3, 5), (1, 2, 3), range(13)):
+        ctx = RingContext(p, rng.randint(1, 3), rng.randint(1, 3))
+        for kind in ("zero", "nilpotent", "random"):
+            if kind == "zero":
+                theta = ConnectionModule.trivial(ctx, rank, -1, window).theta
+            elif kind == "nilpotent":
+                theta = random_nilpotent_theta(ctx, rank, window, seed=rng.randrange(10**6))
+            else:
+                theta = _sweep_theta(ctx, rank, window, rng)
+            conn = ConnectionModule(ctx, rank, rng.choice((0, -1)), theta, window)
+            flat = flatten_connection(conn)
+            for cap in (1, 2, 32):
+                report = quasi_nilpotence_check(flat, rank, cap)
+                assert report.witness == oracle.product_witnesses(flat, rank, cap), (
+                    p, rank, window, kind, cap,
+                )
+                verdicts.append(report.nilpotent)
+    assert (len(verdicts), verdicts.count(False)) == (1053, 404)
+
+
+def test_nilpotence_witnesses_make_no_block_product(monkeypatch):
+    def no_product(self, other):
+        raise AssertionError("a FlatMatrix product inside quasi_nilpotence_check")
+
+    monkeypatch.setattr(FlatMatrix, "__matmul__", no_product)
+    for name in LEVEL_MINUS_ONE_FIXTURES:
+        conn, _, _ = load_connection_spec(str(FIXTURES / name))
+        report = quasi_nilpotence_check(flatten_connection(conn), conn.rank, 32)
+        assert report.nilpotent, name
 
 
 def test_nilpotence_witness_can_reach_the_length_bound():
@@ -348,33 +386,33 @@ def test_verify_once_flattens_twice_and_never_multiplies(monkeypatch):
 
 
 def test_verify_once_peels_every_smith_pivot(monkeypatch):
-    # every Smith call of a run on a quasi-nilpotent connection peels unit
+    # every kernel count of a run on a quasi-nilpotent connection peels unit
     # singletons only: the layered elimination never runs
-    counts = {"smith": 0, "eliminate": 0}
-    smith, eliminate = homology.smith_exponents, homology._eliminate_layers
+    counts = {"peel": 0, "eliminate": 0}
+    peel, eliminate = homology._peel_unit_singletons, homology._eliminate_layers
 
-    def counted_smith(*args):
-        counts["smith"] += 1
-        return smith(*args)
+    def counted_peel(*args):
+        counts["peel"] += 1
+        return peel(*args)
 
     def counted_eliminate(*args):
         counts["eliminate"] += 1
         return eliminate(*args)
 
-    monkeypatch.setattr(homology, "smith_exponents", counted_smith)
+    monkeypatch.setattr(homology, "_peel_unit_singletons", counted_peel)
     monkeypatch.setattr(homology, "_eliminate_layers", counted_eliminate)
     for name in LEVEL_MINUS_ONE_FIXTURES:
         conn, _, _ = load_connection_spec(str(FIXTURES / name))
         for window in (conn.window, conn.window + cartier.STABILITY_WINDOW_STEP):
             report = _verify_once(CartierProblem(conn.rewindow(window)))
             assert report.nilpotent and report.all_ok, name
-    # per run, two kernel counts for each of the p - 1 blocks and two for the
-    # cone: 7 fixtures at p = 2 and 6 at p = 3, each at two windows
-    assert counts == {"smith": 128, "eliminate": 0}
+    # one peel per run covers the two kernel counts of each of the p - 1
+    # blocks and the two of the cone: 13 fixtures, each at two windows
+    assert counts == {"peel": 26, "eliminate": 0}
     # the connection's own cohomology operator does not peel away
     conn, _, _ = load_connection_spec(str(FIXTURES / "p3_rank2_seeded.json"))
     homology.cohomology_of_complex(flatten_connection(conn))
-    assert counts["smith"] == 129 and counts["eliminate"] > 0
+    assert counts["peel"] == 27 and counts["eliminate"] > 0
 
 
 def test_descent_matrices_are_reduced_int64():
@@ -505,6 +543,6 @@ def test_triangular_certificate_rejects_an_entry_above_the_diagonal():
     # component 1, degree 2 -> component 0, degree 1 lowers the degree
     row, col = (0 * (win + 1) + 1) * m, (1 * (win + 1) + 2) * m + m - 1
     assert op.entries[row, col] == 0
-    cert = cartier._block_certificate(conn, 1, _bumped(op, row, col))
-    assert cert["triangular"] is False
-    assert cert["kernel_trivial"] is True
+    bumped = _bumped(op, row, col)
+    assert cartier._block_certificate(conn, 1, bumped)["triangular"] is False
+    assert kernel_log_cardinalities([bumped]) == [0]

@@ -8,17 +8,25 @@ import pytest
 
 from qprism import homology
 from qprism.base_ring import RingContext, WScalar
-from qprism.cartier import flatten_connection, random_nilpotent_theta
+from qprism.cartier import (
+    STABILITY_WINDOW_STEP,
+    CartierProblem,
+    block_split,
+    chain_map_build,
+    flatten_connection,
+    random_nilpotent_theta,
+)
 from qprism.cli import load_connection_spec
 from qprism.errors import InvalidArgs, NotAChainMap
 from qprism.homology import (
     FlatMatrix,
     cohomology_of_complex,
     cone_acyclic,
+    cone_differentials,
     is_chain_map,
     flatten_operator,
-    flatten_sections,
     howell_form,
+    kernel_log_cardinalities,
     kernel_log_cardinality,
     right_kernel_basis,
     selection_rows,
@@ -30,6 +38,7 @@ from qprism.homology import (
 from qprism.twisted_calculus import ConnectionModule, QPolynomial
 
 import elim_oracle
+from flatten_oracle import flatten_sections
 from elim_oracle import (
     annihilator,
     cokernel_exponents,
@@ -751,6 +760,74 @@ def test_smith_cohomology_matches_howell_kernel_sweep():
         assert sum(rep.h0_invariant_factors) == kernel_log_cardinality(fm)
     assert {(True, True, True), (True, False, False), (False, True, False)} <= seen_shapes
     assert (False, False, True) in seen_shapes and (False, False, False) in seen_shapes
+
+
+def fixture_run_operators():
+    """The operators of every fixture's descent run at its window and at the
+    window of the stability re-run, in the order `_verify_once` counts
+    their kernels: op_k and twisted_k for k = 1..p-1, then the cone."""
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    for path in sorted(fixtures.glob("*.json")):
+        if json.loads(path.read_text()).get("level") != -1 or path.name == "bad_rank.json":
+            continue
+        conn = load_connection_spec(str(path))[0]
+        for window in (conn.window, conn.window + STABILITY_WINDOW_STEP):
+            run = conn.rewindow(window)
+            data = chain_map_build(run)
+            split = block_split(CartierProblem(run), data)
+            cone = cone_differentials(
+                data.source_differential, data.target_differential, data.module_leg, data.forms_leg
+            )
+            yield [*split.operators.values(), *split.twisted_operators.values(), *cone]
+
+
+def test_kernel_log_cardinalities_match_the_howell_oracle_part_by_part(monkeypatch):
+    # random direct sums of one to five parts over one Z/p^N, drawn from the
+    # peeling kinds (parts that peel completely, parts that need elimination,
+    # 0-row and 0-column parts), then every fixture run's operator list
+    rng = np.random.default_rng(269)
+    sums = []
+    for p in (2, 3, 5):
+        for N in (1, 2, 3):
+            for _ in range(16):
+                kinds = rng.choice(PEELING_KINDS, size=int(rng.integers(1, 6)))
+                sums.append([FlatMatrix(p, N, peeling_case(rng, p, N, kind)) for kind in kinds])
+    runs = list(fixture_run_operators())
+    eliminated = []
+    eliminate = homology._eliminate_layers
+
+    def counted(work, p, N):
+        eliminated.append(work.shape)
+        return eliminate(work, p, N)
+
+    monkeypatch.setattr(homology, "_eliminate_layers", counted)
+    per_sum = []
+    for parts in sums + runs:
+        want = [elim_oracle.kernel_log_cardinality(mat) for mat in parts]
+        del eliminated[:]  # the oracle's span orders eliminate too
+        assert kernel_log_cardinalities(parts) == want, parts
+        per_sum.append(len(eliminated))
+    singles = sum(len(parts) == 1 for parts in sums)
+    empties = sum(0 in mat.shape for parts in sums for mat in parts)
+    mixed = sum(len(parts) > 1 and any(0 in m.shape for m in parts) for parts in sums)
+    assert (len(sums), len(runs), singles, empties, mixed) == (144, 26, 33, 42, 35)
+    # sums with two or more parts to eliminate; a descent run peels completely
+    assert sum(count > 1 for count in per_sum[: len(sums)]) == 68
+    assert sum(per_sum[len(sums) :]) == 0
+
+
+def test_negation_keeps_zero_entries_of_a_block_zero():
+    # -I_2 in one 2 x 2 block at p^N = 4: its zero entries must stay 0, not 4
+    minus = -FlatMatrix.identity(2, 2, 2).with_blocks(2)
+    assert minus.dense().tolist() == [[3, 0], [0, 3]]
+    rng = np.random.default_rng(277)
+    for p, N, b in ((2, 2, 2), (3, 1, 3), (5, 2, 2)):
+        n = p**N
+        mat = random_matrix(rng, p, N, 6 * b, 4 * b, "sparse")
+        f = FlatMatrix(p, N, mat).with_blocks(b)
+        assert np.array_equal((-f).dense(), -f.dense() % n)
+        _, _, values = (-f).coords()
+        assert (values % n != 0).all()
 
 
 def test_kernel_log_cardinality_against_enumeration():
