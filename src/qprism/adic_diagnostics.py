@@ -25,7 +25,7 @@ mutated after that.  The engines share these methods:
 - `block(scalars)` and `term(quotients)`: a differential and a term of a
   complex whose terms are direct sums of copies of M or M/sM;
 - `exact_at(incoming, term, outgoing, next_term)`: exactness at one spot;
-- `flatness(f, g, window, details)`: the complete and formal flatness core.
+- `flatness(f, g, details)`: the complete and formal flatness core.
 
 Over Z and Z/p^N such a complex is the sum, over the cyclic factors Z/d
 of M, of the complex with terms Z/gcd(d, s) and the scalar matrices as
@@ -52,6 +52,9 @@ from .homology import (
     span_exponents,
     w_mult_block,
 )
+
+# the powers (f, g)^j, j <= FORMAL_WINDOW, on which `_ZEngine` decides formal flatness
+FORMAL_WINDOW = 3
 
 # --- integer Smith form -------------------------------------------------------
 
@@ -177,7 +180,10 @@ class ModulePresentation:
         for row in self.relations:
             if len(row) != self.generators:
                 raise InvalidArgs("relation matrix columns count must equal generators")
-        self.relations = [[self.scalar(v) for v in row] for row in self.relations]
+        # one conversion per distinct entry object; a spec loader passes one per literal
+        distinct = {id(v): v for row in self.relations for v in row}
+        scalars = {key: self.scalar(v) for key, v in distinct.items()}
+        self.relations = [[scalars[id(v)] for v in row] for row in self.relations]
 
     @cached_property
     def engine(self):
@@ -307,7 +313,7 @@ class _ZEngine:
             for d in sorted(set(self.orders))
         )
 
-    def flatness(self, f: int, g: int, window: int, details: dict):
+    def flatness(self, f: int, g: int, details: dict):
         d0 = gcd(f, g)
         details["ideal"] = d0
         if d0 == 0:
@@ -318,10 +324,10 @@ class _ZEngine:
         completely = all(d == 0 or gcd(d, d0) == 1 for d in self.orders)
         # d0 > 1 divides every h_j, the generator of (f, g)^j
         formally = True
-        for j in range(1, window + 1):
+        for j in range(1, FORMAL_WINDOW + 1):
             hj = gcd(*(f**a * g ** (j - a) for a in range(j + 1)))
             formally = formally and all(d == 0 or gcd(d, hj) in (1, hj) for d in self.orders)
-        details["formal_window"] = window
+        details["formal_window"] = FORMAL_WINDOW
         return completely, formally
 
 
@@ -340,7 +346,7 @@ class _ZpnEngine(_ZEngine):
         orders = sorted(o for o in [N - log[d] + min(log[d], v) for d in self.orders] + units if o)
         return orders, orders
 
-    def flatness(self, f: int, g: int, window: int, details: dict):
+    def flatness(self, f: int, g: int, details: dict):
         pn, N = self.m.ctx.pn, self.m.ctx.n_prec
         log = {self.m.ctx.p**k: k for k in range(N + 1)}
         q = log[gcd(f, g, pn)]  # (f, g) is the ideal (p^q)
@@ -472,7 +478,7 @@ class _FiniteEngine:
         residues = self.rows.reshape(len(self.rows), self.m.generators, self.width)[:, :, 0]
         return smith_exponents(residues, self.p, 1).count(0)
 
-    def flatness(self, f, g, window: int, details: dict):
+    def flatness(self, f, g, details: dict):
         """Complete flatness: M/(f,g)M is free over base/(f,g) and the
         first Tor against base/(f,g) vanishes.  Formal flatness: the same
         freeness for every power of (f,g) until the powers stabilize."""
@@ -611,7 +617,7 @@ class _ZqEngine:
 
     block = term
 
-    def flatness(self, f, g, window: int, details: dict):
+    def flatness(self, f, g, details: dict):
         if any(monic is not None for monic in self.mono):
             raise InvalidArgs(
                 "Zq flatness checks support free modules only; quotient inputs must "
@@ -683,24 +689,6 @@ class PresentedComplex:
 
     def acyclic(self) -> bool:
         return all(self.exact_at(i) for i in range(len(self.terms)))
-
-
-def koszul_build(m: ModulePresentation, f, g=None, n: int = 1, mexp: int = 1) -> PresentedComplex:
-    """One- or two-variable Koszul complex on a presented module.
-
-    One variable: [M -> M] via f^n.  Two variables: the total complex
-    M -> M + M -> M of the commuting square with horizontal g^m and
-    vertical f^n.
-    """
-    if n < 1 or mexp < 1:
-        raise InvalidArgs("Koszul exponents must be >= 1")
-    eng = m.engine
-    fn = m.scalar(f) ** n
-    if g is None:
-        return PresentedComplex(eng, [eng.term([None]), eng.term([None])], [eng.block([[fn]])])
-    gm = m.scalar(g) ** mexp
-    terms = [eng.term([None]), eng.term([None, None]), eng.term([None])]
-    return PresentedComplex(eng, terms, [eng.block([[gm], [fn]]), eng.block([[fn, -gm]])])
 
 
 def koszul_reduction_cone_acyclic(m: ModulePresentation, f, g, n: int = 1, mexp: int = 1) -> bool:
@@ -784,20 +772,19 @@ class FlatnessReport:
         }
 
 
-def bounded_and_flat_check(
-    m: ModulePresentation, f, g, torsion_cap: int = 8, formal_window: int = 3
-) -> FlatnessReport:
+def bounded_and_flat_check(m: ModulePresentation, f, g, torsion_cap: int = 8) -> FlatnessReport:
     """Boundedness plus the complete and formal flatness predicates.
 
     bounded: g-torsion-free and M/gM has a finite f-power-torsion bound.
     completely_flat: M/(f,g)M free over the quotient base and the first
     Tor against base/(f,g) vanishes.
-    formally_flat: M/(f,g)^j M free over base/(f,g)^j through the window.
+    formally_flat: M/(f,g)^j M free over base/(f,g)^j for every j, over Z
+    for j up to FORMAL_WINDOW.
     """
     f, g = m.scalar(f), m.scalar(g)
     details: dict = {}
     # first, so an engine refusing the inputs says why before M/gM is built
-    completely, formally = m.engine.flatness(f, g, formal_window, details)
+    completely, formally = m.engine.flatness(f, g, details)
     tf = _g_torsion_free(m, g)
     tb = _torsion_report(m.engine.quotient(g), f, torsion_cap)
     details["g_torsion_free"] = tf

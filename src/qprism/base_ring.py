@@ -299,13 +299,13 @@ def _q_int_differences(r: int, m: int) -> tuple[tuple[int, ...], ...]:
 
 
 def q_int_poly(n: int, r: int = 1) -> IntPoly:
-    """(n)_{q^r} as an exact integer polynomial."""
+    """(n)_{q^r} = 1 + q^r + ... + q^{r(n-1)} as an exact integer
+    polynomial, its n terms built at once (the constant n when r = 0)."""
     if n < 0:
         raise InvalidArgs("q_int needs n >= 0")
-    total = IntPoly()
-    for i in range(n):
-        total = total + IntPoly.var("q", r * i)
-    return total
+    if r == 0:
+        return IntPoly.const(n)
+    return IntPoly({(("q", r * i),): 1 for i in range(n)})
 
 
 def q_binomial_rows(n: int, r: int = 1) -> list[list[IntPoly]]:

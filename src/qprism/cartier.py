@@ -31,12 +31,11 @@ direct sum.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base_ring import RingContext, WScalar, frobenius_matrix, q_int, q_power
+from .base_ring import RingContext, WScalar, q_int, q_power
 from .errors import InvalidArgs, WindowUnstable, WrongLevel
 from .homology import (
     FlatMatrix,
@@ -150,16 +149,13 @@ def flatten_connection(m: ConnectionModule) -> FlatMatrix:
     )
 
 
-def _frobenius_leg(
-    ctx: RingContext, rank: int, win_in: int, k: int, w_block: np.ndarray
-) -> FlatMatrix:
-    """x'^n e_j t^i -> x^{pn+k} e_j (w_block t^i): one m x m block per
+def _frobenius_leg(ctx: RingContext, rank: int, win_in: int, k: int) -> FlatMatrix:
+    """x'^n e_j t^i -> x^{pn+k} e_j t^i: one m x m identity block per
     source section s, at the raised section p * s + k of grade k, in stored
-    form already (none when w_block is 0 mod p^N)."""
+    form already."""
     cols, m = flat_dim(ctx, rank, win_in), ctx.m_prec
-    w_block = w_block % ctx.pn
-    s = np.arange(cols // m if w_block.any() else 0)
-    blocks = np.repeat(w_block[None], s.size, axis=0)
+    s = np.arange(cols // m)
+    blocks = np.repeat(np.eye(m, dtype=np.int64)[None], s.size, axis=0)
     return FlatMatrix.__new__(FlatMatrix)._set(
         ctx.p, ctx.n_prec, (ctx.p * cols, cols), m, ctx.p * s + k, s, blocks
     )
@@ -172,9 +168,7 @@ class ChainMapData:
     module_leg acts in degree 0 and forms_leg in degree 1; the pair is a
     chain map when forms_leg source_differential = target_differential
     module_leg.  The descent comparison carries the source complex to the
-    raised one by the Frobenius F and the divided Frobenius Fdiv;
-    `semilinear_frobenius` carries the trivial level -1 complex to its
-    raised window by the Frobenius endomorphism.
+    raised one by the Frobenius F and the divided Frobenius Fdiv.
     """
 
     source_differential: FlatMatrix
@@ -200,12 +194,11 @@ def chain_map_build(conn_prime: ConnectionModule) -> ChainMapData:
         raise InvalidArgs("chain map construction needs a degree window")
     ctx = conn_prime.ctx
     rank, win_in = conn_prime.rank, conn_prime.window
-    eye = np.eye(ctx.m_prec, dtype=np.int64)
     return ChainMapData(
         source_differential=flatten_connection(conn_prime),
         target_differential=flatten_connection(level_raise(conn_prime)),
-        module_leg=_frobenius_leg(ctx, rank, win_in, 0, eye),
-        forms_leg=_frobenius_leg(ctx, rank, win_in, ctx.p - 1, eye),
+        module_leg=_frobenius_leg(ctx, rank, win_in, 0),
+        forms_leg=_frobenius_leg(ctx, rank, win_in, ctx.p - 1),
     )
 
 
@@ -367,13 +360,15 @@ class CartierReport:
         }
 
 
-def _block_certificate(conn_prime: ConnectionModule, k: int, op: FlatMatrix) -> dict:
-    """Triangular certificate for one block.
+def _block_certificates(conn_prime: ConnectionModule, ops: dict[int, FlatMatrix]) -> dict:
+    """Triangular certificate for each block operator op_k, by k.
 
     Diagonal entries (k)_q + (p)_q (n)_{q^p} must be units; the rest of the
     operator must strictly raise the degree, so the windowed quotient is a
-    unit-diagonal triangular map, hence bijective.  The kernel checks of
-    `_verify_once` do not reuse the certificate.
+    unit-diagonal triangular map, hence bijective.  The blocks
+    (p)_q (n)_{q^p} do not depend on k and are formed once; each op_k is
+    checked on its own blocks.  The kernel checks of `_verify_once` do not
+    reuse the certificates.
     """
     ctx = conn_prime.ctx
     win = conn_prime.window
@@ -381,21 +376,24 @@ def _block_certificate(conn_prime: ConnectionModule, k: int, op: FlatMatrix) -> 
     # B((n)_{q^p}) = B(1) + B(q^p) + ... + B(q^p)^(n-1) for n = 0..win
     sums = np.zeros((win + 1, m, m), dtype=np.int64)
     np.cumsum(_block_powers(w_mult_block(q_power(ctx, ctx.p)), win, pn), axis=0, out=sums[1:])
-    pq, kq = w_mult_block(q_int(ctx.p, 1, ctx)), w_mult_block(q_int(k, 1, ctx))
-    diagonal = (kq + pq @ (sums % pn)) % pn
-    # B(w)[0, 0] is the constant coordinate of w, a unit exactly when w is
-    unit_diagonal = bool((diagonal[:, 0, 0] % ctx.p).all())
-    blocks = op.with_blocks(m)
-    # section s has degree s mod (win + 1); its diagonal block must be diagonal[degree]
-    on_diagonal = blocks.brow == blocks.bcol
-    found = np.zeros((op.rows // m, m, m), dtype=np.int64)
-    found[blocks.brow[on_diagonal]] = blocks.blocks[on_diagonal]
-    want = diagonal[np.arange(found.shape[0]) % (win + 1)]
-    diagonal_ok = np.array_equal(found, want)
-    # every other block must map to a higher degree
-    raising = blocks.brow % (win + 1) > blocks.bcol % (win + 1)
-    triangular = diagonal_ok and bool((on_diagonal | raising).all())
-    return {"unit_diagonal": unit_diagonal, "triangular": triangular}
+    raised = w_mult_block(q_int(ctx.p, 1, ctx)) @ (sums % pn)
+    certificates = {}
+    for k, op in ops.items():
+        diagonal = (w_mult_block(q_int(k, 1, ctx)) + raised) % pn
+        # B(w)[0, 0] is the constant coordinate of w, a unit exactly when w is
+        unit_diagonal = bool((diagonal[:, 0, 0] % ctx.p).all())
+        blocks = op.with_blocks(m)
+        # section s has degree s mod (win + 1); its diagonal block must be diagonal[degree]
+        on_diagonal = blocks.brow == blocks.bcol
+        found = np.zeros((op.rows // m, m, m), dtype=np.int64)
+        found[blocks.brow[on_diagonal]] = blocks.blocks[on_diagonal]
+        want = diagonal[np.arange(found.shape[0]) % (win + 1)]
+        diagonal_ok = np.array_equal(found, want)
+        # every other block must map to a higher degree
+        raising = blocks.brow % (win + 1) > blocks.bcol % (win + 1)
+        triangular = diagonal_ok and bool((on_diagonal | raising).all())
+        certificates[k] = {"unit_diagonal": unit_diagonal, "triangular": triangular}
+    return certificates
 
 
 def _verify_once(problem: CartierProblem) -> CartierReport:
@@ -412,7 +410,7 @@ def _verify_once(problem: CartierProblem) -> CartierReport:
     *kernels, k0, k1 = kernel_log_cardinalities(
         [*ops.values(), *split.twisted_operators.values(), *cone]
     )
-    blocks = {k: _block_certificate(conn, k, op) for k, op in ops.items()}
+    blocks = _block_certificates(conn, ops)
     for cert, plain, twisted in zip(blocks.values(), kernels, kernels[len(ops) :]):
         cert.update(kernel_trivial=plain == 0, twisted_kernel_trivial=twisted == 0)
     acyclic = all(exactness(*cone, k0, k1))
@@ -450,55 +448,3 @@ def cartier_verify(problem: CartierProblem) -> CartierReport:
         "nilpotent": grown_report.nilpotent == report.nilpotent,
     }
     return report
-
-
-def semilinear_frobenius(ctx: RingContext, window: int) -> ChainMapData:
-    """Frobenius endomorphism of the trivial level -1 complex, from the
-    window to its raised window.
-
-    The module leg is the ring Frobenius (q -> q^p, x -> x^p); on the
-    forms leg the image of the basis form acquires the (p)_q x^{p-1}
-    twist.  Both legs are only Z/p^N-linear: W enters through the m x m
-    matrix of the W-Frobenius t^i -> (q^p - 1)^i, one block per section
-    of the degree selection.
-    """
-    p = ctx.p
-    w_frobenius = np.array(frobenius_matrix(ctx), dtype=np.int64)
-    pq = q_int(p, 1, ctx)
-    return ChainMapData(
-        source_differential=flatten_connection(
-            ConnectionModule.trivial(ctx, 1, -1, window=window)
-        ),
-        target_differential=flatten_connection(
-            ConnectionModule.trivial(ctx, 1, -1, window=raised_window(p, window))
-        ),
-        module_leg=_frobenius_leg(ctx, 1, window, 0, w_frobenius),
-        forms_leg=_frobenius_leg(ctx, 1, window, p - 1, w_mult_block(pq) @ w_frobenius),
-    )
-
-
-def random_nilpotent_theta(
-    ctx: RingContext, rank: int, window: int, seed: int, max_degree: int = 2
-) -> list[list[QPolynomial]]:
-    """Seeded connection matrix with entries in the maximal ideal (p, q-1).
-
-    Every iterate of the connection gains one power of the ideal, which is
-    nilpotent in W, so quasi-nilpotence holds by construction.
-    """
-    rng = random.Random(seed)
-    p_scalar = WScalar.from_int(ctx, ctx.p)
-    t_scalar = WScalar.t(ctx)
-    theta = []
-    for _ in range(rank):
-        row = []
-        for _ in range(rank):
-            poly = QPolynomial.zero(ctx, window)
-            for _ in range(rng.randrange(1, 3)):
-                lead = p_scalar if rng.random() < 0.5 else t_scalar
-                w = WScalar.random(ctx, rng)
-                poly = poly + QPolynomial.monomial(
-                    lead * w, rng.randrange(max_degree + 1), window
-                )
-            row.append(poly)
-        theta.append(row)
-    return theta

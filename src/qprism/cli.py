@@ -31,7 +31,7 @@ from .delta_ring import DeltaElement, envelope_presentation, run_axiom_suite
 from .divided_poly import poincare_exactness
 from .errors import InvalidArgs, NotAChainMap, QPrismError, SpecError
 from .exactpoly import IntPoly
-from .grammar import parse_poly, poly_to_string
+from .grammar import MAX_TERMS, parse_poly, poly_to_string
 from .homology import cohomology_of_complex, max_flat_dim, modulus_within_cap
 from .twisted_calculus import ConnectionModule, QPolynomial
 
@@ -304,6 +304,8 @@ def _run_specs(args, build) -> int:
 
 
 def cmd_q_int(args) -> int:
+    if args.r and args.n > MAX_TERMS:
+        raise SpecError(f"q-int {args.n} has {args.n} terms, over the cap {MAX_TERMS}", field="n")
     sys.stdout.write(poly_to_string(q_int_poly(args.n, args.r)) + "\n")
     return 0
 

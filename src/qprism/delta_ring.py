@@ -1,5 +1,5 @@
-"""Delta-structures, Frobenius lifts, distinguished and q-divided-power
-predicates, and truncated envelope presentations.
+"""Delta-structures, Frobenius lifts, the distinguished-element predicate,
+the axiom suite and truncated envelope presentations.
 
 All computations run on exact integer polynomials in q, x and the free
 generators w0, w1, ...; the Frobenius lift acts by q -> q^p, x -> x^p and
@@ -17,6 +17,10 @@ sweep on lifts in Z[q, x] runs the same way, all its pairs as one
 headroom, the same argument as for `w_delta`.  One helper, `_law_defects`,
 states the product and sum laws on every carrier: `WScalar`, single or
 batched, `_QXBatch`, and `IntPoly`.
+
+No command runs the q-divided-power predicate or the bare Frobenius lift:
+`qpd_check` is kept in `tests/paper_oracle.py` and `phi_map` in
+`tests/delta_oracle.py`.
 """
 
 from __future__ import annotations
@@ -28,10 +32,9 @@ from math import comb
 import numpy as np
 
 from .base_ring import RingContext, WScalar, q_binomial_rows, q_int, q_int_poly
-from .errors import InvalidArgs, OrderOverflow, PrecisionExhausted, WindowTooSmall
+from .errors import InvalidArgs, OrderOverflow, PrecisionExhausted
 from .exactpoly import IntPoly, square_and_multiply
 from .grammar import checked_power, parse_poly
-from .homology import span_contains
 
 DEFAULT_OMEGA_CAP = 16
 # pairs per batch of the axiom suite's bulk sweep; bounds its memory at any --samples
@@ -145,11 +148,6 @@ def _phi_substitution(ctx: RingContext, poly: IntPoly, omega_cap: int) -> IntPol
     return poly.substitute(mapping)
 
 
-def phi_map(f: DeltaElement) -> DeltaElement:
-    """Frobenius lift; free of precision cost."""
-    return f._like(_phi_substitution(f.ctx, f.poly, f.omega_cap))
-
-
 def phi_delta(f: DeltaElement) -> tuple[DeltaElement, DeltaElement]:
     """Return (phi(f), delta(f)) with delta = (phi(f) - f^p)/p exactly.
 
@@ -176,75 +174,6 @@ def delta_map(f: DeltaElement) -> DeltaElement:
 def is_distinguished(d: DeltaElement) -> bool:
     """True iff delta(d) is a unit of W (nonzero F_p-residue)."""
     return delta_map(d).reduce_to_w().is_unit()
-
-
-def _flatten_qx(ctx: RingContext, poly: IntPoly, max_xdeg: int) -> np.ndarray:
-    """Vector of t-coordinates per x-degree, length (max_xdeg+1)*m_prec."""
-    out = np.zeros((max_xdeg + 1) * ctx.m_prec, dtype=np.int64)
-    for xdeg, slice_poly in poly.split_by_degree("x").items():
-        w = WScalar.from_int_poly(ctx, slice_poly)
-        for i, c in enumerate(w.coeffs):
-            out[xdeg * ctx.m_prec + i] = c
-    return out
-
-
-def qpd_check(f: DeltaElement, J: list[DeltaElement], window: int = 4) -> bool:
-    """Decide phi(f) - (p)_q * delta(f) in the module generated by (p)_q * J.
-
-    The generating set is {(p)_q * g * t^i * x^j} for g in J, i < m_prec and
-    j up to the window; the target is a member iff adding it to the
-    generators leaves the order of their Z/p^N-span unchanged.  A
-    nonzero residue at (q=1 mod p) certifies non-membership outright; for
-    x-free data the span is complete and the verdict exact.  Otherwise an
-    undecided probe raises WindowTooSmall.
-    """
-    ctx = f.ctx
-    phi, delta = phi_delta(f)
-    d_poly = q_int_poly(ctx.p)
-    u = phi.poly - d_poly * delta.poly
-
-    if u.is_zero():
-        return True
-
-    bad = u.variables() - {"q", "x"}
-    for g in J:
-        bad |= g.poly.variables() - {"q", "x"}
-    if bad:
-        raise InvalidArgs(f"qpd_check needs elements of W[x], found {bad}")
-
-    # Every generator carries (p)_q, which dies at (q = 1, mod p).
-    residue = u.substitute({"q": IntPoly.one()})
-    if any(c % ctx.p for c in residue.terms.values()):
-        return False
-
-    uses_x = "x" in u.variables() or any("x" in g.poly.variables() for g in J)
-    jmax = window if uses_x else 0
-    gen_polys = [d_poly * g.poly * IntPoly.var("x", j) if j else d_poly * g.poly
-                 for g in J for j in range(jmax + 1)]
-    max_xdeg = max(
-        [u.degree("x")] + [gp.degree("x") for gp in gen_polys], default=0
-    )
-
-    t = IntPoly.var("q") - 1
-    rows = []
-    for gp in gen_polys:
-        for i in range(ctx.m_prec):
-            rows.append(_flatten_qx(ctx, gp * t**i if i else gp, max_xdeg))
-    target = _flatten_qx(ctx, u, max_xdeg)
-
-    if rows and span_contains(rows, [target], ctx.p, ctx.n_prec):
-        return True
-    if not uses_x:
-        return False
-    raise WindowTooSmall(
-        f"membership undecided with x-multipliers up to degree {window}"
-    )
-
-
-def nygaard_member(f: DeltaElement) -> bool:
-    """Membership in the Frobenius preimage of ((p)_q): the unit-ideal variant."""
-    one = DeltaElement(f.ctx, IntPoly.one(), f.ctx.n_prec, f.omega_cap)
-    return qpd_check(f, [one])
 
 
 def w_delta(u: WScalar, u_p: WScalar) -> WScalar:

@@ -327,13 +327,6 @@ def span_exponents(gen_rows, p: int, N: int) -> list[int]:
     return sorted(N - v for v in smith_exponents(g, p, N) if v < N)
 
 
-def span_contains(rows, extra, p: int, N: int) -> bool:
-    """Whether the span of rows inside a free Z/p^N-module contains every
-    row of extra: adding them leaves the order of the span unchanged."""
-    grown = span_exponents(np.vstack([rows, extra]), p, N)
-    return sum(grown) == sum(span_exponents(rows, p, N))
-
-
 # --- block matrices and complexes ----------------------------------------------
 
 

@@ -228,16 +228,6 @@ class ConnectionModule:
     def rewindow(self, window: int | None) -> ConnectionModule:
         return ConnectionModule(self.ctx, self.rank, self.level, self.theta, window)
 
-    def reduce_to(self, ctx: RingContext) -> ConnectionModule:
-        theta = [
-            [e.map_scalars(lambda w: w.reduce_to(ctx)) for e in row]
-            for row in self.theta
-        ]
-        fixed = [
-            [QPolynomial(ctx, e.coeffs, self.window) for e in row] for row in theta
-        ]
-        return ConnectionModule(ctx, self.rank, self.level, fixed, self.window)
-
 
 def connection_apply(m: ConnectionModule, section) -> list[QPolynomial]:
     """Coefficient vector of the connection applied to a section.

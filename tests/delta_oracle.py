@@ -20,6 +20,10 @@ failing pair.  The library now runs all the pairs of a context as one
 batch modulo p^max(N, 2) (`delta_ring._exact_sweep`); the tests compare the
 verdicts and the rng state.  The loop and its helpers `_random_lift`,
 `_delta_poly` and `_congruent` are kept verbatim.
+
+`phi_map` is the Frobenius lift of a `DeltaElement` on its own, free of
+precision cost; the library forms it only together with delta
+(`delta_ring.phi_delta`), and the tests check it is a ring map.
 """
 
 from __future__ import annotations
@@ -27,7 +31,13 @@ from __future__ import annotations
 from functools import partial
 
 from qprism.base_ring import RingContext, WScalar
-from qprism.delta_ring import DEFAULT_OMEGA_CAP, _law_defects, _phi_substitution, w_delta
+from qprism.delta_ring import (
+    DEFAULT_OMEGA_CAP,
+    DeltaElement,
+    _law_defects,
+    _phi_substitution,
+    w_delta,
+)
 from qprism.exactpoly import IntPoly
 
 
@@ -166,3 +176,8 @@ class _TruncatedDelta:
         diff = self.sub(self.phi(u), self.powp(u))
         # representatives of classes divisible by p stay divisible by p
         return tuple((c % self.mod) // self.p for c in diff)
+
+
+def phi_map(f: DeltaElement) -> DeltaElement:
+    """Frobenius lift; free of precision cost."""
+    return f._like(_phi_substitution(f.ctx, f.poly, f.omega_cap))

@@ -32,6 +32,12 @@ exactness once per distinct cyclic order.  Each builds
 M/sM from `_quotient_presentation`, the dense presentation with s times
 each generator among the relations, where the library's engines build it
 from their own data.  `oracle_engine` stands in for `adic_diagnostics._engine`.
+
+`koszul_build` builds the one- and two-variable Koszul complexes on a
+presented module.  No command reports them: `qprism adic` asks only whether
+the cone of the two-variable complex against its reduction is acyclic
+(`adic_diagnostics.koszul_reduction_cone_acyclic`), and the tests check the
+complexes themselves.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ import numpy as np
 from qprism import homology
 from qprism.adic_diagnostics import (
     ModulePresentation,
+    PresentedComplex,
     _diagonal,
     _FiniteEngine,
     _identity,
@@ -63,9 +70,10 @@ from qprism.homology import (
     FlatMatrix,
     is_chain_map,
     right_kernel_basis,
-    span_contains,
     span_exponents,
 )
+
+from paper_oracle import span_contains
 
 _MAX_MODULUS = 1 << 21
 
@@ -591,3 +599,21 @@ def oracle_engine(m):
     if m.base == "Zq":
         return KernelZqEngine(m)
     return PreimageEngine(w_twin(m) if m.base == "Zpn" else m)
+
+
+def koszul_build(m: ModulePresentation, f, g=None, n: int = 1, mexp: int = 1) -> PresentedComplex:
+    """One- or two-variable Koszul complex on a presented module.
+
+    One variable: [M -> M] via f^n.  Two variables: the total complex
+    M -> M + M -> M of the commuting square with horizontal g^m and
+    vertical f^n.
+    """
+    if n < 1 or mexp < 1:
+        raise InvalidArgs("Koszul exponents must be >= 1")
+    eng = m.engine
+    fn = m.scalar(f) ** n
+    if g is None:
+        return PresentedComplex(eng, [eng.term([None]), eng.term([None])], [eng.block([[fn]])])
+    gm = m.scalar(g) ** mexp
+    terms = [eng.term([None]), eng.term([None, None]), eng.term([None])]
+    return PresentedComplex(eng, terms, [eng.block([[gm], [fn]]), eng.block([[fn, -gm]])])

@@ -19,9 +19,15 @@ certificate, which the library now decides with one mask.
 needs one.  `product_witnesses` is the earlier witness loop, one
 `FlatMatrix` product per iterate, which the library now runs on an int64
 array of the iterates.
+
+`random_nilpotent_theta` draws a seeded connection matrix that is
+quasi-nilpotent by construction, for the tests' random connections; the
+benchmark has its own spec generator, and no command draws one.
 """
 
 from __future__ import annotations
+
+import random
 
 import numpy as np
 
@@ -261,3 +267,30 @@ def block_triangular(conn_prime: ConnectionModule, k: int, op: FlatMatrix) -> bo
                     elif block.any():
                         triangular = False
     return triangular
+
+
+def random_nilpotent_theta(
+    ctx: RingContext, rank: int, window: int, seed: int, max_degree: int = 2
+) -> list[list[QPolynomial]]:
+    """Seeded connection matrix with entries in the maximal ideal (p, q-1).
+
+    Every iterate of the connection gains one power of the ideal, which is
+    nilpotent in W, so quasi-nilpotence holds by construction.
+    """
+    rng = random.Random(seed)
+    p_scalar = WScalar.from_int(ctx, ctx.p)
+    t_scalar = WScalar.t(ctx)
+    theta = []
+    for _ in range(rank):
+        row = []
+        for _ in range(rank):
+            poly = QPolynomial.zero(ctx, window)
+            for _ in range(rng.randrange(1, 3)):
+                lead = p_scalar if rng.random() < 0.5 else t_scalar
+                w = WScalar.random(ctx, rng)
+                poly = poly + QPolynomial.monomial(
+                    lead * w, rng.randrange(max_degree + 1), window
+                )
+            row.append(poly)
+        theta.append(row)
+    return theta

@@ -32,7 +32,6 @@ from qprism.cartier import (
     cartier_verify,
     chain_map_build,
     level_raise,
-    semilinear_frobenius,
 )
 from qprism.cli import run_command
 from qprism.delta_ring import DeltaElement, envelope_presentation, is_distinguished, run_axiom_suite
@@ -43,6 +42,7 @@ from qprism.homology import right_kernel_basis
 from qprism.twisted_calculus import ConnectionModule, QPolynomial, connection_apply
 
 import elim_oracle
+from paper_oracle import semilinear_frobenius
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 CONNECTION_FIXTURES = sorted(FIXTURES.glob("p*_rank*.json"))

@@ -14,7 +14,6 @@ from qprism.adic_diagnostics import (
     _g_torsion_free,
     _torsion_report,
     bounded_and_flat_check,
-    koszul_build,
     koszul_reduction_cone_acyclic,
     pro_iso_check,
     torsion_bound,
@@ -22,7 +21,7 @@ from qprism.adic_diagnostics import (
 from qprism.base_ring import RingContext, WScalar
 from qprism.errors import InvalidArgs, NotBounded
 from qprism.exactpoly import IntPoly
-from elim_oracle import _fp_rank, _quotient_presentation, oracle_engine, w_twin
+from elim_oracle import _fp_rank, _quotient_presentation, koszul_build, oracle_engine, w_twin
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 

@@ -96,6 +96,23 @@ def test_q_int_product_rule():
     assert q_int(4, 1, ctx) == q_int(2, 1, ctx) * q_int(2, 2, ctx)
 
 
+def _q_int_poly_by_summation(n, r=1):
+    """(n)_{q^r} as the earlier loop built it, one monomial added at a time."""
+    total = IntPoly()
+    for i in range(n):
+        total = total + IntPoly.var("q", r * i)
+    return total
+
+
+def test_q_int_poly_matches_the_summation_loop():
+    for n in (0, 1, 2, 3, 7, 40):
+        for r in (0, 1, 2, 5):
+            assert q_int_poly(n, r) == _q_int_poly_by_summation(n, r), (n, r)
+    assert q_int_poly(7, 0) == IntPoly.const(7)
+    with pytest.raises(InvalidArgs):
+        q_int_poly(-1)
+
+
 def _q_int_uncached(n, r, ctx):
     """The forward-difference formula of `q_int`, recomputed on every call."""
     coeffs = []

@@ -10,9 +10,7 @@ from qprism.cartier import (
     cartier_verify,
     chain_map_build,
     level_raise,
-    random_nilpotent_theta,
     raised_window,
-    semilinear_frobenius,
     verschiebung_ok,
 )
 from qprism.errors import WindowUnstable, WrongLevel
@@ -20,7 +18,8 @@ from qprism.homology import FlatMatrix, flat_dim, w_scale_blocks
 from qprism.twisted_calculus import ConnectionModule, QPolynomial, connection_apply
 
 import elim_oracle
-from flatten_oracle import flatten_sections
+from flatten_oracle import flatten_sections, random_nilpotent_theta
+from paper_oracle import semilinear_frobenius
 
 
 def trivial_problem(p=2, rank=1, window=4):

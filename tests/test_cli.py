@@ -13,7 +13,7 @@ import qprism.cli
 import qprism.errors
 from qprism.cli import N_MAX_CEILING, run_command
 from qprism.exactpoly import IntPoly
-from qprism.grammar import MAX_EXPONENT
+from qprism.grammar import MAX_EXPONENT, MAX_TERMS
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -47,6 +47,23 @@ def test_q_int_zero(capsys):
     code, out = run(capsys, "q-int", "0")
     assert code == 0
     assert out == "0\n"
+
+
+@pytest.mark.parametrize(
+    "argv, out", [(("5", "--r", "2"), "1+q^2+q^4+q^6+q^8\n"), (("7", "--r", "0"), "7\n")]
+)
+def test_q_int_prints_every_base(capsys, argv, out):
+    assert run(capsys, "q-int", *argv) == (0, out)
+
+
+def test_q_int_over_the_term_cap_is_refused_at_once(capsys):
+    # (n)_q holds n terms; past grammar.MAX_TERMS it is refused before any is built
+    start = time.perf_counter()
+    code, report = run_json(capsys, "q-int", str(MAX_TERMS + 1))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert report["schema"] == "qprism/1"
+    assert report["error"]["field"] == "n"
 
 
 def test_q_int_negative_is_spec_error(capsys):
@@ -257,6 +274,25 @@ def test_adic_converts_each_distinct_literal_once(tmp_path, capsys, monkeypatch)
     code, _ = run(capsys, "adic", "--spec", str(path))
     assert code == 0
     assert len(calls) <= 6
+
+
+def test_adic_load_converts_each_distinct_literal_to_a_scalar_at_most_twice(tmp_path, monkeypatch):
+    # 40,960 relation entries hold "0" and five scalars, and f and g are among them
+    calls = []
+    base_scalar = qprism.adic_diagnostics.base_scalar
+
+    def counted(*args):
+        calls.append(args)
+        return base_scalar(*args)
+
+    monkeypatch.setattr(qprism.adic_diagnostics, "base_scalar", counted)
+    monkeypatch.setattr(qprism.cli, "base_scalar", counted)
+    spec = _sparse_module_spec("Zpn", 2048, 20, p=3, n=3, f="3", g="6")
+    literals = {e for row in spec["relations"] for e in row} | {spec["f"], spec["g"]}
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(spec))
+    qprism.cli._load_adic_spec(str(path))
+    assert len(calls) <= 2 * len(literals) + 2
 
 
 @pytest.mark.parametrize("name", ADIC_FIXTURES)

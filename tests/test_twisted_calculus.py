@@ -192,6 +192,17 @@ def test_nilpotence_unit_connection_fails():
     assert report.witness == [None]
 
 
+def reduce_to(m: ConnectionModule, ctx: RingContext) -> ConnectionModule:
+    theta = [
+        [e.map_scalars(lambda w: w.reduce_to(ctx)) for e in row]
+        for row in m.theta
+    ]
+    fixed = [
+        [QPolynomial(ctx, e.coeffs, m.window) for e in row] for row in theta
+    ]
+    return ConnectionModule(ctx, m.rank, m.level, fixed, m.window)
+
+
 def test_nilpotence_monotone_under_truncation():
     # nilpotent at (N, M) stays nilpotent at smaller (N', M')
     big = RingContext(2, 3, 3)
@@ -200,7 +211,7 @@ def test_nilpotence_monotone_under_truncation():
     m = ConnectionModule(big, 1, 0, theta, window=4)
     rep = quasi_nilpotence_check(flatten_connection(m), m.rank, 12)
     assert rep.nilpotent
-    rep_small = quasi_nilpotence_check(flatten_connection(m.reduce_to(small)), m.rank, 12)
+    rep_small = quasi_nilpotence_check(flatten_connection(reduce_to(m, small)), m.rank, 12)
     assert rep_small.nilpotent
     assert all(
         ws <= wb for ws, wb in zip(rep_small.witness, rep.witness)
