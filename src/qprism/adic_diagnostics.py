@@ -1,5 +1,5 @@
 """Predicates on finitely generated modules over exact or truncated bases:
-torsion bounds, Koszul complexes and their reductions, boundedness,
+torsion bounds, the Koszul reduction cone, boundedness,
 complete and formal flatness, and pro-system stabilization.
 
 Supported bases: "Z" (exact integers), "Zpn" (Z/p^N), "W" (the truncated
@@ -22,16 +22,11 @@ mutated after that.  The engines share these methods:
   f^b-torsion does, and the orders reported for that torsion;
 - `kills(f, s, k)`: whether f^s kills the f^k-torsion;
 - `quotient(s)`: the engine of M/sM, built from the engine's own data;
-- `block(scalars)` and `term(quotients)`: a differential and a term of a
-  complex whose terms are direct sums of copies of M or M/sM;
-- `exact_at(incoming, term, outgoing, next_term)`: exactness at one spot;
+- `reduction_cone_acyclic(a, b)`: whether a acts bijectively on the
+  b-torsion, which decides the Koszul reduction cone at a = f^n, b = g^m;
 - `flatness(f, g, details)`: the complete and formal flatness core.
 
-Over Z and Z/p^N such a complex is the sum, over the cyclic factors Z/d
-of M, of the complex with terms Z/gcd(d, s) and the scalar matrices as
-differentials, so `_ZEngine` decides exactness once per distinct order d,
-on terms of rank at most 2.  The predicates below are written once on top
-of the engines.
+The predicates below are written once on top of the engines.
 """
 
 from __future__ import annotations
@@ -68,18 +63,15 @@ def _swap_cols(m, i, j):
         row[i], row[j] = row[j], row[i]
 
 
-def snf_z(mat: list[list[int]], want_transforms: bool = False):
+def snf_z(mat: list[list[int]]) -> list[int]:
     """Diagonalize an integer matrix by unimodular row/column operations.
 
-    Returns (diag, U, V) with U @ mat @ V diagonal when transforms are
-    requested, else just the diagonal list.  The diagonal is not forced
-    into a divisibility chain; callers use it as a multiset.
+    Returns the diagonal, not forced into a divisibility chain; callers use
+    it as a multiset.
     """
     a = [list(map(int, row)) for row in mat]
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    U = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    V = _identity(cols) if want_transforms else []
     diag = []
     top = 0
     while top < min(rows, cols):
@@ -93,9 +85,7 @@ def snf_z(mat: list[list[int]], want_transforms: bool = False):
             break
         i0, j0 = best
         _swap_rows(a, top, i0)
-        _swap_rows(U, top, i0)
         _swap_cols(a, top, j0)
-        _swap_cols(V, top, j0)
         dirty = True
         while dirty:
             dirty = False
@@ -104,56 +94,25 @@ def snf_z(mat: list[list[int]], want_transforms: bool = False):
                     quo = a[i][top] // a[top][top]
                     for j in range(cols):
                         a[i][j] -= quo * a[top][j]
-                    for j in range(rows):
-                        U[i][j] -= quo * U[top][j]
                     if a[i][top]:
                         _swap_rows(a, top, i)
-                        _swap_rows(U, top, i)
                         dirty = True
             for j in range(top + 1, cols):
                 if a[top][j]:
                     quo = a[top][j] // a[top][top]
                     for i in range(rows):
                         a[i][j] -= quo * a[i][top]
-                    for row in V:
-                        row[j] -= quo * row[top]
                     if a[top][j]:
                         _swap_cols(a, top, j)
-                        _swap_cols(V, top, j)
                         dirty = True
         diag.append(abs(a[top][top]))
         top += 1
-    if want_transforms:
-        return diag, U, V
     return diag
-
-
-def _identity(n: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def _z_rank(mat: list[list[int]]) -> int:
     # snf_z stops at the first all-zero block, so its diagonal has no zeros
     return len(snf_z(mat))
-
-
-def _z_kernel(mat: list[list[int]], width: int) -> list[list[int]]:
-    """Vectors spanning {v in Z^width : mat v = 0} (a saturated lattice basis)."""
-    if not mat:
-        return _identity(width)
-    diag, _U, V = snf_z(mat, want_transforms=True)
-    return [[row[j] for row in V] for j in range(len(diag), width)]
-
-
-def _z_solvable(mat: list[list[int]], vectors: list[list[int]]) -> bool:
-    """Whether every vector lies in the lattice generated by the columns of
-    mat, from one Smith form of mat: U v must be a multiple of the diagonal."""
-    diag, U, _V = snf_z(mat, want_transforms=True)
-    for v in vectors:
-        uv = [sum(u * x for u, x in zip(row, v)) for row in U]
-        if any(x % d for x, d in zip(uv, diag)) or any(uv[len(diag):]):
-            return False
-    return True
 
 
 # --- presentations ------------------------------------------------------------
@@ -254,32 +213,9 @@ def _z_cyclic_orders(m: ModulePresentation) -> list[int]:
     return [d for d in diag if d != 1] + [0] * (m.generators - len(diag))
 
 
-def _diagonal(orders: list[int]) -> list[list[int]]:
-    """Relation columns of a sum of cyclic groups, one per finite factor."""
-    return [[d if c == k else 0 for c, d in enumerate(orders) if d] for k in range(len(orders))]
-
-
-def _z_exact_at(d: int, incoming, quotients, outgoing, next_quotients) -> bool:
-    """Exactness at one spot of the complex on the factor Z/d."""
-    orders = [d if s is None else gcd(d, s) for s in quotients]
-    dim = len(orders)
-    if outgoing is None:
-        kernel = _identity(dim)
-    else:
-        # preimage lattice of the next term's relations
-        next_orders = [d if s is None else gcd(d, s) for s in next_quotients]
-        stacked = [a + r for a, r in zip(outgoing, _diagonal(next_orders))]
-        width = dim + sum(1 for e in next_orders if e)
-        kernel = [v[:dim] for v in _z_kernel(stacked, width)]
-    image = [a + r for a, r in zip(incoming or [[]] * dim, _diagonal(orders))]
-    return _z_solvable(image, kernel)
-
-
 class _ZEngine:
-    """Base Z: M is a sum of cyclic groups Z/d (d = 0 for Z), and the
-    torsion predicates are closed forms in the orders d.  A complex term is
-    its list of quotient scalars (None for M) and a differential its integer
-    scalar matrix, read on each factor Z/d as terms Z/gcd(d, s)."""
+    """Base Z: M is a sum of cyclic groups Z/d (d = 0 for Z), and every
+    predicate is a closed form in the orders d."""
 
     def __init__(self, orders: list[int], m: ModulePresentation):
         self.orders, self.m = orders, m  # M/sM keeps m, which `_ZpnEngine` reads
@@ -301,17 +237,9 @@ class _ZEngine:
         # (Z/d) / s(Z/d) is Z/gcd(d, s), and the factors Z/1 drop out
         return type(self)([e for e in (gcd(d, s) for d in self.orders) if e != 1], self.m)
 
-    def block(self, scalars: list[list]) -> list[list]:
-        return scalars
-
-    def term(self, quotients: list) -> list:
-        return quotients
-
-    def exact_at(self, incoming, quotients, outgoing, next_quotients) -> bool:
-        return all(
-            _z_exact_at(d, incoming, quotients, outgoing, next_quotients)
-            for d in sorted(set(self.orders))
-        )
+    def reduction_cone_acyclic(self, a: int, b: int) -> bool:
+        # the b-torsion of Z/d is Z/gcd(d, b); that of a free factor is 0 unless b = 0
+        return all(gcd(a, b, d) == 1 for d in self.orders if d or not b)
 
     def flatness(self, f: int, g: int, details: dict):
         d0 = gcd(f, g)
@@ -335,7 +263,8 @@ class _ZpnEngine(_ZEngine):
     """Base Zpn: M is the sum of the cyclic groups Z/p^e over the Smith
     exponents e of the relations S, decided on the orders p^e with e >= 1.
     The reports keep the flattened route's, in closed forms in e: torsion as
-    its preimage in (Z/p^N)^g, and the details of W's flatness core."""
+    its preimage in (Z/p^N)^g, and the details of W's flatness core.
+    `kills`, `quotient` and the reduction cone are `_ZEngine`'s."""
 
     def torsion_step(self, f: int, b: int):
         pn, N = self.m.ctx.pn, self.m.ctx.n_prec
@@ -369,8 +298,7 @@ class _ZpnEngine(_ZEngine):
 class _FiniteEngine:
     """Base W: M flattened to a Z/p^N-module F/S, one block of m
     coordinates per generator on which a scalar acts by `w_mult_block`.
-    Submodules are spans of rows; complex terms are (dimension, rows
-    spanning the relations) and differentials matrices over Z/p^N.
+    Submodules are spans of rows.
 
     Every question is a comparison of span orders.  Z/p^N is a Frobenius
     ring, so under the dot product a submodule K of F has K^perp^perp = K
@@ -393,16 +321,14 @@ class _FiniteEngine:
         # log_p of the order of the span of _annihilator(f, k), by (f, k)
         self._annihilator_logs: dict = {}
 
-    def _flat(self, scalars: list[list], cols: int, copies: int = 1) -> np.ndarray:
-        """The Z/p^N matrix of a matrix of scalars, each acting on `copies` copies
-        of the base: one block per scalar, spread over the identity in one step."""
+    def _flat(self, scalars: list[list], cols: int) -> np.ndarray:
+        """The Z/p^N matrix of a matrix of scalars, one block per scalar."""
         w = self.width
         blocks = np.zeros((len(scalars), cols, w, w), dtype=np.int64)
         for i, row in enumerate(scalars):
             for j, s in enumerate(row):
                 blocks[i, j] = w_mult_block(self.m.scalar(s))
-        spread = np.einsum("ijcd,kl->ikcjld", blocks, np.eye(copies, dtype=np.int64))
-        return spread.reshape(len(scalars) * copies * w, cols * copies * w)
+        return blocks.transpose(0, 2, 1, 3).reshape(len(scalars) * w, cols * w)
 
     def _per_generator(self, rows: np.ndarray, block: np.ndarray) -> np.ndarray:
         """rows with the coordinates of each generator multiplied by block."""
@@ -453,25 +379,10 @@ class _FiniteEngine:
         grown = self._log(np.vstack([annihilator, self._annihilator(f, s)]))
         return grown == self._annihilator_logs[f, k]
 
-    def block(self, scalars: list[list]) -> np.ndarray:
-        return self._flat(scalars, len(scalars[0]), self.m.generators)
-
-    def term(self, quotients: list) -> tuple:
-        # the rows of the direct sum: each summand's relations in its own block
-        eye = np.eye(len(quotients), dtype=np.int64)
-        spans = [self.quotient_rows(() if s is None else [s]) for s in quotients]
-        rows = np.vstack([np.kron(e, span) for e, span in zip(eye, spans)])
-        return len(quotients) * self.dim, rows
-
-    def exact_at(self, incoming, term, outgoing, next_term) -> bool:
-        dim, span = term
-        kernel_log = self.N * dim
-        if outgoing is not None:
-            # |{v : A v in S'}| = |F| |S'| / |A F + S'|
-            next_span = next_term[1]
-            kernel_log += self._log(next_span) - self._log(np.vstack([next_span, outgoing.T]))
-        image = span if incoming is None else np.vstack([span, incoming.T])
-        return kernel_log == self._log(image)
+    def reduction_cone_acyclic(self, a, b) -> bool:
+        # a is injective on the b-torsion iff K_a meet K_b = S, iff S^perp a + S^perp b = S^perp
+        stacked = np.vstack([self._annihilator(b, 1), self._annihilator(a, 1)])
+        return self._log(stacked) == self._log(self.perp)
 
     def _residue_rank(self) -> int:
         """F_p-rank of the relations modulo p and t, each generator's first coordinate."""
@@ -612,10 +523,8 @@ class _ZqEngine:
             raise InvalidArgs("Zq base supports one monic relation per generator (diagonal)")
         return _ZqEngine([_monic(s)] * len(self.mono) if self.mono else [], bool(self.mono))
 
-    def term(self, quotients):
+    def reduction_cone_acyclic(self, a, b):
         raise InvalidArgs("Koszul complexes are not supported over exact Z[q]")
-
-    block = term
 
     def flatness(self, f, g, details: dict):
         if any(monic is not None for monic in self.mono):
@@ -662,54 +571,21 @@ def _g_torsion_free(m: ModulePresentation, g) -> bool:
     return eng.torsion_step(g, 1)[0] == eng.torsion_step(g, 0)[0]
 
 
-# --- complexes of presented modules --------------------------------------------
-
-
-@dataclass
-class PresentedComplex:
-    """Bounded cochain complex whose terms are direct sums of copies of a
-    presented module (possibly further quotiented), with scalar-matrix
-    differentials, in the representation of the module's engine: lists of
-    quotient scalars and the scalar matrices themselves for Z and Zpn,
-    (ambient_dim, relation rows) and matrices over Z/p^N for W.
-    """
-
-    engine: object
-    terms: list
-    differentials: list
-
-    def exact_at(self, i: int) -> bool:
-        d = self.differentials
-        return self.engine.exact_at(
-            d[i - 1] if i >= 1 else None,
-            self.terms[i],
-            d[i] if i < len(d) else None,
-            self.terms[i + 1] if i + 1 < len(self.terms) else None,
-        )
-
-    def acyclic(self) -> bool:
-        return all(self.exact_at(i) for i in range(len(self.terms)))
+# --- the Koszul reduction cone ------------------------------------------------------
 
 
 def koszul_reduction_cone_acyclic(m: ModulePresentation, f, g, n: int = 1, mexp: int = 1) -> bool:
     """Acyclicity of the cone comparing the two-variable Koszul complex
-    with [M/g^m -> M/g^m] via f^n, the reduction that holds for
-    g-torsion-free modules.
+    K(f^n, g^m; M) with [M/g^m -> M/g^m] via f^n, the reduction that holds
+    for g-torsion-free modules.
 
-    Cone terms: M -> M+M -> M + M/g^m -> M/g^m, with the comparison legs
-    projecting onto the second factor and the quotient.
+    The comparison is onto in every degree, and its kernel is the Koszul
+    complex of f^n on [M -> g^m M].  That two-term complex is
+    quasi-isomorphic to M[g^m] = {x : g^m x = 0} in degree 0, so the cone
+    is acyclic exactly when f^n acts bijectively on M[g^m]; on a finite
+    module, injectively.
     """
-    eng = m.engine
-    fn, gm = m.scalar(f) ** n, m.scalar(g) ** mexp
-    terms = [eng.term([None]), eng.term([None, None]), eng.term([None, gm]), eng.term([gm])]
-    differentials = [
-        eng.block([[gm], [fn]]),
-        # (y, z) -> (f^n y - g^m z, ybar)
-        eng.block([[fn, -gm], [1, 0]]),
-        # (z, t) -> zbar - f^n tbar
-        eng.block([[1, -fn]]),
-    ]
-    return PresentedComplex(eng, terms, differentials).acyclic()
+    return m.engine.reduction_cone_acyclic(m.scalar(f) ** n, m.scalar(g) ** mexp)
 
 
 # --- pro-isomorphism --------------------------------------------------------------

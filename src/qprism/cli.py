@@ -173,8 +173,10 @@ def _load_adic_spec(path: str, grow: int = 0, spec: dict | None = None):
         n = _require(spec, "n", int, lambda v: v >= 1)
         m = _optional(spec, "m", int, 1, lambda v: v >= 1)
         n, m, _ = _finer(grow, n, m)
-        # the widest matrices act on M + M (Koszul) and on base^relations
-        # (Tor), a copy of the base flattened to m coordinates over W, 1 over Zpn
+        # over W the reduction cone stacks two annihilators of at most
+        # generators * m rows each, and Tor acts on base^relations, a copy of
+        # the base being m coordinates; Zpn, one coordinate, keeps the same
+        # bounds as the documented contract
         width = m if base == "W" else 1
         _check_budget(
             p, "n", n,
@@ -183,7 +185,8 @@ def _load_adic_spec(path: str, grow: int = 0, spec: dict | None = None):
         )
         ctx = RingContext(p, n, m)
     else:
-        # Z and Zq keep no coordinates, but their Koszul complex acts on M + M too
+        # Z and Zq keep no coordinates; the bound on 2 * generators is kept as
+        # the documented contract
         _check_dims({"generators": 2 * generators})
 
     # each distinct literal parsed and converted to a scalar of the base once; a

@@ -72,14 +72,6 @@ def _check_modulus(n: int) -> tuple[int, int]:
     return p, N
 
 
-def _as_matrix(mat, n: int) -> np.ndarray:
-    a = np.array(mat, dtype=np.int64)
-    if a.ndim != 2:
-        raise InvalidArgs("expected a 2-D matrix")
-    a %= n
-    return a
-
-
 def _reduced(mat, n: int) -> np.ndarray:
     """mat as a 2-D int64 array with entries in [0, n): mat itself when it
     already is one, else a reduced copy."""
@@ -133,7 +125,7 @@ def howell_form(mat, n: int) -> np.ndarray:
     appends its annihilator row p^(N-v) * row, folded in by later columns.
     """
     _check_modulus(n)
-    a = _as_matrix(mat, n)
+    a = _reduced(mat, n)
     rows, cols = a.shape
     # each pivot appends at most one row; np.zeros leaves unused pages untouched
     work = np.zeros((rows + cols, cols), dtype=np.int64)
@@ -155,7 +147,7 @@ def howell_form(mat, n: int) -> np.ndarray:
 def right_kernel_basis(mat, n: int) -> np.ndarray:
     """Rows spanning {v : mat @ v = 0} = {v : v @ mat^T = 0} over Z/n."""
     _check_modulus(n)
-    a = _as_matrix(mat, n).T
+    a = _reduced(mat, n).T
     rows, cols = a.shape
     h = howell_form(np.hstack([a, np.eye(rows, dtype=np.int64)]), n)
     # by the Howell property, the rows with pivot in the identity block span the kernel
@@ -351,7 +343,7 @@ class FlatMatrix:
     def __init__(self, p: int, n_prec: int, entries):
         """The dense matrix entries (anything np.array reads as 2-D),
         reduced mod p^N, with b = 1."""
-        a = _as_matrix(entries, p**n_prec)
+        a = _reduced(entries, p**n_prec)
         r, c = _flat_nonzero(a)
         self._set(p, n_prec, a.shape, 1, r, c, a[r, c].reshape(-1, 1, 1))
 

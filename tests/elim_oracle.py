@@ -27,21 +27,30 @@ integer kernel vectors, where the library compares ranks, and builds the
 matrix of f^k on a monic summand as a product of k matrices of f, where
 the library reduces f^k modulo the monic; and `PerVectorZEngine` spreads
 every scalar matrix over the identity of all of M and recomputes the
-Smith form of the image once per kernel vector, where the library decides
-exactness once per distinct cyclic order.  Each builds
+Smith form of the image once per kernel vector, where `ComplexZEngine`
+decides exactness once per distinct cyclic order.  Each builds
 M/sM from `_quotient_presentation`, the dense presentation with s times
 each generator among the relations, where the library's engines build it
 from their own data.  `oracle_engine` stands in for `adic_diagnostics._engine`.
 
-`koszul_build` builds the one- and two-variable Koszul complexes on a
-presented module.  No command reports them: `qprism adic` asks only whether
-the cone of the two-variable complex against its reduction is acyclic
-(`adic_diagnostics.koszul_reduction_cone_acyclic`), and the tests check the
-complexes themselves.
+The generic complex route is kept here too.  `PresentedComplex` is a
+bounded complex of direct sums of copies of M or M/sM, with scalar-matrix
+differentials, whose exactness its engine decides through `term`, `block`
+and `exact_at`; `complex_engine` turns a library engine into its sibling
+here that carries them (`ComplexZEngine`, `ComplexZpnEngine`,
+`ComplexFiniteEngine`, `ComplexZqEngine`), and the integer lattice kernels
+behind Z come with a transform-tracking Smith form, `snf_z_transforms`.
+`koszul_build` builds the one- and two-variable Koszul complexes on it, and
+`generic_cone_acyclic` the four-term cone of the two-variable complex
+against its reduction [M/g^m -> M/g^m].  No command reports a complex: the
+library decides that cone as "f^n acts bijectively on the g^m-torsion"
+(`adic_diagnostics.koszul_reduction_cone_acyclic`), and the tests sweep it
+against `generic_cone_acyclic`.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from math import gcd
 
@@ -50,18 +59,16 @@ import numpy as np
 from qprism import homology
 from qprism.adic_diagnostics import (
     ModulePresentation,
-    PresentedComplex,
-    _diagonal,
     _FiniteEngine,
-    _identity,
     _monic_action_basis,
+    _swap_cols,
+    _swap_rows,
     _z_cyclic_orders,
-    _z_kernel,
     _z_rank,
     _ZEngine,
+    _ZpnEngine,
     _zq_mult_matrix,
     _ZqEngine,
-    snf_z,
 )
 from qprism.base_ring import RingContext, WScalar
 from qprism.errors import InvalidArgs, NotAChainMap
@@ -71,6 +78,7 @@ from qprism.homology import (
     is_chain_map,
     right_kernel_basis,
     span_exponents,
+    w_mult_block,
 )
 
 from paper_oracle import span_contains
@@ -392,6 +400,252 @@ def cone_acyclic(
     return im1 == N * dim_end
 
 
+# --- complexes of presented modules ----------------------------------------------
+
+
+def snf_z_transforms(mat: list[list[int]], want_transforms: bool = False):
+    """Diagonalize an integer matrix by unimodular row/column operations.
+
+    Returns (diag, U, V) with U @ mat @ V diagonal when transforms are
+    requested, else just the diagonal list.  The diagonal is not forced
+    into a divisibility chain; callers use it as a multiset.
+    """
+    a = [list(map(int, row)) for row in mat]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    U = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    V = _identity(cols) if want_transforms else []
+    diag = []
+    top = 0
+    while top < min(rows, cols):
+        # locate a minimal nonzero entry in the remaining block
+        best = None
+        for i in range(top, rows):
+            for j in range(top, cols):
+                if a[i][j] and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        i0, j0 = best
+        _swap_rows(a, top, i0)
+        _swap_rows(U, top, i0)
+        _swap_cols(a, top, j0)
+        _swap_cols(V, top, j0)
+        dirty = True
+        while dirty:
+            dirty = False
+            for i in range(top + 1, rows):
+                if a[i][top]:
+                    quo = a[i][top] // a[top][top]
+                    for j in range(cols):
+                        a[i][j] -= quo * a[top][j]
+                    for j in range(rows):
+                        U[i][j] -= quo * U[top][j]
+                    if a[i][top]:
+                        _swap_rows(a, top, i)
+                        _swap_rows(U, top, i)
+                        dirty = True
+            for j in range(top + 1, cols):
+                if a[top][j]:
+                    quo = a[top][j] // a[top][top]
+                    for i in range(rows):
+                        a[i][j] -= quo * a[i][top]
+                    for row in V:
+                        row[j] -= quo * row[top]
+                    if a[top][j]:
+                        _swap_cols(a, top, j)
+                        _swap_cols(V, top, j)
+                        dirty = True
+        diag.append(abs(a[top][top]))
+        top += 1
+    if want_transforms:
+        return diag, U, V
+    return diag
+
+
+def _identity(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _z_kernel(mat: list[list[int]], width: int) -> list[list[int]]:
+    """Vectors spanning {v in Z^width : mat v = 0} (a saturated lattice basis)."""
+    if not mat:
+        return _identity(width)
+    diag, _U, V = snf_z_transforms(mat, want_transforms=True)
+    return [[row[j] for row in V] for j in range(len(diag), width)]
+
+
+def _z_solvable(mat: list[list[int]], vectors: list[list[int]]) -> bool:
+    """Whether every vector lies in the lattice generated by the columns of
+    mat, from one Smith form of mat: U v must be a multiple of the diagonal."""
+    diag, U, _V = snf_z_transforms(mat, want_transforms=True)
+    for v in vectors:
+        uv = [sum(u * x for u, x in zip(row, v)) for row in U]
+        if any(x % d for x, d in zip(uv, diag)) or any(uv[len(diag):]):
+            return False
+    return True
+
+
+def _diagonal(orders: list[int]) -> list[list[int]]:
+    """Relation columns of a sum of cyclic groups, one per finite factor."""
+    return [[d if c == k else 0 for c, d in enumerate(orders) if d] for k in range(len(orders))]
+
+
+def _z_exact_at(d: int, incoming, quotients, outgoing, next_quotients) -> bool:
+    """Exactness at one spot of the complex on the factor Z/d."""
+    orders = [d if s is None else gcd(d, s) for s in quotients]
+    dim = len(orders)
+    if outgoing is None:
+        kernel = _identity(dim)
+    else:
+        # preimage lattice of the next term's relations
+        next_orders = [d if s is None else gcd(d, s) for s in next_quotients]
+        stacked = [a + r for a, r in zip(outgoing, _diagonal(next_orders))]
+        width = dim + sum(1 for e in next_orders if e)
+        kernel = [v[:dim] for v in _z_kernel(stacked, width)]
+    image = [a + r for a, r in zip(incoming or [[]] * dim, _diagonal(orders))]
+    return _z_solvable(image, kernel)
+
+
+class _ZComplexes:
+    """Complexes over Z and Z/p^N.  A complex term is its list of quotient
+    scalars (None for M) and a differential its integer scalar matrix.
+    Such a complex is the sum, over the cyclic factors Z/d of M, of the
+    complex with terms Z/gcd(d, s) and the scalar matrices as
+    differentials, so exactness is decided once per distinct order d, on
+    terms of rank at most 2."""
+
+    def block(self, scalars: list[list]) -> list[list]:
+        return scalars
+
+    def term(self, quotients: list) -> list:
+        return quotients
+
+    def exact_at(self, incoming, quotients, outgoing, next_quotients) -> bool:
+        return all(
+            _z_exact_at(d, incoming, quotients, outgoing, next_quotients)
+            for d in sorted(set(self.orders))
+        )
+
+
+class ComplexZEngine(_ZComplexes, _ZEngine):
+    pass
+
+
+class ComplexZpnEngine(_ZComplexes, _ZpnEngine):
+    pass
+
+
+class ComplexFiniteEngine(_FiniteEngine):
+    """The W engine with complexes: terms are (dimension, rows spanning the
+    relations) and differentials matrices over Z/p^N."""
+
+    def _flat(self, scalars: list[list], cols: int, copies: int = 1) -> np.ndarray:
+        """The Z/p^N matrix of a matrix of scalars, each acting on `copies` copies
+        of the base: one block per scalar, spread over the identity in one step."""
+        w = self.width
+        blocks = np.zeros((len(scalars), cols, w, w), dtype=np.int64)
+        for i, row in enumerate(scalars):
+            for j, s in enumerate(row):
+                blocks[i, j] = w_mult_block(self.m.scalar(s))
+        spread = np.einsum("ijcd,kl->ikcjld", blocks, np.eye(copies, dtype=np.int64))
+        return spread.reshape(len(scalars) * copies * w, cols * copies * w)
+
+    def block(self, scalars: list[list]) -> np.ndarray:
+        return self._flat(scalars, len(scalars[0]), self.m.generators)
+
+    def term(self, quotients: list) -> tuple:
+        # the rows of the direct sum: each summand's relations in its own block
+        eye = np.eye(len(quotients), dtype=np.int64)
+        spans = [self.quotient_rows(() if s is None else [s]) for s in quotients]
+        rows = np.vstack([np.kron(e, span) for e, span in zip(eye, spans)])
+        return len(quotients) * self.dim, rows
+
+    def exact_at(self, incoming, term, outgoing, next_term) -> bool:
+        dim, span = term
+        kernel_log = self.N * dim
+        if outgoing is not None:
+            # |{v : A v in S'}| = |F| |S'| / |A F + S'|
+            next_span = next_term[1]
+            kernel_log += self._log(next_span) - self._log(np.vstack([next_span, outgoing.T]))
+        image = span if incoming is None else np.vstack([span, incoming.T])
+        return kernel_log == self._log(image)
+
+
+class ComplexZqEngine(_ZqEngine):
+    def term(self, quotients):
+        raise InvalidArgs("Koszul complexes are not supported over exact Z[q]")
+
+    block = term
+
+
+_COMPLEX_SIBLING = {
+    _ZEngine: ComplexZEngine,
+    _ZpnEngine: ComplexZpnEngine,
+    _FiniteEngine: ComplexFiniteEngine,
+    _ZqEngine: ComplexZqEngine,
+}
+
+
+def complex_engine(eng):
+    """eng with the complex methods above.  A library engine becomes its
+    sibling here on the same data, with nothing recomputed; an oracle
+    engine, which has them, is returned as it is."""
+    sibling = _COMPLEX_SIBLING.get(type(eng))
+    if sibling is None:
+        return eng
+    twin = copy.copy(eng)
+    twin.__class__ = sibling
+    return twin
+
+
+@dataclass
+class PresentedComplex:
+    """Bounded cochain complex whose terms are direct sums of copies of a
+    presented module (possibly further quotiented), with scalar-matrix
+    differentials, in the representation of the module's engine: lists of
+    quotient scalars and the scalar matrices themselves for Z and Zpn,
+    (ambient_dim, relation rows) and matrices over Z/p^N for W.
+    """
+
+    engine: object
+    terms: list
+    differentials: list
+
+    def exact_at(self, i: int) -> bool:
+        d = self.differentials
+        return self.engine.exact_at(
+            d[i - 1] if i >= 1 else None,
+            self.terms[i],
+            d[i] if i < len(d) else None,
+            self.terms[i + 1] if i + 1 < len(self.terms) else None,
+        )
+
+    def acyclic(self) -> bool:
+        return all(self.exact_at(i) for i in range(len(self.terms)))
+
+
+def generic_cone_acyclic(m: ModulePresentation, f, g, n: int = 1, mexp: int = 1) -> bool:
+    """Acyclicity of the cone comparing the two-variable Koszul complex
+    with [M/g^m -> M/g^m] via f^n, the reduction that holds for
+    g-torsion-free modules.
+
+    Cone terms: M -> M+M -> M + M/g^m -> M/g^m, with the comparison legs
+    projecting onto the second factor and the quotient.
+    """
+    eng = complex_engine(m.engine)
+    fn, gm = m.scalar(f) ** n, m.scalar(g) ** mexp
+    terms = [eng.term([None]), eng.term([None, None]), eng.term([None, gm]), eng.term([gm])]
+    differentials = [
+        eng.block([[gm], [fn]]),
+        # (y, z) -> (f^n y - g^m z, ybar)
+        eng.block([[fn, -gm], [1, 0]]),
+        # (z, t) -> zbar - f^n tbar
+        eng.block([[1, -fn]]),
+    ]
+    return PresentedComplex(eng, terms, differentials).acyclic()
+
+
 # --- earlier routes of the adic engines ------------------------------------------
 
 
@@ -423,7 +677,7 @@ def _finite_preimage(mat: np.ndarray, span: np.ndarray, n: int) -> np.ndarray:
     return proj[proj.any(axis=1)]
 
 
-class PreimageEngine(_FiniteEngine):
+class PreimageEngine(ComplexFiniteEngine):
     """The finite engine with a Howell preimage kernel per question and a
     dense power of the flattened f per exponent."""
 
@@ -500,7 +754,7 @@ def _z_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
 
 
-class KernelZqEngine(_ZqEngine):
+class KernelZqEngine(ComplexZqEngine):
     """The Zq engine deciding `kills` from integer kernel vectors, with the
     matrix of f^k on a monic summand a product of k matrices of f."""
 
@@ -548,13 +802,6 @@ class KernelZqEngine(_ZqEngine):
         return True
 
 
-def _z_solvable(mat: list[list[int]], v: list[int]) -> bool:
-    """Whether v lies in the lattice generated by the columns of mat."""
-    diag, U, _V = snf_z(mat, want_transforms=True)
-    uv = [sum(u * x for u, x in zip(row, v)) for row in U]
-    return all(x % d == 0 for x, d in zip(uv, diag)) and not any(uv[len(diag):])
-
-
 class PerVectorZEngine(_ZEngine):
     """The Z engine on scalar matrices spread over all of M, solving for
     each kernel vector with its own Smith form.  Complex terms are lists of
@@ -582,7 +829,7 @@ class PerVectorZEngine(_ZEngine):
             width = dim + sum(1 for d in next_orders if d)
             kernel = [v[:dim] for v in _z_kernel(stacked, width)]
         image = [a + r for a, r in zip(incoming or [[]] * dim, _diagonal(orders))]
-        return all(_z_solvable(image, v) for v in kernel)
+        return all(_z_solvable(image, [v]) for v in kernel)
 
 
 def w_twin(m: ModulePresentation) -> ModulePresentation:
@@ -610,7 +857,7 @@ def koszul_build(m: ModulePresentation, f, g=None, n: int = 1, mexp: int = 1) ->
     """
     if n < 1 or mexp < 1:
         raise InvalidArgs("Koszul exponents must be >= 1")
-    eng = m.engine
+    eng = complex_engine(m.engine)
     fn = m.scalar(f) ** n
     if g is None:
         return PresentedComplex(eng, [eng.term([None]), eng.term([None])], [eng.block([[fn]])])

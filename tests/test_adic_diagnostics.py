@@ -8,7 +8,6 @@ import pytest
 
 from qprism.adic_diagnostics import (
     ModulePresentation,
-    PresentedComplex,
     _engine,
     _ZqEngine,
     _g_torsion_free,
@@ -21,7 +20,16 @@ from qprism.adic_diagnostics import (
 from qprism.base_ring import RingContext, WScalar
 from qprism.errors import InvalidArgs, NotBounded
 from qprism.exactpoly import IntPoly
-from elim_oracle import _fp_rank, _quotient_presentation, koszul_build, oracle_engine, w_twin
+from elim_oracle import (
+    PresentedComplex,
+    _fp_rank,
+    _quotient_presentation,
+    complex_engine,
+    generic_cone_acyclic,
+    koszul_build,
+    oracle_engine,
+    w_twin,
+)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -154,6 +162,67 @@ def test_koszul_zq_unsupported():
     m = ModulePresentation("Zq", 1, [])
     with pytest.raises(InvalidArgs):
         koszul_build(m, IntPoly.const(2))
+
+
+ZQ_KOSZUL_REFUSAL = "Koszul complexes are not supported over exact Z[q]"
+
+
+def _cone_verdict(cone, m, *args):
+    """A cone's verdict, or the refusal it raises."""
+    try:
+        return cone(m, *args)
+    except InvalidArgs as exc:
+        return f"InvalidArgs: {exc}"
+
+
+def test_reduction_cone_matches_the_generic_cone():
+    # each engine's closed form, f^n bijective on the g^m-torsion, against
+    # the four-term cone of the generic complex route, verdict by verdict and
+    # refusal by refusal; scalars lean to 0, +-1, p-powers and units so that
+    # both verdicts, free factors with g = 0, g^m = 0 and the Zq refusal
+    # come up
+    rng = random.Random(313)
+    q = IntPoly.var("q")
+    verdicts = {(base, v): 0 for base in ("Z", "Zpn", "W") for v in (True, False)}
+    seen = dict.fromkeys(("z_free_g_zero", "finite_gm_zero", "zq_refusal"), 0)
+    for case in range(2400):
+        base = ("Z", "Zpn", "W", "Zq")[case % 4]
+        p, N, mp = rng.choice((2, 3, 5)), rng.randint(1, 3), rng.randint(1, 3)
+        ctx = RingContext(p, N, mp if base == "W" else 1) if base in ("Zpn", "W") else None
+
+        def integer():
+            kind = rng.random()
+            if kind < 0.3:
+                return rng.choice((0, 1, -1))
+            unit = rng.choice((1, -1, p + 1, 2 * p - 1, -p - 1))
+            return unit if kind < 0.4 else unit * p ** rng.randint(1, 3)
+
+        def scalar():
+            if base == "W":
+                lead = 0 if rng.random() < 0.6 else rng.randint(1, mp)
+                return WScalar(ctx, [0] * lead + [integer() % ctx.pn for _ in range(mp - lead)])
+            return integer() + integer() * q if base == "Zq" else integer()
+
+        gens = rng.randint(0, 4)
+        rows = [] if base == "Zq" and rng.random() < 0.5 else [
+            [scalar() for _ in range(gens)] for _ in range(rng.randint(0, 4))
+        ]
+        m = ModulePresentation(base, gens, rows, ctx)
+        args = scalar(), scalar(), rng.randint(1, 3), rng.randint(1, 3)
+        got = _cone_verdict(koszul_reduction_cone_acyclic, m, *args)
+        assert got == _cone_verdict(generic_cone_acyclic, m, *args), case
+        if base == "Zq":
+            seen["zq_refusal"] += got == f"InvalidArgs: {ZQ_KOSZUL_REFUSAL}"
+            continue
+        verdicts[base, got] += 1
+        g_zero = m.scalar(m.scalar(args[1]) ** args[3]) == m.scalar(0)
+        seen["z_free_g_zero"] += base == "Z" and 0 in m.engine.orders and g_zero
+        seen["finite_gm_zero"] += base != "Z" and g_zero
+        # the reduction holds for g-torsion-free modules
+        if _g_torsion_free(m, args[1]):
+            assert got, case
+    assert min(verdicts.values()) >= 100, verdicts
+    assert min(seen.values()) >= 20, seen
 
 
 # --- pro-isomorphism ------------------------------------------------------------
@@ -596,7 +665,9 @@ def _engine_answers(eng, m, f, g, n, mexp, rng):
     return {
         "torsion": _torsion_report(eng, f, 8).to_json(),
         "kills": eng.kills(f, s, k),
-        "exact": PresentedComplex(eng, two.terms, two.differentials).exact_at(rng.randint(0, 2)),
+        "exact": PresentedComplex(complex_engine(eng), two.terms, two.differentials).exact_at(
+            rng.randint(0, 2)
+        ),
         "tor1": eng._tor1_vanishes([f, g]),
     }
 
@@ -735,6 +806,7 @@ def _random_module(rng, base, gens):
 
 def _koszul_on(eng, fn, gm):
     """The two-variable Koszul complex of `koszul_build`, on an engine."""
+    eng = complex_engine(eng)
     terms = [eng.term([None]), eng.term([None, None]), eng.term([None])]
     return PresentedComplex(eng, terms, [eng.block([[gm], [fn]]), eng.block([[fn, -gm]])])
 

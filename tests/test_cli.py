@@ -227,28 +227,40 @@ def _sparse_module_spec(base, generators, relations, **fields):
 
 
 @pytest.mark.parametrize(
-    "base, generators, relations, fields",
+    "base, generators, relations, fields, digest",
     [
-        ("Z", 2048, 0, {"f": "2", "g": "3"}),
-        ("Z", 2048, 20, {"f": "2", "g": "3"}),
-        ("Zpn", 400, 20, {"p": 3, "n": 3, "f": "3", "g": "6"}),
-        ("W", 200, 5, {"p": 2, "n": 2, "m": 2, "f": "2", "g": "q-1"}),
-        ("Zpn", 2048, 20, {"p": 3, "n": 3, "f": "3", "g": "6"}),
-        ("Zpn", 2048, 0, {"p": 3, "n": 3, "f": "3", "g": "6"}),
+        ("Z", 2048, 0, {"f": "2", "g": "3"},
+         "4d559d76bb3f755a1008fc90b6c367368f257195b22790ea8ddf3c4e012215af"),
+        ("Z", 2048, 20, {"f": "2", "g": "3"},
+         "c8ecd5940984d7b7984a9c7c4dd59ff9b4bc5920d563a469bb58c1b0be039473"),
+        ("Zpn", 400, 20, {"p": 3, "n": 3, "f": "3", "g": "6"},
+         "d445a67aebbcb629e66e6b3c2eead957756aa5ba84b3d141a06d1548eef9ea2f"),
+        ("W", 200, 5, {"p": 2, "n": 2, "m": 2, "f": "2", "g": "q-1"},
+         "fe5e533dd9786a941b1fdb9358e27ff2458ddfa41337f0213f37b27ef75dc3ba"),
+        ("Zpn", 2048, 20, {"p": 3, "n": 3, "f": "3", "g": "6"},
+         "34aaed871fb02fa93089e99234d069f0abfb59c2c7b988b6316f942d8a525464"),
+        ("Zpn", 2048, 0, {"p": 3, "n": 3, "f": "3", "g": "6"},
+         "74ffc2bcef9c2581541751a42ebc2d0839bee7c5ac748bb6ea254cead552bd2b"),
     ],
     ids=["Z-free", "Z-relations", "Zpn", "W", "Zpn-2048-relations", "Zpn-2048-free"],
 )
-def test_adic_at_scale_ends_in_5_s(tmp_path, capsys, base, generators, relations, fields):
-    # every predicate of a spec at these sizes, with the engine built once per module
-    path = tmp_path / "module.json"
-    path.write_text(json.dumps(_sparse_module_spec(base, generators, relations, **fields)))
+def test_adic_at_scale_ends_in_5_s(
+    tmp_path, capsys, monkeypatch, base, generators, relations, fields, digest
+):
+    # every predicate of a spec at these sizes, with the engine built once per
+    # module; the spec is read from a relative path so its stdout is pinned
+    monkeypatch.chdir(tmp_path)
+    Path("module.json").write_text(
+        json.dumps(_sparse_module_spec(base, generators, relations, **fields))
+    )
     start = time.perf_counter()
-    code, report = run_json(capsys, "adic", "--spec", str(path))
+    code, out = run(capsys, "adic", "--spec", "module.json")
     assert time.perf_counter() - start < 5
     assert code == 0
-    assert set(report["reports"][0]["predicates"]) == {
+    assert set(json.loads(out)["reports"][0]["predicates"]) == {
         "torsion", "pro_iso", "flatness", "koszul_reduction_acyclic"
     }
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("name", ADIC_FIXTURES)
