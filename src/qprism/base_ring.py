@@ -67,9 +67,12 @@ class RingContext:
 class WScalar:
     """Element of W(p, N, M); coefficient i is the t^i coordinate.
 
-    The coordinates may also be equal-length numpy object arrays, one lane
-    per element: a batch.  Ring operations and `frobenius` act lane-wise;
-    `is_zero`, `__eq__` and `__hash__` are for single elements only.
+    The coordinates may also be equal-length numpy arrays, one lane per
+    element: a batch.  Ring operations and `frobenius` act lane-wise;
+    `is_zero`, `__eq__` and `__hash__` are for single elements only.  A
+    product's coordinate is a sum of at most M products of residues, so
+    the lanes may be int64 while M * (p^N)^2 < 2^63, and are Python ints
+    (object arrays) above that bound.
     """
 
     __slots__ = ("ctx", "coeffs")
@@ -143,6 +146,8 @@ class WScalar:
 
     def __mul__(self, other: WScalar | int) -> WScalar:
         if isinstance(other, int):
+            # reduced first, so that an int64 lane never meets a factor past 2^63
+            other %= self.ctx.pn
             return WScalar(self.ctx, [a * other for a in self.coeffs])
         if not isinstance(other, WScalar):
             return NotImplemented
@@ -183,14 +188,13 @@ class WScalar:
         return self.fp_residue() != 0
 
     # conversions --------------------------------------------------------
-    def _q_expansion(self) -> list[int]:
+    def _q_expansion(self) -> list:
         """sum_i coeffs[i] (q-1)^i in the q-basis, unreduced: the coefficient
-        of q^j is sum_i coeffs[i] C(i, j) (-1)^(i-j)."""
+        of q^j is sum_i coeffs[i] C(i, j) (-1)^(i-j), lane-wise on a batch."""
         out = [0] * len(self.coeffs)
         for i, c in enumerate(self.coeffs):
-            if c:
-                for j in range(i + 1):
-                    out[j] += c * comb(i, j) * (-1) ** (i - j)
+            for j in range(i + 1):
+                out[j] += c * (comb(i, j) * (-1) ** (i - j))
         return out
 
     def lift(self) -> IntPoly:

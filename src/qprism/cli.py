@@ -307,9 +307,15 @@ def _run_specs(args, build) -> int:
 
 
 def cmd_q_int(args) -> int:
-    if args.r and args.n > MAX_TERMS:
-        raise SpecError(f"q-int {args.n} has {args.n} terms, over the cap {MAX_TERMS}", field="n")
-    sys.stdout.write(poly_to_string(q_int_poly(args.n, args.r)) + "\n")
+    n, r = args.n, args.r
+    if r and n > MAX_TERMS:
+        raise SpecError(f"q-int {n} has {n} terms, over the cap {MAX_TERMS}", field="n")
+    # (n)_{q^r} = 1 + q^r + ... + q^(r(n-1)), spelled as `poly_to_string` spells it
+    if r == 0 or n < 2:
+        text = str(n)
+    else:
+        text = "1" + "".join(f"+q^{e}" if e > 1 else "+q" for e in range(r, r * n, r))
+    sys.stdout.write(text + "\n")
     return 0
 
 

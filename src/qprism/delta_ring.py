@@ -10,10 +10,12 @@ costs one p-adic digit of validity on truncated lifts.
 The axiom suite's bulk sweep runs on q-only elements in W(p, N+1, M)
 through `WScalar`, the one W arithmetic: the extra digit pays for the
 division by p, and `w_delta` is delta there.  It runs on batches, one
-`WScalar` whose coordinates are object arrays with one lane per pair, so
-each chunk of pairs costs one pass of Python-level arithmetic.  The exact
-sweep on lifts in Z[q, x] runs the same way, all its pairs as one
-`_QXBatch`: polynomials in (q, x) modulo p^(N-1) times one more digit of
+`WScalar` whose coordinates are arrays with one lane per pair, int64 while
+M * (p^(N+1))^2 < 2^63 and Python ints above that, so each chunk of pairs
+costs one pass of Python-level arithmetic; q-multiplicativity checks its
+156 pairs (m, n) as one such batch in W(p, N, M).  The exact sweep on
+lifts in Z[q, x] runs the same way, all its pairs as one `_QXBatch`:
+polynomials in (q, x) modulo p^(N-1) times one more digit of
 headroom, the same argument as for `w_delta`.  One helper, `_law_defects`,
 states the product and sum laws on every carrier: `WScalar`, single or
 batched, `_QXBatch`, and `IntPoly`.
@@ -31,7 +33,7 @@ from math import comb
 
 import numpy as np
 
-from .base_ring import RingContext, WScalar, q_binomial_rows, q_int, q_int_poly
+from .base_ring import RingContext, WScalar, _q_int_differences, q_binomial_rows, q_int_poly
 from .errors import InvalidArgs, OrderOverflow, PrecisionExhausted
 from .exactpoly import IntPoly, square_and_multiply
 from .grammar import checked_power, parse_poly
@@ -213,14 +215,32 @@ def _law_defects(a, b, delta, p: int):
     return product, delta(s, s**p) - corr
 
 
+def _lane_dtype(ctx: RingContext):
+    """The dtype of `WScalar` lanes in ctx: int64 while M * (p^N)^2 < 2^63."""
+    return np.int64 if ctx.m_prec * ctx.pn**2 < 2**63 else object
+
+
 def _q_multiplicative(ctx: RingContext) -> bool:
-    """(mn)_q = (m)_q (n)_{q^m} in W for 1 <= m <= 12 and 0 <= n <= 12,
-    forming each (m)_q once and stopping at the first failure."""
-    for m0 in range(1, 13):
-        m_int = q_int(m0, 1, ctx)
-        if not all(q_int(m0 * n0, 1, ctx) == m_int * q_int(n0, m0, ctx) for n0 in range(13)):
-            return False
-    return True
+    """(mn)_q = (m)_q (n)_{q^m} in W for 1 <= m <= 12 and 0 <= n <= 12, all
+    156 pairs as one batch, lane (m - 1) * 13 + n.
+
+    (n)_{q^r} has t^i coordinate sum_k D_r[i][k] C(n, k+1), with D_r the
+    forward differences of `base_ring.q_int`; both tables are read mod p^N.
+    """
+    pn, m_prec, dtype = ctx.pn, ctx.m_prec, _lane_dtype(ctx)
+    diffs = np.zeros((13, m_prec, m_prec), dtype=dtype)  # diffs[r] = D_r; r = 0 unused
+    for r in range(1, 13):
+        for i, row in enumerate(_q_int_differences(r, m_prec)):
+            diffs[r, i, : i + 1] = [d % pn for d in row]
+    binom = np.array([[comb(n, k + 1) % pn for k in range(m_prec)] for n in range(145)], dtype=dtype)
+
+    def analog(n, r):
+        return WScalar(ctx, (diffs[r] * binom[n][:, None, :]).sum(axis=2).T)
+
+    m, n = np.divmod(np.arange(156), 13)
+    m += 1
+    defect = analog(m * n, 1) - analog(m, 1) * analog(n, m)
+    return not any(c.any() for c in defect.coeffs)
 
 
 def run_axiom_suite(contexts: list[RingContext], samples: int = 1000, seed: int = 0) -> dict:
@@ -232,7 +252,7 @@ def run_axiom_suite(contexts: list[RingContext], samples: int = 1000, seed: int 
     in Z[q, x] carrying the coordinate x, as one batch modulo p^max(N, 2),
     and its first failing pair in draw order decides which law it fails.
     Both sweeps draw from one rng per context, the bulk sweep first.  The
-    q-analog identities are checked exactly in Z[q].
+    q-Pascal identity is checked exactly in Z[q], q-multiplicativity in W.
     """
     report: dict = {"contexts": [], "ok": True}
     # the q-Pascal identity lives in Z[q] and holds or fails for every context.
@@ -285,7 +305,7 @@ def _bulk_sweep(ctx: RingContext, samples: int, rng) -> tuple[bool, bool]:
     up = RingContext(p, ctx.n_prec + 1, m)
     for start in range(0, samples, SWEEP_CHUNK):
         lanes = min(SWEEP_CHUNK, samples - start)
-        draws = np.array([rng.randrange(up.pn) for _ in range(lanes * 2 * m)], dtype=object)
+        draws = np.array([rng.randrange(up.pn) for _ in range(lanes * 2 * m)], dtype=_lane_dtype(up))
         # axis 0: a or b, axis 1: the t-coordinate, axis 2: the pair
         coords = draws.reshape(lanes, 2, m).transpose(1, 2, 0)
         product, sum_ = _law_defects(WScalar(up, coords[0]), WScalar(up, coords[1]), w_delta, p)
@@ -313,13 +333,16 @@ def _exact_sweep(ctx: RingContext, samples: int, rng) -> tuple[bool, bool]:
     p, m = ctx.p, ctx.m_prec
     mod = p ** max(ctx.n_prec - 1, 1)
     modulus = p * mod
+    coords, xs = [], []
+    for _ in range(2 * samples):
+        coords.append([rng.randrange(ctx.pn) for _ in range(m)])
+        xs.append(rng.randrange(ctx.pn) if rng.random() < 0.3 else 0)
+    # every lift is a lane of one batch, expanded in the q-basis at once
+    expansion = WScalar(ctx, np.array(coords, dtype=object).reshape(2 * samples, m).T)._q_expansion()
     # axis 1: a or b, axis 2: the x-degree, axis 3: the q-degree
     lifts = np.zeros((samples, 2, 2, m), dtype=np.int64 if modulus < 2**31 else object)
-    for k in range(samples):
-        for side in (0, 1):
-            lifts[k, side, 0] = [c % modulus for c in WScalar.random(ctx, rng)._q_expansion()]
-            if rng.random() < 0.3:
-                lifts[k, side, 1, 0] = rng.randrange(ctx.pn)
+    lifts[:, :, 0] = (np.stack(expansion, axis=1) % modulus).reshape(samples, 2, m)
+    lifts[:, :, 1, 0] = np.array(xs, dtype=lifts.dtype).reshape(samples, 2)
     a, b = (_QXBatch(lifts[:, side], p, modulus) for side in (0, 1))
     product, sum_ = _law_defects(a, b, _QXBatch.delta, p)
     product_bad, sum_bad = (~defect.vanishes(mod, m) for defect in (product, sum_))
@@ -419,14 +442,14 @@ class _QXBatch:
     def vanishes(self, mod: int, m: int) -> np.ndarray:
         """Per lane, whether the polynomial is zero at precision (mod, (q-1)^m),
         for mod dividing P: each x-slice folds to its t-coordinates
-        sum_j c_j C(j, i), i < m, reducing after every term."""
+        sum_j c_j C(j, i), i < m, one matrix product per block of q-degrees
+        whose sum int64 holds."""
         coeffs = self.coeffs % mod
-        folded = np.zeros(coeffs.shape[:2] + (m,), dtype=coeffs.dtype)
-        for j in range(coeffs.shape[2]):
-            binomials = np.array([comb(j, i) % mod for i in range(m)], dtype=coeffs.dtype)
-            folded += coeffs[:, :, j, None] * binomials
-            folded %= mod
-        return ~(folded != 0).any(axis=(1, 2))
+        nq = coeffs.shape[2]
+        binomials = np.array([[comb(j, i) % mod for i in range(m)] for j in range(nq)], dtype=coeffs.dtype)
+        block = (2**63 - 1) // (mod - 1) ** 2 if coeffs.dtype == np.int64 else nq
+        folded = sum(coeffs[:, :, s : s + block] @ binomials[s : s + block] % mod for s in range(0, nq, block))
+        return ~(folded % mod != 0).any(axis=(1, 2))
 
 
 @dataclass

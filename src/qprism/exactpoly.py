@@ -16,8 +16,8 @@ a key depends on how many variables the process has seen, not on k.
 
 The public form of a monomial is `Monomial`, a sorted tuple of
 (variable, exponent) pairs with positive exponents; the constructor
-accepts it and `monomials()` returns it.  No caller outside this module
-depends on the packed keys.
+accepts it and `monomials()` returns it.  Outside this module only
+`grammar.poly_to_string` reads the packed keys, to render without unpacking.
 """
 
 from __future__ import annotations

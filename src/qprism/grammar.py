@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 
 from .errors import SpecError
-from .exactpoly import IntPoly, square_and_multiply
+from .exactpoly import _FIELD, _NAMES, SLOT_BITS, IntPoly, square_and_multiply
 
 # Each level of parentheses costs three parser frames; 64 levels stay far
 # below the interpreter's recursion limit of 1000.
@@ -230,34 +230,35 @@ def _var_key(var: str) -> tuple[int, int]:
     return (3, 0)
 
 
-def _monomial_key(m):
-    return tuple((_var_key(v), e) for v, e in sorted(m, key=lambda ve: _var_key(ve[0])))
-
-
-def _monomial_str(m) -> str:
-    parts = []
-    for var, e in sorted(m, key=lambda ve: _var_key(ve[0])):
-        parts.append(var if e == 1 else f"{var}^{e}")
-    return "*".join(parts)
-
-
 def poly_to_string(poly: IntPoly) -> str:
-    """Render in the shared grammar; canonical term order, round-trips."""
+    """Render in the shared grammar; canonical term order, round-trips.
+
+    Terms go by variable count, then by their (variable, exponent) pairs in
+    the order q < x < w0 < w1 < ...: the slots in use are put in that order
+    once, and each packed key is read once for its sort key and its string.
+    """
     if poly.is_zero():
         return "0"
-    items = sorted(poly.monomials().items(), key=lambda mc: (len(mc[0]), _monomial_key(mc[0])))
-    pieces = []
-    for m, c in items:
-        mono = _monomial_str(m)
+    seen = 0
+    for key in poly.terms:
+        seen |= key
+    slots = sorted(
+        (_var_key(name), name, shift)
+        for shift, name in zip(range(0, seen.bit_length(), SLOT_BITS), _NAMES)
+        if (seen >> shift) & _FIELD
+    )
+    rows = []
+    for key, c in poly.terms.items():
+        order, parts = [], []
+        for var_key, name, shift in slots:
+            e = (key >> shift) & _FIELD
+            if e:
+                order += var_key, e
+                parts.append(name if e == 1 else f"{name}^{e}")
+        mono = "*".join(parts)
         mag = abs(c)
-        if not mono:
-            body = str(mag)
-        elif mag == 1:
-            body = mono
-        else:
-            body = f"{mag}*{mono}"
-        if not pieces:
-            pieces.append(body if c > 0 else f"-{body}")
-        else:
-            pieces.append(f"+{body}" if c > 0 else f"-{body}")
-    return "".join(pieces)
+        body = f"{mag}*{mono}" if mono and mag != 1 else mono or str(mag)
+        rows.append((len(parts), order, ("-" if c < 0 else "+") + body))
+    rows.sort(key=lambda row: row[:2])
+    text = "".join(row[2] for row in rows)
+    return text[1:] if text[0] == "+" else text

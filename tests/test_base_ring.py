@@ -355,3 +355,16 @@ def test_lift_matches_the_sum_of_powers():
                     assert w.lift() == _lift_by_powers(w), (p, n_prec, m_prec, w.coeffs)
                     checked += 1
     assert checked == 540
+
+
+def test_scalar_multiple_of_int64_lanes_past_2_63():
+    # C(97, i) / 97 reaches 2^90: the factor is reduced before it meets the lanes
+    rng = random.Random(97)
+    ctx = RingContext(97, 3, 3)
+    singles = [WScalar.random(ctx, rng) for _ in range(5)]
+    lanes = WScalar(ctx, [np.array(c, dtype=np.int64) for c in zip(*(s.coeffs for s in singles))])
+    for factor in (2**63, 2**90 + 5, comb(97, 48) // 97, -(2**70)):
+        product = lanes * factor
+        assert all(c.dtype == np.int64 for c in product.coeffs)
+        for k, single in enumerate(singles):
+            assert tuple(int(c[k]) for c in product.coeffs) == (single * factor).coeffs

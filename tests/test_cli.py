@@ -66,6 +66,58 @@ def test_q_int_over_the_term_cap_is_refused_at_once(capsys):
     assert report["error"]["field"] == "n"
 
 
+def test_q_int_closed_form_matches_the_printed_polynomial(capsys):
+    from qprism.base_ring import q_int_poly
+    from qprism.grammar import poly_to_string
+
+    for r in range(6):
+        for n in range(301):
+            assert run(capsys, "q-int", str(n), "--r", str(r)) == (
+                0,
+                poly_to_string(q_int_poly(n, r)) + "\n",
+            ), (n, r)
+
+
+QINT_PROBE = """
+import contextlib, hashlib, io, json, resource, sys, time
+from qprism.cli import run_command
+out = io.StringIO()
+start = time.perf_counter()
+with contextlib.redirect_stdout(out):
+    code = run_command(["q-int", sys.argv[1]])
+seconds = time.perf_counter() - start
+peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+text = out.getvalue()
+print(json.dumps({"code": code, "seconds": seconds, "peak_mb": peak_mb,
+                  "head": text[:12], "tail": text[-20:], "terms": text.count("+") + 1}))
+"""
+
+
+def test_q_int_at_the_term_cap_runs_in_time_and_memory():
+    # (2^20)_q has 2^20 terms; the run must print them in under 2 s in
+    # process and peak under 250 MB (Linux reports ru_maxrss in KiB)
+    import os
+    import subprocess
+    import sys
+
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", QINT_PROBE, str(MAX_TERMS)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["code"] == 0
+    assert result["terms"] == MAX_TERMS
+    assert result["head"] == "1+q+q^2+q^3+"
+    assert result["tail"].endswith(f"+q^{MAX_TERMS - 1}\n"), result
+    assert result["seconds"] < 2, result
+    assert result["peak_mb"] < 250, result
+
+
 def test_q_int_negative_is_spec_error(capsys):
     code, report = run_json(capsys, "q-int", "-3")
     assert code == 2

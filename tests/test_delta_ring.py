@@ -11,6 +11,7 @@ from delta_oracle import (
     _random_lift,
     _TruncatedDelta,
     per_pair_exact_sweep,
+    per_pair_q_multiplicative,
     per_pair_sweep,
     phi_map,
 )
@@ -591,3 +592,76 @@ def test_q_pascal_catches_a_corrupted_triangle(monkeypatch):
     for entry in suite["contexts"]:
         assert entry["q_pascal"] is False
         assert entry["product_law"] and entry["sum_law"]
+
+
+# the batch runs in Python ints past M * (p^N)^2 < 2^63
+_PYTHON_INT_CONTEXTS = [RingContext(97, 5, 2), RingContext(2, 31, 3), RingContext(3, 20, 5)]
+
+
+def _q_multiplicative_contexts():
+    grid = [RingContext(p, n, m) for p in (2, 3, 5, 7, 97) for n in range(1, 5) for m in range(1, 6)]
+    assert all(delta_ring._lane_dtype(ctx) is np.int64 for ctx in grid)
+    assert all(delta_ring._lane_dtype(ctx) is object for ctx in _PYTHON_INT_CONTEXTS)
+    return grid + _PYTHON_INT_CONTEXTS
+
+
+def test_q_multiplicative_batch_matches_the_per_pair_oracle():
+    for ctx in _q_multiplicative_contexts():
+        assert delta_ring._q_multiplicative(ctx) is per_pair_q_multiplicative(ctx) is True, ctx
+
+
+def _product_corrupted_at(lane):
+    """WScalar.__mul__ plus 1 in the t^0 coordinate of one lane of the
+    156-lane batches, and untouched on everything else."""
+    mul = WScalar.__mul__
+
+    def corrupted(self, other):
+        out = mul(self, other)
+        c0 = out.coeffs[0]
+        if not isinstance(c0, np.ndarray) or c0.size != 156:
+            return out
+        c0 = c0.copy()
+        c0[lane] += 1
+        return WScalar(out.ctx, (c0,) + out.coeffs[1:])
+
+    return corrupted
+
+
+def test_q_multiplicative_batch_catches_one_corrupted_pair(monkeypatch):
+    rng = random.Random(2029)
+    for ctx in _q_multiplicative_contexts():
+        # pairs (1, 0), (12, 12) and one drawn; lane (m - 1) * 13 + n
+        for lane in (0, 155, rng.randrange(156)):
+            monkeypatch.setattr(WScalar, "__mul__", _product_corrupted_at(lane))
+            assert delta_ring._q_multiplicative(ctx) is False, (ctx, lane)
+            monkeypatch.undo()
+            # the oracle's scalar products are untouched by the corruption
+            assert per_pair_q_multiplicative(ctx) is True
+
+
+@pytest.mark.parametrize(
+    "p, n, m, lanes",
+    # the bulk sweep runs in W(p, N+1, M): int64 while M * p^(2N+2) < 2^63
+    [(2, 29, 2, np.int64), (2, 30, 2, object), (2, 29, 5, np.int64), (2, 30, 5, object),
+     (3, 18, 5, np.int64), (3, 19, 5, object), (97, 2, 2, np.int64), (97, 2, 3, np.int64)],
+)
+def test_bulk_sweep_lanes_agree_in_int64_and_object(monkeypatch, p, n, m, lanes):
+    ctx = RingContext(p, n, m)
+    up = RingContext(p, n + 1, m)
+    assert delta_ring._lane_dtype(up) is lanes
+    samples = 9 if p == 97 else 30
+    for seed in (1, 2):
+        for corrupt in (False, True):
+            if corrupt:
+                monkeypatch.setattr(delta_ring, "w_delta", _delta_corrupted_at(samples - 1))
+            native = _states_after(delta_ring._bulk_sweep, ctx, samples, seed)
+            monkeypatch.setattr(delta_ring, "_lane_dtype", lambda ctx: object)
+            python_ints = _states_after(delta_ring._bulk_sweep, ctx, samples, seed)
+            monkeypatch.undo()
+            assert native == python_ints, (seed, corrupt)
+            if corrupt:
+                # delta + 1 on the last lane breaks the sum law there
+                assert native[0][1] is False
+            else:
+                assert native[0] == (True, True)
+            assert native[1] == _states_after(per_pair_sweep, ctx, samples, seed)[1]

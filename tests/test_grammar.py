@@ -58,6 +58,34 @@ def test_round_trip():
         assert parse_poly(poly_to_string(poly)) == poly
 
 
+def test_render_matches_the_oracle_when_slot_order_differs_from_print_order():
+    import random
+
+    import poly_oracle
+
+    from qprism import exactpoly
+
+    # slots go to names in the order first seen: w4012 before w403, so the
+    # slot order of these names is not their print order
+    names = ["w4012", "q", "w403", "x", "w40"]
+    for name in names:
+        IntPoly.var(name)
+    assert exactpoly._SLOT["w4012"] < exactpoly._SLOT["w403"] < exactpoly._SLOT["w40"]
+    rng = random.Random(4012)
+    for _ in range(300):
+        terms = {}
+        for _ in range(rng.randrange(0, 8)):
+            chosen = rng.sample(names, rng.randrange(0, 4))
+            mono = tuple(sorted((v, rng.randrange(1, 13)) for v in chosen))
+            terms[mono] = rng.choice((1, -1, 2, -7, 10, -123, 99999, -(10**20)))
+        poly = IntPoly(terms)
+        text = poly_to_string(poly)
+        assert text == poly_oracle.poly_to_string(poly_oracle.IntPoly(terms)), terms
+        assert parse_poly(text) == poly, text
+    assert poly_to_string(IntPoly()) == "0"
+    assert poly_to_string(IntPoly.const(-42)) == "-42"
+
+
 def test_render_matches_spec_style():
     assert poly_to_string(parse_poly("1 + q + 2*q^2")) == "1+q+2*q^2"
 
