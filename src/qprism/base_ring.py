@@ -190,7 +190,7 @@ class WScalar:
     # conversions --------------------------------------------------------
     def _q_expansion(self) -> list:
         """sum_i coeffs[i] (q-1)^i in the q-basis, unreduced: the coefficient
-        of q^j is sum_i coeffs[i] C(i, j) (-1)^(i-j), lane-wise on a batch."""
+        of q^j is sum_i coeffs[i] C(i, j) (-1)^(i-j)."""
         out = [0] * len(self.coeffs)
         for i, c in enumerate(self.coeffs):
             for j in range(i + 1):

@@ -1,27 +1,30 @@
 """Delta-structures, Frobenius lifts, the distinguished-element predicate,
 the axiom suite and truncated envelope presentations.
 
-All computations run on exact integer polynomials in q, x and the free
+Envelope relations are exact integer polynomials in q, x and the free
 generators w0, w1, ...; the Frobenius lift acts by q -> q^p, x -> x^p and
 w_k -> w_k^p + p*w_{k+1}, and delta(f) = (phi(f) - f^p) / p is an exact
 integer division.  A precision ledger records that each delta application
 costs one p-adic digit of validity on truncated lifts.
 
-The axiom suite's bulk sweep runs on q-only elements in W(p, N+1, M)
-through `WScalar`, the one W arithmetic: the extra digit pays for the
-division by p, and `w_delta` is delta there.  It runs on batches, one
-`WScalar` whose coordinates are arrays with one lane per pair, int64 while
+Every delta of the axiom suite runs on t-coordinates of W, through
+`w_delta` on `WScalar`, the one W arithmetic: the bulk sweep and the
+distinguished checks in W(p, N+1, M), where the extra digit pays for the
+division by p.  The bulk sweep runs on batches, one `WScalar` whose
+coordinates are arrays with one lane per pair, int64 while
 M * (p^(N+1))^2 < 2^63 and Python ints above that, so each chunk of pairs
 costs one pass of Python-level arithmetic; q-multiplicativity checks its
-156 pairs (m, n) as one such batch in W(p, N, M).  The exact sweep on
-lifts in Z[q, x] runs the same way, all its pairs as one `_QXBatch`:
-polynomials in (q, x) modulo p^(N-1) times one more digit of
-headroom, the same argument as for `w_delta`.  One helper, `_law_defects`,
-states the product and sum laws on every carrier: `WScalar`, single or
-batched, `_QXBatch`, and `IntPoly`.
+156 pairs (m, n) as one such batch in W(p, N, M).  The sweep of lifts
+carrying the coordinate x runs all its pairs as one `_WXBatch`, polynomials
+in x over W(p, max(N, 2), M), with the same digit of headroom.  Z[q, x] /
+(q-1)^M is p-torsion-free and phi(q-1) lies in (q-1), so phi and delta
+descend to it, and a law defect computed there is the image of the exact
+one.  One helper, `_law_defects`, states the product and sum laws on every
+carrier: `WScalar`, single or batched, `_WXBatch`, and `IntPoly`.
 
-No command runs the q-divided-power predicate or the bare Frobenius lift:
-`qpd_check` is kept in `tests/paper_oracle.py` and `phi_map` in
+No command runs the q-divided-power predicate, the bare Frobenius lift or
+delta on exact polynomials outside the envelope: `qpd_check` is kept in
+`tests/paper_oracle.py`, and `phi_map`, `phi_delta` and `delta_map` in
 `tests/delta_oracle.py`.
 """
 
@@ -33,7 +36,14 @@ from math import comb
 
 import numpy as np
 
-from .base_ring import RingContext, WScalar, _q_int_differences, q_binomial_rows, q_int_poly
+from .base_ring import (
+    RingContext,
+    WScalar,
+    _q_int_differences,
+    frobenius_matrix,
+    q_binomial_rows,
+    q_int_poly,
+)
 from .errors import InvalidArgs, OrderOverflow, PrecisionExhausted
 from .exactpoly import IntPoly, square_and_multiply
 from .grammar import checked_power, parse_poly
@@ -150,18 +160,9 @@ def _phi_substitution(ctx: RingContext, poly: IntPoly, omega_cap: int) -> IntPol
     return poly.substitute(mapping)
 
 
-def phi_delta(f: DeltaElement) -> tuple[DeltaElement, DeltaElement]:
-    """Return (phi(f), delta(f)) with delta = (phi(f) - f^p)/p exactly.
-
-    delta spends one p-adic digit: its precision is f.precision - 1.
-    """
-    if f.precision < 2:
-        raise PrecisionExhausted("delta needs precision >= 2")
-    return _phi_delta_of_power(f, f.poly ** f.ctx.p)
-
-
 def _phi_delta_of_power(f: DeltaElement, power: IntPoly) -> tuple[DeltaElement, DeltaElement]:
-    """phi_delta(f) from f^p, already formed, for f of precision >= 2."""
+    """(phi(f), delta(f)) from f^p, already formed, for f of precision >= 2;
+    delta spends one p-adic digit: its precision is f.precision - 1."""
     phi_poly = _phi_substitution(f.ctx, f.poly, f.omega_cap)
     delta_poly = (phi_poly - power).divide_exact(f.ctx.p)
     phi = f._like(phi_poly)
@@ -169,13 +170,19 @@ def _phi_delta_of_power(f: DeltaElement, power: IntPoly) -> tuple[DeltaElement, 
     return phi, delta
 
 
-def delta_map(f: DeltaElement) -> DeltaElement:
-    return phi_delta(f)[1]
-
-
 def is_distinguished(d: DeltaElement) -> bool:
-    """True iff delta(d) is a unit of W (nonzero F_p-residue)."""
-    return delta_map(d).reduce_to_w().is_unit()
+    """True iff delta(d) is a unit of W (nonzero F_p-residue), for d in Z[q].
+
+    delta(d) is `w_delta` of the image of d in W(p, N+1, M), the bulk
+    sweep's ring; it is the image of the exact delta(d) (module docstring).
+    d needs precision >= 2, as any delta does.  An element carrying x or a
+    w-generator is refused with InvalidArgs.
+    """
+    if d.precision < 2:
+        raise PrecisionExhausted("delta needs precision >= 2")
+    ctx = d.ctx
+    u = WScalar.from_int_poly(RingContext(ctx.p, ctx.n_prec + 1, ctx.m_prec), d.poly)
+    return w_delta(u, u**ctx.p).is_unit()
 
 
 def w_delta(u: WScalar, u_p: WScalar) -> WScalar:
@@ -197,7 +204,7 @@ def _law_defects(a, b, delta, p: int):
         delta(a+b) = delta(a) + delta(b) - sum_{0<i<p} C(p, i)/p a^i b^(p-i).
 
     a and b are both WScalars (single, or batches of the same lanes), both
-    _QXBatches of the same lanes or both IntPolys, and delta(f, f^p) is
+    _WXBatches of the same lanes or both IntPolys, and delta(f, f^p) is
     delta on their ring; a^1..a^p and b^1..b^p are formed once and serve
     both laws.
     """
@@ -249,10 +256,11 @@ def run_axiom_suite(contexts: list[RingContext], samples: int = 1000, seed: int 
     The bulk sweep (`_bulk_sweep`) checks the product and sum laws on
     `samples` random pairs of W(p, N+1, M), a batch at a time.  The exact
     sweep (`_exact_sweep`) repeats both laws on EXACT_SAMPLES pairs of lifts
-    in Z[q, x] carrying the coordinate x, as one batch modulo p^max(N, 2),
-    and its first failing pair in draw order decides which law it fails.
-    Both sweeps draw from one rng per context, the bulk sweep first.  The
-    q-Pascal identity is checked exactly in Z[q], q-multiplicativity in W.
+    carrying the coordinate x, as one batch in W(p, max(N, 2), M)[x], and
+    its first failing pair in draw order decides which law it fails.  Both
+    sweeps draw from one rng per context, the bulk sweep first.  The
+    distinguished checks run `w_delta` in W(p, N+1, M), q-multiplicativity
+    in W; the q-Pascal identity is checked exactly in Z[q].
     """
     report: dict = {"contexts": [], "ok": True}
     # the q-Pascal identity lives in Z[q] and holds or fails for every context.
@@ -318,138 +326,124 @@ def _bulk_sweep(ctx: RingContext, samples: int, rng) -> tuple[bool, bool]:
 
 
 def _exact_sweep(ctx: RingContext, samples: int, rng) -> tuple[bool, bool]:
-    """(product law holds, sum law holds) on `samples` random pairs of exact
-    lifts in Z[q, x], judged at precision (p^max(N-1, 1), (q-1)^M).
+    """(product law holds, sum law holds) on `samples` random pairs of lifts
+    carrying the coordinate x, judged at precision (p^max(N-1, 1), (q-1)^M).
 
-    Each lift is the q-expansion of a uniform element of W(p, N, M), and with
-    probability 0.3 a multiple c*x, c < p^N; pair by pair, a then b, each
-    draws its M coordinates, then rng.random(), then c if it carries x.  All
-    pairs run as one `_QXBatch` modulo P = p * p^max(N-1, 1): the laws apply
-    delta only to inputs and to their sums and products, so one digit above
-    the judged precision pays for every division by p.  The first failing
-    pair in draw order decides the verdict: the product law if its product
-    defect fails, else the sum law.
+    Each lift is a uniform element of W(p, N, M) plus, with probability
+    0.3, a multiple c*x, c < p^N; pair by pair, a then b, each draws its M
+    t-coordinates, then rng.random(), then c if it carries x.  All pairs
+    run as one `_WXBatch` over W(p, max(N, 2), M): the laws apply delta only
+    to inputs and to their sums and products, so one digit above the judged
+    precision pays for every division by p.  The first failing pair in draw
+    order decides the verdict: the product law if its product defect fails,
+    else the sum law.
     """
     p, m = ctx.p, ctx.m_prec
-    mod = p ** max(ctx.n_prec - 1, 1)
-    modulus = p * mod
-    coords, xs = [], []
+    ring = RingContext(p, max(ctx.n_prec, 2), m)
+    draws = []
     for _ in range(2 * samples):
-        coords.append([rng.randrange(ctx.pn) for _ in range(m)])
-        xs.append(rng.randrange(ctx.pn) if rng.random() < 0.3 else 0)
-    # every lift is a lane of one batch, expanded in the q-basis at once
-    expansion = WScalar(ctx, np.array(coords, dtype=object).reshape(2 * samples, m).T)._q_expansion()
-    # axis 1: a or b, axis 2: the x-degree, axis 3: the q-degree
-    lifts = np.zeros((samples, 2, 2, m), dtype=np.int64 if modulus < 2**31 else object)
-    lifts[:, :, 0] = (np.stack(expansion, axis=1) % modulus).reshape(samples, 2, m)
-    lifts[:, :, 1, 0] = np.array(xs, dtype=lifts.dtype).reshape(samples, 2)
-    a, b = (_QXBatch(lifts[:, side], p, modulus) for side in (0, 1))
-    product, sum_ = _law_defects(a, b, _QXBatch.delta, p)
-    product_bad, sum_bad = (~defect.vanishes(mod, m) for defect in (product, sum_))
+        coords = [rng.randrange(ctx.pn) for _ in range(m)]
+        c = rng.randrange(ctx.pn) if rng.random() < 0.3 else 0
+        draws.append([coords, [c] + [0] * (m - 1)])
+    # axis 0: a or b, axis 1: the x-degree, axis 2: the t-degree, axis 3: the pair
+    lifts = np.array(draws, dtype=_lane_dtype(ring)).reshape(samples, 2, 2, m).transpose(1, 2, 3, 0)
+    a, b = (_WXBatch(ring, lifts[side]) for side in (0, 1))
+    product, sum_ = _law_defects(a, b, _WXBatch.delta, p)
+    mod = ring.pn // p
+    product_bad, sum_bad = (~defect.vanishes(mod) for defect in (product, sum_))
     bad = product_bad | sum_bad
     if not bad.any():
         return True, True
     return (False, True) if product_bad[np.argmax(bad)] else (True, False)
 
 
-class _QXBatch:
-    """Polynomials in (q, x) modulo P, one per lane: coeffs[k, i, j] in [0, P)
-    is the coefficient of x^i q^j in lane k.
+class _WXBatch:
+    """Polynomials in x over W = W(p, N, M), one per lane: coeffs[i, j, k]
+    in [0, p^N) is the t^j coordinate of the coefficient of x^i in lane k.
 
-    The coefficients are int64 when P < 2^31, so that a product of two
-    residues plus a third stays below 2^63, and Python ints otherwise, with
-    the same code: a sum reduces at once, and a product before its int64
-    entries could overflow.  The shape of an array bounds the degrees and
-    nothing is truncated: a product's shape is the sum of its factors'
-    degree bounds.
+    The lanes are int64 while M * (p^N)^2 < 2^63 (`_lane_dtype`), so that a
+    Frobenius coordinate, a sum of M products of residues, fits, and Python
+    ints above that, with the same code: a sum reduces at once, and a
+    product before its int64 entries could overflow.  The first axis bounds
+    the x-degree, and a product's bound is the sum of its factors'; the
+    t-degree is truncated at M.
     """
 
-    __slots__ = ("coeffs", "p", "modulus")
+    __slots__ = ("ring", "coeffs")
 
-    def __init__(self, coeffs: np.ndarray, p: int, modulus: int):
+    def __init__(self, ring: RingContext, coeffs: np.ndarray):
+        self.ring = ring
         self.coeffs = coeffs
-        self.p = p
-        self.modulus = modulus
 
-    def _like(self, coeffs: np.ndarray) -> _QXBatch:
-        return _QXBatch(coeffs, self.p, self.modulus)
+    def _like(self, coeffs: np.ndarray) -> _WXBatch:
+        return _WXBatch(self.ring, coeffs)
 
-    def _combined(self, other: _QXBatch, sign: int) -> _QXBatch:
+    def _combined(self, other: _WXBatch, sign: int) -> _WXBatch:
         a, b = self.coeffs, other.coeffs
-        out = np.zeros((a.shape[0], max(a.shape[1], b.shape[1]), max(a.shape[2], b.shape[2])), a.dtype)
-        out[:, : a.shape[1], : a.shape[2]] = a
-        out[:, : b.shape[1], : b.shape[2]] += sign * b
-        out %= self.modulus
+        out = np.zeros((max(len(a), len(b)),) + a.shape[1:], a.dtype)
+        out[: len(a)] = a
+        out[: len(b)] += sign * b
+        out %= self.ring.pn
         return self._like(out)
 
-    def __add__(self, other: _QXBatch) -> _QXBatch:
+    def __add__(self, other: _WXBatch) -> _WXBatch:
         return self._combined(other, 1)
 
-    def __sub__(self, other: _QXBatch) -> _QXBatch:
+    def __sub__(self, other: _WXBatch) -> _WXBatch:
         return self._combined(other, -1)
 
-    def __mul__(self, other: _QXBatch | int) -> _QXBatch:
-        modulus = self.modulus
+    def __mul__(self, other: _WXBatch | int) -> _WXBatch:
+        pn, m = self.ring.pn, self.ring.m_prec
         if isinstance(other, int):
-            return self._like(self.coeffs * (other % modulus) % modulus)
-        # loop over the (x, q) positions where the sparser factor is nonzero
+            return self._like(self.coeffs * (other % pn) % pn)
+        # loop over the (x, t) positions where the sparser factor is nonzero
         # in some lane, adding that position's shifted multiple of the other
         small, large = self.coeffs, other.coeffs
-        support = np.argwhere((small != 0).any(axis=0))
-        other_support = np.argwhere((large != 0).any(axis=0))
+        support = np.argwhere((small != 0).any(axis=2))
+        other_support = np.argwhere((large != 0).any(axis=2))
         if len(other_support) < len(support):
             small, large, support = large, small, other_support
-        lanes, nx, nq = large.shape
-        out = np.zeros((lanes, small.shape[1] + nx - 1, small.shape[2] + nq - 1), dtype=large.dtype)
-        # each position adds at most one term up to (P-1)^2 to an entry, so
+        out = np.zeros((len(small) + len(large) - 1,) + large.shape[1:], dtype=large.dtype)
+        # each position adds at most one term up to (p^N-1)^2 to an entry, so
         # int64 holds `room` positions between reductions; Python ints need none
-        room = (2**63 - modulus) // (modulus - 1) ** 2 if out.dtype == np.int64 else 0
-        term = np.empty_like(large)
+        room = (2**63 - pn) // (pn - 1) ** 2 if out.dtype == np.int64 else 0
         for n, (i, j) in enumerate(support.tolist(), 1):
-            window = out[:, i : i + nx, j : j + nq]
-            np.multiply(small[:, i, j, None, None], large, out=term)
-            window += term
+            out[i : i + len(large), j:] += small[i, j] * large[:, : m - j]
             if room and n % room == 0:
-                out %= modulus
-        out %= modulus
+                out %= pn
+        out %= pn
         return self._like(out)
 
-    def __pow__(self, n: int) -> _QXBatch:
+    def __pow__(self, n: int) -> _WXBatch:
         """self**n for n >= 1."""
         return square_and_multiply(self, n)
 
-    def frobenius(self) -> _QXBatch:
-        """The lift q -> q^p, x -> x^p: a strided scatter of the coefficients."""
-        p = self.p
-        lanes, nx, nq = self.coeffs.shape
-        out = np.zeros((lanes, (nx - 1) * p + 1, (nq - 1) * p + 1), dtype=self.coeffs.dtype)
-        out[:, ::p, ::p] = self.coeffs
+    def frobenius(self) -> _WXBatch:
+        """The lift x -> x^p, q -> q^p: a strided scatter in x, and
+        `frobenius_matrix` on the t-coordinates."""
+        ring, c = self.ring, self.coeffs
+        out = np.zeros(((len(c) - 1) * ring.p + 1,) + c.shape[1:], dtype=c.dtype)
+        out[:: ring.p] = np.array(frobenius_matrix(ring), dtype=c.dtype) @ c % ring.pn
         return self._like(out)
 
-    def delta(self, power: _QXBatch) -> _QXBatch:
-        """delta = (phi - power) / p, given power = self^p, exact modulo P / p.
+    def delta(self, power: _WXBatch) -> _WXBatch:
+        """delta = (phi - power) / p, given power = self^p, exact modulo p^(N-1).
 
-        Raises ValueError, as `IntPoly.divide_exact` does, when a residue of
-        phi - power is not divisible by p; it is exactly when the difference
-        of the exact lifts is not, since p divides P.
+        Raises ValueError, as `IntPoly.divide_exact` does, when a coordinate
+        of phi - power is not divisible by p, which the true Frobenius and
+        p-th power never leave.
         """
+        p = self.ring.p
         diff = (self.frobenius() - power).coeffs
-        inexact = diff % self.p != 0
+        inexact = diff % p != 0
         if inexact.any():
-            raise ValueError(f"coefficient {diff[inexact][0]} not divisible by {self.p}")
-        return self._like(diff // self.p)
+            raise ValueError(f"coefficient {diff[inexact][0]} not divisible by {p}")
+        return self._like(diff // p)
 
-    def vanishes(self, mod: int, m: int) -> np.ndarray:
-        """Per lane, whether the polynomial is zero at precision (mod, (q-1)^m),
-        for mod dividing P: each x-slice folds to its t-coordinates
-        sum_j c_j C(j, i), i < m, one matrix product per block of q-degrees
-        whose sum int64 holds."""
-        coeffs = self.coeffs % mod
-        nq = coeffs.shape[2]
-        binomials = np.array([[comb(j, i) % mod for i in range(m)] for j in range(nq)], dtype=coeffs.dtype)
-        block = (2**63 - 1) // (mod - 1) ** 2 if coeffs.dtype == np.int64 else nq
-        folded = sum(coeffs[:, :, s : s + block] @ binomials[s : s + block] % mod for s in range(0, nq, block))
-        return ~(folded % mod != 0).any(axis=(1, 2))
+    def vanishes(self, mod: int) -> np.ndarray:
+        """Per lane, whether every coordinate is 0 modulo mod, for mod
+        dividing p^N."""
+        return ~(self.coeffs % mod != 0).any(axis=(0, 1))
 
 
 @dataclass

@@ -22,19 +22,24 @@ def poincare_exactness(ctx: RingContext, dp_cap: int, window: int = 2) -> dict:
     the truncation.
     """
     m = ctx.m_prec
-    a_dim = (window + 1) * m
+    # W-basis sections of one copy of A; every map is an identity on them
+    sections = window + 1
+    a_dim = sections * m
     c1_dim = (dp_cap + 1) * a_dim
     c2_dim = dp_cap * a_dim
 
-    d0 = np.zeros((c1_dim, a_dim), dtype=np.int64)
-    d0[:a_dim, :] = np.eye(a_dim, dtype=np.int64)
-    d1 = np.zeros((c2_dim, c1_dim), dtype=np.int64)
-    for k in range(1, dp_cap + 1):
-        d1[(k - 1) * a_dim : k * a_dim, k * a_dim : (k + 1) * a_dim] = np.eye(
-            a_dim, dtype=np.int64
-        )
+    def identity_blocks(shape, brow, bcol) -> FlatMatrix:
+        eye = np.broadcast_to(np.eye(m, dtype=np.int64), (brow.size, m, m))
+        return FlatMatrix.from_blocks(ctx.p, ctx.n_prec, shape, m, brow, bcol, eye)
 
-    maps = [FlatMatrix(ctx.p, ctx.n_prec, d) for d in (d0, d1)]
+    # d0 puts A at divided degree 0 and d1 sends degree k to k - 1
+    # (d w^[k] = w^[k-1] dw), one m x m identity block per section
+    top = np.arange(sections)
+    lower = np.arange(dp_cap * sections)
+    maps = [
+        identity_blocks((c1_dim, a_dim), top, top),
+        identity_blocks((c2_dim, c1_dim), lower, lower + sections),
+    ]
     exact_at_a, exact_middle, exact_end = exactness(*maps, *kernel_log_cardinalities(maps))
     return {
         "dp_cap": dp_cap,

@@ -39,7 +39,12 @@ import numpy as np
 from .base_ring import RingContext, WScalar
 from .errors import InvalidArgs, NotAChainMap, SpecError
 
-# int64 products must not overflow: modulus^2 * max_dim < 2^63.
+# int64 arithmetic stays exact because every entry is reduced below 2^21, so
+# a product of two entries is below 2^42.  A block product
+# (`FlatMatrix.__matmul__`, an m x m W-block times a block) sums b of them, a
+# rank-1 update of an elimination adds one to an entry, and the reduceat of
+# `twisted_calculus.quasi_nilpotence_check` sums at most n of them, n the
+# flattened dimension: each sum stays below 2^63 while b and n are below 2^21.
 _MAX_MODULUS = 1 << 21
 
 
@@ -330,9 +335,10 @@ class FlatMatrix:
     b * bcol[t] .. b * bcol[t] + b - 1.  The blocks are int64, reduced into [0, p^N), and
     none is all zero; they are sorted by (brow, bcol) with no position
     twice, so two matrices at one b are equal exactly when their arrays
-    are.  The descent builds every operator with b = m, one block per pair
-    of W-basis sections; a matrix handed in dense is stored with b = 1, one
-    block per nonzero entry.  A matrix is not changed once built.
+    are.  Every command builds its operators with b = m, one block per pair
+    of W-basis sections; a matrix handed in dense, as the tests do, is
+    stored with b = 1, one block per nonzero entry.  A matrix is not
+    changed once built.
 
     `dense` is the one conversion to a full rows x cols array; nothing in
     the library calls it.

@@ -28,8 +28,16 @@ batch (`delta_ring._q_multiplicative`); the tests compare the verdicts.  The
 loop is kept verbatim.
 
 `phi_map` is the Frobenius lift of a `DeltaElement` on its own, free of
-precision cost; the library forms it only together with delta
-(`delta_ring.phi_delta`), and the tests check it is a ring map.
+precision cost; the library forms it only together with delta, and the
+tests check it is a ring map.
+
+`phi_delta` and `delta_map` are delta on exact polynomials in Z[q, x, w]
+for any element, and `exact_is_distinguished` is the earlier
+distinguished-element predicate of `run_axiom_suite`: delta of d formed
+exactly in Z[q], with its p-th power, then reduced into W.  The library
+now reads delta(d) by `w_delta` in W(p, N+1, M)
+(`delta_ring.is_distinguished`); the tests compare the two.  The bodies
+are kept verbatim.
 """
 
 from __future__ import annotations
@@ -41,9 +49,11 @@ from qprism.delta_ring import (
     DEFAULT_OMEGA_CAP,
     DeltaElement,
     _law_defects,
+    _phi_delta_of_power,
     _phi_substitution,
     w_delta,
 )
+from qprism.errors import PrecisionExhausted
 from qprism.exactpoly import IntPoly
 
 
@@ -197,3 +207,22 @@ def per_pair_q_multiplicative(ctx: RingContext) -> bool:
 def phi_map(f: DeltaElement) -> DeltaElement:
     """Frobenius lift; free of precision cost."""
     return f._like(_phi_substitution(f.ctx, f.poly, f.omega_cap))
+
+
+def phi_delta(f: DeltaElement) -> tuple[DeltaElement, DeltaElement]:
+    """Return (phi(f), delta(f)) with delta = (phi(f) - f^p)/p exactly.
+
+    delta spends one p-adic digit: its precision is f.precision - 1.
+    """
+    if f.precision < 2:
+        raise PrecisionExhausted("delta needs precision >= 2")
+    return _phi_delta_of_power(f, f.poly ** f.ctx.p)
+
+
+def delta_map(f: DeltaElement) -> DeltaElement:
+    return phi_delta(f)[1]
+
+
+def exact_is_distinguished(d: DeltaElement) -> bool:
+    """True iff delta(d) is a unit of W (nonzero F_p-residue)."""
+    return delta_map(d).reduce_to_w().is_unit()

@@ -27,10 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from delta_oracle import phi_delta
 
 from qprism.base_ring import RingContext, WScalar, frobenius_matrix, q_binomial, q_int, q_int_poly
 from qprism.cartier import ChainMapData, _frobenius_leg, flatten_connection, raised_window
-from qprism.delta_ring import DeltaElement, phi_delta
+from qprism.delta_ring import DeltaElement
 from qprism.errors import CapExceeded, InvalidArgs, RankMismatch, WindowTooSmall, WrongLevel
 from qprism.exactpoly import IntPoly
 from qprism.homology import FlatMatrix, span_exponents, w_mult_block

@@ -494,9 +494,8 @@ def test_cohomology_at_dim_4095_runs_in_time_and_memory(tmp_path):
     assert result["peak_mb"] < 200, result
 
 
-def test_axioms_at_p_37_runs_in_time_and_memory():
-    # the exact sweep forms a^1..a^37 and b^1..b^37 of 40 lifts in Z[q, x];
-    # the run must pass in under 6 s in process and peak under 100 MB
+def _probe_command(*args) -> dict:
+    """Run one command line by COMMAND_PROBE in a fresh process."""
     import json
     import os
     import subprocess
@@ -505,7 +504,6 @@ def test_axioms_at_p_37_runs_in_time_and_memory():
 
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    args = ["axioms", "--p", "37", "--n", "2", "--m", "2", "--samples", "1"]
     proc = subprocess.run(
         [sys.executable, "-c", COMMAND_PROBE, *args],
         env=env,
@@ -516,5 +514,44 @@ def test_axioms_at_p_37_runs_in_time_and_memory():
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result["code"] == 0 and result["ok"] is True
+    return result
+
+
+def test_axioms_at_p_37_runs_in_time_and_memory():
+    # the x-carrying sweep forms a^1..a^37 and b^1..b^37 of 40 lifts in
+    # W(37, 2, 2)[x]; the run must pass in under 6 s in process and peak
+    # under 100 MB
+    result = _probe_command("axioms", "--p", "37", "--n", "2", "--m", "2", "--samples", "1")
     assert result["seconds"] < 6, result
     assert result["peak_mb"] < 100, result
+
+
+def test_axioms_at_p_97_runs_in_time_and_memory():
+    # the largest supported prime: a^1..a^97 of 40 lifts in W(97, 2, 2)[x],
+    # and the distinguished checks in W(97, 3, 2); under 2 s in process and
+    # 100 MB
+    result = _probe_command("axioms", "--p", "97", "--n", "2", "--m", "2", "--samples", "1")
+    assert result["seconds"] < 2, result
+    assert result["peak_mb"] < 100, result
+
+
+def test_poincare_at_cap_255_runs_in_time_and_memory(capsys):
+    # window 7, m 2, at the dimension budget: the differentials are 4096 x 16
+    # and 4080 x 4096, built from 2 x 2 identity blocks; under 0.1 s in
+    # process, with the pinned stdout, and under 60 MB in a fresh process
+    import hashlib
+    import time
+
+    from qprism.cli import run_command
+
+    args = ["poincare", "--p", "2", "--cap", "255", "--window", "7", "--m", "2"]
+    start = time.perf_counter()
+    code = run_command(args)
+    seconds = time.perf_counter() - start
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e0ab2732450b2dae7a772df91756a420e79734e216fa54b7de6fe32d960a993f"
+    )
+    assert seconds < 0.1, seconds
+    assert _probe_command(*args)["peak_mb"] < 60

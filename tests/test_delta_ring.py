@@ -10,9 +10,12 @@ from delta_oracle import (
     _delta_poly,
     _random_lift,
     _TruncatedDelta,
+    delta_map,
+    exact_is_distinguished,
     per_pair_exact_sweep,
     per_pair_q_multiplicative,
     per_pair_sweep,
+    phi_delta,
     phi_map,
 )
 from paper_oracle import nygaard_member, qpd_check
@@ -24,11 +27,9 @@ from qprism.base_ring import RingContext, WScalar, frobenius_matrix, q_int_poly
 from qprism.delta_ring import (
     DeltaElement,
     _law_defects,
-    _QXBatch,
-    delta_map,
+    _WXBatch,
     envelope_presentation,
     is_distinguished,
-    phi_delta,
     run_axiom_suite,
     w_delta,
 )
@@ -246,10 +247,52 @@ def test_only_the_envelope_holds_delta_to_the_term_budget(monkeypatch):
 
 
 def test_q_integer_past_the_term_budget_is_distinguished():
-    # ((53)_q)^53 forms a 1093*1665 product, over the cap of a parsed power
+    # in Z[q], ((53)_q)^53 would form a 1093*1665 product, over the cap of a
+    # parsed power; the predicate runs in W and holds to no such cap
     ctx = RingContext(53, 2, 2)
     assert 1093 * 1665 > qprism.grammar.MAX_TERMS
     assert is_distinguished(DeltaElement(ctx, q_int_poly(53, 1)))
+
+
+def _random_q_poly(rng, degree):
+    return IntPoly({(("q", j),) if j else (): rng.randint(-9, 9) for j in range(degree + 1)})
+
+
+def test_distinguished_in_w_matches_the_exact_oracle():
+    rng = random.Random(2030)
+    q = IntPoly.var("q")
+    verdicts = set()
+    for p in (2, 3, 5, 7, 23, 53):
+        for n in range(2, 5):
+            for m in range(1, 5):
+                ctx = RingContext(p, n, m)
+                polys = [q_int_poly(k, 1) for k in range(5)] + [q**k - 1 for k in range(1, 4)]
+                if p <= 23 or (n, m) == (2, 2):
+                    polys.append(q_int_poly(p, 1))
+                for _ in range(3):
+                    u, v = _random_q_poly(rng, 2), _random_q_poly(rng, 2)
+                    polys += [IntPoly.const(p) * u + v, _random_q_poly(rng, 3)]
+                for poly in polys:
+                    d = DeltaElement(ctx, poly)
+                    got = is_distinguished(d)
+                    assert got is exact_is_distinguished(d), (p, n, m, poly)
+                    verdicts.add(got)
+                    # precision 1 leaves no digit for the division by p
+                    low = DeltaElement(ctx, poly, precision=1)
+                    for predicate in (is_distinguished, exact_is_distinguished):
+                        with pytest.raises(PrecisionExhausted):
+                            predicate(low)
+    assert verdicts == {True, False}
+
+
+def test_distinguished_refuses_an_element_outside_z_q():
+    ctx = RingContext(3, 2, 2)
+    for text in ("x", "q + x", "w0", "(1 + q + q^2) * w0 - x"):
+        d = elem(ctx, text)
+        with pytest.raises(InvalidArgs):
+            is_distinguished(d)
+    # the exact route read False there, as delta(x^k) = 0
+    assert exact_is_distinguished(elem(ctx, "x")) is False
 
 
 def test_envelope_prispol_relation_p2():
@@ -378,9 +421,9 @@ def test_law_defects_vanish_for_delta_and_not_for_a_corrupted_delta():
         def exact_delta(f, f_p):
             return _delta_poly(ctx, f, f_p)
 
-        # _QXBatch carrier: the same lifts, one lane per pair, modulo p * mod
-        a, b = (_batch_of([pair[side] for pair in lifts], p, p * mod, ctx.m_prec) for side in (0, 1))
-        batch_delta = _QXBatch.delta
+        # _WXBatch carrier: the same lifts, one lane per pair, over W(p, N, M)
+        a, b = (_batch_of([pair[side] for pair in lifts], ctx) for side in (0, 1))
+        batch_delta = _WXBatch.delta
         for (delta, bdelta), holds in (
             ((exact_delta, batch_delta), True),
             ((lambda f, f_p: exact_delta(f, f_p) + 1, _batch_delta_corrupted(plus_f=False)), False),
@@ -394,18 +437,18 @@ def test_law_defects_vanish_for_delta_and_not_for_a_corrupted_delta():
                 assert all(sum_bad) and any(product_bad), p
             # the batch judges every lane as the IntPoly carrier judges its pair
             batch = _law_defects(a, b, bdelta, p)
-            assert [not v for v in batch[0].vanishes(mod, ctx.m_prec)] == product_bad, p
-            assert [not v for v in batch[1].vanishes(mod, ctx.m_prec)] == sum_bad, p
+            assert [not v for v in batch[0].vanishes(mod)] == product_bad, p
+            assert [not v for v in batch[1].vanishes(mod)] == sum_bad, p
 
 
-def _batch_of(polys, p, modulus, m):
-    """The lifts a0 + a1 x, a0 and a1 in Z[q] of degree < m, as one _QXBatch."""
-    coeffs = np.zeros((len(polys), 2, m), dtype=np.int64)
+def _batch_of(polys, ring):
+    """The lifts a0 + a1 x, a0 and a1 in Z[q], as one _WXBatch over ring:
+    the t-coordinates of each x-slice in W."""
+    coeffs = np.zeros((2, ring.m_prec, len(polys)), dtype=np.int64)
     for lane, poly in enumerate(polys):
         for xdeg, slc in poly.split_by_degree("x").items():
-            for qdeg, c in slc.univariate("q").items():
-                coeffs[lane, xdeg, qdeg] = c % modulus
-    return _QXBatch(coeffs, p, modulus)
+            coeffs[xdeg, :, lane] = WScalar.from_int_poly(ring, slc).coeffs
+    return _WXBatch(ring, coeffs)
 
 
 def test_axiom_suite_fails_with_a_wrong_frobenius(monkeypatch):
@@ -424,12 +467,12 @@ def test_axiom_suite_fails_with_a_wrong_delta_on_the_exact_carrier_alone(monkeyp
     contexts = [RingContext(p, n, m) for p in (2, 3, 5) for n in (2, 3) for m in (2, 3)]
     # delta + 1 breaks the sum law, and the product law too on most pairs;
     # the first failing pair names one of them
-    monkeypatch.setattr(_QXBatch, "delta", _batch_delta_corrupted(plus_f=False))
+    monkeypatch.setattr(_WXBatch, "delta", _batch_delta_corrupted(plus_f=False))
     for entry in run_axiom_suite(contexts, samples=50)["contexts"]:
         assert not (entry["product_law"] and entry["sum_law"]), entry["context"]
     # delta = 0 makes phi(f) = f^p, multiplicative but not additive: only the
     # sum law fails, in every context
-    monkeypatch.setattr(_QXBatch, "delta", lambda f, f_p: f_p * 0)
+    monkeypatch.setattr(_WXBatch, "delta", lambda f, f_p: f_p * 0)
     for entry in run_axiom_suite(contexts, samples=50)["contexts"]:
         assert entry["product_law"] is True and entry["sum_law"] is False, entry["context"]
 
@@ -513,23 +556,45 @@ def test_exact_sweep_matches_the_per_pair_oracle():
 @pytest.mark.parametrize("p, n, m", [(2, 30, 5), (2, 30, 6), (2, 31, 5), (2, 31, 6), (3, 20, 4)])
 def test_exact_sweep_matches_the_oracle_across_the_int64_boundary(p, n, m):
     # P = 2^30 runs on int64 and P = 2^31 (and 3^20) on Python ints
+    ring = RingContext(p, max(n, 2), m)
+    assert delta_ring._lane_dtype(ring) is (np.int64 if ring.pn == 2**30 else object)
     for seed in (1, 2):
         ctx = RingContext(p, n, m)
         got = _states_after(delta_ring._exact_sweep, ctx, delta_ring.EXACT_SAMPLES, seed)
         assert got == _states_after(per_pair_exact_sweep, ctx, delta_ring.EXACT_SAMPLES, seed)
 
 
+def test_wx_batch_arithmetic_agrees_in_int64_and_object():
+    # W(3, 19, 6) is the last int64 ring at p 3, M = 6; residues p^N - 1 put
+    # every product term at its largest, so a product must reduce between
+    # positions (an odd modulus, as a wrap mod 2^64 is harmless mod 2^N)
+    ring = RingContext(3, 19, 6)
+    assert delta_ring._lane_dtype(RingContext(3, 20, 6)) is object
+    assert delta_ring._lane_dtype(ring) is np.int64
+    rng = np.random.default_rng(7)
+    draws = rng.integers(0, ring.pn, size=(4, ring.m_prec, 3))
+    draws[:, :, 0] = ring.pn - 1
+    batches = [_WXBatch(ring, draws.astype(dtype)) for dtype in (np.int64, object)]
+    results = [
+        (b * b, b**3, b.frobenius(), b * (2**70 + 3), b + b * b - b.frobenius())
+        for b in batches
+    ]
+    for native, python_ints in zip(*results):
+        assert native.coeffs.dtype == np.int64
+        assert np.array_equal(native.coeffs, python_ints.coeffs.astype(np.int64))
+
+
 def _batch_delta_corrupted(plus_f, lane=None):
-    """_QXBatch.delta plus f (additive: breaks only the product law) or plus 1
+    """_WXBatch.delta plus f (additive: breaks only the product law) or plus 1
     (breaks the sum law), on every lane or on one."""
-    delta = _QXBatch.delta
+    delta = _WXBatch.delta
 
     def corrupted(f, f_p):
         extra = f.coeffs.copy() if plus_f else np.zeros_like(f.coeffs)
         if not plus_f:
-            extra[:, 0, 0] = 1
+            extra[0, 0] = 1
         if lane is not None:
-            extra[np.arange(len(extra)) != lane] = 0
+            extra[..., np.arange(extra.shape[-1]) != lane] = 0
         return delta(f, f_p) + f._like(extra)
 
     return corrupted
@@ -558,7 +623,7 @@ def test_exact_sweep_matches_the_oracle_under_a_corrupted_delta(monkeypatch):
             for plus_f in (False, True):
                 for pair in (None, 0, 9, 39):
                     seed = p + n + m + pair if pair is not None else p
-                    monkeypatch.setattr(_QXBatch, "delta", _batch_delta_corrupted(plus_f, pair))
+                    monkeypatch.setattr(_WXBatch, "delta", _batch_delta_corrupted(plus_f, pair))
                     got = _states_after(delta_ring._exact_sweep, ctx, 40, seed)[0]
                     monkeypatch.undo()
                     monkeypatch.setattr(delta_oracle, "_delta_poly", _oracle_delta_corrupted(plus_f, pair))

@@ -11,6 +11,7 @@ its first call only.
 """
 
 import ast
+import importlib.util
 import json
 import os
 import random
@@ -35,43 +36,25 @@ ALLOWED_UNREACHED = {
     "base_ring.w_invert": "exported in qprism.__all__",
 }
 
-# every op of the benchmark's cli_fixtures workload
-CONNECTION_FIXTURES = [
-    "bad_rank.json",
-    "classical_p2_rank1.json",
-    "cohomology_level0_trivial.json",
-    "p2_rank1_nilpotent.json",
-    "p2_rank1_seeded.json",
-    "p2_rank1_trivial.json",
-    "p2_rank2_mixed.json",
-    "p2_rank2_seeded.json",
-    "p2_rank2_trivial.json",
-    "p3_rank1_nilpotent.json",
-    "p3_rank1_seeded.json",
-    "p3_rank1_trivial.json",
-    "p3_rank2_mixed.json",
-    "p3_rank2_seeded.json",
-    "p3_rank2_trivial.json",
-]
-MODULE_FIXTURES = ["adic_w_quotient.json", "adic_z_torsion.json", "adic_zq_free.json"]
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
+
+
+def _benchmark_command_lines() -> list[list[str]]:
+    """Every op of the benchmark's cli_fixtures workload, read from
+    `perfbench/workloads.py`, so that a new op is probed here too."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses resolve their annotations through sys.modules
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return [list(op.argv) for op in module.cli_fixture_ops()]
 
 
 def _command_lines(zpn_spec: str) -> list[list[str]]:
-    lines = []
-    for name in CONNECTION_FIXTURES:
-        for command in ("cohomology", "cartier"):
-            lines.append([command, "--spec", f"fixtures/{name}", "--grow"])
-    for name in MODULE_FIXTURES:
-        lines.append(["adic", "--spec", f"fixtures/{name}", "--grow"])
-    for p in ("2", "3"):
-        for cap in ("4", "8"):
-            lines.append(["poincare", "--p", p, "--cap", cap, "--grow"])
-        for order in ("0", "1"):
-            lines.append(["envelope", "--p", p, "--order", order])
-    for order in ("2", "3"):
-        lines.append(["envelope", "--p", "2", "--order", order])
-    lines.append(["axioms"])
-    lines.append(["q-int", "5"])
+    lines = _benchmark_command_lines()
     lines.append(["adic", "--spec", zpn_spec])
     lines.append(["adic", "--spec", zpn_spec, "--grow"])
     lines.append(["q-int", "--r", "x", "5"])  # a malformed flag
