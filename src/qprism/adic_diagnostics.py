@@ -23,7 +23,7 @@ mutated after that.  The engines share these methods:
 - `kills(f, s, k)`: whether f^s kills the f^k-torsion;
 - `quotient(s)`: the engine of M/sM, built from the engine's own data;
 - `reduction_cone_acyclic(a, b)`: whether a acts bijectively on the
-  b-torsion, which decides the Koszul reduction cone at a = f^n, b = g^m;
+  b-torsion, which decides the Koszul reduction cone at a = f, b = g;
 - `flatness(f, g, details)`: the complete and formal flatness core.
 
 The predicates below are written once on top of the engines.
@@ -46,6 +46,7 @@ from .homology import (
     smith_exponents,
     span_exponents,
     w_mult_block,
+    w_mult_blocks,
 )
 
 # the powers (f, g)^j, j <= FORMAL_WINDOW, on which `_ZEngine` decides formal flatness
@@ -324,10 +325,11 @@ class _FiniteEngine:
     def _flat(self, scalars: list[list], cols: int) -> np.ndarray:
         """The Z/p^N matrix of a matrix of scalars, one block per scalar."""
         w = self.width
-        blocks = np.zeros((len(scalars), cols, w, w), dtype=np.int64)
+        coords = np.zeros((len(scalars), cols, w), dtype=np.int64)
         for i, row in enumerate(scalars):
             for j, s in enumerate(row):
-                blocks[i, j] = w_mult_block(self.m.scalar(s))
+                coords[i, j] = self.m.scalar(s).coeffs
+        blocks = w_mult_blocks(coords)
         return blocks.transpose(0, 2, 1, 3).reshape(len(scalars) * w, cols * w)
 
     def _per_generator(self, rows: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -574,18 +576,20 @@ def _g_torsion_free(m: ModulePresentation, g) -> bool:
 # --- the Koszul reduction cone ------------------------------------------------------
 
 
-def koszul_reduction_cone_acyclic(m: ModulePresentation, f, g, n: int = 1, mexp: int = 1) -> bool:
+def koszul_reduction_cone_acyclic(m: ModulePresentation, f, g) -> bool:
     """Acyclicity of the cone comparing the two-variable Koszul complex
-    K(f^n, g^m; M) with [M/g^m -> M/g^m] via f^n, the reduction that holds
-    for g-torsion-free modules.
+    K(f, g; M) with [M/g -> M/g] via f, the reduction that holds for
+    g-torsion-free modules.
 
     The comparison is onto in every degree, and its kernel is the Koszul
-    complex of f^n on [M -> g^m M].  That two-term complex is
-    quasi-isomorphic to M[g^m] = {x : g^m x = 0} in degree 0, so the cone
-    is acyclic exactly when f^n acts bijectively on M[g^m]; on a finite
-    module, injectively.
+    complex of f on [M -> g M].  That two-term complex is quasi-isomorphic
+    to M[g] = {x : g x = 0} in degree 0, so the cone is acyclic exactly
+    when f acts bijectively on M[g]; on a finite module, injectively.
+    For n, m >= 1, f^n is bijective on M[g^m] exactly when f is bijective
+    on M[g], so the cone of K(f^n, g^m; M) has the same verdict; callers
+    that want powers pass f^n and g^m.
     """
-    return m.engine.reduction_cone_acyclic(m.scalar(f) ** n, m.scalar(g) ** mexp)
+    return m.engine.reduction_cone_acyclic(m.scalar(f), m.scalar(g))
 
 
 # --- pro-isomorphism --------------------------------------------------------------

@@ -1,8 +1,13 @@
-"""Exact arithmetic in the truncated base ring W(p, N, M) and q-combinatorics.
+"""Exact arithmetic in the truncated base ring W(p, N, M), in the
+coordinate algebra W[x], and q-combinatorics.
 
 W(p, N, M) = Z[q] / (p^N, (q-1)^M) is a finite local ring.  Elements are
 stored in the basis t^i with t = q - 1, which aligns the maximal ideal
 (p, t) with coordinates and makes the nilpotency of (p)_q manifest.
+`WScalar` is one element of W (or a batch of them); `WPoly` is the one
+W[x] of the program, an array of t-coordinates with any number of lane
+axes: the connection matrix of a spec, its sections, and the lifts of the
+axiom suite's x-carrying sweep.
 """
 
 from __future__ import annotations
@@ -11,6 +16,8 @@ from functools import lru_cache
 from itertools import islice
 from math import comb
 from operator import mul
+
+import numpy as np
 
 from .errors import InvalidArgs, NotAUnit
 from .exactpoly import IntPoly, square_and_multiply
@@ -242,6 +249,147 @@ def frobenius_matrix(ctx: RingContext) -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*columns))
 
 
+def lane_dtype(ctx: RingContext):
+    """The dtype of array lanes over ctx: int64 while M * (p^N)^2 < 2^63, so
+    that a sum of M products of residues fits, and Python ints above."""
+    return np.int64 if ctx.m_prec * ctx.pn**2 < 2**63 else object
+
+
+class WPoly:
+    """Polynomials in x over W = W(p, N, M), one per lane: coeffs[i, j, *lanes]
+    in [0, p^N) is the t^j coordinate of the coefficient of x^i.
+
+    The lanes are int64 or Python ints by `lane_dtype`, with the same code:
+    a sum reduces at once, and a product before its int64 entries could
+    overflow.  The first axis bounds the x-degree, and a product's bound is
+    the sum of its factors'; the t-degree is truncated at M.  The two sides
+    of a sum or a product have the same lanes and dtype.  Windows are not
+    stored: `rewindow` maps to W[x]/(x^(D+1)).
+    """
+
+    __slots__ = ("ctx", "coeffs")
+
+    def __init__(self, ctx: RingContext, coeffs: np.ndarray):
+        self.ctx = ctx
+        self.coeffs = coeffs
+
+    @classmethod
+    def zeros(cls, ctx: RingContext, lanes: tuple[int, ...] = (), length: int = 1) -> WPoly:
+        return cls(ctx, np.zeros((length, ctx.m_prec) + lanes, dtype=lane_dtype(ctx)))
+
+    def _combined(self, other: WPoly, sign: int) -> WPoly:
+        a, b = self.coeffs, other.coeffs
+        out = np.zeros((max(len(a), len(b)),) + a.shape[1:], a.dtype)
+        out[: len(a)] = a
+        out[: len(b)] += sign * b
+        out %= self.ctx.pn
+        return WPoly(self.ctx, out)
+
+    def __add__(self, other: WPoly) -> WPoly:
+        return self._combined(other, 1)
+
+    def __sub__(self, other: WPoly) -> WPoly:
+        return self._combined(other, -1)
+
+    def __mul__(self, other: WPoly | WScalar | int) -> WPoly:
+        pn, m = self.ctx.pn, self.ctx.m_prec
+        if isinstance(other, int):
+            return WPoly(self.ctx, self.coeffs * (other % pn) % pn)
+        if isinstance(other, WScalar):
+            return self._scaled(np.array([other.coeffs], dtype=self.coeffs.dtype))
+        # loop over the (x, t) positions where the sparser factor is nonzero
+        # in some lane, adding that position's shifted multiple of the other
+        small, large = self.coeffs, other.coeffs
+        support = np.argwhere((small != 0).any(axis=tuple(range(2, small.ndim))))
+        other_support = np.argwhere((large != 0).any(axis=tuple(range(2, large.ndim))))
+        if len(other_support) < len(support):
+            small, large, support = large, small, other_support
+        out = np.zeros((len(small) + len(large) - 1,) + large.shape[1:], dtype=large.dtype)
+        # each position adds at most one term up to (p^N-1)^2 to an entry, so
+        # int64 holds `room` positions between reductions; Python ints need none
+        room = (2**63 - pn) // (pn - 1) ** 2 if out.dtype == np.int64 else 0
+        for n, (i, j) in enumerate(support.tolist(), 1):
+            out[i : i + len(large), j:] += small[i, j] * large[:, : m - j]
+            if room and n % room == 0:
+                out %= pn
+        out %= pn
+        return WPoly(self.ctx, out)
+
+    def __pow__(self, n: int) -> WPoly:
+        """self**n for n >= 1."""
+        return square_and_multiply(self, n)
+
+    def _scaled(self, table: np.ndarray) -> WPoly:
+        """Coefficient d times the W element of t-coordinates table[d] (or table[0])."""
+        c, m = self.coeffs, self.ctx.m_prec
+        table = table.reshape(table.shape + (1,) * (c.ndim - 2))
+        out = np.zeros_like(c)
+        for j in range(m):
+            out[:, j:] += table[:, j : j + 1] * c[:, : m - j]
+        return WPoly(self.ctx, out % self.ctx.pn)
+
+    def _q_powers(self, r: int) -> np.ndarray:
+        """t-coordinates of q^(r d), one row per degree d of self."""
+        rows = [q_power(self.ctx, r * d).coeffs for d in range(len(self.coeffs))]
+        return np.array(rows, dtype=self.coeffs.dtype)
+
+    def sigma(self, power: int = 1) -> WPoly:
+        """The coordinate twist x -> q^power x, W-linear: an automorphism of
+        each W[x]/(x^(D+1)), congruent to the identity modulo (q - 1)."""
+        return self._scaled(self._q_powers(power))
+
+    def derive(self, r: int = 1) -> WPoly:
+        """The twisted derivation x^n -> (n)_{q^r} x^(n-1), where (n)_{q^r} =
+        1 + q^r + ... + q^(r(n-1)): level 0 at r = 1, and at r = p the level
+        -1 rule before its (p)_q factor.  analogs[d] is (d+1)_{q^r}."""
+        analogs = np.cumsum(self._q_powers(r), axis=0) % self.ctx.pn
+        c = self.coeffs
+        return WPoly(self.ctx, np.concatenate([c[1:], np.zeros_like(c[:1])]))._scaled(analogs)
+
+    def substitute_x_power(self, e: int, shift: int = 0) -> WPoly:
+        """x^shift f(x^e) for every lane f: degree d moves to e d + shift."""
+        c = self.coeffs
+        out = np.zeros(((len(c) - 1) * e + 1 + shift,) + c.shape[1:], dtype=c.dtype)
+        out[shift::e] = c
+        return WPoly(self.ctx, out)
+
+    def rewindow(self, window: int) -> WPoly:
+        """The image in W[x]/(x^(window+1)), as window + 1 coefficients: the
+        degrees above the window cut, or zeros appended."""
+        c = self.coeffs
+        out = np.zeros((window + 1,) + c.shape[1:], dtype=c.dtype)
+        out[: len(c)] = c[: window + 1]
+        return WPoly(self.ctx, out)
+
+    def frobenius(self) -> WPoly:
+        """The lift x -> x^p, q -> q^p: a strided scatter in x, and
+        `frobenius_matrix` on the t-coordinates."""
+        ctx, c = self.ctx, self.coeffs
+        out = np.zeros(((len(c) - 1) * ctx.p + 1,) + c.shape[1:], dtype=c.dtype)
+        phi = np.array(frobenius_matrix(ctx), dtype=c.dtype) @ c.reshape(len(c), ctx.m_prec, -1)
+        out[:: ctx.p] = phi.reshape(c.shape) % ctx.pn
+        return WPoly(self.ctx, out)
+
+    def delta(self, power: WPoly) -> WPoly:
+        """delta = (phi - power) / p, given power = self^p, exact modulo p^(N-1).
+
+        Raises ValueError, as `IntPoly.divide_exact` does, when a coordinate
+        of phi - power is not divisible by p, which the true Frobenius and
+        p-th power never leave.
+        """
+        p = self.ctx.p
+        diff = (self.frobenius() - power).coeffs
+        inexact = diff % p != 0
+        if inexact.any():
+            raise ValueError(f"coefficient {diff[inexact][0]} not divisible by {p}")
+        return WPoly(self.ctx, diff // p)
+
+    def vanishes(self, mod: int) -> np.ndarray:
+        """Per lane, whether every coordinate is 0 modulo mod, for mod
+        dividing p^N."""
+        return ~(self.coeffs % mod != 0).any(axis=(0, 1))
+
+
 def w_invert(a: WScalar) -> WScalar:
     """Exact inverse in W.
 
@@ -268,7 +416,10 @@ def w_invert(a: WScalar) -> WScalar:
 
 
 def q_power(ctx: RingContext, e: int) -> WScalar:
-    return WScalar.q(ctx) ** e
+    """q^e = (1 + t)^e for e >= 0: its t^i coordinate is C(e, i)."""
+    if e < 0:
+        raise InvalidArgs("use w_invert for negative powers")
+    return WScalar(ctx, [comb(e, i) for i in range(ctx.m_prec)])
 
 
 def q_int(n: int, r: int, ctx: RingContext) -> WScalar:

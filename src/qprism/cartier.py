@@ -17,7 +17,9 @@ every grade through this numbering, block by block.
 Each run flattens two connections, the source theta' and the raised theta,
 each assembled from m x m W-blocks: powers of the sigma block, their
 running sums for the derivation, and one block product per coefficient of
-the connection matrix.  Every other descent matrix derives from these
+the connection matrix and degree, formed in one batch from theta's
+t-coordinate array (a `base_ring.WPoly`).  Raising the level maps that
+array's degrees e to p e + p - 1 and builds nothing else.  Every other descent matrix derives from these
 two by renumbering blocks or by m x m W-block products: the Frobenius legs
 hold one block per source section, each block operator is theta' with its
 output degree shifted by one (the factor x') plus (k)_q blocks, and the
@@ -48,13 +50,10 @@ from .homology import (
     require_chain_map,
     selection_rows,
     w_mult_block,
+    w_mult_blocks,
     w_scale_blocks,
 )
-from .twisted_calculus import (
-    ConnectionModule,
-    QPolynomial,
-    quasi_nilpotence_check,
-)
+from .twisted_calculus import ConnectionModule, quasi_nilpotence_check
 
 
 # the degree window grows by this much for the stability re-run
@@ -70,24 +69,15 @@ def level_raise(conn_prime: ConnectionModule) -> ConnectionModule:
     the induced module over W[x], where x' acts as x^p.
 
     The connection matrix becomes x^{p-1} times the source matrix with
-    x' -> x^p; the twisted Leibniz rule supplies the action on all other
-    sections.
+    x' -> x^p, an index map from degree e to p e + p - 1; the twisted
+    Leibniz rule supplies the action on all other sections.
     """
     if conn_prime.level != -1:
         raise WrongLevel("level raising consumes a level -1 connection")
-    ctx = conn_prime.ctx
-    p = ctx.p
-    window = (
-        None
-        if conn_prime.window is None
-        else raised_window(p, conn_prime.window)
-    )
-    xp1 = QPolynomial.x(ctx, p - 1, window)
-    theta = [
-        [xp1 * entry.substitute_x_power(p, window) for entry in row]
-        for row in conn_prime.theta
-    ]
-    return ConnectionModule(ctx, conn_prime.rank, 0, theta, window)
+    p = conn_prime.ctx.p
+    window = None if conn_prime.window is None else raised_window(p, conn_prime.window)
+    theta = conn_prime.theta.substitute_x_power(p, p - 1)
+    return ConnectionModule(conn_prime.ctx, conn_prime.rank, 0, theta, window)
 
 
 def _block_powers(step: np.ndarray, count: int, n: int) -> np.ndarray:
@@ -128,24 +118,21 @@ def flatten_connection(m: ConnectionModule) -> FlatMatrix:
     # derivation[d - 1] = B(scale) (d)_{q^twist} for d = 1..D
     derivation = w_mult_block(scale) @ (np.cumsum(sigma_blocks[:-1], axis=0) % pn)
     deg = np.arange(size)
-    brow, bcol, blocks = [], [], []
-    for j in range(rank):
-        brow.append(j * size + deg[:-1])
-        bcol.append(j * size + deg[1:])
-        blocks.append(derivation)
-        for i in range(rank):
-            for e, c in m.theta[i][j].coeffs.items():
-                brow.append(i * size + deg[e:])
-                bcol.append(j * size + deg[: size - e])
-                blocks.append(w_mult_block(c) @ sigma_blocks[: size - e])
+    # derivation blocks at (j, d - 1; j, d), the one below (j, 0) first
+    below = (np.arange(rank)[:, None] * size + deg[:-1]).ravel()
+    # a theta block B(c_e) Q_d at (i, d + e; j, d) for every nonzero coefficient
+    # c_e of a theta_ij and every degree d <= D - e, all formed in one batch
+    e, i, j = np.nonzero(m.theta.coeffs.any(axis=1))
+    t, d = np.nonzero(deg < (size - e)[:, None])
+    coefficients = w_mult_blocks(m.theta.coeffs[e, :, i, j].astype(np.int64, copy=False))
     return FlatMatrix.from_blocks(
         ctx.p,
         ctx.n_prec,
         (dim, dim),
         ctx.m_prec,
-        np.concatenate(brow),
-        np.concatenate(bcol),
-        np.concatenate(blocks),
+        np.concatenate([below, (i * size + e)[t] + d]),
+        np.concatenate([below + 1, (j * size)[t] + d]),
+        np.concatenate([derivation] * rank + [coefficients[t] @ sigma_blocks[d]]),
     )
 
 
@@ -156,7 +143,7 @@ def _frobenius_leg(ctx: RingContext, rank: int, win_in: int, k: int) -> FlatMatr
     cols, m = flat_dim(ctx, rank, win_in), ctx.m_prec
     s = np.arange(cols // m)
     blocks = np.repeat(np.eye(m, dtype=np.int64)[None], s.size, axis=0)
-    return FlatMatrix.__new__(FlatMatrix)._set(
+    return FlatMatrix(
         ctx.p, ctx.n_prec, (ctx.p * cols, cols), m, ctx.p * s + k, s, blocks
     )
 
@@ -265,7 +252,7 @@ def _shift_degree(flat: FlatMatrix, window: int) -> FlatMatrix:
     The blocks that stay keep their order, so they are in stored form."""
     stays = flat.brow % (window + 1) != window
     brow, bcol, blocks = flat.brow[stays] + 1, flat.bcol[stays], flat.blocks[stays]
-    return FlatMatrix.__new__(FlatMatrix)._set(
+    return FlatMatrix(
         flat.p, flat.n_prec, flat.shape, flat.b, brow, bcol, blocks
     )
 
@@ -276,7 +263,7 @@ def _graded_piece(theta: FlatMatrix, k: int, shape) -> FlatMatrix:
     maps grade k into grade k - 1, as `block_split` checks first."""
     p = theta.p
     pick = theta.bcol % p == k
-    return FlatMatrix.__new__(FlatMatrix)._set(
+    return FlatMatrix(
         p,
         theta.n_prec,
         shape,

@@ -25,7 +25,7 @@ from .adic_diagnostics import (
     pro_iso_check,
     torsion_bound,
 )
-from .base_ring import RingContext, is_supported_prime, q_int_poly
+from .base_ring import RingContext, WPoly, WScalar, is_supported_prime, q_int_poly
 from .cartier import STABILITY_WINDOW_STEP, CartierProblem, cartier_verify, flatten_connection
 from .delta_ring import DeltaElement, envelope_presentation, run_axiom_suite
 from .divided_poly import poincare_exactness
@@ -33,7 +33,7 @@ from .errors import InvalidArgs, NotAChainMap, QPrismError, SpecError
 from .exactpoly import IntPoly
 from .grammar import MAX_TERMS, parse_poly, poly_to_string
 from .homology import cohomology_of_complex, max_flat_dim, modulus_within_cap
-from .twisted_calculus import ConnectionModule, QPolynomial
+from .twisted_calculus import ConnectionModule
 
 SCHEMA = "qprism/1"
 # the largest `n_max` of a module spec: the pro-system report has one entry per level
@@ -123,22 +123,24 @@ def load_connection_spec(path: str, grow: int = 0, spec: dict | None = None):
             f"theta_matrix must have {rank} rows, found {len(theta_rows)}",
             field="theta_matrix",
         )
-    theta = []
+    # each entry parsed straight into its lane, its degrees above the window cut
+    theta = WPoly.zeros(ctx, (rank, rank), window + 1)
     for i, row in enumerate(theta_rows):
         if not isinstance(row, list) or len(row) != rank:
             raise SpecError(
                 f"theta_matrix row {i} must have {rank} entries",
                 field="theta_matrix",
             )
-        out_row = []
         for j, text in enumerate(row):
             if not isinstance(text, str):
                 raise SpecError(
                     f"theta_matrix[{i}][{j}] must be a polynomial string",
                     field="theta_matrix",
                 )
-            out_row.append(_in_field("theta_matrix", QPolynomial.parse, ctx, text, window))
-        theta.append(out_row)
+            poly = _in_field("theta_matrix", parse_poly, text, allowed={"q", "x"})
+            for d, part in poly.split_by_degree("x").items():
+                if d <= window:
+                    theta.coeffs[d, :, i, j] = WScalar.from_int_poly(ctx, part).coeffs
     conn = ConnectionModule(ctx, rank, level, theta, window)
     meta = {
         "context": ctx.to_json(),

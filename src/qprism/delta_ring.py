@@ -15,12 +15,13 @@ coordinates are arrays with one lane per pair, int64 while
 M * (p^(N+1))^2 < 2^63 and Python ints above that, so each chunk of pairs
 costs one pass of Python-level arithmetic; q-multiplicativity checks its
 156 pairs (m, n) as one such batch in W(p, N, M).  The sweep of lifts
-carrying the coordinate x runs all its pairs as one `_WXBatch`, polynomials
-in x over W(p, max(N, 2), M), with the same digit of headroom.  Z[q, x] /
-(q-1)^M is p-torsion-free and phi(q-1) lies in (q-1), so phi and delta
-descend to it, and a law defect computed there is the image of the exact
-one.  One helper, `_law_defects`, states the product and sum laws on every
-carrier: `WScalar`, single or batched, `_WXBatch`, and `IntPoly`.
+carrying the coordinate x runs all its pairs as one `base_ring.WPoly`, the
+program's one W[x], one lane per pair, over W(p, max(N, 2), M), with the
+same digit of headroom; its lanes follow the same int64 rule
+(`base_ring.lane_dtype`).  Z[q, x] / (q-1)^M is p-torsion-free and
+phi(q-1) lies in (q-1), so phi and delta descend to it, and a law defect
+computed there is the image of the exact one.  One helper, `_law_defects`, states the product and sum laws on every
+carrier: `WScalar`, single or batched, `WPoly`, and `IntPoly`.
 
 No command runs the q-divided-power predicate, the bare Frobenius lift or
 delta on exact polynomials outside the envelope: `qpd_check` is kept in
@@ -38,14 +39,15 @@ import numpy as np
 
 from .base_ring import (
     RingContext,
+    WPoly,
     WScalar,
     _q_int_differences,
-    frobenius_matrix,
+    lane_dtype,
     q_binomial_rows,
     q_int_poly,
 )
 from .errors import InvalidArgs, OrderOverflow, PrecisionExhausted
-from .exactpoly import IntPoly, square_and_multiply
+from .exactpoly import IntPoly
 from .grammar import checked_power, parse_poly
 
 DEFAULT_OMEGA_CAP = 16
@@ -204,7 +206,7 @@ def _law_defects(a, b, delta, p: int):
         delta(a+b) = delta(a) + delta(b) - sum_{0<i<p} C(p, i)/p a^i b^(p-i).
 
     a and b are both WScalars (single, or batches of the same lanes), both
-    _WXBatches of the same lanes or both IntPolys, and delta(f, f^p) is
+    WPolys of the same lanes or both IntPolys, and delta(f, f^p) is
     delta on their ring; a^1..a^p and b^1..b^p are formed once and serve
     both laws.
     """
@@ -222,11 +224,6 @@ def _law_defects(a, b, delta, p: int):
     return product, delta(s, s**p) - corr
 
 
-def _lane_dtype(ctx: RingContext):
-    """The dtype of `WScalar` lanes in ctx: int64 while M * (p^N)^2 < 2^63."""
-    return np.int64 if ctx.m_prec * ctx.pn**2 < 2**63 else object
-
-
 def _q_multiplicative(ctx: RingContext) -> bool:
     """(mn)_q = (m)_q (n)_{q^m} in W for 1 <= m <= 12 and 0 <= n <= 12, all
     156 pairs as one batch, lane (m - 1) * 13 + n.
@@ -234,7 +231,7 @@ def _q_multiplicative(ctx: RingContext) -> bool:
     (n)_{q^r} has t^i coordinate sum_k D_r[i][k] C(n, k+1), with D_r the
     forward differences of `base_ring.q_int`; both tables are read mod p^N.
     """
-    pn, m_prec, dtype = ctx.pn, ctx.m_prec, _lane_dtype(ctx)
+    pn, m_prec, dtype = ctx.pn, ctx.m_prec, lane_dtype(ctx)
     diffs = np.zeros((13, m_prec, m_prec), dtype=dtype)  # diffs[r] = D_r; r = 0 unused
     for r in range(1, 13):
         for i, row in enumerate(_q_int_differences(r, m_prec)):
@@ -313,7 +310,7 @@ def _bulk_sweep(ctx: RingContext, samples: int, rng) -> tuple[bool, bool]:
     up = RingContext(p, ctx.n_prec + 1, m)
     for start in range(0, samples, SWEEP_CHUNK):
         lanes = min(SWEEP_CHUNK, samples - start)
-        draws = np.array([rng.randrange(up.pn) for _ in range(lanes * 2 * m)], dtype=_lane_dtype(up))
+        draws = np.array([rng.randrange(up.pn) for _ in range(lanes * 2 * m)], dtype=lane_dtype(up))
         # axis 0: a or b, axis 1: the t-coordinate, axis 2: the pair
         coords = draws.reshape(lanes, 2, m).transpose(1, 2, 0)
         product, sum_ = _law_defects(WScalar(up, coords[0]), WScalar(up, coords[1]), w_delta, p)
@@ -332,7 +329,7 @@ def _exact_sweep(ctx: RingContext, samples: int, rng) -> tuple[bool, bool]:
     Each lift is a uniform element of W(p, N, M) plus, with probability
     0.3, a multiple c*x, c < p^N; pair by pair, a then b, each draws its M
     t-coordinates, then rng.random(), then c if it carries x.  All pairs
-    run as one `_WXBatch` over W(p, max(N, 2), M): the laws apply delta only
+    run as one `WPoly` over W(p, max(N, 2), M): the laws apply delta only
     to inputs and to their sums and products, so one digit above the judged
     precision pays for every division by p.  The first failing pair in draw
     order decides the verdict: the product law if its product defect fails,
@@ -346,104 +343,15 @@ def _exact_sweep(ctx: RingContext, samples: int, rng) -> tuple[bool, bool]:
         c = rng.randrange(ctx.pn) if rng.random() < 0.3 else 0
         draws.append([coords, [c] + [0] * (m - 1)])
     # axis 0: a or b, axis 1: the x-degree, axis 2: the t-degree, axis 3: the pair
-    lifts = np.array(draws, dtype=_lane_dtype(ring)).reshape(samples, 2, 2, m).transpose(1, 2, 3, 0)
-    a, b = (_WXBatch(ring, lifts[side]) for side in (0, 1))
-    product, sum_ = _law_defects(a, b, _WXBatch.delta, p)
+    lifts = np.array(draws, dtype=lane_dtype(ring)).reshape(samples, 2, 2, m).transpose(1, 2, 3, 0)
+    a, b = (WPoly(ring, lifts[side]) for side in (0, 1))
+    product, sum_ = _law_defects(a, b, WPoly.delta, p)
     mod = ring.pn // p
     product_bad, sum_bad = (~defect.vanishes(mod) for defect in (product, sum_))
     bad = product_bad | sum_bad
     if not bad.any():
         return True, True
     return (False, True) if product_bad[np.argmax(bad)] else (True, False)
-
-
-class _WXBatch:
-    """Polynomials in x over W = W(p, N, M), one per lane: coeffs[i, j, k]
-    in [0, p^N) is the t^j coordinate of the coefficient of x^i in lane k.
-
-    The lanes are int64 while M * (p^N)^2 < 2^63 (`_lane_dtype`), so that a
-    Frobenius coordinate, a sum of M products of residues, fits, and Python
-    ints above that, with the same code: a sum reduces at once, and a
-    product before its int64 entries could overflow.  The first axis bounds
-    the x-degree, and a product's bound is the sum of its factors'; the
-    t-degree is truncated at M.
-    """
-
-    __slots__ = ("ring", "coeffs")
-
-    def __init__(self, ring: RingContext, coeffs: np.ndarray):
-        self.ring = ring
-        self.coeffs = coeffs
-
-    def _like(self, coeffs: np.ndarray) -> _WXBatch:
-        return _WXBatch(self.ring, coeffs)
-
-    def _combined(self, other: _WXBatch, sign: int) -> _WXBatch:
-        a, b = self.coeffs, other.coeffs
-        out = np.zeros((max(len(a), len(b)),) + a.shape[1:], a.dtype)
-        out[: len(a)] = a
-        out[: len(b)] += sign * b
-        out %= self.ring.pn
-        return self._like(out)
-
-    def __add__(self, other: _WXBatch) -> _WXBatch:
-        return self._combined(other, 1)
-
-    def __sub__(self, other: _WXBatch) -> _WXBatch:
-        return self._combined(other, -1)
-
-    def __mul__(self, other: _WXBatch | int) -> _WXBatch:
-        pn, m = self.ring.pn, self.ring.m_prec
-        if isinstance(other, int):
-            return self._like(self.coeffs * (other % pn) % pn)
-        # loop over the (x, t) positions where the sparser factor is nonzero
-        # in some lane, adding that position's shifted multiple of the other
-        small, large = self.coeffs, other.coeffs
-        support = np.argwhere((small != 0).any(axis=2))
-        other_support = np.argwhere((large != 0).any(axis=2))
-        if len(other_support) < len(support):
-            small, large, support = large, small, other_support
-        out = np.zeros((len(small) + len(large) - 1,) + large.shape[1:], dtype=large.dtype)
-        # each position adds at most one term up to (p^N-1)^2 to an entry, so
-        # int64 holds `room` positions between reductions; Python ints need none
-        room = (2**63 - pn) // (pn - 1) ** 2 if out.dtype == np.int64 else 0
-        for n, (i, j) in enumerate(support.tolist(), 1):
-            out[i : i + len(large), j:] += small[i, j] * large[:, : m - j]
-            if room and n % room == 0:
-                out %= pn
-        out %= pn
-        return self._like(out)
-
-    def __pow__(self, n: int) -> _WXBatch:
-        """self**n for n >= 1."""
-        return square_and_multiply(self, n)
-
-    def frobenius(self) -> _WXBatch:
-        """The lift x -> x^p, q -> q^p: a strided scatter in x, and
-        `frobenius_matrix` on the t-coordinates."""
-        ring, c = self.ring, self.coeffs
-        out = np.zeros(((len(c) - 1) * ring.p + 1,) + c.shape[1:], dtype=c.dtype)
-        out[:: ring.p] = np.array(frobenius_matrix(ring), dtype=c.dtype) @ c % ring.pn
-        return self._like(out)
-
-    def delta(self, power: _WXBatch) -> _WXBatch:
-        """delta = (phi - power) / p, given power = self^p, exact modulo p^(N-1).
-
-        Raises ValueError, as `IntPoly.divide_exact` does, when a coordinate
-        of phi - power is not divisible by p, which the true Frobenius and
-        p-th power never leave.
-        """
-        p = self.ring.p
-        diff = (self.frobenius() - power).coeffs
-        inexact = diff % p != 0
-        if inexact.any():
-            raise ValueError(f"coefficient {diff[inexact][0]} not divisible by {p}")
-        return self._like(diff // p)
-
-    def vanishes(self, mod: int) -> np.ndarray:
-        """Per lane, whether every coordinate is 0 modulo mod, for mod
-        dividing p^N."""
-        return ~(self.coeffs % mod != 0).any(axis=(0, 1))
 
 
 @dataclass

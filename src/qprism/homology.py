@@ -36,7 +36,7 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from .base_ring import RingContext, WScalar
+from .base_ring import RingContext, WPoly, WScalar
 from .errors import InvalidArgs, NotAChainMap, SpecError
 
 # int64 arithmetic stays exact because every entry is reduced below 2^21, so
@@ -336,9 +336,7 @@ class FlatMatrix:
     none is all zero; they are sorted by (brow, bcol) with no position
     twice, so two matrices at one b are equal exactly when their arrays
     are.  Every command builds its operators with b = m, one block per pair
-    of W-basis sections; a matrix handed in dense, as the tests do, is
-    stored with b = 1, one block per nonzero entry.  A matrix is not
-    changed once built.
+    of W-basis sections.  A matrix is not changed once built.
 
     `dense` is the one conversion to a full rows x cols array; nothing in
     the library calls it.
@@ -346,18 +344,11 @@ class FlatMatrix:
 
     __slots__ = ("p", "n_prec", "shape", "b", "brow", "bcol", "blocks")
 
-    def __init__(self, p: int, n_prec: int, entries):
-        """The dense matrix entries (anything np.array reads as 2-D),
-        reduced mod p^N, with b = 1."""
-        a = _reduced(entries, p**n_prec)
-        r, c = _flat_nonzero(a)
-        self._set(p, n_prec, a.shape, 1, r, c, a[r, c].reshape(-1, 1, 1))
-
-    def _set(self, p, n_prec, shape, b, brow, bcol, blocks) -> FlatMatrix:
-        """Fill in blocks already in the stored form: no copy and no check."""
+    def __init__(self, p: int, n_prec: int, shape, b: int, brow, bcol, blocks):
+        """Blocks already in the stored form: no copy and no check.
+        `from_blocks` builds the stored form from any blocks."""
         self.p, self.n_prec, self.shape, self.b = p, n_prec, tuple(shape), b
         self.brow, self.bcol, self.blocks = brow, bcol, blocks
-        return self
 
     @classmethod
     def from_blocks(cls, p: int, n_prec: int, shape, b: int, brow, bcol, blocks) -> FlatMatrix:
@@ -375,8 +366,9 @@ class FlatMatrix:
         if not (key[1:] > key[:-1]).all():
             order = np.argsort(key, kind="stable")
             key, blocks = key[order], blocks[order]
-            first = np.flatnonzero(np.diff(key, prepend=-1))
-            if first.size < key.size:
+            repeated = key[1:] == key[:-1]
+            if repeated.any():
+                first = np.flatnonzero(np.concatenate(([True], ~repeated)))
                 # each sum has fewer than 2^42 terms below 2^21
                 blocks = np.add.reduceat(blocks, first, axis=0)
                 np.remainder(blocks, n, out=blocks)
@@ -385,7 +377,7 @@ class FlatMatrix:
         if not keep.all():
             key, blocks = key[keep], blocks[keep]
         brow, bcol = np.divmod(key, width)
-        return cls.__new__(cls)._set(p, n_prec, shape, b, brow, bcol, blocks)
+        return cls(p, n_prec, shape, b, brow, bcol, blocks)
 
     @property
     def modulus(self) -> int:
@@ -436,7 +428,7 @@ class FlatMatrix:
 
     def __neg__(self) -> FlatMatrix:
         # a nonzero block stays nonzero, and a zero entry in it stays zero
-        return FlatMatrix.__new__(FlatMatrix)._set(
+        return FlatMatrix(
             self.p, self.n_prec, self.shape, self.b, self.brow, self.bcol, -self.blocks % self.modulus
         )
 
@@ -493,12 +485,6 @@ class FlatMatrix:
             f"FlatMatrix(p={self.p}, n_prec={self.n_prec}, shape={self.shape}, "
             f"b={self.b}, blocks={self.bcol.size})"
         )
-
-    @classmethod
-    def identity(cls, p: int, n_prec: int, dim: int) -> FlatMatrix:
-        diagonal = np.arange(dim)
-        ones = np.ones((dim, 1, 1), dtype=np.int64)
-        return cls.from_blocks(p, n_prec, (dim, dim), 1, diagonal, diagonal, ones)
 
 
 def _stacked(parts: list[FlatMatrix], axis: int) -> FlatMatrix:
@@ -645,14 +631,27 @@ def cone_differentials(
 # --- flattening W-linear operators -------------------------------------------
 
 
+def w_mult_blocks(coords: np.ndarray) -> np.ndarray:
+    """Matrices of multiplication by w on the Z/p^N-basis {t^i} of W, one
+    for each w whose t-coordinates are coords[..., :]."""
+    index, lower = _t_shifts(coords.shape[-1])
+    return coords[..., index] * lower
+
+
+@lru_cache(maxsize=None)
+def _t_shifts(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(i - j) mod m at (i, j), and the mask of i >= j, where t^j w has
+    coordinate w_(i-j) at t^i."""
+    shift = np.subtract.outer(np.arange(m), np.arange(m))
+    index, lower = shift % m, shift >= 0
+    index.flags.writeable = lower.flags.writeable = False  # shared by every caller
+    return index, lower
+
+
 def w_mult_block(w: WScalar) -> np.ndarray:
     """Matrix of multiplication by w on the Z/p^N-basis {t^i} of W."""
-    m = w.ctx.m_prec
-    block = np.zeros((m, m), dtype=np.int64)
-    for i, c in enumerate(w.coeffs):
-        for j in range(m - i):
-            block[i + j, j] = c
-    return block
+    index, lower = _t_shifts(w.ctx.m_prec)
+    return np.array(w.coeffs, dtype=np.int64)[index] * lower
 
 
 def w_scale_blocks(mat: FlatMatrix, w: WScalar) -> FlatMatrix:
@@ -678,32 +677,36 @@ def flatten_operator(
 ) -> FlatMatrix:
     """Flatten a W-linear operator on windowed section vectors.
 
-    apply_fn maps a basis section (component j, degree d) to the list of
-    rank_out output QPolynomials.  W-linearity lets every t^i copy share
-    one application: each output coefficient is one m x m multiplication
-    block.
+    apply_fn maps a basis section (component j, degree d) to its image, a
+    `WPoly` with one lane per output component.  W-linearity lets every
+    t^i copy share one application: each output coefficient is one m x m
+    multiplication block.
     """
-    from .twisted_calculus import QPolynomial
-
     dim_in = flat_dim(ctx, rank_in, window_in)
     dim_out = flat_dim(ctx, rank_out, window_out)
     if max(dim_in, dim_out) > max_flat_dim():
         raise InvalidArgs(
             f"flattened dimension exceeds QPRISM_MAX_DIM={max_flat_dim()}"
         )
-    m = ctx.m_prec
-    brow, bcol, blocks = [], [], [np.zeros((0, m, m), dtype=np.int64)]
+    empty = np.zeros(0, dtype=np.int64)
+    brow, bcol, coords = [empty], [empty], [np.zeros((0, ctx.m_prec), dtype=np.int64)]
     for j in range(rank_in):
         for d in range(window_in + 1):
-            for i, poly in enumerate(apply_fn(j, d)):
-                if not isinstance(poly, QPolynomial):
-                    raise InvalidArgs("apply_fn must return QPolynomial sections")
-                for dd, w in poly.coeffs.items():
-                    if dd > window_out:
-                        raise InvalidArgs("operator escapes the output window")
-                    brow.append(i * (window_out + 1) + dd)
-                    bcol.append(j * (window_in + 1) + d)
-                    blocks.append(w_mult_block(w)[None])
+            image = apply_fn(j, d)
+            if not isinstance(image, WPoly):
+                raise InvalidArgs("apply_fn must return WPoly sections")
+            dd, i = np.nonzero(image.coeffs.any(axis=1))
+            if (dd > window_out).any():
+                raise InvalidArgs("operator escapes the output window")
+            brow.append(i * (window_out + 1) + dd)
+            bcol.append(np.full(dd.size, j * (window_in + 1) + d))
+            coords.append(image.coeffs[dd, :, i].astype(np.int64))
     return FlatMatrix.from_blocks(
-        ctx.p, ctx.n_prec, (dim_out, dim_in), m, brow, bcol, np.concatenate(blocks)
+        ctx.p,
+        ctx.n_prec,
+        (dim_out, dim_in),
+        ctx.m_prec,
+        np.concatenate(brow),
+        np.concatenate(bcol),
+        w_mult_blocks(np.concatenate(coords)),
     )

@@ -9,6 +9,9 @@ D'+1, p, m) of its flat index, the cone differentials by stacking, and the
 quasi-nilpotence witnesses by dense powers.  The library builds each of
 them in m x m blocks; the tests compare its dense copies with these entry
 by entry.
+
+`dense_flat` and `flat_identity` build the FlatMatrix of a dense array,
+with one 1 x 1 block per nonzero entry; no command needs one.
 """
 
 from __future__ import annotations
@@ -16,8 +19,20 @@ from __future__ import annotations
 import numpy as np
 
 from qprism.base_ring import RingContext, WScalar, q_int, q_power
-from qprism.homology import flat_dim, w_mult_block
+from qprism.homology import FlatMatrix, flat_dim, w_mult_block
 from qprism.twisted_calculus import ConnectionModule
+
+
+def dense_flat(p: int, n_prec: int, entries) -> FlatMatrix:
+    """The FlatMatrix of a dense matrix (anything np.array reads as 2-D),
+    reduced mod p^N, stored with b = 1: one block per nonzero entry."""
+    a = np.array(entries, dtype=np.int64, ndmin=2) % p**n_prec
+    r, c = np.nonzero(a)
+    return FlatMatrix.from_blocks(p, n_prec, a.shape, 1, r, c, a[r, c].reshape(-1, 1, 1))
+
+
+def flat_identity(p: int, n_prec: int, dim: int) -> FlatMatrix:
+    return dense_flat(p, n_prec, np.eye(dim, dtype=np.int64))
 
 
 def flatten_connection(m: ConnectionModule) -> np.ndarray:
@@ -36,7 +51,8 @@ def flatten_connection(m: ConnectionModule) -> np.ndarray:
     for j in range(rank):
         blocks[j, deg[:-1], :, j, deg[1:], :] = derivation
         for i in range(rank):
-            for e, c in m.theta[i][j].coeffs.items():
+            for e in range(size):
+                c = WScalar(ctx, m.theta.coeffs[e, :, i, j].tolist())
                 blocks[i, deg[e:], :, j, deg[: size - e], :] = (
                     w_mult_block(c) @ sigma_blocks[: size - e] % pn
                 )

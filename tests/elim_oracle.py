@@ -81,6 +81,7 @@ from qprism.homology import (
     w_mult_block,
 )
 
+from dense_oracle import dense_flat
 from paper_oracle import span_contains
 
 _MAX_MODULUS = 1 << 21
@@ -382,10 +383,10 @@ def cone_acyclic(
     if not is_chain_map(d0, d0p, f0, f1):
         raise NotAChainMap("f1 d0 != d0' f0")
     p, N = d0.p, d0.n_prec
-    delta0 = FlatMatrix(
+    delta0 = dense_flat(
         p, N, np.vstack([d0.entries, (-f0.entries) % d0.modulus])
     )
-    delta1 = FlatMatrix(p, N, np.hstack([f1.entries, d0p.entries]))
+    delta1 = dense_flat(p, N, np.hstack([f1.entries, d0p.entries]))
     k0 = kernel_log_cardinality(delta0)
     if k0 != 0:
         return False

@@ -1,11 +1,13 @@
 """Reference builders of the descent matrices, kept as test oracles.
 
-These are the earlier constructions.  `probed_connection` flattens a
-connection by probing each basis section (component j, degree d) through
-`connection_apply` and the generic `flatten_operator`; the library now
-assembles the same matrix from m x m W-blocks.  `probed_witnesses` iterates
-`connection_apply` on the basis sections for the quasi-nilpotence
-witnesses, which the library reads off powers of the flattened connection.
+These are the earlier constructions, on QPolynomial sections
+(`qpoly_oracle`).  `probed_connection` flattens a connection by probing each
+basis section (component j, degree d) through the oracle's
+`connection_apply` and a dense W-linear flattening (`probed`); the library
+now assembles the same matrix from m x m W-blocks.  `probed_witnesses`
+iterates the oracle's `connection_apply` on the basis sections for the
+quasi-nilpotence witnesses, which the library reads off powers of the
+flattened connection.
 The Frobenius legs and the block operators were flattened by probing in
 the same way, the semilinear Frobenius legs through a flattening of
 Z/p^N-linear maps one basis element at a time, and the Verschiebung target
@@ -31,16 +33,35 @@ import random
 
 import numpy as np
 
+from dense_oracle import dense_flat
+from qpoly_oracle import QConnection, QPolynomial, connection_apply
+
 from qprism.base_ring import RingContext, WScalar, q_int, q_power
 from qprism.cartier import level_raise, raised_window
 from qprism.errors import InvalidArgs
-from qprism.homology import FlatMatrix, flat_dim, flatten_operator, max_flat_dim, w_mult_block
-from qprism.twisted_calculus import ConnectionModule, QPolynomial, connection_apply
+from qprism.homology import FlatMatrix, flat_dim, max_flat_dim, w_mult_block
+from qprism.twisted_calculus import ConnectionModule
 
 
-def probed_connection(m: ConnectionModule) -> FlatMatrix:
+def probed(ctx: RingContext, rank_in, window_in, rank_out, window_out, apply_fn) -> FlatMatrix:
+    """Flatten a W-linear map of windowed sections: apply_fn maps the basis
+    section (component j, degree d) to its rank_out image QPolynomials, and
+    t^i times the section goes to t^i times them."""
+    t_powers = [WScalar(ctx, [0] * i + [1]) for i in range(ctx.m_prec)]
+    images = {}
+
+    def apply(j, d, i):
+        if (j, d) not in images:
+            images[j, d] = apply_fn(j, d)
+        return [poly * t_powers[i] for poly in images[j, d]]
+
+    return flatten_z_linear(ctx, rank_in, window_in, rank_out, window_out, apply)
+
+
+def probed_connection(m: QConnection | ConnectionModule) -> FlatMatrix:
     if m.window is None:
         raise InvalidArgs("flattening needs a degree window")
+    qm = m if isinstance(m, QConnection) else QConnection.of(m)
 
     def apply(j, d):
         section = [
@@ -49,9 +70,9 @@ def probed_connection(m: ConnectionModule) -> FlatMatrix:
             else QPolynomial.zero(m.ctx, m.window)
             for i in range(m.rank)
         ]
-        return connection_apply(m, section)
+        return connection_apply(qm, section)
 
-    return flatten_operator(m.ctx, m.rank, m.window, m.rank, m.window, apply)
+    return probed(m.ctx, m.rank, m.window, m.rank, m.window, apply)
 
 
 def probed_witnesses(m: ConnectionModule, cap: int) -> list[int | None]:
@@ -59,6 +80,7 @@ def probed_witnesses(m: ConnectionModule, cap: int) -> list[int | None]:
     in the windowed truncation, or None at the cap."""
     if m.window is None:
         raise InvalidArgs("quasi-nilpotence needs a degree window")
+    qm = QConnection.of(m)
     witnesses: list[int | None] = []
     for j in range(m.rank):
         s = [
@@ -67,7 +89,7 @@ def probed_witnesses(m: ConnectionModule, cap: int) -> list[int | None]:
         ]
         found = None
         for k in range(1, cap + 1):
-            s = connection_apply(m, s)
+            s = connection_apply(qm, s)
             if all(c.is_zero() for c in s):
                 found = k
                 break
@@ -148,7 +170,7 @@ def flatten_z_linear(
                         row0 = (comp * (window_out + 1) + dd) * m
                         for ii, c in enumerate(w.coeffs):
                             mat[row0 + ii, col] = (mat[row0 + ii, col] + c) % ctx.pn
-    return FlatMatrix(ctx.p, ctx.n_prec, mat)
+    return dense_flat(ctx.p, ctx.n_prec, mat)
 
 
 def frobenius_legs(conn_prime: ConnectionModule) -> tuple[FlatMatrix, FlatMatrix]:
@@ -177,8 +199,8 @@ def frobenius_legs(conn_prime: ConnectionModule) -> tuple[FlatMatrix, FlatMatrix
             for i in range(rank)
         ]
 
-    f_flat = flatten_operator(ctx, rank, win_in, rank, win_out, frob)
-    fdiv_flat = flatten_operator(ctx, rank, win_in, rank, win_out, frob_div)
+    f_flat = probed(ctx, rank, win_in, rank, win_out, frob)
+    fdiv_flat = probed(ctx, rank, win_in, rank, win_out, frob_div)
     return f_flat, fdiv_flat
 
 
@@ -189,7 +211,7 @@ def verschiebung_target(conn_prime: ConnectionModule) -> FlatMatrix:
     rank = conn_prime.rank
     win_out = raised_window(ctx.p, conn_prime.window)
     pq = q_int(ctx.p, 1, ctx)
-    v_forms = FlatMatrix(
+    v_forms = dense_flat(
         ctx.p,
         ctx.n_prec,
         np.kron(np.eye(rank * (win_out + 1), dtype=np.int64), w_mult_block(pq)),
@@ -208,18 +230,19 @@ def block_operator(conn_prime: ConnectionModule, k: int, twist: bool) -> FlatMat
     kq = q_int(k, 1, ctx)
     qk = q_power(ctx, k) if twist else WScalar.one(ctx)
     x1 = QPolynomial.x(ctx, 1, win)
+    qm = QConnection.of(conn_prime)
 
     def apply(j, d):
         section = [
             QPolynomial.x(ctx, d, win) if i == j else QPolynomial.zero(ctx, win)
             for i in range(rank)
         ]
-        image = connection_apply(conn_prime, section)
+        image = connection_apply(qm, section)
         return [
             x1 * c * qk + s * kq for c, s in zip(image, section)
         ]
 
-    return flatten_operator(ctx, rank, win, rank, win, apply)
+    return probed(ctx, rank, win, rank, win, apply)
 
 
 def semilinear_legs(ctx: RingContext, window: int) -> tuple[FlatMatrix, FlatMatrix]:

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from delta_oracle import phi_delta
+from qpoly_oracle import QPolynomial, to_qpolys
 
 from qprism.base_ring import RingContext, WScalar, frobenius_matrix, q_binomial, q_int, q_int_poly
 from qprism.cartier import ChainMapData, _frobenius_leg, flatten_connection, raised_window
@@ -35,7 +36,7 @@ from qprism.delta_ring import DeltaElement
 from qprism.errors import CapExceeded, InvalidArgs, RankMismatch, WindowTooSmall, WrongLevel
 from qprism.exactpoly import IntPoly
 from qprism.homology import FlatMatrix, span_exponents, w_mult_block
-from qprism.twisted_calculus import ConnectionModule, QPolynomial
+from qprism.twisted_calculus import ConnectionModule
 
 # --- the divided-power coalgebra -----------------------------------------------
 
@@ -227,16 +228,17 @@ def hyperdiff_extend(m: ConnectionModule) -> PrismaticDiffOp:
     if m.level != -1:
         raise WrongLevel("hyperdiff extension needs a level -1 connection")
     ctx = m.ctx
+    theta = tuple(tuple(row) for row in to_qpolys(m.theta, m.window))
     qm1x = QPolynomial.monomial(WScalar.t(ctx), 1)
     one = QPolynomial.one(ctx)
     z = QPolynomial.zero(ctx)
     comp1 = tuple(
         tuple(
-            (one if i == j else z) + qm1x * m.theta[i][j] for j in range(m.rank)
+            (one if i == j else z) + qm1x * theta[i][j] for j in range(m.rank)
         )
         for i in range(m.rank)
     )
-    return PrismaticDiffOp(ctx, m.rank, m.rank, 1, {0: m.theta, 1: comp1})
+    return PrismaticDiffOp(ctx, m.rank, m.rank, 1, {0: theta, 1: comp1})
 
 
 @dataclass

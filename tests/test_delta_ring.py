@@ -23,11 +23,10 @@ from paper_oracle import nygaard_member, qpd_check
 import qprism.grammar
 from qprism import delta_ring
 
-from qprism.base_ring import RingContext, WScalar, frobenius_matrix, q_int_poly
+from qprism.base_ring import RingContext, WPoly, WScalar, frobenius_matrix, lane_dtype, q_int_poly
 from qprism.delta_ring import (
     DeltaElement,
     _law_defects,
-    _WXBatch,
     envelope_presentation,
     is_distinguished,
     run_axiom_suite,
@@ -421,9 +420,9 @@ def test_law_defects_vanish_for_delta_and_not_for_a_corrupted_delta():
         def exact_delta(f, f_p):
             return _delta_poly(ctx, f, f_p)
 
-        # _WXBatch carrier: the same lifts, one lane per pair, over W(p, N, M)
+        # WPoly carrier: the same lifts, one lane per pair, over W(p, N, M)
         a, b = (_batch_of([pair[side] for pair in lifts], ctx) for side in (0, 1))
-        batch_delta = _WXBatch.delta
+        batch_delta = WPoly.delta
         for (delta, bdelta), holds in (
             ((exact_delta, batch_delta), True),
             ((lambda f, f_p: exact_delta(f, f_p) + 1, _batch_delta_corrupted(plus_f=False)), False),
@@ -442,13 +441,13 @@ def test_law_defects_vanish_for_delta_and_not_for_a_corrupted_delta():
 
 
 def _batch_of(polys, ring):
-    """The lifts a0 + a1 x, a0 and a1 in Z[q], as one _WXBatch over ring:
+    """The lifts a0 + a1 x, a0 and a1 in Z[q], as one WPoly over ring:
     the t-coordinates of each x-slice in W."""
     coeffs = np.zeros((2, ring.m_prec, len(polys)), dtype=np.int64)
     for lane, poly in enumerate(polys):
         for xdeg, slc in poly.split_by_degree("x").items():
             coeffs[xdeg, :, lane] = WScalar.from_int_poly(ring, slc).coeffs
-    return _WXBatch(ring, coeffs)
+    return WPoly(ring, coeffs)
 
 
 def test_axiom_suite_fails_with_a_wrong_frobenius(monkeypatch):
@@ -467,12 +466,12 @@ def test_axiom_suite_fails_with_a_wrong_delta_on_the_exact_carrier_alone(monkeyp
     contexts = [RingContext(p, n, m) for p in (2, 3, 5) for n in (2, 3) for m in (2, 3)]
     # delta + 1 breaks the sum law, and the product law too on most pairs;
     # the first failing pair names one of them
-    monkeypatch.setattr(_WXBatch, "delta", _batch_delta_corrupted(plus_f=False))
+    monkeypatch.setattr(WPoly, "delta", _batch_delta_corrupted(plus_f=False))
     for entry in run_axiom_suite(contexts, samples=50)["contexts"]:
         assert not (entry["product_law"] and entry["sum_law"]), entry["context"]
     # delta = 0 makes phi(f) = f^p, multiplicative but not additive: only the
     # sum law fails, in every context
-    monkeypatch.setattr(_WXBatch, "delta", lambda f, f_p: f_p * 0)
+    monkeypatch.setattr(WPoly, "delta", lambda f, f_p: f_p * 0)
     for entry in run_axiom_suite(contexts, samples=50)["contexts"]:
         assert entry["product_law"] is True and entry["sum_law"] is False, entry["context"]
 
@@ -557,7 +556,7 @@ def test_exact_sweep_matches_the_per_pair_oracle():
 def test_exact_sweep_matches_the_oracle_across_the_int64_boundary(p, n, m):
     # P = 2^30 runs on int64 and P = 2^31 (and 3^20) on Python ints
     ring = RingContext(p, max(n, 2), m)
-    assert delta_ring._lane_dtype(ring) is (np.int64 if ring.pn == 2**30 else object)
+    assert lane_dtype(ring) is (np.int64 if ring.pn == 2**30 else object)
     for seed in (1, 2):
         ctx = RingContext(p, n, m)
         got = _states_after(delta_ring._exact_sweep, ctx, delta_ring.EXACT_SAMPLES, seed)
@@ -569,12 +568,12 @@ def test_wx_batch_arithmetic_agrees_in_int64_and_object():
     # every product term at its largest, so a product must reduce between
     # positions (an odd modulus, as a wrap mod 2^64 is harmless mod 2^N)
     ring = RingContext(3, 19, 6)
-    assert delta_ring._lane_dtype(RingContext(3, 20, 6)) is object
-    assert delta_ring._lane_dtype(ring) is np.int64
+    assert lane_dtype(RingContext(3, 20, 6)) is object
+    assert lane_dtype(ring) is np.int64
     rng = np.random.default_rng(7)
     draws = rng.integers(0, ring.pn, size=(4, ring.m_prec, 3))
     draws[:, :, 0] = ring.pn - 1
-    batches = [_WXBatch(ring, draws.astype(dtype)) for dtype in (np.int64, object)]
+    batches = [WPoly(ring, draws.astype(dtype)) for dtype in (np.int64, object)]
     results = [
         (b * b, b**3, b.frobenius(), b * (2**70 + 3), b + b * b - b.frobenius())
         for b in batches
@@ -585,9 +584,9 @@ def test_wx_batch_arithmetic_agrees_in_int64_and_object():
 
 
 def _batch_delta_corrupted(plus_f, lane=None):
-    """_WXBatch.delta plus f (additive: breaks only the product law) or plus 1
+    """WPoly.delta plus f (additive: breaks only the product law) or plus 1
     (breaks the sum law), on every lane or on one."""
-    delta = _WXBatch.delta
+    delta = WPoly.delta
 
     def corrupted(f, f_p):
         extra = f.coeffs.copy() if plus_f else np.zeros_like(f.coeffs)
@@ -595,7 +594,7 @@ def _batch_delta_corrupted(plus_f, lane=None):
             extra[0, 0] = 1
         if lane is not None:
             extra[..., np.arange(extra.shape[-1]) != lane] = 0
-        return delta(f, f_p) + f._like(extra)
+        return delta(f, f_p) + WPoly(f.ctx, extra)
 
     return corrupted
 
@@ -623,7 +622,7 @@ def test_exact_sweep_matches_the_oracle_under_a_corrupted_delta(monkeypatch):
             for plus_f in (False, True):
                 for pair in (None, 0, 9, 39):
                     seed = p + n + m + pair if pair is not None else p
-                    monkeypatch.setattr(_WXBatch, "delta", _batch_delta_corrupted(plus_f, pair))
+                    monkeypatch.setattr(WPoly, "delta", _batch_delta_corrupted(plus_f, pair))
                     got = _states_after(delta_ring._exact_sweep, ctx, 40, seed)[0]
                     monkeypatch.undo()
                     monkeypatch.setattr(delta_oracle, "_delta_poly", _oracle_delta_corrupted(plus_f, pair))
@@ -665,8 +664,8 @@ _PYTHON_INT_CONTEXTS = [RingContext(97, 5, 2), RingContext(2, 31, 3), RingContex
 
 def _q_multiplicative_contexts():
     grid = [RingContext(p, n, m) for p in (2, 3, 5, 7, 97) for n in range(1, 5) for m in range(1, 6)]
-    assert all(delta_ring._lane_dtype(ctx) is np.int64 for ctx in grid)
-    assert all(delta_ring._lane_dtype(ctx) is object for ctx in _PYTHON_INT_CONTEXTS)
+    assert all(lane_dtype(ctx) is np.int64 for ctx in grid)
+    assert all(lane_dtype(ctx) is object for ctx in _PYTHON_INT_CONTEXTS)
     return grid + _PYTHON_INT_CONTEXTS
 
 
@@ -713,14 +712,14 @@ def test_q_multiplicative_batch_catches_one_corrupted_pair(monkeypatch):
 def test_bulk_sweep_lanes_agree_in_int64_and_object(monkeypatch, p, n, m, lanes):
     ctx = RingContext(p, n, m)
     up = RingContext(p, n + 1, m)
-    assert delta_ring._lane_dtype(up) is lanes
+    assert lane_dtype(up) is lanes
     samples = 9 if p == 97 else 30
     for seed in (1, 2):
         for corrupt in (False, True):
             if corrupt:
                 monkeypatch.setattr(delta_ring, "w_delta", _delta_corrupted_at(samples - 1))
             native = _states_after(delta_ring._bulk_sweep, ctx, samples, seed)
-            monkeypatch.setattr(delta_ring, "_lane_dtype", lambda ctx: object)
+            monkeypatch.setattr(delta_ring, "lane_dtype", lambda ctx: object)
             python_ints = _states_after(delta_ring._bulk_sweep, ctx, samples, seed)
             monkeypatch.undo()
             assert native == python_ints, (seed, corrupt)

@@ -14,7 +14,9 @@ import pytest
 import dense_oracle
 import flatten_oracle as oracle
 from flatten_oracle import random_nilpotent_theta
+from dense_oracle import dense_flat
 from paper_oracle import semilinear_frobenius
+from qpoly_oracle import QConnection, QPolynomial, connection
 from qprism import cartier, homology, twisted_calculus
 from qprism.base_ring import RingContext, WScalar, frobenius_matrix, q_int
 from qprism.cartier import (
@@ -24,6 +26,7 @@ from qprism.cartier import (
     chain_map_build,
     flatten_connection,
     level_raise,
+    raised_window,
     verschiebung_ok,
 )
 from qprism.cli import load_connection_spec
@@ -38,7 +41,7 @@ from qprism.homology import (
     w_mult_block,
     w_scale_blocks,
 )
-from qprism.twisted_calculus import ConnectionModule, QPolynomial, quasi_nilpotence_check
+from qprism.twisted_calculus import ConnectionModule, quasi_nilpotence_check
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 CONNECTION_FIXTURES = sorted(
@@ -80,7 +83,7 @@ def test_flatten_connection_matches_the_probe_on_a_seeded_sweep():
         ctx = RingContext(p, 1 + seed % 3, m_prec)
         theta = _sweep_theta(ctx, rank, window, rng)
         for conn in (
-            ConnectionModule(ctx, rank, level, theta, window),
+            connection(ctx, rank, level, theta, window),
             ConnectionModule.trivial(ctx, rank, level, window),
         ):
             # FlatMatrix equality compares the modulus, the shape and every entry
@@ -98,6 +101,77 @@ def test_flatten_connection_matches_the_probe_on_fixtures(name):
         conn, _, _ = load_connection_spec(str(FIXTURES / name), grow)
         for c in [conn] + ([level_raise(conn)] if conn.level == -1 else []):
             assert flatten_connection(c) == oracle.probed_connection(c), (grow, c.level)
+
+
+def _oracle_connection(spec: dict, grow: int) -> QConnection:
+    """The spec's connection parsed by the QPolynomial oracle, at the
+    truncation and window of a run with --grow when grow is 1."""
+    n, m, window = spec["n_prec"] + grow, spec["m_prec"] + grow, spec["degree_window"] + 2 * grow
+    ctx = RingContext(spec["p"], n, m)
+    theta = [[QPolynomial.parse(ctx, text, window) for text in row] for row in spec["theta_matrix"]]
+    return QConnection(ctx, spec["rank"], spec["level"], theta, window)
+
+
+def _oracle_raised(qm: QConnection) -> QConnection:
+    """x^(p-1) theta(x^p) on the raised window, by QPolynomial arithmetic."""
+    p = qm.ctx.p
+    window = raised_window(p, qm.window)
+    shift = QPolynomial.x(qm.ctx, p - 1, window)
+    theta = [[shift * e.substitute_x_power(p, window) for e in row] for row in qm.theta]
+    return QConnection(qm.ctx, qm.rank, 0, theta, window)
+
+
+def _check_parse_then_flatten(spec: dict, grow: int) -> None:
+    """The loader's connection flattened equals the oracle's probe of its
+    own parse, at the spec's window, the window of the stability re-run and,
+    at level -1, raised."""
+    conn, _, _ = load_connection_spec("spec.json", grow, spec)
+    qm = _oracle_connection(spec, grow)
+    wider = QConnection(qm.ctx, qm.rank, qm.level, qm.theta, qm.window + cartier.STABILITY_WINDOW_STEP)
+    pairs = [(conn, qm), (conn.rewindow(wider.window), wider)]
+    if conn.level == -1:
+        pairs.append((level_raise(conn), _oracle_raised(qm)))
+    for c, q in pairs:
+        assert flatten_connection(c) == oracle.probed_connection(q), (spec, grow, c.window)
+
+
+@pytest.mark.parametrize("name", CONNECTION_FIXTURES)
+def test_parse_then_flatten_matches_the_oracle_parse_on_fixtures(name):
+    spec = json.loads((FIXTURES / name).read_text())
+    for grow in (0, 1):
+        _check_parse_then_flatten(spec, grow)
+
+
+def _entry_text(rng: random.Random, max_degree: int) -> str:
+    """A polynomial in q and x, its degrees up to max_degree."""
+    q_parts = ("", "*q", "*q^3", "*(q-1)^2", "*(1+q)")
+    terms = [
+        f"({rng.randrange(-60, 60)}){rng.choice(q_parts)}*x^{rng.randrange(max_degree + 1)}"
+        for _ in range(rng.randrange(4))
+    ]
+    return "+".join(terms) or "0"
+
+
+def test_parse_then_flatten_matches_the_oracle_parse_on_seeded_specs():
+    # ranks 1-3, levels 0 and -1, windows 0-6; entries reach two degrees past
+    # the window, so the loader's cut is checked too
+    specs = 0
+    for seed, (rank, level, window) in enumerate(
+        itertools.product((1, 2, 3), (0, -1), range(7))
+    ):
+        rng = random.Random(seed)
+        spec = {
+            "p": rng.choice((2, 3, 5)),
+            "n_prec": rng.randint(1, 3),
+            "m_prec": rng.randint(1, 3),
+            "level": level,
+            "rank": rank,
+            "degree_window": window,
+            "theta_matrix": [[_entry_text(rng, window + 2) for _ in range(rank)] for _ in range(rank)],
+        }
+        _check_parse_then_flatten(spec, 0)
+        specs += 1
+    assert specs == 42
 
 
 WITNESS_CAPS = (1, 4, 32)
@@ -134,7 +208,7 @@ def test_nilpotence_witnesses_match_the_probe_on_a_seeded_sweep():
             theta = _sweep_theta(ctx, rank, window, rng)
         else:
             theta = random_nilpotent_theta(ctx, rank, window, seed=seed)
-        conn = ConnectionModule(ctx, rank, level, theta, window)
+        conn = connection(ctx, rank, level, theta, window)
         verdicts += [_check_witnesses(conn, cap) for cap in WITNESS_CAPS]
     assert len(verdicts) == 216
     assert 60 <= verdicts.count(False) <= 156
@@ -150,12 +224,12 @@ def test_nilpotence_witnesses_match_the_product_loop_on_a_seeded_sweep():
         ctx = RingContext(p, rng.randint(1, 3), rng.randint(1, 3))
         for kind in ("zero", "nilpotent", "random"):
             if kind == "zero":
-                theta = ConnectionModule.trivial(ctx, rank, -1, window).theta
+                theta = [[QPolynomial.zero(ctx, window)] * rank for _ in range(rank)]
             elif kind == "nilpotent":
                 theta = random_nilpotent_theta(ctx, rank, window, seed=rng.randrange(10**6))
             else:
                 theta = _sweep_theta(ctx, rank, window, rng)
-            conn = ConnectionModule(ctx, rank, rng.choice((0, -1)), theta, window)
+            conn = connection(ctx, rank, rng.choice((0, -1)), theta, window)
             flat = flatten_connection(conn)
             for cap in (1, 2, 32):
                 report = quasi_nilpotence_check(flat, rank, cap)
@@ -181,7 +255,7 @@ def test_nilpotence_witness_can_reach_the_length_bound():
     # multiplication by p on Z/p^N (rank 1, window 0, m 1, so n = 1) first
     # vanishes at its N-th power: the bound N * n is attained
     ctx = RingContext(2, 3, 1)
-    conn = ConnectionModule(ctx, 1, 0, [[QPolynomial.parse(ctx, "2", 0)]], 0)
+    conn = connection(ctx, 1, 0, [[QPolynomial.parse(ctx, "2", 0)]], 0)
     report = quasi_nilpotence_check(flatten_connection(conn), 1, 32)
     assert report.witness == oracle.probed_witnesses(conn, 32) == [3]
 
@@ -207,7 +281,7 @@ def _seeded_connections():
                     seed += 1
                     ctx = RingContext(p, 2, m_prec)
                     theta = random_nilpotent_theta(ctx, rank, window, seed=seed)
-                    yield ConnectionModule(ctx, rank, -1, theta, window=window)
+                    yield connection(ctx, rank, -1, theta, window=window)
 
 
 def _check_against_oracle(conn: ConnectionModule):
@@ -296,7 +370,7 @@ def test_block_descent_matrices_match_the_dense_builders_on_a_seeded_sweep():
         rng = random.Random(seed)
         ctx = RingContext(rng.choice((2, 3, 5)), rng.randint(1, 3), rng.randint(1, 4))
         rank, window = rng.randint(1, 3), rng.randrange(6)
-        cases.append(ConnectionModule(ctx, rank, -1, _sweep_theta(ctx, rank, window, rng), window))
+        cases.append(connection(ctx, rank, -1, _sweep_theta(ctx, rank, window, rng), window))
     for conn in cases:
         _check_against_dense_oracle(conn)
     assert len(cases) == 163
@@ -396,7 +470,7 @@ def test_verify_once_forms_block_powers_at_most_three_times(monkeypatch):
         ctx = RingContext(p, 2, 2)
         theta = random_nilpotent_theta(ctx, 2, 3, seed=seed)
         calls.clear()
-        report = _verify_once(CartierProblem(ConnectionModule(ctx, 2, -1, theta, window=3)))
+        report = _verify_once(CartierProblem(connection(ctx, 2, -1, theta, window=3)))
         assert report.all_ok, p
         assert len(report.blocks) == p - 1
         assert len(calls) <= 3, (p, len(calls))
@@ -434,7 +508,7 @@ def test_verify_once_peels_every_smith_pivot(monkeypatch):
 
 def test_descent_matrices_are_reduced_int64():
     # the descent matrices are built in blocks by FlatMatrix.from_blocks, not
-    # by the dense FlatMatrix(...) that reduces input from outside
+    # by a dense constructor that reduces input from outside
     def assert_reduced(mat):
         e = mat.entries
         assert e.dtype == np.int64 and e.ndim == 2
@@ -471,7 +545,7 @@ def test_verschiebung_ok_detects_a_corrupted_forms_leg():
     row = int(np.flatnonzero(forms[:, col])[0])
     forms[row, col] = 0
     forms[(row + 1) % data.forms_leg.rows, col] = 1
-    data.forms_leg = FlatMatrix(conn.ctx.p, conn.ctx.n_prec, forms)
+    data.forms_leg = dense_flat(conn.ctx.p, conn.ctx.n_prec, forms)
     assert not verschiebung_ok(data, conn.ctx)
 
 
@@ -481,7 +555,7 @@ def test_verschiebung_ok_needs_a_frobenius_leg_that_selects():
     conn, _, _ = load_connection_spec(str(FIXTURES / "p2_rank2_seeded.json"))
     data = chain_map_build(conn)
     leg = data.module_leg
-    data.module_leg = FlatMatrix(leg.p, leg.n_prec, 3 * leg.entries)
+    data.module_leg = dense_flat(leg.p, leg.n_prec, 3 * leg.entries)
     with pytest.raises(InvalidArgs):
         verschiebung_ok(data, conn.ctx)
 
@@ -498,7 +572,7 @@ def _corrupted(leg: FlatMatrix, col: int, target: int, kind: str) -> FlatMatrix:
         e[target, col] = 1
     else:
         e[row, col] = 2
-    return FlatMatrix(leg.p, leg.n_prec, e)
+    return dense_flat(leg.p, leg.n_prec, e)
 
 
 @pytest.mark.parametrize("kind", ["move", "extra", "scale"])
@@ -532,7 +606,7 @@ def test_chain_map_test_rejects_a_corrupted_leg(which, kind):
 def _bumped(op: FlatMatrix, row: int, col: int) -> FlatMatrix:
     e = op.entries.copy()
     e[row, col] = (e[row, col] + 1) % op.modulus
-    return FlatMatrix(op.p, op.n_prec, e)
+    return dense_flat(op.p, op.n_prec, e)
 
 
 def test_triangular_mask_matches_the_block_loop():

@@ -7,8 +7,9 @@ import pytest
 from qprism.base_ring import RingContext, WScalar, q_binomial, q_int
 from qprism.cli import load_connection_spec
 from qprism.errors import CapExceeded, RankMismatch, WrongLevel
-from qprism.twisted_calculus import ConnectionModule, QPolynomial, connection_apply
+from qprism.twisted_calculus import ConnectionModule
 
+from qpoly_oracle import QPolynomial, applied, connection
 from paper_oracle import (
     DividedElement,
     PrismaticDiffOp,
@@ -171,7 +172,7 @@ def test_hyperdiff_trivial_connection():
 def test_hyperdiff_constant_twist():
     ctx = RingContext(2, 2, 2)
     c = QPolynomial.parse(ctx, "q")
-    m = ConnectionModule(ctx, 1, -1, [[c]])
+    m = connection(ctx, 1, -1, [[c]])
     op = hyperdiff_extend(m)
     expected = QPolynomial.one(ctx) + QPolynomial.parse(ctx, "(q-1)*x") * c
     assert op.apply(1, [QPolynomial.one(ctx)]) == [expected]
@@ -186,7 +187,7 @@ def test_hyperdiff_components_match_the_connection_on_basis_sections(name):
     qm1x = QPolynomial.monomial(WScalar.t(ctx), 1)
     for j in range(conn.rank):
         unit = [QPolynomial.one(ctx) if i == j else QPolynomial.zero(ctx) for i in range(conn.rank)]
-        image = connection_apply(conn, unit)
+        image = applied(conn, unit)
         assert [row[j] for row in op.component(0)] == image
         assert [row[j] for row in op.component(1)] == [u + qm1x * c for u, c in zip(unit, image)]
 

@@ -33,10 +33,11 @@ from qprism.homology import (
     span_exponents,
     w_mult_block,
 )
-from qprism.twisted_calculus import ConnectionModule, QPolynomial
 
 import elim_oracle
+from dense_oracle import dense_flat, flat_identity
 from flatten_oracle import flatten_sections, random_nilpotent_theta
+from qpoly_oracle import QPolynomial, connection, to_wpoly
 from paper_oracle import span_contains
 from elim_oracle import (
     annihilator,
@@ -143,7 +144,7 @@ def test_cardinality_identity():
         ker = brute_right_kernel(mat, n)
         image = {tuple((mat @ np.array(v)) % n) for v in itertools.product(range(n), repeat=2)}
         assert len(ker) * len(image) == n**2
-        fm = FlatMatrix(2, 3, mat)
+        fm = dense_flat(2, 3, mat)
         assert 2 ** kernel_log_cardinality(fm) == len(ker)
         assert 2 ** elim_oracle.kernel_log_cardinality(fm) == len(ker)
 
@@ -166,14 +167,14 @@ def test_span_and_cokernel_exponents():
 
 
 def test_cohomology_identity_and_zero():
-    rep = cohomology_of_complex(FlatMatrix(2, 2, [[1]]))
+    rep = cohomology_of_complex(dense_flat(2, 2, [[1]]))
     assert rep.h0_invariant_factors == [] and rep.h1_invariant_factors == []
-    rep = cohomology_of_complex(FlatMatrix(2, 2, [[0]]))
+    rep = cohomology_of_complex(dense_flat(2, 2, [[0]]))
     assert rep.h0_invariant_factors == [2] and rep.h1_invariant_factors == [2]
 
 
 def test_cohomology_mult_by_p():
-    rep = cohomology_of_complex(FlatMatrix(2, 2, [[2]]))
+    rep = cohomology_of_complex(dense_flat(2, 2, [[2]]))
     # enumeration: kernel of 2 on Z/4 is {0, 2} = Z/2, cokernel = Z/2
     assert rep.h0_invariant_factors == [1]
     assert rep.h1_invariant_factors == [1]
@@ -181,24 +182,24 @@ def test_cohomology_mult_by_p():
 
 
 def test_cone_identity_chain_map():
-    d = FlatMatrix(2, 2, [[2, 1], [0, 2]])
-    ident = FlatMatrix.identity(2, 2, 2)
+    d = dense_flat(2, 2, [[2, 1], [0, 2]])
+    ident = flat_identity(2, 2, 2)
     assert cone_acyclic(d, d, ident, ident)
     assert elim_oracle.cone_acyclic(d, d, ident, ident)
 
 
 def test_cone_zero_map_detects_h0():
-    d = FlatMatrix(2, 2, [[1]])
-    z = FlatMatrix(2, 2, [[0]])
+    d = dense_flat(2, 2, [[1]])
+    z = dense_flat(2, 2, [[0]])
     # zero map between complexes with nonzero H^0 on the target side
-    dd = FlatMatrix(2, 2, [[0]])
+    dd = dense_flat(2, 2, [[0]])
     assert not cone_acyclic(dd, dd, z, z)
 
 
 def test_cone_rejects_non_chain_map():
-    d = FlatMatrix(2, 2, [[2]])
-    dp = FlatMatrix(2, 2, [[1]])
-    ident = FlatMatrix.identity(2, 2, 1)
+    d = dense_flat(2, 2, [[2]])
+    dp = dense_flat(2, 2, [[1]])
+    ident = flat_identity(2, 2, 1)
     with pytest.raises(NotAChainMap):
         cone_acyclic(d, dp, ident, ident)
 
@@ -219,7 +220,7 @@ def test_chain_map_test_by_indexing_matches_the_products():
         d0p = rng.integers(0, 8, size=(b2, a2))
         if trial % 2:
             d0p[:, rows0] = (f1 @ d0) % 8
-        d, dp, g0, g1 = (FlatMatrix(2, 3, m) for m in (d0, d0p, f0, f1))
+        d, dp, g0, g1 = (dense_flat(2, 3, m) for m in (d0, d0p, f0, f1))
         verdict = is_chain_map(d, dp, g0, g1)
         assert verdict == (g1.matmul(d) == dp.matmul(g0)), trial
         verdicts.add(verdict)
@@ -267,7 +268,7 @@ def test_selection_rows_matches_the_argmax_body():
             j, k = rng.choice(cols, 2, replace=False)
             e[:, k] += e[:, j]
             e[:, j] = 0
-        f = FlatMatrix(2, 3, e)
+        f = dense_flat(2, 3, e)
         got, want = selection_rows(f), _selection_rows_by_argmax(f)
         assert (got is None) == (want is None), (trial, e)
         if got is not None:
@@ -281,10 +282,10 @@ def test_cone_routes_agree_randomly():
     for _ in range(25):
         a = np.array([[rng.randrange(8) for _ in range(2)] for _ in range(2)])
         u = np.array([[1, rng.randrange(8)], [0, 1]])  # invertible
-        d = FlatMatrix(2, 3, a)
-        dp = FlatMatrix(2, 3, (u @ a @ u) % 8)
-        f0 = FlatMatrix(2, 3, u)
-        f1 = FlatMatrix(2, 3, u)
+        d = dense_flat(2, 3, a)
+        dp = dense_flat(2, 3, (u @ a @ u) % 8)
+        f0 = dense_flat(2, 3, u)
+        f1 = dense_flat(2, 3, u)
         if not np.array_equal(
             (u @ a) % 8, ((u @ a @ u) % 8 @ u) % 8
         ):
@@ -313,7 +314,7 @@ def test_flatten_functorial():
 
     def mult_by(poly):
         def apply(j, d):
-            return [QPolynomial.x(ctx, d, window) * poly]
+            return to_wpoly(ctx, [QPolynomial.x(ctx, d, window) * poly])
 
         return apply
 
@@ -329,7 +330,7 @@ def test_flatten_sections_round_trip_action():
     poly = QPolynomial.parse(ctx, "1+x", window)
 
     def apply(j, d):
-        return [QPolynomial.x(ctx, d, window) * poly]
+        return to_wpoly(ctx, [QPolynomial.x(ctx, d, window) * poly])
 
     op = flatten_operator(ctx, 1, window, 1, window, apply)
     s = QPolynomial.parse(ctx, "q+x^2", window)
@@ -361,7 +362,7 @@ def test_max_dim_guard(monkeypatch):
     ctx = RingContext(2, 2, 2)
 
     def apply(j, d):
-        return [QPolynomial.x(ctx, d, 3)]
+        return to_wpoly(ctx, [QPolynomial.x(ctx, d, 3)])
 
     with pytest.raises(InvalidArgs):
         flatten_operator(ctx, 1, 3, 1, 3, apply)
@@ -386,10 +387,10 @@ def test_cone_verdict_against_enumeration():
         d0v, d0pv, f0v, f1v = (rng.randrange(n) for _ in range(4))
         if (f1v * d0v - d0pv * f0v) % n:
             continue
-        d0 = FlatMatrix(p, N, [[d0v]])
-        d0p = FlatMatrix(p, N, [[d0pv]])
-        f0 = FlatMatrix(p, N, [[f0v]])
-        f1 = FlatMatrix(p, N, [[f1v]])
+        d0 = dense_flat(p, N, [[d0v]])
+        d0p = dense_flat(p, N, [[d0pv]])
+        f0 = dense_flat(p, N, [[f0v]])
+        f1 = dense_flat(p, N, [[f1v]])
         # brute force on Z/4: C0 -> C1 + C'0 -> C'1
         ker0 = [x for x in range(n) if (d0v * x) % n == 0 and (f0v * x) % n == 0]
         mid = [
@@ -638,7 +639,7 @@ def test_peeled_smith_exponents_match_the_oracles_on_a_seeded_sweep():
                         assert smith_exponents(given, p, N) == want, (p, N, kind, mat)
                         assert np.array_equal(np.array(given, dtype=np.int64), kept)
                     left_rows, left_cols = homology._peel_unit_singletons(
-                        mat.shape, *FlatMatrix(p, N, mat).coords(), p
+                        mat.shape, *dense_flat(p, N, mat).coords(), p
                     )
                     if kind == "unit triangular":
                         assert left_rows.size == left_cols.size == 0
@@ -690,7 +691,7 @@ def connection_operators():
             for window in rng.sample(range(13), 4):
                 ctx = RingContext(p, rng.randint(1, 3), rng.randint(1, 3))
                 theta = random_nilpotent_theta(ctx, rank, window, seed=rng.randrange(10**6))
-                yield flatten_connection(ConnectionModule(ctx, rank, -1, theta, window))
+                yield flatten_connection(connection(ctx, rank, -1, theta, window))
 
 
 def test_layered_smith_exponents_match_both_oracles_on_a_seeded_sweep():
@@ -698,7 +699,7 @@ def test_layered_smith_exponents_match_both_oracles_on_a_seeded_sweep():
     # the pivot-scan oracle, each input as a FlatMatrix and as an array
     rng = np.random.default_rng(257)
     mats = [
-        (p, N, FlatMatrix(p, N, layered_case(rng, p, N, kind)))
+        (p, N, dense_flat(p, N, layered_case(rng, p, N, kind)))
         for p in (2, 3, 5)
         for N in range(1, 5)
         for kind in LAYERED_KINDS
@@ -750,7 +751,7 @@ def test_smith_cohomology_matches_howell_kernel_sweep():
     for p, N, mat in shaped_sweep(seed=227, count=6):
         rows, cols = mat.shape
         seen_shapes.add((rows == 0, cols == 0, rows == cols))
-        fm = FlatMatrix(p, N, mat)
+        fm = dense_flat(p, N, mat)
         rep = cohomology_of_complex(fm)
         kern = right_kernel_basis(mat, p**N)
         assert rep.h0_invariant_factors == span_exponents(kern, p, N), (p, N, mat)
@@ -790,7 +791,7 @@ def test_kernel_log_cardinalities_match_the_howell_oracle_part_by_part(monkeypat
         for N in (1, 2, 3):
             for _ in range(16):
                 kinds = rng.choice(PEELING_KINDS, size=int(rng.integers(1, 6)))
-                sums.append([FlatMatrix(p, N, peeling_case(rng, p, N, kind)) for kind in kinds])
+                sums.append([dense_flat(p, N, peeling_case(rng, p, N, kind)) for kind in kinds])
     runs = list(fixture_run_operators())
     eliminated = []
     eliminate = homology._eliminate_layers
@@ -817,13 +818,13 @@ def test_kernel_log_cardinalities_match_the_howell_oracle_part_by_part(monkeypat
 
 def test_negation_keeps_zero_entries_of_a_block_zero():
     # -I_2 in one 2 x 2 block at p^N = 4: its zero entries must stay 0, not 4
-    minus = -FlatMatrix.identity(2, 2, 2).with_blocks(2)
+    minus = -flat_identity(2, 2, 2).with_blocks(2)
     assert minus.dense().tolist() == [[3, 0], [0, 3]]
     rng = np.random.default_rng(277)
     for p, N, b in ((2, 2, 2), (3, 1, 3), (5, 2, 2)):
         n = p**N
         mat = random_matrix(rng, p, N, 6 * b, 4 * b, "sparse")
-        f = FlatMatrix(p, N, mat).with_blocks(b)
+        f = dense_flat(p, N, mat).with_blocks(b)
         assert np.array_equal((-f).dense(), -f.dense() % n)
         _, _, values = (-f).coords()
         assert (values % n != 0).all()
@@ -837,7 +838,7 @@ def test_kernel_log_cardinality_against_enumeration():
             for cols in range(4):
                 for kind in ("dense", "p-divisible", "sparse"):
                     mat = random_matrix(rng, p, N, rows, cols, kind)
-                    fm = FlatMatrix(p, N, mat)
+                    fm = dense_flat(p, N, mat)
                     assert p ** kernel_log_cardinality(fm) == len(brute_right_kernel(mat, n))
 
 
@@ -882,7 +883,7 @@ def random_cones(seed, general: bool):
                     (f0, rows0), (f1, _) = selection(rng, a2, a), selection(rng, b2, b)
                     d0p = rng.integers(0, n, size=(b2, a2))
                     d0p[:, rows0] = f1 @ d0
-                yield tuple(FlatMatrix(p, N, m % n) for m in (d0, d0p, f0, f1))
+                yield tuple(dense_flat(p, N, m % n) for m in (d0, d0p, f0, f1))
 
 
 @pytest.mark.parametrize("general", [False, True], ids=["selection", "general"])
@@ -914,7 +915,7 @@ def test_matmul_matches_python_int_product():
             r, k, c = (int(x) for x in rng.integers(0, 40, size=3))
             a = rng.integers(0, n, size=(r, k))
             b = rng.integers(0, n, size=(k, c))
-            got = FlatMatrix(p, N, a).matmul(FlatMatrix(p, N, b)).entries
+            got = dense_flat(p, N, a).matmul(dense_flat(p, N, b)).entries
             assert got.dtype == np.int64
             assert np.array_equal(got, python_int_product(a, b, n)), (p, N, r, k, c)
 
@@ -928,7 +929,7 @@ def test_matmul_exact_on_both_sides_of_the_float64_bound(inner):
     assert (inner * (n - 1) ** 2 < 2**53) == (inner == 2048)
     a = np.full((1, inner), n - 1, dtype=np.int64)
     b = np.full((inner, 1), n - 1, dtype=np.int64)
-    got = FlatMatrix(p, N, a).matmul(FlatMatrix(p, N, b)).entries
+    got = dense_flat(p, N, a).matmul(dense_flat(p, N, b)).entries
     assert got.dtype == np.int64
     assert 0 <= got[0, 0] < n
     assert int(got[0, 0]) == inner * (n - 1) ** 2 % n
